@@ -2,7 +2,8 @@
 decompositions, cross-checks, character tables, and the n=5 isotypic analysis.
 
 Exit codes: 0 success, 1 invalid configuration or input, 2 internal
-consistency failure (boundary/rank/character checks).
+consistency failure (boundary/rank/character checks, projection budget,
+integer overflow).
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .chain_complex import (
 )
 from .equivariant_homology import (
     DEFAULT_SEED,
-    chain_character,
+    ProjectionFailureError,
     homology_character_next,
     homology_character_top,
     kernel_character_oracle,
@@ -193,20 +194,14 @@ def _cmd_betti(config, stages):
 def _compute_characters(config, stages):
     n = config.n
     if config.method == "kernel-trace":
-        top = stages.run("kernel_trace", lambda: kernel_character_oracle(n))
-        chains = {p: chain_character(n, p) for p in (n, n + 1, n + 2)}
-        nxt = chains[n + 1] - chains[n] - chains[n + 2] + top
-        try:
-            decompose(nxt)
-        except NotACharacterError as exc:
-            raise InternalConsistencyError(f"derived character invalid: {exc}")
+        top = stages.run(
+            "kernel_trace", lambda: kernel_character_oracle(n, config.cache)
+        )
     else:
         top = stages.run(
             "projection", lambda: homology_character_top(n, config.seed, config.cache)
         )
-        nxt = stages.run(
-            "euler_next", lambda: homology_character_next(n, config.seed, config.cache)
-        )
+    nxt = stages.run("euler_next", lambda: homology_character_next(n, top))
     return top, nxt
 
 
@@ -220,9 +215,10 @@ def _cmd_characters(config, stages):
             + ", ".join(_part_str(e.cycle_type) for e in report if not e.ok),
             file=sys.stderr,
         )
+    mults_top, mults_nxt = decompose(top), decompose(nxt)
     blocks = [
-        _character_block(n, n + 2, top.as_ints(), decompose(top), config.seed),
-        _character_block(n, n + 1, nxt.as_ints(), decompose(nxt), config.seed),
+        _character_block(n, n + 2, top.as_ints(), mults_top, config.seed),
+        _character_block(n, n + 1, nxt.as_ints(), mults_nxt, config.seed),
     ]
     if config.fmt == "json":
         return _emit_json({"metadata": _metadata(config, stages), "characters": blocks})
@@ -234,8 +230,8 @@ def _cmd_characters(config, stages):
             writer.writerow([b["degree"]] + b["values"])
         return buf.getvalue()
     lines = _text_metadata(config, stages)
-    lines += _character_text(f"H_{n + 2}:", n, blocks[0]["values"], decompose(top))
-    lines += _character_text(f"H_{n + 1}:", n, blocks[1]["values"], decompose(nxt))
+    lines += _character_text(f"H_{n + 2}:", n, blocks[0]["values"], mults_top)
+    lines += _character_text(f"H_{n + 1}:", n, blocks[1]["values"], mults_nxt)
     return "\n".join(lines) + "\n"
 
 
@@ -273,7 +269,9 @@ def _cmd_verify(config, stages):
     report = stages.run("euler_check", lambda: check_euler(n, top, nxt))
     agree = None
     if n <= 6:
-        oracle = stages.run("kernel_trace", lambda: kernel_character_oracle(n))
+        oracle = stages.run(
+            "kernel_trace", lambda: kernel_character_oracle(n, config.cache)
+        )
         agree = oracle.as_ints() == top.as_ints()
     ok = all(entry.ok for entry in report) and agree is not False
     payload = {
@@ -294,6 +292,10 @@ def _cmd_verify(config, stages):
         out = _emit_json({"metadata": _metadata(config, stages), **payload})
     else:
         lines = _text_metadata(config, stages)
+        lines.append(
+            f"euler check: z2 against the chain characters of C_{n}..C_{n + 2} "
+            f"(H_{n + 2} cancels, so only method agreement checks it)"
+        )
         lines.append(f"{'class':>16}  {'coefficient':>14}  {'bracket':>14}  ok")
         for e in report:
             lines.append(
@@ -408,8 +410,6 @@ def run(config: RunConfig):
         from . import kernels
 
         kernels.set_threads(config.threads)
-    if config.cache:
-        os.environ[CACHE_ENV] = config.cache
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (expect hours of CPU time "
@@ -465,7 +465,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InternalConsistencyError, RankCertificateError) as exc:
+    except (
+        InternalConsistencyError,
+        RankCertificateError,
+        ProjectionFailureError,
+        NotACharacterError,
+        OverflowError,
+    ) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

@@ -11,6 +11,7 @@ indexed by the n=5, degree-7 chain basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .chain_complex import InternalConsistencyError, boundary_matrix, build_basis
 from .equivariant_homology import act
-from .linalg import SparseRationalMatrix, kernel_exact, rank_exact
+from .linalg import SparseRationalMatrix, kernel_exact, rank_exact, rref_exact
 from .symmetric_group import (
     cycle_type,
     hook_dimension,
@@ -39,30 +40,16 @@ class WrongIsotypeError(RuntimeError):
     """The averaged intertwiner vanished, so the source isotype was wrong."""
 
 
-_KERNEL_MEMO: list = []
-_ACT_MEMO: dict = {}
-
-
+@cache
 def _kernel():
-    if not _KERNEL_MEMO:
-        d = boundary_matrix(N, TOP_DEGREE)
-        _, kern, pivots, free = kernel_exact(d)
-        _KERNEL_MEMO.append((kern, pivots, free))
-    return _KERNEL_MEMO[0]
-
-
-def _act_tables(pi):
-    if pi not in _ACT_MEMO:
-        _ACT_MEMO[pi] = act(pi, TOP_DEGREE).gather_tables()
-    return _ACT_MEMO[pi]
-
-
-def _dense_boundary():
     d = boundary_matrix(N, TOP_DEGREE)
-    out = np.zeros((d.rows, d.cols), dtype=np.int64)
-    for (r, c), v in d.entries():
-        out[r, c] = int(v)
-    return out
+    _, kern, pivots, free = kernel_exact(d)
+    return kern, pivots, free
+
+
+@cache
+def _act_tables(pi):
+    return act(pi, TOP_DEGREE).gather_tables()
 
 
 def apply_projector(lam, x):
@@ -115,7 +102,7 @@ def find_isotypic_cycle(lam=(3, 1, 1)):
     structured search fails.
     """
     basis = build_basis(N, TOP_DEGREE)
-    d = _dense_boundary()
+    d = boundary_matrix(N, TOP_DEGREE).to_int64()
     pi = tuple(list(range(1, N)) + [0])
     a_pi = act(pi, TOP_DEGREE)
     dim = basis.dim
@@ -199,47 +186,15 @@ def orbit_basis(v):
     return vb
 
 
-def _fraction_inverse(m):
-    """Exact inverse of a small invertible Fraction matrix."""
-    k = m.shape[0]
-    aug = [[Fraction(m[i, j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise WrongIsotypeError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [a / pval for a in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = aug[i][k + j]
-    return out
-
-
-def _pivot_rows(vb):
-    """Six rows of the 60x6 basis matrix forming an invertible 6x6 block."""
-    rows, chosen = [], []
-    work = []
-    for r in range(vb.shape[0]):
-        cand = work + [[Fraction(x) for x in vb[r]]]
-        mat = SparseRationalMatrix.from_dense(np.array(cand, dtype=object))
-        if rank_exact(mat) == len(cand):
-            work = cand
-            chosen.append(r)
-            if len(chosen) == 6:
-                return chosen
-    raise DegenerateVectorError("basis matrix has rank < 6")
-
-
 def representation_on_span(vb):
     """rho1: group element -> 6x6 exact matrix of its action on span(vb)."""
-    pivots = _pivot_rows(vb)
-    block_inv = _fraction_inverse(vb[pivots])
+    width = vb.shape[1]
+    # pivot columns of vb^T: the first rows of vb forming an invertible block
+    rank, pivots, _ = rref_exact(vb.T)
+    if rank < width:
+        raise DegenerateVectorError(f"basis matrix has rank < {width}")
+    _, _, reduced = rref_exact(np.hstack([vb[pivots], np.eye(width, dtype=object)]))
+    block_inv = np.array([row[width:] for row in reduced], dtype=object)
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)

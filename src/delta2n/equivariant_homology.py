@@ -11,6 +11,7 @@ A global dimension identity certifies the multiplicities afterwards.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import NamedTuple
 
@@ -71,14 +72,9 @@ class SignedAction(NamedTuple):
         return int(self.sign[fixed].sum())
 
 
-_INDEX_MEMO: dict = {}
-
-
+@cache
 def _basis_index(n, p):
-    key = (n, p)
-    if key not in _INDEX_MEMO:
-        _INDEX_MEMO[key] = build_basis(n, p).index()
-    return _INDEX_MEMO[key]
+    return build_basis(n, p).index()
 
 
 def act(sigma, p) -> SignedAction:
@@ -96,47 +92,32 @@ def act(sigma, p) -> SignedAction:
     return SignedAction(p, image, sign)
 
 
-_CHAR_MEMO: dict = {}
-
-
+@cache
 def chain_character(n, p) -> ClassFunction:
     """Trace of the signed action per conjugacy class."""
-    key = (n, p)
-    if key not in _CHAR_MEMO:
-        values = {}
-        for mu in partitions_of(n):
-            values[mu] = act(class_representative(mu), p).trace()
-        _CHAR_MEMO[key] = ClassFunction.from_dict(n, values)
-    return _CHAR_MEMO[key]
+    values = {}
+    for mu in partitions_of(n):
+        values[mu] = act(class_representative(mu), p).trace()
+    return ClassFunction.from_dict(n, values)
 
 
-_MULT_MEMO: dict = {}
-
-
+@cache
 def chain_multiplicities(n, p) -> dict:
-    key = (n, p)
-    if key not in _MULT_MEMO:
-        _MULT_MEMO[key] = decompose(chain_character(n, p))
-    return _MULT_MEMO[key]
+    return decompose(chain_character(n, p))
 
 
-_TABLES_MEMO: dict = {}
-
-
+@cache
 def _generator_tables(n, p):
     """Gather tables of all adjacent transpositions, stacked for the stream."""
-    key = (n, p)
-    if key not in _TABLES_MEMO:
-        dim = build_basis(n, p).dim
-        gidx = np.empty((n - 1, dim), dtype=np.int64)
-        gsgn = np.empty((n - 1, dim), dtype=np.int64)
-        for j in range(n - 1):
-            t = list(range(n))
-            t[j], t[j + 1] = t[j + 1], t[j]
-            gi, gs = act(tuple(t), p).gather_tables()
-            gidx[j], gsgn[j] = gi, gs
-        _TABLES_MEMO[key] = (gidx, gsgn)
-    return _TABLES_MEMO[key]
+    dim = build_basis(n, p).dim
+    gidx = np.empty((n - 1, dim), dtype=np.int64)
+    gsgn = np.empty((n - 1, dim), dtype=np.int64)
+    for j in range(n - 1):
+        t = list(range(n))
+        t[j], t[j + 1] = t[j + 1], t[j]
+        gi, gs = act(tuple(t), p).gather_tables()
+        gidx[j], gsgn[j] = gi, gs
+    return gidx, gsgn
 
 
 def project_columns(lam, n, p, x, nblocks=None):
@@ -193,13 +174,13 @@ def _modp_rank_and_pivots(a, prime):
     return rref_modp(work, prime)
 
 
-def kernel_multiplicity(lam, n, seed=DEFAULT_SEED) -> int:
+def kernel_multiplicity(lam, n, seed=DEFAULT_SEED, cache_dir=None) -> int:
     """Multiplicity of S^lam in ker d_{n+2} = c_lam - rank(d . projected)."""
     x = isotypic_seed_basis(lam, n, n + 2, seed)
     c = x.shape[1]
     if c == 0:
         return 0
-    d = boundary_matrix(n, n + 2)
+    d = boundary_matrix(n, n + 2, cache_dir)
     dx = _boundary_times(d, x)
     r = max(rank_modp(dx % PRIMES[0], PRIMES[0]), rank_modp(dx % PRIMES[1], PRIMES[1]))
     return c - r
@@ -227,7 +208,7 @@ def homology_character_top(n, seed=DEFAULT_SEED, cache_dir=None) -> ClassFunctio
     """Character of H_{n+2} = ker d_{n+2} via per-irreducible multiplicities."""
     mults = {}
     for lam in partitions_of(n):
-        k = kernel_multiplicity(lam, n, seed)
+        k = kernel_multiplicity(lam, n, seed, cache_dir)
         if k:
             mults[lam] = k
     total = sum(k * hook_dimension(lam) for lam, k in mults.items())
@@ -239,9 +220,14 @@ def homology_character_top(n, seed=DEFAULT_SEED, cache_dir=None) -> ClassFunctio
     return assemble_character(n, mults)
 
 
-def homology_character_next(n, seed=DEFAULT_SEED, cache_dir=None) -> ClassFunction:
-    """Character of H_{n+1} from the equivariant Euler-characteristic identity."""
-    top = homology_character_top(n, seed, cache_dir)
+def homology_character_next(n, top: ClassFunction) -> ClassFunction:
+    """Character of H_{n+1} from the equivariant Euler-characteristic identity.
+
+    ``top`` is the character of H_{n+2} the caller already computed; the
+    result is chi(C_{n+1}) - chi(C_n) - chi(C_{n+2}) + top. So ``nxt - top``
+    depends on the chain characters alone, and ``check_euler`` on the pair
+    cannot see an error in ``top``.
+    """
     nxt = chain_character(n, n + 1) - chain_character(n, n) - chain_character(n, n + 2) + top
     try:
         decompose(nxt)
@@ -250,13 +236,13 @@ def homology_character_next(n, seed=DEFAULT_SEED, cache_dir=None) -> ClassFuncti
     return nxt
 
 
-def kernel_character_oracle(n) -> ClassFunction:
+def kernel_character_oracle(n, cache_dir=None) -> ClassFunction:
     """Character of ker d_{n+2} by exact change of basis, no projections.
 
     For each class representative sigma, solves K X = A_sigma K exactly using
     the echelon structure of the kernel basis K and returns trace(X).
     """
-    d = boundary_matrix(n, n + 2)
+    d = boundary_matrix(n, n + 2, cache_dir)
     _, kern, pivots, free = kernel_exact(d)
     width = kern.shape[1]
     values = {}

@@ -1,4 +1,4 @@
-"""Exact linear algebra: sparse rational matrices, fraction-free and modular
+"""Exact linear algebra: sparse rational matrices, small exact and modular
 rank computations, and certified integer kernels.
 
 Large kernels are found modulo several word-sized primes, glued with CRT,
@@ -169,54 +169,40 @@ class SparseRationalMatrix:
         return m
 
 
-def _to_int_rows(mat) -> list:
-    """Integer row lists from a sparse or dense matrix, denominators cleared per row."""
-    if isinstance(mat, SparseRationalMatrix):
-        dense = mat.to_object()
-    else:
-        dense = np.asarray(mat, dtype=object)
-    rows = []
-    for r in range(dense.shape[0]):
-        row = [Fraction(v) for v in dense[r]]
-        mult = 1
-        for v in row:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        rows.append([int(v * mult) for v in row])
-    return rows
+def rref_exact(rows):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
-
-def bareiss_rank(mat) -> int:
-    """Fraction-free elimination rank with pivoting on the sparsest column."""
-    rows = _to_int_rows(mat)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    active_cols = list(range(ncols))
-    prev = 1
-    rank = 0
-    top = 0
-    while top < len(rows) and active_cols:
-        # pick the sparsest active column that still has a nonzero below top
-        best = None
-        best_count = None
-        for c in active_cols:
-            count = sum(1 for i in range(top, len(rows)) if rows[i][c])
-            if count and (best_count is None or count < best_count):
-                best, best_count = c, count
-        if best is None:
+    ``rows`` is a 2-D array or a list of equal-length rows of ints or
+    Fractions; numpy integers are widened to Python ints first.
+    Returns (rank, pivot_cols, reduced): ``reduced`` holds the ``rank``
+    nonzero rows of the RREF as Fraction lists, with a 1 at
+    ``reduced[i][pivot_cols[i]]`` and zeros elsewhere in the pivot columns.
+    Meant for small matrices: rows are dense Fraction lists, and zero
+    multipliers and zero pivot-row entries are skipped.
+    """
+    dense = np.asarray(rows, dtype=object).tolist()
+    work = [[Fraction(v) for v in row] for row in dense]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
             break
-        pr = next(i for i in range(top, len(rows)) if rows[i][best])
-        rows[top], rows[pr] = rows[pr], rows[top]
-        piv = rows[top][best]
-        for i in range(top + 1, len(rows)):
-            fi = rows[i][best]
-            ri, rt = rows[i], rows[top]
-            rows[i] = [(piv * ri[j] - fi * rt[j]) // prev for j in range(ncols)]
-        prev = piv
-        active_cols.remove(best)
-        rank += 1
-        top += 1
-    return rank
+        pr = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pr is None:
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        inv = 1 / work[rank][col]
+        prow = [v * inv if v else v for v in work[rank]]
+        work[rank] = prow
+        support = [j for j, v in enumerate(prow) if v]
+        for r, row in enumerate(work):
+            f = row[col]
+            if f and r != rank:
+                for j in support:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+    return len(pivots), pivots, work[: len(pivots)]
 
 
 def rank_modp(mat, p: int) -> int:
@@ -364,12 +350,13 @@ def _verify_kernel(mat, kern, nrows) -> bool:
     return True
 
 
-_BAREISS_LIMIT = 48
+_SMALL_LIMIT = 48
 
 
 def rank_exact(mat) -> int:
-    """Exact rank.  Small matrices use fraction-free elimination cross-checked
-    against two primes; large ones use the certified modular kernel."""
+    """Exact rank.  Small matrices use exact Gauss-Jordan elimination
+    cross-checked against two primes; large ones use the certified modular
+    kernel."""
     if isinstance(mat, SparseRationalMatrix):
         nrows, ncols = mat.shape
     else:
@@ -377,8 +364,9 @@ def rank_exact(mat) -> int:
         nrows, ncols = mat.shape
     if nrows == 0 or ncols == 0:
         return 0
-    if min(nrows, ncols) <= _BAREISS_LIMIT and nrows * ncols <= 20000:
-        r = bareiss_rank(mat)
+    if min(nrows, ncols) <= _SMALL_LIMIT and nrows * ncols <= 20000:
+        dense = mat.to_object() if isinstance(mat, SparseRationalMatrix) else mat
+        r, _, _ = rref_exact(dense)
         for p in PRIMES[:2]:
             rp = rank_modp(mat, p)
             if rp != r:

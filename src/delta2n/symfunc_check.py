@@ -159,6 +159,10 @@ def check_euler(n, top: ClassFunction, nxt: ClassFunction):
     For each cycle type mu of S_n the degree-n coefficient of psi(mu) must
     equal |C(mu)|/n! * ((-1)^n * nxt(mu) + (-1)^(n+1) * top(mu)). Failures
     are reported, not raised.
+
+    When ``nxt`` comes from ``homology_character_next(n, top)``, ``top``
+    cancels in ``nxt - top``: the check then tests z2 against the chain
+    characters of C_n, C_{n+1}, C_{n+2}, not the homology characters.
     """
     z2 = z2_truncated(n)
     sign_next = Fraction((-1) ** n)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 import numpy as np
+
+from .linalg import rref_exact
 
 
 class NotACharacterError(ValueError):
@@ -27,7 +29,7 @@ class NotACharacterError(ValueError):
 # partitions and conjugacy classes
 
 
-@lru_cache(maxsize=None)
+@cache
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n, ascending lexicographic (matches table layouts)."""
 
@@ -72,7 +74,7 @@ def hook_dimension(lam) -> int:
     return factorial(n) // hooks
 
 
-@lru_cache(maxsize=None)
+@cache
 def mn_character(lam, mu) -> int:
     """Irreducible character value chi_lam(mu) by border-strip recursion.
 
@@ -116,7 +118,7 @@ class CharacterTable:
         return self.values[lam, self.parts[0]]
 
 
-@lru_cache(maxsize=None)
+@cache
 def character_table(n: int) -> CharacterTable:
     parts = partitions_of(n)
     values = {
@@ -260,7 +262,7 @@ def transposition_word(p):
     return word
 
 
-@lru_cache(maxsize=None)
+@cache
 def sjt_swaps(n: int) -> tuple[int, ...]:
     """Steinhaus-Johnson-Trotter position-swap sequence of length n!-1.
 
@@ -356,30 +358,13 @@ def _polytabloid(tab, n, index_of):
     return vec
 
 
-def _rref_pivot_rows(matrix_cols, nrows):
-    """Fraction Gaussian elimination; returns pivot row indices of the columns."""
-    cols = [dict(c) for c in matrix_cols]
-    used = []
-    pivots = []
-    for c in cols:
-        work = dict(c)
-        for prow, pcol in zip(pivots, used):
-            coeff = Fraction(work.get(prow, 0))
-            if coeff:
-                for r, v in pcol.items():
-                    newv = Fraction(work.get(r, 0)) - coeff * v
-                    if newv:
-                        work[r] = newv
-                    else:
-                        work.pop(r, None)
-        pivot = min((r for r, v in work.items() if v), default=None)
-        if pivot is None:
-            raise ValueError("polytabloid columns are dependent")
-        scale = work[pivot]
-        work = {r: Fraction(v, 1) / scale for r, v in work.items() if v}
-        pivots.append(pivot)
-        used.append(work)
-    return pivots
+def _dense_columns(cols, nrows):
+    """Object matrix whose column j is the sparse column dict cols[j]."""
+    out = np.zeros((nrows, len(cols)), dtype=object)
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            out[r, j] = v
+    return out
 
 
 class SpechtRep:
@@ -399,7 +384,10 @@ class SpechtRep:
             raise AssertionError("tableau count does not match hook formula")
         index_of = {}
         ecols = [_polytabloid(t, self.n, index_of) for t in self.tableaux]
-        self._solve_rows = _rref_pivot_rows(ecols, len(index_of))
+        # pivot columns of E^T pick the tabloid rows where E is invertible
+        rank, self._solve_rows, _ = rref_exact(_dense_columns(ecols, len(index_of)).T)
+        if rank != self.dim:
+            raise ValueError("polytabloid columns are dependent")
         self._index_of = index_of
         self._ecols = ecols
         self.generators = tuple(
@@ -421,24 +409,18 @@ class SpechtRep:
             moved = tuple(tuple(perm[x] for x in row) for row in tab)
             bcols.append(_polytabloid(moved, self.n, index_of))
         d = self.dim
-        e_dense = np.zeros((len(index_of), d), dtype=object)
-        for j, col in enumerate(self._ecols):
-            for r, v in col.items():
-                e_dense[r, j] = v
-        b_dense = np.zeros((len(index_of), d), dtype=object)
-        for j, col in enumerate(bcols):
-            for r, v in col.items():
-                b_dense[r, j] = v
+        e_dense = _dense_columns(self._ecols, len(index_of))
+        b_dense = _dense_columns(bcols, len(index_of))
         rows = self._solve_rows
-        a = [[Fraction(e_dense[r, j]) for j in range(d)] for r in rows]
-        b = [[Fraction(b_dense[r, j]) for j in range(d)] for r in rows]
-        x = _solve_square(a, b)
+        # E[rows] is invertible, so the rref of [E[rows] | B[rows]] is [I | X]
+        _, _, reduced = rref_exact(np.hstack([e_dense[rows], b_dense[rows]]))
         mat = np.zeros((d, d), dtype=np.int64)
         for i in range(d):
             for j in range(d):
-                if x[i][j].denominator != 1:
+                x = reduced[i][d + j]
+                if x.denominator != 1:
                     raise AssertionError("non-integral Specht matrix entry")
-                mat[i, j] = int(x[i][j])
+                mat[i, j] = int(x)
         check = e_dense @ mat.astype(object)
         if not np.array_equal(check, b_dense):
             raise AssertionError("polytabloid action solve failed")
@@ -464,22 +446,6 @@ class SpechtRep:
         return ClassFunction(n, vals)
 
 
-def _solve_square(a, b):
-    """Exact solve of a X = b for square a over Fractions (lists of lists)."""
-    d = len(a)
-    aug = [list(a[i]) + list(b[i]) for i in range(d)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                coeff = aug[r][col]
-                aug[r] = [v - coeff * w for v, w in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
-@lru_cache(maxsize=None)
+@cache
 def specht_matrices(lam) -> SpechtRep:
     return SpechtRep(lam)

@@ -137,7 +137,7 @@ def test_02_character_tables():
     t0 = time.perf_counter()
     for n in (4, 5, 6):
         top = homology_character_top(n)
-        nxt = homology_character_next(n)
+        nxt = homology_character_next(n, top)
         if top.as_ints() != GOLDEN_TOP[n]:
             bad.append(f"top n={n}: {top.as_ints()}")
         if nxt.as_ints() != GOLDEN_NEXT[n]:
@@ -150,8 +150,9 @@ def test_02_character_tables():
 def test_03_decompositions():
     bad = []
     for n in (4, 5, 6):
-        dec_top = decompose(homology_character_top(n))
-        dec_nxt = decompose(homology_character_next(n))
+        top = homology_character_top(n)
+        dec_top = decompose(top)
+        dec_nxt = decompose(homology_character_next(n, top))
         if dec_top != GOLDEN_MULTS_TOP[n]:
             bad.append(f"top n={n}: {dec_top}")
         if dec_nxt != GOLDEN_MULTS_NEXT[n]:
@@ -162,7 +163,7 @@ def test_03_decompositions():
 def test_04_n7_characters(extended_tier):
     t0 = time.perf_counter()
     top = homology_character_top(7)
-    nxt = homology_character_next(7)
+    nxt = homology_character_next(7, top)
     dt = time.perf_counter() - t0
     bad = []
     if top.as_ints() != GOLDEN_TOP[7]:
@@ -189,7 +190,8 @@ def test_05_method_agreement():
 def test_06_euler_generating_function():
     bad, forced = [], 0
     for n in (4, 5, 6):
-        report = check_euler(n, homology_character_top(n), homology_character_next(n))
+        top = homology_character_top(n)
+        report = check_euler(n, top, homology_character_next(n, top))
         if {e.cycle_type for e in report} != set(partitions_of(n)):
             bad.append(f"n={n}: classes missing from report")
         for e in report:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from delta2n import chain_complex as cc
-from delta2n.linalg import SparseRationalMatrix
+from delta2n import clear_caches
+from delta2n import d25_analysis, equivariant_homology, symmetric_group
+from delta2n.linalg import PRIMES, SparseRationalMatrix
 from delta2n.theta_graphs import has_odd_automorphism, is_full_theta
 
 # (n, degree) -> dimension, all pinned by the brute-force enumeration oracle
@@ -111,17 +113,17 @@ def test_betti_range():
 
 def test_disk_cache_roundtrip(tmp_path):
     fresh = cc._build_matrix(4, 6)
-    cc._MATRIX_MEMO.pop((4, 6), None)
+    clear_caches()
     first = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     files = list(tmp_path.glob("boundary_n4_p6_*.txt"))
     assert len(files) == 1
-    cc._MATRIX_MEMO.pop((4, 6), None)
+    clear_caches()
     again = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     assert again == first == fresh
 
 
 def test_cache_file_format(tmp_path):
-    cc._MATRIX_MEMO.pop((4, 6), None)
+    clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.txt")
     lines = path.read_text().splitlines()
@@ -137,6 +139,40 @@ def test_stale_cache_rebuilt(tmp_path):
     path = cc._cache_path(tmp_path, 4, 6)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("2 2 1\n0 0 5/1\n")
-    cc._MATRIX_MEMO.pop((4, 6), None)
+    clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     assert mat.shape == (4, 6)
+
+
+def test_rank_big_takes_max_over_unlucky_prime(monkeypatch):
+    d = cc.boundary_matrix(5, 7)
+    true_rank = cc.rank(d)
+    real = cc.rank_modp
+    # a mod-p rank can only fall short; fake one unlucky prime
+    monkeypatch.setattr(cc, "rank_modp", lambda m, p: real(m, p) - (p == PRIMES[1]))
+    assert cc._rank_big(d) == true_rank
+
+
+def test_clear_caches_empties_every_memo():
+    cc.betti(4)
+    equivariant_homology.isotypic_seed_basis((2, 1, 1), 4, 6)
+    equivariant_homology.act((1, 0, 2, 3), 6)
+    d25_analysis._kernel()
+    d25_analysis._act_tables((1, 0, 2, 3, 4))
+    # the eight memos that used to be module-level dicts
+    owners = [
+        cc.build_basis,
+        cc._boundary_matrix,
+        equivariant_homology._basis_index,
+        equivariant_homology.chain_character,
+        equivariant_homology.chain_multiplicities,
+        equivariant_homology._generator_tables,
+        d25_analysis._kernel,
+        d25_analysis._act_tables,
+    ]
+    assert all(f.cache_info().currsize > 0 for f in owners)
+    clear_caches()
+    modules = (cc, equivariant_homology, d25_analysis, symmetric_group)
+    caches = [obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+    assert {id(f) for f in owners} <= {id(c) for c in caches}
+    assert all(c.cache_info().currsize == 0 for c in caches)

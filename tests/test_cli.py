@@ -5,19 +5,28 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from delta2n import cli
+from delta2n import chain_complex, cli, equivariant_homology
 from delta2n.chain_complex import CACHE_ENV, build_basis
-from delta2n.equivariant_homology import DEFAULT_SEED
+from delta2n.equivariant_homology import DEFAULT_SEED, ProjectionFailureError
 from delta2n.symfunc_check import EulerClassCheck
+from delta2n.symmetric_group import ClassFunction, NotACharacterError, partitions_of
 
 
 def _run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _child_env(**extra):
+    # child interpreters import the same delta2n as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _payload(out, drop_timings=True):
@@ -37,6 +46,7 @@ def test_betti_text():
         [sys.executable, "-m", "delta2n.cli", "betti", "--n", "5"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "H_7: 15, H_6: 5" in proc.stdout
@@ -187,7 +197,7 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
     # fresh processes: the in-process matrix memo would otherwise shadow the
     # on-disk cache entirely
     cache = tmp_path / "cx"
-    env = dict(os.environ, **{CACHE_ENV: str(cache)})
+    env = _child_env(**{CACHE_ENV: str(cache)})
     cmd = [sys.executable, "-m", "delta2n.cli", "complex", "--n", "4", "--format", "json"]
     cold = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert cold.returncode == 0
@@ -195,6 +205,20 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
     warm = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert warm.returncode == 0
     assert _payload(cold.stdout) == _payload(warm.stdout)
+
+
+def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    built = []
+    real = chain_complex._build_matrix
+    monkeypatch.setattr(
+        chain_complex, "_build_matrix", lambda n, p: built.append(p) or real(n, p)
+    )
+    status, _, _ = _run(capsys, "characters", "--n", "5", "--cache", str(tmp_path))
+    assert status == 0
+    assert sorted(built) == [6, 7]
+    assert len(list(tmp_path.iterdir())) == 2
+    assert CACHE_ENV not in os.environ
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +285,74 @@ def test_consistency_failure_exits_2(capsys, monkeypatch):
     status, _, err = _run(capsys, "verify", "--n", "4")
     assert status == 2
     assert "internal consistency failure" in err
+
+
+def _raise(exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    return boom
+
+
+def test_stream_overflow_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(
+        equivariant_homology, "project_stream", _raise(OverflowError("stream overflow"))
+    )
+    status, out, err = _run(capsys, "characters", "--n", "4")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: stream overflow" in err
+
+
+def test_projection_failure_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(
+        equivariant_homology,
+        "isotypic_seed_basis",
+        _raise(ProjectionFailureError("slice not spanned")),
+    )
+    status, out, err = _run(capsys, "characters", "--n", "4")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: slice not spanned" in err
+
+
+def test_not_a_character_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "decompose", _raise(NotACharacterError("negative")))
+    status, out, err = _run(capsys, "characters", "--n", "4")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: negative" in err
+
+
+def _failed_verify_payload(err):
+    head, _, body = err.partition("\n")
+    assert head == "internal consistency failure: verification failed:"
+    return json.loads(body)
+
+
+def _plus_trivial(f):
+    return f + ClassFunction.from_row(f.n, [1] * len(partitions_of(f.n)))
+
+
+def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
+    real = equivariant_homology.chain_character
+    monkeypatch.setattr(
+        equivariant_homology,
+        "chain_character",
+        lambda n, p: _plus_trivial(real(n, p)) if p == n + 1 else real(n, p),
+    )
+    status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
+    assert status == 2
+    payload = _failed_verify_payload(err)
+    assert not any(entry["ok"] for entry in payload["euler_check"])
+    assert payload["method_agreement"] is True
+
+
+def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
+    # top cancels in the Euler check, so only the kernel-trace oracle sees it
+    real = cli.homology_character_top
+    monkeypatch.setattr(
+        cli, "homology_character_top", lambda *args: _plus_trivial(real(*args))
+    )
+    status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
+    assert status == 2
+    payload = _failed_verify_payload(err)
+    assert all(entry["ok"] for entry in payload["euler_check"])
+    assert payload["method_agreement"] is False

@@ -172,7 +172,7 @@ def test_homology_character_top(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_homology_character_next(n):
-    ch = homology_character_next(n)
+    ch = homology_character_next(n, homology_character_top(n))
     assert ch.as_ints() == GOLDEN_NEXT[n]
     mults = decompose(ch)
     assert all(k > 0 for k in mults.values())

@@ -7,12 +7,12 @@ import pytest
 from delta2n.linalg import (
     PRIMES,
     SparseRationalMatrix,
-    bareiss_rank,
     is_surjective,
     kernel_exact,
     rank_exact,
     rank_modp,
     rational_reconstruction,
+    rref_exact,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -89,24 +89,29 @@ def test_sparse_transpose():
     assert t[2, 0] == 7 and t[0, 1] == Fraction(1, 3)
 
 
-def test_bareiss_rank_random():
+def test_rref_exact_rank_random():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = _random_rank(rng, rows, cols, r) if r else np.zeros((rows, cols), np.int64)
-        assert bareiss_rank(a) == _sympy_rank(a)
+        rank, pivots, reduced = rref_exact(a)
+        assert rank == _sympy_rank(a)
+        want, want_pivots = sympy.Matrix(a.tolist()).rref()
+        assert tuple(pivots) == want_pivots
+        want_rows = [[Fraction(int(v.p), int(v.q)) for v in want.row(i)] for i in range(rank)]
+        assert reduced == want_rows
 
 
-def test_bareiss_rank_fractions():
+def test_rref_exact_rank_fractions():
     m = SparseRationalMatrix(2, 3)
     m[0, 0] = Fraction(1, 2)
     m[0, 1] = Fraction(1, 3)
     m[1, 0] = Fraction(3, 2)
     m[1, 1] = 1
     # second row is three times the first
-    assert bareiss_rank(m) == 1
+    assert rref_exact(m.to_object())[0] == 1
 
 
 def test_rank_modp_generic():
