@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
-from . import theta_graphs
+from . import linalg, theta_graphs
 from .linalg import (
     PRIMES,
     SparseRationalMatrix,
@@ -71,29 +72,37 @@ def _build_matrix(n: int, p: int) -> SparseRationalMatrix:
     col_basis = build_basis(n, p)
     row_basis = build_basis(n, p - 1)
     row_of = row_basis.index()
-    mat = SparseRationalMatrix(row_basis.dim, col_basis.dim)
+    acc: dict = {}
     for col, g in enumerate(col_basis.graphs):
-        for i in range(g.num_edges):
-            res = contract(g, i)
-            if isinstance(res, Degenerate):
-                continue
-            target, sign = res.target, res.sign
-            if not is_full_theta(target) or has_odd_automorphism(target):
-                continue  # zero in the relative complex
-            try:
-                row = row_of[target]
-            except KeyError:
-                raise InternalConsistencyError(
-                    f"contraction left the basis at n={n}, p={p}, column {col}"
-                ) from None
-            term = sign if i % 2 == 0 else -sign
-            mat[row, col] = mat[row, col] + term
-    return mat
+        # contracting an interior edge merges two marked vertices, so only
+        # the two end edges of each (nonempty) path can contribute
+        start = 0
+        for path in g.paths:
+            for i in (start, start + len(path)):
+                res = contract(g, i)
+                if isinstance(res, Degenerate):
+                    continue
+                target, sign = res.target, res.sign
+                row = row_of.get(target)
+                if row is None:
+                    if not is_full_theta(target) or has_odd_automorphism(target):
+                        continue  # zero in the relative complex
+                    raise InternalConsistencyError(
+                        f"contraction left the basis at n={n}, p={p}, column {col}"
+                    )
+                key = (row, col)
+                acc[key] = acc.get(key, 0) + (sign if i % 2 == 0 else -sign)
+            start += len(path) + 1
+    return SparseRationalMatrix(
+        row_basis.dim, col_basis.dim, {key: v for key, v in acc.items() if v}
+    )
 
 
+@cache
 def _code_version() -> str:
+    """Hash of the modules that build, write and read a cached matrix."""
     h = hashlib.sha256()
-    for path in (theta_graphs.__file__, __file__):
+    for path in (theta_graphs.__file__, linalg.__file__, __file__):
         h.update(Path(path).read_bytes())
     return h.hexdigest()[:12]
 
@@ -112,24 +121,41 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseRationalMatrix:
     return _boundary_matrix(n, p, os.fspath(cache_dir) if cache_dir else None)
 
 
+def _read_cached(path, shape):
+    """The matrix stored at path, or None when it is missing, malformed, or
+    of the wrong shape (a stale or foreign file)."""
+    try:
+        with open(path) as fh:
+            mat = SparseRationalMatrix.read(fh)
+    except (FileNotFoundError, ValueError):
+        return None
+    return mat if mat.shape == shape else None
+
+
+def _write_cached(path, mat) -> None:
+    # a private temporary file per writer, so concurrent writers never
+    # truncate each other's file or move a half-written one into place
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            mat.write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 @cache
 def _boundary_matrix(n, p, cache_dir):
     path = _cache_path(cache_dir, n, p) if cache_dir else None
     mat = None
-    if path is not None and path.exists():
-        with open(path) as fh:
-            mat = SparseRationalMatrix.read(fh)
-        want = (build_basis(n, p - 1).dim, build_basis(n, p).dim)
-        if mat.shape != want:
-            mat = None  # stale or foreign file; rebuild
+    if path is not None:
+        mat = _read_cached(path, (build_basis(n, p - 1).dim, build_basis(n, p).dim))
     if mat is None:
         mat = _build_matrix(n, p)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "w") as fh:
-                mat.write(fh)
-            tmp.replace(path)
+            _write_cached(path, mat)
     return mat
 
 

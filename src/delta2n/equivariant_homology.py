@@ -31,7 +31,7 @@ from .symmetric_group import (
     sjt_swaps,
     specht_matrices,
 )
-from .theta_graphs import canonicalize, relabel
+from .theta_graphs import MalformedGraphError, _canonicalize_fast, relabel
 
 DEFAULT_SEED = 271828
 
@@ -80,13 +80,15 @@ def _basis_index(n, p):
 def act(sigma, p) -> SignedAction:
     """Signed action of a permutation (one-line, 0-based) on the degree-p basis."""
     n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise MalformedGraphError(f"{sigma!r} is not a permutation of 0..{n - 1}")
     basis = build_basis(n, p)
     index = _basis_index(n, p)
     dim = basis.dim
     image = np.empty(dim, dtype=np.int64)
     sign = np.empty(dim, dtype=np.int64)
     for c, g in enumerate(basis.graphs):
-        iso = canonicalize(relabel(g, sigma))
+        iso = _canonicalize_fast(relabel(g, sigma))
         image[c] = index[iso.target]
         sign[c] = iso.sign
     return SignedAction(p, image, sign)

@@ -144,6 +144,7 @@ class SparseRationalMatrix:
 
     @classmethod
     def read(cls, fh) -> "SparseRationalMatrix":
+        """Parse the format `write` emits; ValueError for any malformed file."""
         head = fh.readline().split()
         if len(head) != 3:
             raise ValueError("bad matrix header")
@@ -153,9 +154,12 @@ class SparseRationalMatrix:
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise ValueError("truncated matrix data")
-            r, c = int(parts[0]), int(parts[1])
-            num, den = parts[2].split("/")
-            m[r, c] = Fraction(int(num), int(den))
+            try:
+                r, c = int(parts[0]), int(parts[1])
+                num, den = parts[2].split("/")
+                m[r, c] = Fraction(int(num), int(den))
+            except (IndexError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad matrix entry {parts!r}") from exc
         return m
 
     @classmethod

@@ -17,6 +17,14 @@ paths times the flip that swaps u and v and reverses every path.  Canonical
 form is the lexicographic minimum of the encoded tuple over these symmetries.
 Every symmetry induces a permutation of edge labels whose parity is the sign
 tracked throughout.
+
+The minimum is found without building all 12 images.  For a fixed flip the
+branch labels are fixed, so the least image lists the paths in sorted order;
+a stable sort picks the first such path permutation in SYMMETRIES order (only
+empty paths can tie, since paths hold disjoint labels).  The canonical form is
+the smaller of the two sorted images, flip 0 on a tie.  Enumeration uses the
+same rule backwards: a graph with sorted paths is canonical iff it is no
+larger than its flipped-and-sorted image.
 """
 
 from __future__ import annotations
@@ -149,24 +157,29 @@ def canonicalize(g: ThetaGraph) -> SignedIso:
     return _canonicalize_fast(g)
 
 
+def _sorted_images(g: ThetaGraph):
+    """The least image for each flip, as (image, flip, path permutation) pairs."""
+    out = []
+    for flip in (0, 1):
+        if flip:
+            a, b = g.branch_b, g.branch_a
+            base = tuple(p[::-1] for p in g.paths)
+        else:
+            a, b = g.branch_a, g.branch_b
+            base = g.paths
+        perm = sorted(range(3), key=base.__getitem__)
+        out.append((ThetaGraph(a, b, (base[perm[0]], base[perm[1]], base[perm[2]])), flip, perm))
+    return out
+
+
 def _canonicalize_fast(g: ThetaGraph) -> SignedIso:
-    best = None
-    best_sym = None
-    for flip, perm in SYMMETRIES:
-        img = _apply_symmetry(g, flip, perm)
-        if best is None or img < best:
-            best = img
-            best_sym = (flip, perm)
-    sign = perm_parity(_edge_source_map(g, *best_sym))
-    return SignedIso(best, sign)
+    unflipped, flipped = _sorted_images(g)
+    best, flip, perm = flipped if flipped[0] < unflipped[0] else unflipped
+    return SignedIso(best, perm_parity(_edge_source_map(g, flip, perm)))
 
 
 def canonical_form(g: ThetaGraph) -> ThetaGraph:
     return _canonicalize_fast(g).target
-
-
-def is_canonical(g: ThetaGraph) -> bool:
-    return _canonicalize_fast(g).target == g
 
 
 def automorphisms(g: ThetaGraph):
@@ -179,7 +192,22 @@ def automorphisms(g: ThetaGraph):
 
 
 def has_odd_automorphism(g: ThetaGraph) -> bool:
-    return any(parity < 0 for _, parity in automorphisms(g))
+    """Whether some symmetry fixes g with odd edge parity.
+
+    Two empty paths are two parallel u-v edges, and swapping them is odd.
+    Otherwise the paths are distinct, each flip has exactly one symmetry onto
+    its sorted image, and the nontrivial automorphism (if any) is the second
+    symmetry undone after the first: it exists iff both sorted images agree,
+    and it is odd iff their signs differ.
+    """
+    if g.paths.count(()) >= 2:
+        return True
+    if g.branch_a != g.branch_b:
+        return False  # the flip swaps the branch labels, so the images differ
+    (img0, _, perm0), (img1, _, perm1) = _sorted_images(g)
+    return img0 == img1 and perm_parity(_edge_source_map(g, 0, perm0)) != perm_parity(
+        _edge_source_map(g, 1, perm1)
+    )
 
 
 def relabel(g: ThetaGraph, sigma) -> ThetaGraph:
@@ -190,12 +218,45 @@ def relabel(g: ThetaGraph, sigma) -> ThetaGraph:
     )
 
 
+def _sorted_path_triples(interior, full_only):
+    """Every split of `interior` into three ordered paths with p0 <= p1 <= p2.
+
+    Paths hold disjoint labels, so empty paths come first and nonempty paths
+    compare by their first label: each triple is a permutation w of the
+    labels cut where those first labels increase.
+    """
+    k = len(interior)
+    if k == 0:
+        if not full_only:
+            yield ((), (), ())
+        return
+    for w in itertools.permutations(interior):
+        w0 = w[0]
+        if not full_only:
+            yield ((), (), w)
+            for i in range(1, k):
+                if w[i] > w0:
+                    yield ((), w[:i], w[i:])
+        for i in range(1, k - 1):
+            wi = w[i]
+            if wi < w0:
+                continue
+            for j in range(i + 1, k):
+                if w[j] > wi:
+                    yield (w[:i], w[i:j], w[j:])
+
+
 def enumerate_theta(n: int, edges: int | None = None, full_only: bool = False):
     """All isomorphism classes of marked theta graphs, sorted canonically.
 
     `edges` restricts to a single edge count (n+1, n+2 or n+3; values outside
     that range give an empty list).  With full_only, only graphs whose three
     paths all carry interior markings are kept.
+
+    Each class is emitted once, already canonical: a graph whose paths are
+    sorted is canonical iff it is no larger than its flipped-and-sorted image.
+    With distinct branch labels that comparison is decided by (a, b) against
+    (b, a), so only a < b is generated (an unmarked branch is -1, hence a).
     """
     if n < 0:
         raise MalformedGraphError("marking count must be non-negative")
@@ -203,7 +264,7 @@ def enumerate_theta(n: int, edges: int | None = None, full_only: bool = False):
         out = []
         for e in (n + 1, n + 2, n + 3):
             out.extend(enumerate_theta(n, e, full_only))
-        return sorted(set(out))
+        return sorted(out)
     branch_marks = n + 3 - edges
     if branch_marks not in (0, 1, 2):
         return []
@@ -211,21 +272,19 @@ def enumerate_theta(n: int, edges: int | None = None, full_only: bool = False):
     if branch_marks == 0:
         branch_choices = [(UNMARKED, UNMARKED)]
     elif branch_marks == 1:
-        # the flip symmetry covers (UNMARKED, x), so one side suffices
-        branch_choices = [(x, UNMARKED) for x in labels]
+        branch_choices = [(UNMARKED, x) for x in labels]
     else:
-        branch_choices = [(x, y) for x in labels for y in labels if x != y]
-    seen = set()
+        branch_choices = [(x, y) for x in labels for y in labels if x < y]
+    out = []
     for a, b in branch_choices:
         interior = [l for l in labels if l != a and l != b]
-        k = len(interior)
-        lo = 1 if full_only else 0
-        for w in itertools.permutations(interior):
-            for i in range(lo, k + 1):
-                for j in range(i + lo, k + 1 - lo):
-                    g = ThetaGraph(a, b, (w[:i], w[i:j], w[j:]))
-                    seen.add(canonical_form(g))
-    return sorted(seen)
+        for paths in _sorted_path_triples(interior, full_only):
+            if a == b:
+                flipped = sorted(p[::-1] for p in paths)
+                if list(paths) > flipped:
+                    continue
+            out.append(ThetaGraph(a, b, paths))
+    return sorted(out)
 
 
 def contract(g: ThetaGraph, edge_index: int):

@@ -1,4 +1,7 @@
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,3 +179,78 @@ def test_clear_caches_empties_every_memo():
     caches = [obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert {id(f) for f in owners} <= {id(c) for c in caches}
     assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.write_bytes(path.read_bytes()[:60]),  # truncated
+        lambda path: path.write_text("60 60 1\n0 0 1/0\n"),  # zero denominator
+    ],
+    ids=["truncated", "zero-denominator"],
+)
+def test_unreadable_cache_rebuilt(tmp_path, damage):
+    fresh = cc._build_matrix(5, 7)
+    clear_caches()
+    cc.boundary_matrix(5, 7, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("boundary_n5_p7_*.txt")
+    damage(path)
+    clear_caches()
+    assert cc.boundary_matrix(5, 7, cache_dir=tmp_path) == fresh
+    # the bad file was overwritten by a good one, and no temporary file is left
+    assert list(tmp_path.iterdir()) == [path]
+    with open(path) as fh:
+        assert SparseRationalMatrix.read(fh) == fresh
+
+
+def test_cache_key_covers_linalg(tmp_path, monkeypatch):
+    before = cc._cache_path(tmp_path, 4, 6)
+    copy = tmp_path / "linalg.py"
+    copy.write_text(Path(cc.linalg.__file__).read_text() + "\n# changed\n")
+    monkeypatch.setattr(cc.linalg, "__file__", str(copy))
+    clear_caches()
+    try:
+        assert cc._cache_path(tmp_path, 4, 6) != before
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert cc._cache_path(tmp_path, 4, 6) == before
+
+
+def test_concurrent_cache_writers_never_expose_a_partial_file(tmp_path):
+    mat = cc._build_matrix(5, 7)
+    path = cc._cache_path(tmp_path, 5, 7)
+    cc._write_cached(path, mat)
+    errors = []
+    stop = threading.Event()
+
+    def write():
+        try:
+            for _ in range(15):
+                cc._write_cached(path, mat)
+        except Exception as exc:  # recorded; the test fails below
+            errors.append(exc)
+
+    def read():
+        while not stop.is_set():
+            with open(path) as fh:
+                if SparseRationalMatrix.read(fh) != mat:
+                    errors.append("read a different matrix")
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=write) for _ in range(4)]
+        reader = threading.Thread(target=read)
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+    assert errors == []
+    assert list(tmp_path.iterdir()) == [path]

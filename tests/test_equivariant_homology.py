@@ -22,7 +22,7 @@ from delta2n.symmetric_group import (
     identity_perm,
     partitions_of,
 )
-from delta2n.theta_graphs import canonicalize, make_graph, relabel
+from delta2n.theta_graphs import MalformedGraphError, canonicalize, make_graph, relabel
 
 # golden character rows, classes in ascending-lex partition order
 GOLDEN_TOP = {
@@ -70,6 +70,12 @@ def test_act_is_homomorphism(n, p):
         a_st = act(compose(sigma, tau), p)
         assert np.array_equal(a_st.image, a_s.image[a_t.image])
         assert np.array_equal(a_st.sign, a_t.sign * a_s.sign[a_t.image])
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 2, 3), (1, 2, 3, 4), (0, 1, 2, -1)])
+def test_act_rejects_non_permutation(sigma):
+    with pytest.raises(MalformedGraphError):
+        act(sigma, 6)
 
 
 def test_act_apply_matches_matrix():

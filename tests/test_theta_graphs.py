@@ -324,3 +324,69 @@ def test_validate_errors():
         canonicalize(make_graph(2, None, [[0], [1], [2]]))
     with pytest.raises(MalformedGraphError):
         from_line("a=-;b=-;p0=1")
+
+
+# ---------------------------------------------------------------------------
+# exhaustive agreement with the 12-image definition
+
+
+def _all_labelled(n):
+    """Every marked theta graph on labels 0..n-1: each branch placement, each
+    interior order and each split into three paths, empty paths included."""
+    labels = range(n)
+    branches = [(UNMARKED, UNMARKED)]
+    branches += [(x, UNMARKED) for x in labels] + [(UNMARKED, x) for x in labels]
+    branches += [(x, y) for x in labels for y in labels if x != y]
+    for a, b in branches:
+        interior = [l for l in labels if l != a and l != b]
+        k = len(interior)
+        for w in itertools.permutations(interior):
+            for i in range(k + 1):
+                for j in range(i, k + 1):
+                    yield ThetaGraph(a, b, (w[:i], w[i:j], w[j:]))
+
+
+def _brute_canonical(g):
+    # least of the 12 images, built directly from the definition
+    images = []
+    for flip in (0, 1):
+        a, b = (g.branch_b, g.branch_a) if flip else (g.branch_a, g.branch_b)
+        base = tuple(p[::-1] for p in g.paths) if flip else g.paths
+        for perm in itertools.permutations(range(3)):
+            images.append(ThetaGraph(a, b, tuple(base[i] for i in perm)))
+    return min(images)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_canonicalize_is_first_oracle_minimum_exhaustive(n):
+    for g in _all_labelled(n):
+        images = _oracle_images(g)
+        # min() keeps the first minimum, and the oracle lists the 12
+        # symmetries in (flip, path permutation) order
+        target, sign = min(images, key=lambda pair: pair[0])
+        assert canonicalize(g) == SignedIso(target, sign), g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_has_odd_automorphism_matches_oracle_exhaustive(n):
+    for g in _all_labelled(n):
+        expect = any(img == g and sign == -1 for img, sign in _oracle_images(g))
+        assert has_odd_automorphism(g) == expect, g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_brute_force(n):
+    classes = {}
+    for g in _all_labelled(n):
+        c = _brute_canonical(g)
+        classes.setdefault((c.num_edges, is_full_theta(c)), set()).add(c)
+    for full_only in (False, True):
+        every = set()
+        for edges in range(n, n + 5):
+            want = set()
+            for (e, full), group in classes.items():
+                if e == edges and (full or not full_only):
+                    want |= group
+            assert enumerate_theta(n, edges, full_only) == sorted(want), (edges, full_only)
+            every |= want
+        assert enumerate_theta(n, None, full_only) == sorted(every), full_only
