@@ -1,10 +1,10 @@
-"""Timing harness for the two hot kernels, jit vs pure numpy.
+"""Timing harness for the modular row reduction kernel, jit vs pure numpy.
 
 Run without flags to get a side-by-side table; the script re-executes itself
 in a subprocess with DELTA2N_NO_NUMBA=1 to time the fallback path, so both
 columns measure exactly what an installed user would get.
 
-    python3 benchmarks/bench_kernels.py --n 6 --repeat 3
+    python3 benchmarks/bench_kernels.py --size 400 --repeat 3
 """
 
 import argparse
@@ -15,28 +15,6 @@ import sys
 import time
 
 import numpy as np
-
-
-def _stream_inputs(n, p, lam, k, seed=7):
-    from delta2n.equivariant_homology import act
-    from delta2n.symmetric_group import identity_perm, sjt_swaps, specht_matrices
-
-    swaps = np.array(sjt_swaps(n), dtype=np.int64)
-    gidx_rows, gsgn_rows = [], []
-    for j in range(n - 1):
-        t = list(identity_perm(n))
-        t[j], t[j + 1] = t[j + 1], t[j]
-        gi, gs = act(tuple(t), p).gather_tables()
-        gidx_rows.append(gi)
-        gsgn_rows.append(gs)
-    rep = specht_matrices(lam)
-    rgen = np.stack([np.asarray(g, dtype=np.int64) for g in rep.generators])
-    rng = np.random.default_rng(seed)
-    from delta2n.chain_complex import build_basis
-
-    dim = build_basis(n, p).dim
-    x = rng.integers(-3, 4, size=(dim, k), dtype=np.int64)
-    return np.stack(gidx_rows), np.stack(gsgn_rows), swaps, rgen, x
 
 
 def bench_rref(size, repeat, prime=2147483629):
@@ -54,36 +32,17 @@ def bench_rref(size, repeat, prime=2147483629):
     return best
 
 
-def bench_stream(n, p, lam, k, repeat):
-    from delta2n.kernels import project_stream
-
-    gidx, gsgn, swaps, rgen, x = _stream_inputs(n, p, lam, k)
-    project_stream(swaps, gidx, gsgn, rgen, x)  # warm the jit
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        project_stream(swaps, gidx, gsgn, rgen, x)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run_all(args):
     from delta2n import kernels
 
-    lam = (args.n - 2, 1, 1)
     return {
         "mode": "numba" if kernels.HAVE_NUMBA else "numpy",
         f"rref {args.size}x{args.size}": bench_rref(args.size, args.repeat),
-        f"stream n={args.n} k={args.k}": bench_stream(
-            args.n, args.n + 2, lam, args.k, args.repeat
-        ),
     }
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=6, help="marking count for the stream")
-    ap.add_argument("--k", type=int, default=8, help="columns pushed through the stream")
     ap.add_argument("--size", type=int, default=400, help="rref matrix size")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--emit-json", action="store_true", help=argparse.SUPPRESS)
@@ -96,8 +55,8 @@ def main():
     here = run_all(args)
     env = dict(os.environ, DELTA2N_NO_NUMBA="1")
     child = subprocess.run(
-        [sys.executable, __file__, "--emit-json", "--n", str(args.n),
-         "--k", str(args.k), "--size", str(args.size), "--repeat", str(args.repeat)],
+        [sys.executable, __file__, "--emit-json", "--size", str(args.size),
+         "--repeat", str(args.repeat)],
         capture_output=True, text=True, env=env, check=True,
     )
     there = json.loads(child.stdout.splitlines()[-1])

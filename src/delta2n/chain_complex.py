@@ -3,7 +3,9 @@
 Chain degree p is spanned by the canonical full-theta graphs with p+1 edges
 that have no odd automorphism; the boundary sends a graph to the alternating
 sum of its edge contractions, with degenerate and non-full targets dropping
-out.  Supplies exact ranks, kernels, and Betti numbers on top of that.
+out.  Supplies the global boundary matrices (for ``complex`` and the exact
+oracles), the S_n-orbits of each basis, and Betti numbers from the exact
+per-irreducible boundary ranks of ``equivariant_homology``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import linalg, theta_graphs
-from .linalg import (
-    PRIMES,
-    SparseRationalMatrix,
-    is_surjective,
-    kernel_exact,
-    rank_exact,
-    rank_modp,
-)
+from .linalg import SparseRationalMatrix, kernel_exact, rank_exact
+from .symmetric_group import hook_dimension
 from .theta_graphs import (
     Degenerate,
     ThetaGraph,
@@ -31,6 +27,7 @@ from .theta_graphs import (
     enumerate_theta,
     has_odd_automorphism,
     is_full_theta,
+    orbit_representative,
 )
 
 # default of the CLI's --cache; the library does not read it
@@ -68,31 +65,60 @@ def build_basis(n: int, p: int) -> ChainBasis:
     return ChainBasis(n, p, graphs)
 
 
+@cache
+def chain_orbits(n: int, p: int) -> tuple:
+    """One canonical representative per S_n-orbit of the degree-p basis: n+2-p
+    marked branch vertices, p-2 interior labels on three nonempty paths, and
+    no odd automorphism (which an orbit has or lacks as a whole)."""
+    if n < 2:
+        raise ValueError(f"n={n} is out of range")
+    marks, interior = n + 2 - p, p - 2
+    if marks not in (0, 1, 2):
+        return ()
+    reps = []
+    for a in range(1, interior + 1):
+        for b in range(a, (interior - a) // 2 + 1):
+            rep = orbit_representative((marks, (a, b, interior - a - b)))
+            if not has_odd_automorphism(rep):
+                reps.append(rep)
+    return tuple(reps)
+
+
+def boundary_terms(g: ThetaGraph):
+    """The terms of d(g) as (canonical target, coefficient) pairs; a target
+    may still vanish in the relative complex.  Contracting an interior edge
+    merges two marked vertices, so only the two end edges of each path
+    contribute; edge i carries the sign (-1)^i."""
+    start = 0
+    for path in g.paths:
+        for i in (start, start + len(path)):
+            res = contract(g, i)
+            if not isinstance(res, Degenerate):
+                yield res.target, (res.sign if i % 2 == 0 else -res.sign)
+        start += len(path) + 1
+
+
+def vanishes(g: ThetaGraph) -> bool:
+    """Whether a canonical graph is zero in the relative complex."""
+    return not is_full_theta(g) or has_odd_automorphism(g)
+
+
 def _build_matrix(n: int, p: int) -> SparseRationalMatrix:
     col_basis = build_basis(n, p)
     row_basis = build_basis(n, p - 1)
     row_of = row_basis.index()
     acc: dict = {}
     for col, g in enumerate(col_basis.graphs):
-        # contracting an interior edge merges two marked vertices, so only
-        # the two end edges of each (nonempty) path can contribute
-        start = 0
-        for path in g.paths:
-            for i in (start, start + len(path)):
-                res = contract(g, i)
-                if isinstance(res, Degenerate):
+        for target, coef in boundary_terms(g):
+            row = row_of.get(target)
+            if row is None:
+                if vanishes(target):
                     continue
-                target, sign = res.target, res.sign
-                row = row_of.get(target)
-                if row is None:
-                    if not is_full_theta(target) or has_odd_automorphism(target):
-                        continue  # zero in the relative complex
-                    raise InternalConsistencyError(
-                        f"contraction left the basis at n={n}, p={p}, column {col}"
-                    )
-                key = (row, col)
-                acc[key] = acc.get(key, 0) + (sign if i % 2 == 0 else -sign)
-            start += len(path) + 1
+                raise InternalConsistencyError(
+                    f"contraction left the basis at n={n}, p={p}, column {col}"
+                )
+            key = (row, col)
+            acc[key] = acc.get(key, 0) + coef
     return SparseRationalMatrix(
         row_basis.dim, col_basis.dim, {key: v for key, v in acc.items() if v}
     )
@@ -196,31 +222,21 @@ def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:
     return out
 
 
-# n = 7, 8 matrices are too big for the certified-kernel rank route; their
-# ranks are the largest mod-p rank over several large primes, which is not
-# certified, and are cross-validated downstream by the character-level
-# consistency checks.
-_CERTIFIED_MAX_N = 6
+def betti(n: int):
+    """(dim H_{n+2}, dim H_{n+1}) of the relative complex.
 
-
-def _rank_big(mat) -> int:
-    # a mod-p rank never exceeds the true rank, so a lower one only marks an
-    # unlucky prime
-    return max(rank_modp(mat, p) for p in PRIMES[:3])
-
-
-def betti(n: int, cache_dir=None):
-    """(dim H_{n+2}, dim H_{n+1}) of the relative complex."""
+    rank d_p = sum over lambda of d_lambda times the exact rank of d_p on the
+    lambda block, for every n; the blocks also certify d_{n+1} onto.
+    """
     if not 4 <= n <= 8:
         raise ValueError(f"betti supports 4 <= n <= 8, got n={n}")
-    cx = build_complex(n, cache_dir)
-    d_top, d_next = cx.d(n + 2), cx.d(n + 1)
-    if n <= _CERTIFIED_MAX_N:
-        rank_top = rank(d_top)
-    else:
-        rank_top = _rank_big(d_top)
-    if not is_surjective(d_next):
-        raise InternalConsistencyError(f"d_{n+1} is not surjective at n={n}")
-    b_top = cx.basis(n + 2).dim - rank_top
-    b_next = cx.basis(n + 1).dim - cx.basis(n).dim - rank_top
+    # the block ranks live one layer up, which imports this module
+    from .equivariant_homology import isotypic_ranks
+
+    blocks = isotypic_ranks(n)
+    rank_next, rank_top = (
+        sum(hook_dimension(lam) * r.ranks[i] for lam, r in blocks.items()) for i in (0, 1)
+    )
+    b_top = build_basis(n, n + 2).dim - rank_top
+    b_next = build_basis(n, n + 1).dim - rank_next - rank_top
     return b_top, b_next

@@ -1,9 +1,9 @@
-"""Hot numerical loops with numba and pure-numpy implementations.
+"""Row reduction of an integer matrix modulo a word-sized prime, with numba
+and pure-numpy implementations, and an exact n!-term group average kept as a
+small-n reference.
 
-Two kernels: row reduction of an integer matrix modulo a word-sized prime,
-and the streamed group-average used by the isotypic projection.  The numba
-versions are used when numba imports cleanly; set DELTA2N_NO_NUMBA=1 to force
-the numpy fallbacks.  Results are bit-identical either way.
+The numba version is used when numba imports cleanly; set DELTA2N_NO_NUMBA=1
+to force the numpy fallback.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ if os.environ.get("DELTA2N_NO_NUMBA"):
 else:
     try:
         import numba
-        from numba import njit, prange
+        from numba import njit
 
         HAVE_NUMBA = True
     except ImportError:  # pragma: no cover - exercised via the env flag
         HAVE_NUMBA = False
-
-# mod-p products must stay below 2**63: primes are kept under 2**31
-_MAX_STREAM_ABS = 1 << 62
 
 
 def _rref_modp_py(a, p):
@@ -54,35 +51,6 @@ def _rref_modp_py(a, p):
         pivots.append(c)
         r += 1
     return r, np.array(pivots, dtype=np.int64)
-
-
-def _project_stream_py(swaps, gidx, gsgn, rgen, x):
-    """Sequential reference for the projection stream; see project_stream."""
-    dim, k = x.shape
-    d = rgen.shape[1]
-    idx = np.arange(dim)
-    sgn = np.ones(dim, dtype=np.int64)
-    c = np.zeros(d, dtype=np.int64)
-    c[0] = 1
-    acc = np.zeros((dim, k), dtype=np.int64)
-    cmax = np.int64(1)
-    rsum = np.int64(0)
-    nelem = swaps.shape[0] + 1
-    for e in range(nelem):
-        r = c[0]
-        rsum += abs(r)
-        if r:
-            acc += r * sgn[:, None] * x[idx]
-        if e + 1 < nelem:
-            j = swaps[e]
-            # A <- A * A_{t_j}: route both tables through the current index map
-            sgn = sgn * gsgn[j, idx]
-            idx = gidx[j, idx]
-            c = rgen[j] @ c
-            m = np.abs(c).max()
-            if m > cmax:
-                cmax = m
-    return acc, int(cmax), int(rsum)
 
 
 if HAVE_NUMBA:
@@ -137,98 +105,6 @@ if HAVE_NUMBA:
             r += 1
         return r, pivots[:r]
 
-    @njit(cache=True, parallel=True)
-    def _project_stream_nb(swaps, gidx, gsgn, rgen, x, nblocks):
-        nelem = swaps.shape[0] + 1
-        dim, k = x.shape
-        ngen = rgen.shape[0]
-        d = rgen.shape[1]
-        n = ngen + 1
-        bounds = np.empty(nblocks + 1, dtype=np.int64)
-        for b in range(nblocks + 1):
-            bounds[b] = b * nelem // nblocks
-        # starting permutation of every block, found by one cheap serial walk
-        starts = np.empty((nblocks, n), dtype=np.int64)
-        perm = np.arange(n)
-        pos = 0
-        for b in range(nblocks):
-            while pos < bounds[b]:
-                j = swaps[pos]
-                tmp = perm[j]
-                perm[j] = perm[j + 1]
-                perm[j + 1] = tmp
-                pos += 1
-            starts[b] = perm
-        acc = np.zeros((nblocks, dim, k), dtype=np.int64)
-        cmaxs = np.ones(nblocks, dtype=np.int64)
-        rsums = np.zeros(nblocks, dtype=np.int64)
-        for b in prange(nblocks):
-            # adjacent-swap word of the block's starting permutation
-            arr = starts[b].copy()
-            word = np.empty(n * n, dtype=np.int64)
-            wlen = 0
-            for i in range(n):
-                for j in range(n - 1 - i):
-                    if arr[j] > arr[j + 1]:
-                        tmp = arr[j]
-                        arr[j] = arr[j + 1]
-                        arr[j + 1] = tmp
-                        word[wlen] = j
-                        wlen += 1
-            # signed basis action and c = rho(sigma^{-1}) e_0 for the block
-            # start, both assembled from the reversed word
-            idx = np.arange(dim)
-            sgn = np.ones(dim, dtype=np.int64)
-            c = np.zeros(d, dtype=np.int64)
-            c[0] = 1
-            tmpc = np.zeros(d, dtype=np.int64)
-            for m in range(wlen - 1, -1, -1):
-                j = word[m]
-                for i in range(dim):
-                    t = idx[i]
-                    sgn[i] = sgn[i] * gsgn[j, t]
-                    idx[i] = gidx[j, t]
-                for i in range(d):
-                    s = 0
-                    for l in range(d):
-                        s += rgen[j, i, l] * c[l]
-                    tmpc[i] = s
-                for i in range(d):
-                    c[i] = tmpc[i]
-            cmax = np.int64(1)
-            rsum = np.int64(0)
-            for e in range(bounds[b], bounds[b + 1]):
-                r = c[0]
-                if r > 0:
-                    rsum += r
-                else:
-                    rsum -= r
-                if r != 0:
-                    for i in range(dim):
-                        acc[b, i] += r * sgn[i] * x[idx[i]]
-                if e + 1 < bounds[b + 1]:
-                    j = swaps[e]
-                    for i in range(dim):
-                        t = idx[i]
-                        sgn[i] = sgn[i] * gsgn[j, t]
-                        idx[i] = gidx[j, t]
-                    for i in range(d):
-                        s = 0
-                        for l in range(d):
-                            s += rgen[j, i, l] * c[l]
-                        tmpc[i] = s
-                    for i in range(d):
-                        c[i] = tmpc[i]
-                        a = c[i] if c[i] >= 0 else -c[i]
-                        if a > cmax:
-                            cmax = a
-            cmaxs[b] = cmax
-            rsums[b] = rsum
-        total = np.zeros((dim, k), dtype=np.int64)
-        for b in range(nblocks):
-            total += acc[b]
-        return total, cmaxs.max(), rsums.sum()
-
 
 def rref_modp(a: np.ndarray, p: int):
     """RREF of an int64 matrix mod p (in place).  Returns (rank, pivot columns)."""
@@ -243,43 +119,38 @@ def rref_modp(a: np.ndarray, p: int):
     return _rref_modp_py(a, p)
 
 
-def default_blocks() -> int:
-    if not HAVE_NUMBA:
-        return 1
-    return max(4 * numba.get_num_threads(), 1)
-
-
 def set_threads(count: int) -> None:
+    """Cap numba's thread pool (no kernel here is parallel at present)."""
     if HAVE_NUMBA and count > 0:
         numba.set_num_threads(min(count, numba.config.NUMBA_NUM_THREADS))
 
 
-def project_stream(swaps, gidx, gsgn, rgen, x, nblocks: int | None = None):
-    """Accumulate sum_g r11(g^{-1}) * (A_g x) over a full symmetric group.
+def project_stream(swaps, gidx, gsgn, rgen, x):
+    """Exact sum_g r11(g^{-1}) * (A_g x) over S_n = (n!/d_lambda) p11 x, in
+    Python ints: a brute-force reference for small n.
 
-    The walk starts at the identity and follows `swaps` (adjacent-position
-    transpositions covering S_n).  A_g is the signed basis action given by
-    generator tables gidx/gsgn, and r11 is tracked through the generator
-    matrices rgen of the irreducible representation.  x is an integer matrix
-    of column vectors.  Exact over the integers; the result equals
-    (n!/d_lambda) p11 x.
+    The walk starts at the identity and follows ``swaps`` (adjacent
+    transpositions covering S_n, such as ``sjt_swaps``); gidx/gsgn are the
+    gather tables of the generators' signed basis action, and rgen the
+    generators of the irreducible representation.
     """
-    swaps = np.ascontiguousarray(swaps, dtype=np.int64)
-    gidx = np.ascontiguousarray(gidx, dtype=np.int64)
-    gsgn = np.ascontiguousarray(gsgn, dtype=np.int64)
-    rgen = np.ascontiguousarray(rgen, dtype=np.int64)
-    x = np.ascontiguousarray(x, dtype=np.int64)
+    gidx = np.asarray(gidx, dtype=np.int64)
+    gsgn, rgen, x = (np.asarray(a).astype(object) for a in (gsgn, rgen, x))
     n = gidx.shape[0] + 1
-    if swaps.shape[0] != factorial(n) - 1:
+    if len(swaps) != factorial(n) - 1:
         raise ValueError("swap sequence does not cover S_n")
-    if HAVE_NUMBA:
-        blocks = nblocks or default_blocks()
-        blocks = min(blocks, swaps.shape[0] + 1)
-        acc, cmax, rsum = _project_stream_nb(swaps, gidx, gsgn, rgen, x, blocks)
-        cmax, rsum = int(cmax), int(rsum)
-    else:
-        acc, cmax, rsum = _project_stream_py(swaps, gidx, gsgn, rgen, x)
-    xmax = int(np.abs(x).max()) if x.size else 0
-    if rsum * max(xmax, 1) >= _MAX_STREAM_ABS or cmax >= 1 << 40:
-        raise OverflowError("projection stream exceeded the int64 safety bound")
-    return acc, cmax
+    idx = np.arange(gidx.shape[1])
+    sgn = np.ones(idx.shape[0], dtype=object)
+    c = np.zeros(rgen.shape[1], dtype=object)
+    c[0] = 1
+    acc = np.zeros(x.shape, dtype=object)
+    for e in range(len(swaps) + 1):
+        if e:
+            # A <- A * A_{t_j}: route both tables through the current index map
+            j = swaps[e - 1]
+            sgn = sgn * gsgn[j, idx]
+            idx = gidx[j, idx]
+            c = rgen[j].dot(c)
+        if c[0]:
+            acc += c[0] * sgn[:, None] * x[idx]
+    return acc

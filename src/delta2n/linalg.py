@@ -209,6 +209,23 @@ def rref_exact(rows):
     return len(pivots), pivots, work[: len(pivots)]
 
 
+# |entries| and partial sums below this fit int64 with room for a sign
+_INT64_SAFE = 1 << 62
+
+
+def int_matmul(a, b) -> np.ndarray:
+    """Exact product of integer matrices: in int64 when max|a| * max|b| *
+    (inner dimension), a bound on every partial sum, is below 2**62, else in
+    Python ints.  Nothing can overflow."""
+    a, b = np.asarray(a), np.asarray(b)
+    bound = max(a.shape[1], 1)
+    for m in (a, b):
+        bound *= max(int(np.abs(m).max()) if m.size else 0, 1)
+    if bound < _INT64_SAFE:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
 def rank_modp(mat, p: int) -> int:
     a = _as_int64_modp(mat, p)
     r, _ = rref_modp(a, p)

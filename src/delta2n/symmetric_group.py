@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .linalg import rref_exact
+from .linalg import int_matmul, rref_exact
 
 
 class NotACharacterError(ValueError):
@@ -433,7 +433,7 @@ class SpechtRep:
             return cached
         out = np.eye(self.dim, dtype=np.int64)
         for j in reversed(transposition_word(perm)):
-            out = out @ self.generators[j]
+            out = int_matmul(out, self.generators[j])
         self._cache[perm] = out
         return out
 

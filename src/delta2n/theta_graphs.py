@@ -210,6 +210,80 @@ def has_odd_automorphism(g: ThetaGraph) -> bool:
     )
 
 
+class OrbitForm(NamedTuple):
+    """g = sign * tau . rep, where rep represents g's orbit."""
+
+    orbit: tuple
+    tau: tuple
+    sign: int
+
+
+def orbit_of(g: ThetaGraph) -> tuple:
+    """The S_n-orbit of g as its marking shape: (marked branch vertices,
+    sorted path lengths).  Relabeling keeps it, and a theta symmetry only
+    swaps the branch ends and permutes the paths."""
+    marks = (g.branch_a != UNMARKED) + (g.branch_b != UNMARKED)
+    return marks, tuple(sorted(len(p) for p in g.paths))
+
+
+def orbit_representative(orbit) -> ThetaGraph:
+    """Canonical graph of the given shape, labels filled in position order."""
+    marks, lens = orbit
+    branch = (UNMARKED, UNMARKED, 0, 1)[marks : marks + 2]
+    labels = iter(range(marks, marks + sum(lens)))
+    paths = tuple(tuple(next(labels) for _ in range(m)) for m in lens)
+    return _canonicalize_fast(ThetaGraph(branch[0], branch[1], paths)).target
+
+
+def _slots(g: ThetaGraph):
+    return g.branch_a != UNMARKED, g.branch_b != UNMARKED, tuple(len(p) for p in g.paths)
+
+
+def _moves_into(g: ThetaGraph, slots):
+    """(image, edge parity) for each symmetry that puts g into these slots."""
+    for flip, perm in SYMMETRIES:
+        img = _apply_symmetry(g, flip, perm)
+        if _slots(img) == slots:
+            yield img, perm_parity(_edge_source_map(g, flip, perm))
+
+
+def _carry(src: ThetaGraph, dst: ThetaGraph):
+    """The label permutation tau with relabel(src, tau) == dst (same slots)."""
+    tau = [0] * src.n
+    for x, y in zip(
+        itertools.chain((src.branch_a, src.branch_b), *src.paths),
+        itertools.chain((dst.branch_a, dst.branch_b), *dst.paths),
+    ):
+        if x != UNMARKED:
+            tau[x] = y
+    return tuple(tau)
+
+
+def orbit_normal_form(g: ThetaGraph, rep: ThetaGraph | None = None) -> OrbitForm:
+    """Write the canonical graph g as sign * tau . rep, for any canonical rep
+    of g's orbit (default ``orbit_representative``).
+
+    A symmetry S puts g into rep's slots; then relabel(rep, tau) == S(g), so
+    tau . e_rep = e_{S(g)} = sign * e_g with sign the parity of S.
+    """
+    orbit = orbit_of(g)
+    rep = rep or orbit_representative(orbit)
+    for img, sign in _moves_into(g, _slots(rep)):
+        return OrbitForm(orbit, _carry(rep, img), sign)
+    raise MalformedGraphError(f"{g} is not in the orbit of {rep}")
+
+
+def signed_stabilizer(rep: ThetaGraph):
+    """The (h, eps) with h . e_rep = eps * e_rep, one h per symmetry that keeps
+    rep's slots; two symmetries give the same h only when they differ by an
+    automorphism, which must then be even."""
+    out = {}
+    for img, sign in _moves_into(rep, _slots(rep)):
+        if out.setdefault(_carry(rep, img), sign) != sign:
+            raise MalformedGraphError(f"{rep} has an odd automorphism")
+    return tuple(sorted(out.items()))
+
+
 def relabel(g: ThetaGraph, sigma) -> ThetaGraph:
     """Apply a marking permutation: label l becomes sigma[l].  Not canonicalized."""
     f = lambda l: UNMARKED if l == UNMARKED else sigma[l]

@@ -9,8 +9,8 @@ import pytest
 from delta2n import chain_complex as cc
 from delta2n import clear_caches
 from delta2n import d25_analysis, equivariant_homology, symmetric_group
-from delta2n.linalg import PRIMES, SparseRationalMatrix
-from delta2n.theta_graphs import has_odd_automorphism, is_full_theta
+from delta2n.linalg import SparseRationalMatrix, kernel_exact
+from delta2n.theta_graphs import has_odd_automorphism, is_full_theta, orbit_of
 
 # (n, degree) -> dimension, all pinned by the brute-force enumeration oracle
 # in test_theta_graphs
@@ -147,31 +147,47 @@ def test_stale_cache_rebuilt(tmp_path):
     assert mat.shape == (4, 6)
 
 
-def test_rank_big_takes_max_over_unlucky_prime(monkeypatch):
-    d = cc.boundary_matrix(5, 7)
-    true_rank = cc.rank(d)
-    real = cc.rank_modp
-    # a mod-p rank can only fall short; fake one unlucky prime
-    monkeypatch.setattr(cc, "rank_modp", lambda m, p: real(m, p) - (p == PRIMES[1]))
-    assert cc._rank_big(d) == true_rank
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_betti_matches_global_rank_oracle(n):
+    # the global certified route: exact rank of d_{n+2}, exact kernel of
+    # d_{n+2}, and d_{n+1} onto
+    cx = cc.build_complex(n)
+    d_top, d_next = cx.d(n + 2), cx.d(n + 1)
+    rank_top = cc.rank(d_top)
+    nullity = kernel_exact(d_top)[1].shape[1]
+    assert nullity == d_top.cols - rank_top
+    assert cc.rank(d_next) == d_next.rows
+    assert cc.betti(n) == (nullity, d_next.cols - d_next.rows - rank_top)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_chain_orbits_cover_the_basis(n):
+    for p in (n, n + 1, n + 2):
+        reps = cc.chain_orbits(n, p)
+        orbits = [orbit_of(r) for r in reps]
+        assert orbits == sorted(set(orbits))
+        assert set(reps) <= set(cc.build_basis(n, p).graphs)
+        assert set(orbits) == {orbit_of(g) for g in cc.build_basis(n, p).graphs}
 
 
 def test_clear_caches_empties_every_memo():
     cc.betti(4)
-    equivariant_homology.isotypic_seed_basis((2, 1, 1), 4, 6)
+    cc.build_complex(4)
+    equivariant_homology.chain_character(4, 6)
     equivariant_homology.act((1, 0, 2, 3), 6)
     d25_analysis._kernel()
     d25_analysis._act_tables((1, 0, 2, 3, 4))
-    # the eight memos that used to be module-level dicts
     owners = [
         cc.build_basis,
+        cc.chain_orbits,
         cc._boundary_matrix,
         equivariant_homology._basis_index,
         equivariant_homology.chain_character,
-        equivariant_homology.chain_multiplicities,
-        equivariant_homology._generator_tables,
+        equivariant_homology.multiplicity_space,
+        equivariant_homology.isotypic_ranks,
         d25_analysis._kernel,
         d25_analysis._act_tables,
+        symmetric_group.specht_matrices,
     ]
     assert all(f.cache_info().currsize > 0 for f in owners)
     clear_caches()

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from delta2n import chain_complex, cli, equivariant_homology
+from delta2n import chain_complex, clear_caches, cli, equivariant_homology
 from delta2n.chain_complex import CACHE_ENV, build_basis
-from delta2n.equivariant_homology import DEFAULT_SEED, ProjectionFailureError
+from delta2n.cli import DEFAULT_SEED
 from delta2n.symfunc_check import EulerClassCheck
 from delta2n.symmetric_group import ClassFunction, NotACharacterError, partitions_of
 
@@ -34,6 +34,15 @@ def _payload(out, drop_timings=True):
     if drop_timings:
         payload["metadata"].pop("timings")
     return payload
+
+
+@pytest.fixture
+def fresh_caches():
+    # the block ranks are memoized: recompute them under the test's patches,
+    # and let no patched result outlive the test
+    clear_caches()
+    yield
+    clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +217,44 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
 
 
 def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
+    # the kernel-trace method asks for d_7 twice (characters, then verify's
+    # method agreement); the boundary is built once and cached once
     monkeypatch.delenv(CACHE_ENV, raising=False)
     built = []
     real = chain_complex._build_matrix
     monkeypatch.setattr(
         chain_complex, "_build_matrix", lambda n, p: built.append(p) or real(n, p)
     )
-    status, _, _ = _run(capsys, "characters", "--n", "5", "--cache", str(tmp_path))
+    status, _, _ = _run(
+        capsys, "verify", "--n", "5", "--method", "kernel-trace", "--cache", str(tmp_path)
+    )
     assert status == 0
-    assert sorted(built) == [6, 7]
-    assert len(list(tmp_path.iterdir())) == 2
+    assert sorted(built) == [7]
+    assert len(list(tmp_path.iterdir())) == 1
     assert CACHE_ENV not in os.environ
+
+
+def test_characters_builds_no_global_boundary(capsys, monkeypatch, fresh_caches):
+    calls = []
+
+    def record(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for owner, name in [
+        (chain_complex, "_build_matrix"),
+        (chain_complex, "betti"),
+        (cli, "betti"),
+        (equivariant_homology, "act"),
+        (equivariant_homology, "kernel_exact"),
+    ]:
+        monkeypatch.setattr(owner, name, record(name, getattr(owner, name)))
+    status, out, _ = _run(capsys, "characters", "--n", "5", "--format", "json")
+    assert status == 0
+    assert {b["degree"]: b["values"] for b in json.loads(out)["characters"]} == {
+        7: [15, 3, -1, 0, 0, -1, 0],
+        6: [5, 1, 1, -1, 1, -1, 0],
+    }
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +330,42 @@ def _raise(exc):
     return boom
 
 
-def test_stream_overflow_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(
-        equivariant_homology, "project_stream", _raise(OverflowError("stream overflow"))
-    )
-    status, out, err = _run(capsys, "characters", "--n", "4")
-    assert status == 2 and out == ""
-    assert "internal consistency failure: stream overflow" in err
+def _corrupt_terms(monkeypatch, degree, corrupt):
+    """Pass the boundary terms of every degree-`degree` graph through corrupt."""
+    real = equivariant_homology.boundary_terms
+
+    def terms(g):
+        out = list(real(g))
+        return corrupt(out) if g.num_edges == degree + 1 else out
+
+    monkeypatch.setattr(equivariant_homology, "boundary_terms", terms)
 
 
-def test_projection_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(
-        equivariant_homology,
-        "isotypic_seed_basis",
-        _raise(ProjectionFailureError("slice not spanned")),
-    )
-    status, out, err = _run(capsys, "characters", "--n", "4")
+def test_block_d_squared_failure_exits_2(capsys, monkeypatch, fresh_caches):
+    # one flipped contraction sign in d_7 breaks d_6 . d_7 = 0
+    _corrupt_terms(monkeypatch, 7, lambda out: [(out[0][0], -out[0][1])] + out[1:])
+    status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
-    assert "internal consistency failure: slice not spanned" in err
+    assert "internal consistency failure: d_6 . d_7 != 0 on the" in err
+
+
+def test_projection_failure_exits_2(capsys, monkeypatch, fresh_caches):
+    # the projection method's per-block check that d_6 is onto fails
+    _corrupt_terms(monkeypatch, 6, lambda out: [])
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: d_6 is not onto on the" in err
+
+
+def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
+    # dropping one of the two degree-7 orbits halves the isotypic total
+    real = equivariant_homology.chain_orbits
+    monkeypatch.setattr(
+        equivariant_homology, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None]
+    )
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "isotypic multiplicities of C_7 add up to 30, but dim C_7 = 60" in err
 
 
 def test_not_a_character_exits_2(capsys, monkeypatch):

@@ -1,28 +1,38 @@
 import numpy as np
 import pytest
 
-from delta2n.chain_complex import betti, boundary_matrix, build_basis
+from delta2n.chain_complex import betti, boundary_matrix, build_basis, chain_orbits
 from delta2n.equivariant_homology import (
-    DEFAULT_SEED,
     act,
     chain_character,
-    chain_multiplicities,
     homology_character_next,
     homology_character_top,
-    isotypic_seed_basis,
+    isotypic_block_ranks,
     kernel_character_oracle,
     kernel_multiplicity,
-    project_columns,
-    projection_scale,
+    multiplicity_space,
 )
+from delta2n.kernels import project_stream
+from delta2n.linalg import rank_exact
 from delta2n.symmetric_group import (
+    ClassFunction,
+    class_representative,
     compose,
     decompose,
     hook_dimension,
     identity_perm,
     partitions_of,
+    sjt_swaps,
+    specht_matrices,
 )
-from delta2n.theta_graphs import MalformedGraphError, canonicalize, make_graph, relabel
+from delta2n.theta_graphs import (
+    MalformedGraphError,
+    canonical_form,
+    canonicalize,
+    make_graph,
+    relabel,
+    signed_stabilizer,
+)
 
 # golden character rows, classes in ascending-lex partition order
 GOLDEN_TOP = {
@@ -129,33 +139,62 @@ def test_boundary_equivariance(n):
             assert np.array_equal(lo @ d, d @ hi)
 
 
-def test_isotypic_seed_basis_shape_and_idempotence():
-    n, p, lam = 5, 7, (3, 1, 1)
-    c = chain_multiplicities(n, p)[lam]
-    basis = isotypic_seed_basis(lam, n, p)
-    assert basis.shape == (60, c)
-    scale = projection_scale(lam, n)
-    assert np.array_equal(project_columns(lam, n, p, basis), scale * basis)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_induced_chain_character_matches_action_traces(n):
+    for p in (n, n + 1, n + 2):
+        traces = {mu: act(class_representative(mu), p).trace() for mu in partitions_of(n)}
+        assert chain_character(n, p) == ClassFunction.from_dict(n, traces)
 
 
-def test_isotypic_seed_basis_absent_isotype():
-    # the all-columns partition does not occur in the n=4 top chain group
-    n, p = 4, 6
-    mults = chain_multiplicities(n, p)
-    missing = [lam for lam in partitions_of(n) if lam not in mults]
-    assert missing, "expected at least one absent isotype"
-    for lam in missing:
-        basis = isotypic_seed_basis(lam, n, p)
-        assert basis.shape == (6, 0)
-        x = np.ones((6, 1), dtype=np.int64)
-        assert not project_columns(lam, n, p, x).any()
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_multiplicity_spaces_are_fixed_and_full(n):
+    # each column of W_o is an eps-eigenvector of every stabilizer element,
+    # and dim W_o = <eps, Res chi_lam>_H by Frobenius reciprocity
+    for p in (n, n + 1, n + 2):
+        for rep in chain_orbits(n, p):
+            stab = signed_stabilizer(rep)
+            for lam in partitions_of(n):
+                rho = specht_matrices(lam)
+                w = multiplicity_space(lam, rep)
+                for h, eps in stab:
+                    assert np.array_equal(rho.matrix(h) @ w, eps * w)
+                inner = sum(eps * int(np.trace(rho.matrix(h))) for h, eps in stab)
+                assert w.shape[1] * len(stab) == inner
+                assert rank_exact(w) == w.shape[1]
 
 
-def test_seed_determinism_and_independence():
-    a = isotypic_seed_basis((3, 2), 5, 7, seed=DEFAULT_SEED)
-    b = isotypic_seed_basis((3, 2), 5, 7, seed=DEFAULT_SEED)
-    assert np.array_equal(a, b)
-    assert kernel_multiplicity((3, 2), 5, seed=7) == kernel_multiplicity((3, 2), 5)
+@pytest.mark.parametrize("n", [4, 5])
+def test_multiplicities_match_the_group_average(n):
+    # rank of the brute-force n!-term average (n!/d) p11 over every basis
+    # vector is m_lam(C_p), independently of stabilizers and Frobenius
+    for p in (n, n + 1, n + 2):
+        dim = build_basis(n, p).dim
+        swaps = [list(range(n)) for _ in range(n - 1)]
+        for j, t in enumerate(swaps):
+            t[j], t[j + 1] = j + 1, j
+        gidx, gsgn = (np.stack(t) for t in zip(*(act(t, p).gather_tables() for t in swaps)))
+        for lam in partitions_of(n):
+            rgen = np.stack(specht_matrices(lam).generators)
+            image = project_stream(sjt_swaps(n), gidx, gsgn, rgen, np.eye(dim, dtype=np.int64))
+            want = sum(multiplicity_space(lam, r).shape[1] for r in chain_orbits(n, p))
+            assert rank_exact(image) == want
+
+
+def test_block_ranks_independent_of_representatives():
+    # replacing each orbit representative r by the canonical form of
+    # sigma . r, for random sigma, leaves every block rank unchanged
+    rng = np.random.default_rng(41)
+    for n in (4, 5):
+        for lam in partitions_of(n):
+            moved = tuple(
+                tuple(
+                    canonical_form(relabel(r, tuple(rng.permutation(n).tolist())))
+                    for r in chain_orbits(n, p)
+                )
+                for p in (n, n + 1, n + 2)
+            )
+            assert moved != tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
+            assert isotypic_block_ranks(lam, n, moved) == isotypic_block_ranks(lam, n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -56,13 +56,12 @@ def _brute_stream(n, lam, x):
     return acc
 
 
-def _run_stream(n, lam, x, nblocks=None):
+def _run_stream(n, lam, x):
     rep = specht_matrices(lam)
     swaps = np.array(sjt_swaps(n), dtype=np.int64)
     gidx, gsgn = _pairs_tables(n)
     rgen = np.stack(rep.generators)
-    acc, _ = project_stream(swaps, gidx, gsgn, rgen, x, nblocks=nblocks)
-    return acc
+    return project_stream(swaps, gidx, gsgn, rgen, x)
 
 
 def test_rref_numba_and_python_agree():
@@ -146,32 +145,6 @@ def test_stream_idempotent_up_to_scale():
     assert np.array_equal(twice, scale * once)
 
 
-def test_stream_block_count_invariance():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba disabled")
-    rng = np.random.default_rng(29)
-    x = rng.integers(-9, 10, size=(10, 2)).astype(np.int64)
-    outs = [_run_stream(5, (3, 2), x, nblocks=b) for b in (1, 2, 7, 24)]
-    for o in outs[1:]:
-        assert np.array_equal(outs[0], o)
-
-
-def test_stream_python_fallback_agrees():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba disabled")
-    n, lam = 4, (3, 1)
-    rep = specht_matrices(lam)
-    swaps = np.array(sjt_swaps(n), dtype=np.int64)
-    gidx, gsgn = _pairs_tables(n)
-    rgen = np.stack(rep.generators)
-    rng = np.random.default_rng(31)
-    x = rng.integers(-9, 10, size=(6, 3)).astype(np.int64)
-    nb = kernels._project_stream_nb(swaps, gidx, gsgn, rgen, x, 4)
-    py = kernels._project_stream_py(swaps, gidx, gsgn, rgen, x)
-    assert np.array_equal(nb[0], py[0])
-    assert nb[1] == py[1] and nb[2] == py[2]
-
-
 def test_stream_trivial_rep_sums_action():
     n = 4
     swaps = np.array(sjt_swaps(n), dtype=np.int64)
@@ -179,7 +152,7 @@ def test_stream_trivial_rep_sums_action():
     rgen = np.ones((n - 1, 1, 1), dtype=np.int64)
     rng = np.random.default_rng(37)
     x = rng.integers(-9, 10, size=(6, 2)).astype(np.int64)
-    acc, _ = project_stream(swaps, gidx, gsgn, rgen, x)
+    acc = project_stream(swaps, gidx, gsgn, rgen, x)
     want = np.zeros_like(x)
     for perm in itertools.permutations(range(n)):
         want += _pairs_matrix(n, perm) @ x

@@ -7,6 +7,7 @@ import pytest
 from delta2n.linalg import (
     PRIMES,
     SparseRationalMatrix,
+    int_matmul,
     is_surjective,
     kernel_exact,
     rank_exact,
@@ -208,3 +209,15 @@ def test_is_surjective():
     b = _random_rank(rng, 6, 9, 4)
     assert not is_surjective(b)
     assert is_surjective(np.zeros((0, 4), dtype=np.int64))
+
+
+def test_int_matmul_leaves_int64_before_it_could_overflow():
+    a = np.array([[2**40, 1], [0, 3]], dtype=np.int64)
+    b = np.array([[2**30, 0], [5, 7]], dtype=np.int64)
+    big = int_matmul(a, b)
+    assert big.dtype == object
+    assert big.tolist() == [[2**70 + 5, 7], [15, 21]]
+    small = int_matmul(np.eye(2, dtype=np.int64), b.astype(object))
+    assert small.dtype == np.int64 and np.array_equal(small, b)
+    assert int_matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))).shape == (2, 3)
+

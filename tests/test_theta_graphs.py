@@ -18,8 +18,12 @@ from delta2n.theta_graphs import (
     has_odd_automorphism,
     is_full_theta,
     make_graph,
+    orbit_normal_form,
+    orbit_of,
+    orbit_representative,
     perm_parity,
     relabel,
+    signed_stabilizer,
     to_line,
 )
 
@@ -390,3 +394,51 @@ def test_enumeration_matches_brute_force(n):
             assert enumerate_theta(n, edges, full_only) == sorted(want), (edges, full_only)
             every |= want
         assert enumerate_theta(n, None, full_only) == sorted(every), full_only
+
+
+# ---------------------------------------------------------------------------
+# orbit normal forms and signed stabilizers
+
+
+def _basis_graphs(n, p):
+    return [
+        g for g in enumerate_theta(n, p + 1, full_only=True) if not has_odd_automorphism(g)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orbit_normal_form_round_trips_every_basis_graph(n):
+    for p in (n, n + 1, n + 2):
+        for g in _basis_graphs(n, p):
+            orbit, tau, sign = orbit_normal_form(g)
+            assert orbit == orbit_of(g)
+            rep = orbit_representative(orbit)
+            assert orbit_of(rep) == orbit and canonical_form(rep) == rep
+            assert canonicalize(relabel(rep, tau)) == SignedIso(g, sign)
+
+
+def test_orbit_normal_form_against_any_representative():
+    # every graph of an orbit may serve as the representative
+    graphs = _basis_graphs(5, 7)
+    rng = random.Random(3)
+    for g in rng.sample(graphs, 12):
+        for rep in rng.sample([h for h in graphs if orbit_of(h) == orbit_of(g)], 4):
+            _, tau, sign = orbit_normal_form(g, rep)
+            assert canonicalize(relabel(rep, tau)) == SignedIso(g, sign)
+    other = next(h for h in graphs if orbit_of(h) != orbit_of(graphs[0]))
+    with pytest.raises(MalformedGraphError):
+        orbit_normal_form(graphs[0], other)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_signed_stabilizer_matches_group_scan(n):
+    perms = list(itertools.permutations(range(n)))
+    for p in (n, n + 1, n + 2):
+        for rep in {orbit_representative(orbit_of(g)) for g in _basis_graphs(n, p)}:
+            scan = {}
+            for sigma in perms:
+                target, sign = canonicalize(relabel(rep, sigma))
+                if target == rep:
+                    scan[sigma] = sign
+            assert dict(signed_stabilizer(rep)) == scan
+
