@@ -41,7 +41,6 @@ def run_stage(stage, n):
     import resource
 
     from delta2n import equivariant_homology as eh
-    from delta2n import kernels
     from delta2n.chain_complex import build_basis
     from delta2n.symmetric_group import partitions_of, specht_matrices
 
@@ -65,7 +64,6 @@ def run_stage(stage, n):
         "seconds": seconds,
         "result": result,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "numba": kernels.HAVE_NUMBA,
     }
 
 
@@ -90,7 +88,6 @@ def measure(src, stage, n, timeout):
         "seconds": wall,
         "result": [block["values"] for block in blocks],
         "peak_rss_mb": None,
-        "numba": None,  # the other stages of the same checkout report it
     }
 
 
@@ -129,7 +126,6 @@ def main():
         sides = {"before": args.before, "after": args.src}
     runs = {side: {f"{stage}_n{n}": [] for stage, n in STAGES} for side in sides}
     timed_out = {side: set() for side in sides}
-    numba = set()
     for rep in range(args.repeat):
         order = list(sides.items())[:: -1 if rep % 2 else 1]
         for stage, n in STAGES:
@@ -141,14 +137,11 @@ def main():
                 if rec is None:
                     timed_out[side].add(key)
                     continue
-                if rec["numba"] is not None:
-                    numba.add(rec["numba"])
                 runs[side][key].append(rec)
     record = {
         "script": "benchmarks/bench_orbits.py",
         "repeat": args.repeat,
         "timeout_s": args.timeout,
-        "numba": sorted(numba) == [True],
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

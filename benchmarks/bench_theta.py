@@ -39,7 +39,6 @@ def run_stage(stage, n):
     import resource
     import time
 
-    from delta2n import kernels
     from delta2n.chain_complex import boundary_matrix, build_basis
 
     degrees = (n, n + 1, n + 2)
@@ -71,7 +70,6 @@ def run_stage(stage, n):
         "seconds": seconds,
         "result": result,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "numba": kernels.HAVE_NUMBA,
     }
 
 
@@ -113,17 +111,14 @@ def main():
     if args.before:
         sides = {"before": args.before, "after": args.src}
     runs = {side: {} for side in sides}
-    numba = set()
     for _ in range(args.repeat):
         for stage, n in STAGES:
             for side, src in sides.items():
                 rec = measure(src, stage, n)
-                numba.add(rec["numba"])
                 runs[side].setdefault(f"{stage}_n{n}", []).append(rec)
     record = {
         "script": "benchmarks/bench_theta.py",
         "repeat": args.repeat,
-        "numba": sorted(numba) == [True],
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import linalg, theta_graphs
-from .linalg import SparseRationalMatrix, kernel_exact, rank_exact
+from .linalg import SparseIntMatrix
 from .symmetric_group import hook_dimension
 from .theta_graphs import (
     Degenerate,
@@ -103,7 +103,7 @@ def vanishes(g: ThetaGraph) -> bool:
     return not is_full_theta(g) or has_odd_automorphism(g)
 
 
-def _build_matrix(n: int, p: int) -> SparseRationalMatrix:
+def _build_matrix(n: int, p: int) -> SparseIntMatrix:
     col_basis = build_basis(n, p)
     row_basis = build_basis(n, p - 1)
     row_of = row_basis.index()
@@ -119,7 +119,7 @@ def _build_matrix(n: int, p: int) -> SparseRationalMatrix:
                 )
             key = (row, col)
             acc[key] = acc.get(key, 0) + coef
-    return SparseRationalMatrix(
+    return SparseIntMatrix(
         row_basis.dim, col_basis.dim, {key: v for key, v in acc.items() if v}
     )
 
@@ -137,7 +137,7 @@ def _cache_path(cache_dir, n, p):
     return Path(cache_dir) / f"boundary_n{n}_p{p}_{_code_version()}.txt"
 
 
-def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseRationalMatrix:
+def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
     """Matrix of d_p : C_p -> C_{p-1}; columns follow the degree-p basis.
 
     With ``cache_dir`` the matrix is read from, or written to, a file there.
@@ -152,7 +152,7 @@ def _read_cached(path, shape):
     of the wrong shape (a stale or foreign file)."""
     try:
         with open(path) as fh:
-            mat = SparseRationalMatrix.read(fh)
+            mat = SparseIntMatrix.read(fh)
     except (FileNotFoundError, ValueError):
         return None
     return mat if mat.shape == shape else None
@@ -204,22 +204,6 @@ def build_complex(n: int, cache_dir=None) -> RelativeComplex:
     if not mats[n + 1].matmul(mats[n + 2]).is_zero():
         raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 at n={n}")
     return RelativeComplex(n, bases, mats)
-
-
-def rank(m: SparseRationalMatrix) -> int:
-    return rank_exact(m)
-
-
-def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:
-    """Columns span the exact right kernel of m."""
-    _, kern, _, _ = kernel_exact(m)
-    rows, cols = kern.shape
-    out = SparseRationalMatrix(rows, cols)
-    for r in range(rows):
-        for c in range(cols):
-            if kern[r, c]:
-                out[r, c] = kern[r, c]
-    return out
 
 
 def betti(n: int):

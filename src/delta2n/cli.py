@@ -51,7 +51,6 @@ class RunConfig(NamedTuple):
     seed: int = DEFAULT_SEED
     cache: Optional[str] = None
     fmt: str = "text"
-    threads: Optional[int] = None
     degree: Optional[int] = None
     values: Optional[str] = None
 
@@ -192,15 +191,17 @@ def _cmd_betti(config, stages):
     return "\n".join(lines) + "\n"
 
 
-def _compute_characters(config, stages):
-    n = config.n
-    if config.method == "kernel-trace":
-        top = stages.run(
-            "kernel_trace", lambda: kernel_character_oracle(n, config.cache)
+def _top_character(method, config, stages):
+    if method == "kernel-trace":
+        return stages.run(
+            "kernel_trace", lambda: kernel_character_oracle(config.n, config.cache)
         )
-    else:
-        top = stages.run("projection", lambda: homology_character_top(n))
-    nxt = stages.run("euler_next", lambda: homology_character_next(n, top))
+    return stages.run("projection", lambda: homology_character_top(config.n))
+
+
+def _compute_characters(config, stages):
+    top = _top_character(config.method, config, stages)
+    nxt = stages.run("euler_next", lambda: homology_character_next(config.n, top))
     return top, nxt
 
 
@@ -268,10 +269,9 @@ def _cmd_verify(config, stages):
     report = stages.run("euler_check", lambda: check_euler(n, top, nxt))
     agree = None
     if n <= 6:
-        oracle = stages.run(
-            "kernel_trace", lambda: kernel_character_oracle(n, config.cache)
-        )
-        agree = oracle.as_ints() == top.as_ints()
+        # the method not used for top, so that the two methods are compared
+        other = "projection" if config.method == "kernel-trace" else "kernel-trace"
+        agree = _top_character(other, config, stages).as_ints() == top.as_ints()
     ok = all(entry.ok for entry in report) and agree is not False
     payload = {
         "n": n,
@@ -403,17 +403,11 @@ def run(config: RunConfig):
             raise ConfigError(f"--n must be in {lo}..{hi} for {config.command}")
     if config.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    if config.threads is not None:
-        if config.threads < 1:
-            raise ConfigError("--threads must be positive")
-        from . import kernels
-
-        kernels.set_threads(config.threads)
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
-            "warning: n=8 is a large computation (measured without numba on a "
-            "2-core x86_64 VM: about 50 s and 150 MB for characters, betti or "
-            "verify; about 20 s and 280 MB for complex)",
+            "warning: n=8 is a large computation (measured on a 2-core x86_64 "
+            "VM: about 13 s and 125 MB for characters, betti or verify; about "
+            "14 s and 250 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()
@@ -436,7 +430,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--degree", type=int, default=None)
         if name == "decompose":
             p.add_argument("--values", default=None)
@@ -456,7 +449,6 @@ def main(argv=None):
         seed=args.seed,
         cache=args.cache,
         fmt=args.format,
-        threads=args.threads,
         degree=args.degree,
         values=getattr(args, "values", None),
     )

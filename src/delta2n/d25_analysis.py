@@ -13,13 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from .chain_complex import InternalConsistencyError, boundary_matrix, build_basis
 from .equivariant_homology import act
-from .linalg import SparseRationalMatrix, kernel_exact, rank_exact, rref_exact
+from .linalg import kernel_exact, rank_exact, solve_exact
 from .symmetric_group import (
     cycle_type,
     hook_dimension,
@@ -180,26 +180,29 @@ def orbit_basis(v):
         gidx, gsgn = _act_tables(sigma)
         cols.append(gsgn.astype(object) * np.asarray(v, dtype=object)[gidx])
     vb = np.stack(cols, axis=1)
-    mat = SparseRationalMatrix.from_dense(vb)
-    if rank_exact(mat) != 6:
+    if rank_exact(_cleared(vb)) != 6:
         raise DegenerateVectorError("orbit of the vector has rank < 6")
     return vb
 
 
+def _cleared(m):
+    """m times the lcm of its entries' denominators, as Python ints."""
+    scale = lcm(*(Fraction(v).denominator for v in m.flat))
+    return np.array([int(v * scale) for v in m.flat], dtype=object).reshape(m.shape)
+
+
 def representation_on_span(vb):
     """rho1: group element -> 6x6 exact matrix of its action on span(vb)."""
-    width = vb.shape[1]
-    # pivot columns of vb^T: the first rows of vb forming an invertible block
-    rank, pivots, _ = rref_exact(vb.T)
-    if rank < width:
-        raise DegenerateVectorError(f"basis matrix has rank < {width}")
-    _, _, reduced = rref_exact(np.hstack([vb[pivots], np.eye(width, dtype=object)]))
-    block_inv = np.array([row[width:] for row in reduced], dtype=object)
+    base = _cleared(vb)
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
         avb = gsgn.astype(object)[:, None] * vb[gidx]
-        rho = block_inv.dot(avb[pivots])
+        # avb holds the entries of vb up to sign, so both get the same scale
+        try:
+            rho = solve_exact(base, _cleared(avb))
+        except ValueError:
+            raise DegenerateVectorError(f"basis matrix has rank < {vb.shape[1]} mod p") from None
         if not np.array_equal(vb.dot(rho), avb):
             raise DegenerateVectorError("span is not invariant under the group")
         reps[pi] = rho
@@ -225,6 +228,6 @@ def equivariant_isomorphism(vb, specht=None):
     for pi, r1 in rho1.items():
         if not np.array_equal(h0.dot(r1), rep.matrix(pi).astype(object).dot(h0)):
             raise InternalConsistencyError("intertwining identity failed")
-    if rep.dim != width or rank_exact(SparseRationalMatrix.from_dense(h0)) != rep.dim:
+    if rep.dim != width or rank_exact(_cleared(h0)) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")
     return h0

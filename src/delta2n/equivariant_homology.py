@@ -31,7 +31,7 @@ from .chain_complex import (
     chain_orbits,
     vanishes,
 )
-from .linalg import int_matmul, kernel_exact, rank_exact, rref_exact
+from .linalg import int_matmul, kernel_exact, pivot_columns, rank_exact
 from .symmetric_group import (
     ClassFunction,
     NotACharacterError,
@@ -134,8 +134,7 @@ def multiplicity_space(lam, rep) -> np.ndarray:
     proj = sum(eps * rho.matrix(h).astype(object) for h, eps in stab)
     if not np.array_equal(int_matmul(proj, proj), len(stab) * proj):
         raise InternalConsistencyError(f"stabilizer of {rep} does not give a projection")
-    _, pivots, _ = rref_exact(proj)
-    return proj[:, pivots]
+    return proj[:, pivot_columns(proj)]
 
 
 # perfbench/tracer.py still traces this name, and perfbench/test_gate.py needs

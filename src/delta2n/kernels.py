@@ -1,32 +1,23 @@
-"""Row reduction of an integer matrix modulo a word-sized prime, with numba
-and pure-numpy implementations, and an exact n!-term group average kept as a
-small-n reference.
-
-The numba version is used when numba imports cleanly; set DELTA2N_NO_NUMBA=1
-to force the numpy fallback.  Results are bit-identical either way.
+"""Row reduction of an integer matrix modulo a word-sized prime (numpy), the
+one elimination routine that every exact result in ``linalg`` rests on, and
+an exact n!-term group average kept as a small-n reference.
 """
 
 from __future__ import annotations
 
-import os
 from math import factorial
 
 import numpy as np
 
-if os.environ.get("DELTA2N_NO_NUMBA"):
-    HAVE_NUMBA = False
-else:
-    try:
-        import numba
-        from numba import njit
 
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env flag
-        HAVE_NUMBA = False
-
-
-def _rref_modp_py(a, p):
-    """In-place reduced row echelon form of `a` modulo p; returns (rank, pivots)."""
+def rref_modp(a: np.ndarray, p: int):
+    """RREF of an int64 matrix mod p (in place).  Returns (rank, pivot columns)."""
+    if a.dtype != np.int64:
+        raise TypeError("expected int64 matrix")
+    if not 1 < p < 1 << 31:
+        raise ValueError("prime out of range")
+    if a.size == 0:
+        return 0, np.empty(0, dtype=np.int64)
     a %= p
     rows, cols = a.shape
     pivots = []
@@ -51,78 +42,6 @@ def _rref_modp_py(a, p):
         pivots.append(c)
         r += 1
     return r, np.array(pivots, dtype=np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _modinv(a, p):
-        # Fermat: a^(p-2) mod p
-        result = 1
-        base = a % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        return result
-
-    @njit(cache=True)
-    def _rref_modp_nb(a, p):
-        rows, cols = a.shape
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = a[i, j] % p
-        cap = rows if rows < cols else cols
-        pivots = np.empty(cap, dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                for j in range(c, cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[pr, j]
-                    a[pr, j] = tmp
-            inv = _modinv(a[r, c], p)
-            if inv != 1:
-                for j in range(c, cols):
-                    a[r, j] = a[r, j] * inv % p
-            for i in range(rows):
-                f = a[i, c]
-                if i != r and f != 0:
-                    for j in range(c, cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            pivots[r] = c
-            r += 1
-        return r, pivots[:r]
-
-
-def rref_modp(a: np.ndarray, p: int):
-    """RREF of an int64 matrix mod p (in place).  Returns (rank, pivot columns)."""
-    if a.dtype != np.int64:
-        raise TypeError("expected int64 matrix")
-    if not 1 < p < 1 << 31:
-        raise ValueError("prime out of range")
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _rref_modp_nb(a, p)
-    return _rref_modp_py(a, p)
-
-
-def set_threads(count: int) -> None:
-    """Cap numba's thread pool (no kernel here is parallel at present)."""
-    if HAVE_NUMBA and count > 0:
-        numba.set_num_threads(min(count, numba.config.NUMBA_NUM_THREADS))
 
 
 def project_stream(swaps, gidx, gsgn, rgen, x):

@@ -1,16 +1,19 @@
-"""Exact linear algebra: sparse rational matrices, small exact and modular
-rank computations, and certified integer kernels.
+"""Exact linear algebra over the integers: a sparse integer matrix type for
+the boundaries, and one certified elimination core.
 
-Large kernels are found modulo several word-sized primes, glued with CRT,
-lifted to rationals, and then verified exactly, so every returned rank comes
-with a proof: the modular rank is a lower bound and the verified kernel gives
-the matching upper bound.
+Every exact result comes from ``kernel_exact``: the matrix is row reduced
+modulo word-sized primes (``kernels.rref_modp``), the kernel residues are
+glued with CRT and lifted to rationals, and the lifted kernel is verified
+exactly in integers.  The rank mod p is a lower bound and the verified kernel
+gives the matching upper bound.  ``rank_exact`` (one prime certifies full
+rank), ``pivot_columns`` and ``solve_exact`` are thin layers over it.  Inputs
+must be integer matrices: a non-integer entry raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -41,8 +44,9 @@ class RankCertificateError(RuntimeError):
     """Raised when the modular/exact certification loop cannot close."""
 
 
-class SparseRationalMatrix:
-    """Dict-of-entries sparse matrix over Q with a plain text triplet format."""
+class SparseIntMatrix:
+    """Dict-of-entries sparse matrix of Python ints with a plain text
+    ``r c v`` triplet format."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
@@ -61,20 +65,20 @@ class SparseRationalMatrix:
         return len(self.data)
 
     def __getitem__(self, key):
-        return self.data.get(key, Fraction(0))
+        return self.data.get(key, 0)
 
     def __setitem__(self, key, value):
         r, c = key
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(key)
-        v = Fraction(value)
+        v = _as_int(value)
         if v:
             self.data[r, c] = v
         else:
             self.data.pop(key, None)
 
     def __eq__(self, other):
-        if not isinstance(other, SparseRationalMatrix):
+        if not isinstance(other, SparseIntMatrix):
             return NotImplemented
         return self.shape == other.shape and self.data == other.data
 
@@ -84,66 +88,33 @@ class SparseRationalMatrix:
     def entries(self):
         return self.data.items()
 
-    def columns(self):
-        """Column-major view: {col: [(row, value), ...]}."""
-        out: dict = {}
-        for (r, c), v in self.data.items():
-            out.setdefault(c, []).append((r, v))
-        return out
-
-    def transpose(self):
-        t = SparseRationalMatrix(self.cols, self.rows)
-        for (r, c), v in self.data.items():
-            t.data[c, r] = v
-        return t
-
-    def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
+    def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = SparseRationalMatrix(self.rows, other.cols)
-        mine = self.columns()
+        mine: dict = {}
+        for (r, k), w in self.data.items():
+            mine.setdefault(k, []).append((r, w))
         acc: dict = {}
         for (k, c), v in other.data.items():
-            col = mine.get(k)
-            if not col:
-                continue
-            for r, w in col:
-                key = (r, c)
-                acc[key] = acc.get(key, Fraction(0)) + w * v
-        out.data = {k: v for k, v in acc.items() if v}
-        return out
-
-    def dot_dense(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by a dense object-dtype matrix of ints/Fractions."""
-        if x.shape[0] != self.cols:
-            raise ValueError("shape mismatch")
-        out = np.zeros((self.rows,) + x.shape[1:], dtype=object)
-        for (r, c), v in self.data.items():
-            out[r] += v * x[c]
+            for r, w in mine.get(k, ()):
+                acc[r, c] = acc.get((r, c), 0) + w * v
+        out = SparseIntMatrix(self.rows, other.cols)
+        out.data = {key: v for key, v in acc.items() if v}
         return out
 
     def to_int64(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
         for (r, c), v in self.data.items():
-            if v.denominator != 1:
-                raise ValueError("matrix has non-integer entries")
-            out[r, c] = int(v)
-        return out
-
-    def to_object(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=object)
-        for (r, c), v in self.data.items():
-            out[r, c] = int(v) if v.denominator == 1 else v
+            out[r, c] = v
         return out
 
     def write(self, fh) -> None:
         fh.write(f"{self.rows} {self.cols} {self.nnz}\n")
         for (r, c) in sorted(self.data):
-            v = self.data[r, c]
-            fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
+            fh.write(f"{r} {c} {self.data[r, c]}\n")
 
     @classmethod
-    def read(cls, fh) -> "SparseRationalMatrix":
+    def read(cls, fh) -> "SparseIntMatrix":
         """Parse the format `write` emits; ValueError for any malformed file."""
         head = fh.readline().split()
         if len(head) != 3:
@@ -154,59 +125,42 @@ class SparseRationalMatrix:
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise ValueError("truncated matrix data")
+            r, c, v = map(int, parts)
             try:
-                r, c = int(parts[0]), int(parts[1])
-                num, den = parts[2].split("/")
-                m[r, c] = Fraction(int(num), int(den))
-            except (IndexError, ZeroDivisionError) as exc:
+                m[r, c] = v
+            except IndexError as exc:
                 raise ValueError(f"bad matrix entry {parts!r}") from exc
         return m
 
-    @classmethod
-    def from_dense(cls, arr) -> "SparseRationalMatrix":
-        arr = np.asarray(arr, dtype=object)
-        m = cls(arr.shape[0], arr.shape[1])
-        for r in range(arr.shape[0]):
-            for c in range(arr.shape[1]):
-                if arr[r, c]:
-                    m.data[r, c] = Fraction(arr[r, c])
-        return m
+
+def _as_int(v) -> int:
+    """v as a Python int; ValueError unless its value is an integer."""
+    try:
+        out = int(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{v!r} is not an integer") from exc
+    if out != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return out
 
 
-def rref_exact(rows):
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+def _integer_array(mat) -> np.ndarray:
+    """mat as a dense 2-D integer array: int64, or object holding Python ints.
+    ValueError for any entry whose value is not an integer, so no certificate
+    is ever checked against a truncated copy of the input."""
+    if isinstance(mat, SparseIntMatrix):
+        return mat.to_int64()
+    arr = np.asarray(mat)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if np.issubdtype(arr.dtype, np.signedinteger):
+        return arr.astype(np.int64, copy=False)
+    return np.array([_as_int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
 
-    ``rows`` is a 2-D array or a list of equal-length rows of ints or
-    Fractions; numpy integers are widened to Python ints first.
-    Returns (rank, pivot_cols, reduced): ``reduced`` holds the ``rank``
-    nonzero rows of the RREF as Fraction lists, with a 1 at
-    ``reduced[i][pivot_cols[i]]`` and zeros elsewhere in the pivot columns.
-    Meant for small matrices: rows are dense Fraction lists, and zero
-    multipliers and zero pivot-row entries are skipped.
-    """
-    dense = np.asarray(rows, dtype=object).tolist()
-    work = [[Fraction(v) for v in row] for row in dense]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        pr = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        inv = 1 / work[rank][col]
-        prow = [v * inv if v else v for v in work[rank]]
-        work[rank] = prow
-        support = [j for j, v in enumerate(prow) if v]
-        for r, row in enumerate(work):
-            f = row[col]
-            if f and r != rank:
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-    return len(pivots), pivots, work[: len(pivots)]
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """An integer array reduced mod p, as a fresh int64 array."""
+    return np.mod(a, p).astype(np.int64)
 
 
 # |entries| and partial sums below this fit int64 with room for a sign
@@ -227,23 +181,8 @@ def int_matmul(a, b) -> np.ndarray:
 
 
 def rank_modp(mat, p: int) -> int:
-    a = _as_int64_modp(mat, p)
-    r, _ = rref_modp(a, p)
+    r, _ = rref_modp(_residues(_integer_array(mat), p), p)
     return r
-
-
-def _as_int64_modp(mat, p: int) -> np.ndarray:
-    if isinstance(mat, SparseRationalMatrix):
-        a = np.zeros((mat.rows, mat.cols), dtype=np.int64)
-        for (r, c), v in mat.entries():
-            if v.denominator % p == 0:
-                raise ValueError("denominator not invertible mod p")
-            a[r, c] = v.numerator * pow(v.denominator, -1, p) % p
-        return a
-    arr = np.asarray(mat)
-    if arr.dtype == object:
-        return np.array([[int(v) % p for v in row] for row in arr], dtype=np.int64)
-    return arr.astype(np.int64) % p
 
 
 def rational_reconstruction(a: int, m: int):
@@ -271,21 +210,6 @@ def _crt_pair(x1: int, m1: int, x2: int, m2: int):
     return (x1 + m1 * t) % (m1 * m2), m1 * m2
 
 
-def _sparse_rows(mat):
-    """Rows of an integer matrix as (col, value) lists, for cheap exact products."""
-    if isinstance(mat, SparseRationalMatrix):
-        rows = [[] for _ in range(mat.rows)]
-        for (r, c), v in mat.entries():
-            rows[r].append((c, int(v)))
-        return rows
-    arr = np.asarray(mat)
-    rows = []
-    for r in range(arr.shape[0]):
-        nz = [(int(c), int(arr[r, c])) for c in np.nonzero(arr[r])[0]]
-        rows.append(nz)
-    return rows
-
-
 def kernel_exact(mat, max_primes: int = len(PRIMES)):
     """Certified exact right kernel of an integer matrix.
 
@@ -293,13 +217,13 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
     Fraction array in reduced echelon shape: kernel[free[j], i] is 1 when
     i == j and 0 otherwise, so rows at the free columns form an identity.
     The rank is exact: mod-p rank is a lower bound, and the verified kernel
-    certifies the nullity from above.
+    certifies the nullity from above.  The pivots are exact too: they are
+    independent mod p, hence over Q, and the verified kernel writes each free
+    column as a combination of earlier pivot columns.  ValueError for any
+    non-integer entry.
     """
-    if isinstance(mat, SparseRationalMatrix):
-        nrows, ncols = mat.shape
-    else:
-        mat = np.asarray(mat)
-        nrows, ncols = mat.shape
+    a = _integer_array(mat)
+    nrows, ncols = a.shape
     if ncols == 0 or nrows == 0:
         free = np.arange(ncols)
         kern = np.zeros((ncols, ncols), dtype=object)
@@ -311,22 +235,22 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
     residue = None
     modulus = 1
     for p in PRIMES[:max_primes]:
-        a = _as_int64_modp(mat, p)
-        rank, pivots = rref_modp(a, p)
-        if best is None or rank > best[0]:
+        red = _residues(a, p)
+        rank, pivots = rref_modp(red, p)
+        # mod p, the rank can only drop and each pivot only move right, so
+        # the highest rank with the least pivots is the one to lift
+        if best is None or (rank, tuple(-pivots)) > (best[0], tuple(-best[1])):
             best = (rank, pivots)
-            residue, modulus = None, 1  # restart accumulation at the higher rank
+            residue, modulus = None, 1  # restart accumulation at the better prime
         if rank < best[0] or not np.array_equal(pivots, best[1]):
             continue  # unlucky prime, skip it
         if rank == ncols:
             return rank, np.zeros((ncols, 0), dtype=object), pivots, np.empty(0, dtype=np.int64)
-        free = np.setdiff1d(np.arange(ncols), pivots)
+        free = np.delete(np.arange(ncols), pivots)
         # kernel residues mod p from the reduced rows
         kp = np.zeros((ncols, free.size), dtype=np.int64)
-        for j, f in enumerate(free):
-            kp[f, j] = 1
-            for i in range(rank):
-                kp[pivots[i], j] = (-a[i, f]) % p
+        kp[free, np.arange(free.size)] = 1
+        kp[pivots] = (-red[:rank, free]) % p
         if residue is None:
             residue = kp.astype(object)
             modulus = p
@@ -340,7 +264,7 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
         lifted = _lift_matrix(residue, modulus)
         if lifted is None:
             continue
-        if _verify_kernel(mat, lifted, nrows):
+        if _verify_kernel(a, lifted):
             return best[0], lifted, pivots, free
     raise RankCertificateError("kernel reconstruction did not converge")
 
@@ -356,59 +280,54 @@ def _lift_matrix(residue, modulus):
     return out
 
 
-def _verify_kernel(mat, kern, nrows) -> bool:
-    rows = _sparse_rows(mat)
-    width = kern.shape[1]
-    for r in range(nrows):
-        acc = [Fraction(0)] * width
-        for c, v in rows[r]:
-            kr = kern[c]
-            for j in range(width):
-                if kr[j]:
-                    acc[j] += v * kr[j]
-        if any(acc):
-            return False
-    return True
+def _verify_kernel(a, kern) -> bool:
+    """Whether a @ kern == 0 exactly: each column of kern is scaled by the lcm
+    of its denominators, and the product is taken in integers."""
+    scaled = np.empty(kern.shape, dtype=object)
+    for j in range(kern.shape[1]):
+        col = kern[:, j]
+        scale = lcm(*(v.denominator for v in col))
+        scaled[:, j] = [v.numerator * (scale // v.denominator) for v in col]
+    return not int_matmul(a, scaled).any()
 
 
-_SMALL_LIMIT = 48
+def pivot_columns(mat) -> np.ndarray:
+    """Exact pivot columns of an integer matrix (those of its reduced row
+    echelon form over Q), as certified by ``kernel_exact``."""
+    return kernel_exact(mat)[2]
+
+
+def solve_exact(a, b) -> np.ndarray:
+    """The exact X with a[rows] @ X = b[rows], as a Fraction array, for an
+    integer matrix a of full column rank.  rows are the pivot columns of a^T
+    mod PRIMES[0]: a[rows] is invertible mod p, so its determinant is a
+    nonzero integer.  X is the top block of the verified kernel [X; I] of
+    [a[rows] | -b[rows]].  The other rows of a @ X = b are the caller's to
+    check; ValueError when a has no invertible row block mod p.
+    """
+    a, b = _integer_array(a), _integer_array(b)
+    width = a.shape[1]
+    rank, rows = rref_modp(_residues(a.T, PRIMES[0]), PRIMES[0])
+    if rank < width:
+        raise ValueError("no row block of the matrix is invertible mod p")
+    _, kern, _, _ = kernel_exact(np.hstack([a[rows].astype(object), -b[rows].astype(object)]))
+    return kern[:width]
 
 
 def rank_exact(mat) -> int:
-    """Exact rank.  Small matrices use exact Gauss-Jordan elimination
-    cross-checked against two primes; large ones use the certified modular
-    kernel."""
-    if isinstance(mat, SparseRationalMatrix):
-        nrows, ncols = mat.shape
-    else:
-        mat = np.asarray(mat)
-        nrows, ncols = mat.shape
-    if nrows == 0 or ncols == 0:
+    """Exact rank.  One prime certifies full rank, as the rank mod p is a
+    lower bound; otherwise the verified kernel of ``kernel_exact`` certifies
+    it.  ValueError for any non-integer entry."""
+    a = _integer_array(mat)
+    if 0 in a.shape:
         return 0
-    if min(nrows, ncols) <= _SMALL_LIMIT and nrows * ncols <= 20000:
-        dense = mat.to_object() if isinstance(mat, SparseRationalMatrix) else mat
-        r, _, _ = rref_exact(dense)
-        for p in PRIMES[:2]:
-            rp = rank_modp(mat, p)
-            if rp != r:
-                raise RankCertificateError("modular cross-check disagrees with exact rank")
+    r = rank_modp(a, PRIMES[0])
+    if r == min(a.shape):
         return r
-    r = max(rank_modp(mat, p) for p in PRIMES[:2])
-    if r == min(nrows, ncols):
-        return r  # full rank is certified by a single prime already
-    rank, _, _, _ = kernel_exact(mat)
-    return rank
+    return kernel_exact(a)[0]
 
 
 def is_surjective(mat) -> bool:
     """Whether the matrix has full row rank (one prime certifies 'yes')."""
-    if isinstance(mat, SparseRationalMatrix):
-        nrows = mat.rows
-    else:
-        mat = np.asarray(mat)
-        nrows = mat.shape[0]
-    if nrows == 0:
-        return True
-    if rank_modp(mat, PRIMES[0]) == nrows:
-        return True
-    return rank_exact(mat) == nrows
+    a = _integer_array(mat)
+    return rank_exact(a) == a.shape[0]

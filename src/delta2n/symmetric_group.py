@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .linalg import int_matmul, rref_exact
+from .linalg import int_matmul, solve_exact
 
 
 class NotACharacterError(ValueError):
@@ -359,8 +359,8 @@ def _polytabloid(tab, n, index_of):
 
 
 def _dense_columns(cols, nrows):
-    """Object matrix whose column j is the sparse column dict cols[j]."""
-    out = np.zeros((nrows, len(cols)), dtype=object)
+    """int64 matrix whose column j is the sparse column dict cols[j]."""
+    out = np.zeros((nrows, len(cols)), dtype=np.int64)
     for j, col in enumerate(cols):
         for r, v in col.items():
             out[r, j] = v
@@ -384,45 +384,31 @@ class SpechtRep:
             raise AssertionError("tableau count does not match hook formula")
         index_of = {}
         ecols = [_polytabloid(t, self.n, index_of) for t in self.tableaux]
-        # pivot columns of E^T pick the tabloid rows where E is invertible
-        rank, self._solve_rows, _ = rref_exact(_dense_columns(ecols, len(index_of)).T)
-        if rank != self.dim:
-            raise ValueError("polytabloid columns are dependent")
-        self._index_of = index_of
-        self._ecols = ecols
-        self.generators = tuple(
-            self._solve_action(self._swap_perm(j)) for j in range(self.n - 1)
-        )
+        # s_j . e_t = e_{s_j t}: relabel the expansion of e_t by s_j, which
+        # swaps the rows of j and j+1 in each tabloid
+        keys = list(index_of)
+        images = [
+            [
+                index_of.setdefault(k[:j] + (k[j + 1], k[j]) + k[j + 2 :], len(index_of))
+                for k in keys
+            ]
+            for j in range(self.n - 1)
+        ]
+        e_dense = _dense_columns(ecols, len(index_of))
+        self.generators = tuple(self._solve_action(e_dense, ecols, image) for image in images)
         self._cache = {identity_perm(self.n): np.eye(self.dim, dtype=np.int64)}
 
-    def _swap_perm(self, j):
-        p = list(range(self.n))
-        p[j], p[j + 1] = p[j + 1], p[j]
-        return tuple(p)
-
-    def _solve_action(self, perm):
-        # images p . e_t = e_{p.t} expanded over tabloids, then solved
-        # against the known polytabloid columns
-        index_of = self._index_of
-        bcols = []
-        for tab in self.tableaux:
-            moved = tuple(tuple(perm[x] for x in row) for row in tab)
-            bcols.append(_polytabloid(moved, self.n, index_of))
-        d = self.dim
-        e_dense = _dense_columns(self._ecols, len(index_of))
-        b_dense = _dense_columns(bcols, len(index_of))
-        rows = self._solve_rows
-        # E[rows] is invertible, so the rref of [E[rows] | B[rows]] is [I | X]
-        _, _, reduced = rref_exact(np.hstack([e_dense[rows], b_dense[rows]]))
-        mat = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                x = reduced[i][d + j]
-                if x.denominator != 1:
-                    raise AssertionError("non-integral Specht matrix entry")
-                mat[i, j] = int(x)
-        check = e_dense @ mat.astype(object)
-        if not np.array_equal(check, b_dense):
+    @staticmethod
+    def _solve_action(e_dense, ecols, image):
+        """The integer X with E X = B, where column j of B is the expansion of
+        e_{t_j} with tabloid i relabeled to image[i]."""
+        bcols = [{image[i]: v for i, v in col.items()} for col in ecols]
+        b_dense = _dense_columns(bcols, e_dense.shape[0])
+        x = solve_exact(e_dense, b_dense)
+        if any(v.denominator != 1 for v in x.flat):
+            raise AssertionError("non-integral Specht matrix entry")
+        mat = np.array([v.numerator for v in x.flat], dtype=np.int64).reshape(x.shape)
+        if not np.array_equal(int_matmul(e_dense, mat), b_dense):
             raise AssertionError("polytabloid action solve failed")
         return mat
 

@@ -177,16 +177,6 @@ def test_analyze_d25(capsys):
 # determinism and caching
 
 
-def test_thread_count_invariant_payload(capsys):
-    _, a, _ = _run(
-        capsys, "characters", "--n", "4", "--format", "json", "--threads", "1"
-    )
-    _, b, _ = _run(
-        capsys, "characters", "--n", "4", "--format", "json", "--threads", "6"
-    )
-    assert _payload(a) == _payload(b)
-
-
 def test_seed_changes_metadata_not_results(capsys):
     _, a, _ = _run(
         capsys, "characters", "--n", "5", "--format", "json", "--seed", "3"
@@ -217,8 +207,8 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
 
 
 def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
-    # the kernel-trace method asks for d_7 twice (characters, then verify's
-    # method agreement); the boundary is built once and cached once
+    # the kernel-trace oracle reads d_7 from the --cache dir: it is built
+    # once and cached once
     monkeypatch.delenv(CACHE_ENV, raising=False)
     built = []
     real = chain_complex._build_matrix
@@ -275,12 +265,6 @@ def test_n_out_of_range(capsys):
 
 def test_unknown_command(capsys):
     assert _run(capsys, "frobnicate")[0] == 1
-
-
-def test_bad_thread_count(capsys):
-    status, _, err = _run(capsys, "betti", "--n", "4", "--threads", "0")
-    assert status == 1
-    assert "threads" in err
 
 
 def test_negative_seed_rejected(capsys):
@@ -410,3 +394,25 @@ def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
     payload = _failed_verify_payload(err)
     assert all(entry["ok"] for entry in payload["euler_check"])
     assert payload["method_agreement"] is False
+
+
+def test_kernel_trace_verify_compares_with_the_projection_method(capsys, monkeypatch):
+    # with --method kernel-trace the oracle is the method, so agreement must
+    # check it against the projection method, and run the oracle only once
+    real_top = cli.homology_character_top
+    monkeypatch.setattr(
+        cli, "homology_character_top", lambda *args: _plus_trivial(real_top(*args))
+    )
+    calls = []
+    real_oracle = cli.kernel_character_oracle
+    monkeypatch.setattr(
+        cli, "kernel_character_oracle", lambda *args: calls.append(args) or real_oracle(*args)
+    )
+    status, _, err = _run(
+        capsys, "verify", "--n", "5", "--method", "kernel-trace", "--format", "json"
+    )
+    assert status == 2
+    payload = _failed_verify_payload(err)
+    assert all(entry["ok"] for entry in payload["euler_check"])
+    assert payload["method_agreement"] is False
+    assert len(calls) == 1

@@ -15,7 +15,7 @@ from delta2n.d25_analysis import (
     orbit_basis,
     projection_on_kernel,
 )
-from delta2n.linalg import SparseRationalMatrix, rank_exact
+from delta2n.linalg import rank_exact
 from delta2n.symmetric_group import partitions_of, specht_matrices
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -96,7 +96,7 @@ def test_equivariant_isomorphism():
     vb = orbit_basis(find_isotypic_cycle())
     h0 = equivariant_isomorphism(vb)
     assert h0.shape == (6, 6)
-    assert rank_exact(SparseRationalMatrix.from_dense(h0)) == 6
+    assert rank_exact(h0) == 6
     mags = {abs(int(t)) for row in h0 for t in row}
     assert len(mags) == 1  # constant-magnitude sign pattern
 
@@ -124,4 +124,4 @@ def test_reference_intertwiner_matrix():
     h = _load_matrix("reference_intertwiner_6x6.txt")
     assert h.shape == (6, 6)
     assert set(np.abs(h).ravel().tolist()) == {20}
-    assert rank_exact(SparseRationalMatrix.from_dense(h.astype(object))) == 6
+    assert rank_exact(h) == 6

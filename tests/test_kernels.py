@@ -4,7 +4,6 @@ from math import factorial
 import numpy as np
 import pytest
 
-from delta2n import kernels
 from delta2n.kernels import project_stream, rref_modp
 from delta2n.symmetric_group import inverse, sjt_swaps, specht_matrices
 
@@ -62,23 +61,6 @@ def _run_stream(n, lam, x):
     gidx, gsgn = _pairs_tables(n)
     rgen = np.stack(rep.generators)
     return project_stream(swaps, gidx, gsgn, rgen, x)
-
-
-def test_rref_numba_and_python_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba disabled")
-    rng = np.random.default_rng(5)
-    p = 2147483647
-    for _ in range(12):
-        rows = int(rng.integers(1, 12))
-        cols = int(rng.integers(1, 12))
-        a = rng.integers(-40, 40, size=(rows, cols)).astype(np.int64)
-        a1, a2 = a.copy(), a.copy()
-        r1, p1 = kernels._rref_modp_py(a1, p)
-        r2, p2 = kernels._rref_modp_nb(a2, p)
-        assert r1 == r2
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(a1, a2)
 
 
 def test_rref_rank_matches_exact():

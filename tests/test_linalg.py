@@ -6,14 +6,15 @@ import pytest
 
 from delta2n.linalg import (
     PRIMES,
-    SparseRationalMatrix,
+    SparseIntMatrix,
     int_matmul,
     is_surjective,
     kernel_exact,
+    pivot_columns,
     rank_exact,
     rank_modp,
     rational_reconstruction,
-    rref_exact,
+    solve_exact,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -29,31 +30,36 @@ def _sympy_rank(a):
     return sympy.Matrix(np.asarray(a, dtype=object).tolist()).rank()
 
 
+def _sparse(a):
+    return SparseIntMatrix(a.shape[0], a.shape[1], {(r, c): a[r, c] for r, c in zip(*np.nonzero(a))})
+
+
 def test_sparse_roundtrip():
-    m = SparseRationalMatrix(3, 4)
-    m[0, 1] = Fraction(2, 3)
+    m = SparseIntMatrix(3, 4)
+    m[0, 1] = 2
     m[2, 0] = -5
-    m[1, 3] = Fraction(-7, 11)
+    m[1, 3] = np.int64(-7)
     buf = io.StringIO()
     m.write(buf)
     buf.seek(0)
-    back = SparseRationalMatrix.read(buf)
+    back = SparseIntMatrix.read(buf)
     assert back == m
     assert back.shape == (3, 4) and back.nnz == 3
+    assert all(type(v) is int for _, v in back.entries())
 
 
 def test_sparse_header_format():
-    m = SparseRationalMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+    m = SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): -2})
     buf = io.StringIO()
     m.write(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "2 2 2"
-    assert lines[1] == "0 0 1/1"
-    assert lines[2] == "1 1 1/2"
+    assert lines[1] == "0 0 1"
+    assert lines[2] == "1 1 -2"
 
 
 def test_sparse_setitem_drops_zero():
-    m = SparseRationalMatrix(2, 2, {(0, 0): 3})
+    m = SparseIntMatrix(2, 2, {(0, 0): 3})
     m[0, 0] = 0
     assert m.is_zero()
     with pytest.raises(IndexError):
@@ -64,55 +70,74 @@ def test_sparse_matmul_matches_dense():
     rng = np.random.default_rng(1)
     a = rng.integers(-3, 4, size=(4, 5))
     b = rng.integers(-3, 4, size=(5, 3))
-    sa = SparseRationalMatrix.from_dense(a)
-    sb = SparseRationalMatrix.from_dense(b)
-    assert np.array_equal(sa.matmul(sb).to_object(), (a @ b).astype(object))
-
-
-def test_sparse_dot_dense():
-    rng = np.random.default_rng(2)
-    a = rng.integers(-3, 4, size=(4, 6))
-    x = rng.integers(-9, 10, size=(6, 2)).astype(object)
-    sa = SparseRationalMatrix.from_dense(a)
-    assert np.array_equal(sa.dot_dense(x), a.astype(object) @ x)
+    assert np.array_equal(_sparse(a).matmul(_sparse(b)).to_int64(), a @ b)
 
 
 def test_sparse_to_int64_rejects_fractions():
-    m = SparseRationalMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+    # the matrix holds Python ints only, so no fraction can reach to_int64
     with pytest.raises(ValueError):
-        m.to_int64()
+        SparseIntMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+    m = SparseIntMatrix(1, 1, {(0, 0): Fraction(4, 2)})
+    assert type(m[0, 0]) is int and m.to_int64().tolist() == [[2]]
 
 
-def test_sparse_transpose():
-    m = SparseRationalMatrix(2, 3, {(0, 2): 7, (1, 0): Fraction(1, 3)})
-    t = m.transpose()
-    assert t.shape == (3, 2)
-    assert t[2, 0] == 7 and t[0, 1] == Fraction(1, 3)
-
-
-def test_rref_exact_rank_random():
+def test_pivot_columns_random():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = _random_rank(rng, rows, cols, r) if r else np.zeros((rows, cols), np.int64)
-        rank, pivots, reduced = rref_exact(a)
-        assert rank == _sympy_rank(a)
+        pivots = pivot_columns(a)
+        assert len(pivots) == _sympy_rank(a)
         want, want_pivots = sympy.Matrix(a.tolist()).rref()
         assert tuple(pivots) == want_pivots
-        want_rows = [[Fraction(int(v.p), int(v.q)) for v in want.row(i)] for i in range(rank)]
-        assert reduced == want_rows
+        # the kernel is read off the reduced rows: -R[i, f] at pivot i
+        rank, kern, _, free = kernel_exact(a)
+        for i in range(rank):
+            for j, f in enumerate(free):
+                v = want[i, int(f)]
+                assert kern[pivots[i], j] == -Fraction(int(v.p), int(v.q))
 
 
-def test_rref_exact_rank_fractions():
-    m = SparseRationalMatrix(2, 3)
-    m[0, 0] = Fraction(1, 2)
-    m[0, 1] = Fraction(1, 3)
-    m[1, 0] = Fraction(3, 2)
-    m[1, 1] = 1
+def test_rank_exact_rejects_non_integer_entries():
+    # a truncated copy would certify k = (1, 0) as a kernel of [[1/2, 1/2]]
+    half = [[Fraction(1, 2), Fraction(1, 2)]]
+    with pytest.raises(ValueError):
+        kernel_exact(half)
+    with pytest.raises(ValueError):
+        rank_modp(half, PRIMES[0])
     # second row is three times the first
-    assert rref_exact(m.to_object())[0] == 1
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    with pytest.raises(ValueError):
+        rank_exact(m)
+    with pytest.raises(ValueError):
+        rank_exact(np.array([[0.5, 1.0]]))
+    assert rank_exact([[Fraction(2, 1), 4], [1, 2]]) == 1
+
+
+def test_rank_exact_single_prime_path_survives_an_unlucky_prime():
+    # rank 1 mod PRIMES[0]: the one-prime shortcut fails, kernel_exact's
+    # verification rejects the mod-p kernel, and the next prime gives rank 2
+    assert rank_exact([[PRIMES[0], 0], [0, 1]]) == 2
+    rank, kern, _, _ = kernel_exact([[PRIMES[0], 0], [0, 1]])
+    assert rank == 2 and kern.shape == (2, 0)
+    # the right rank mod PRIMES[0] but the wrong pivot (1, not 0): a later
+    # prime with the lesser pivot must replace it
+    assert list(pivot_columns([[PRIMES[0], 1, 1]])) == [0]
+
+
+def test_solve_exact_uses_an_invertible_row_block():
+    rng = np.random.default_rng(12)
+    # the first two rows are zero, so the solve rows must skip them
+    a = np.vstack([np.zeros((2, 4), np.int64), _random_rank(rng, 6, 4, 4)])
+    x = np.array(
+        [[Fraction(int(v), 7) for v in row] for row in rng.integers(-9, 10, size=(4, 3))]
+    )
+    b = a.astype(object).dot(7 * x)
+    assert np.array_equal(solve_exact(7 * a, b), x)
+    with pytest.raises(ValueError):
+        solve_exact(np.ones((3, 2), np.int64), np.zeros((3, 1), np.int64))
 
 
 def test_rank_modp_generic():
@@ -175,14 +200,14 @@ def test_kernel_exact_zero_matrix():
 
 
 def test_kernel_exact_sparse_input():
-    m = SparseRationalMatrix(3, 4)
+    m = SparseIntMatrix(3, 4)
     m[0, 0] = 1
     m[0, 3] = -2
     m[1, 1] = 1
     m[1, 3] = 5
     rank, kern, _, free = kernel_exact(m)
     assert rank == 2 and kern.shape == (4, 2)
-    assert m.dot_dense(kern).tolist() == [[0, 0], [0, 0], [0, 0]]
+    assert m.to_int64().astype(object).dot(kern).tolist() == [[0, 0], [0, 0], [0, 0]]
 
 
 def test_rank_exact_small_and_large():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -155,6 +156,25 @@ def test_specht_generator_involutions():
         eye = np.eye(rep.dim, dtype=np.int64)
         for g in rep.generators:
             assert np.array_equal(g @ g, eye)
+
+
+# SHA-256 over the generators of every lambda |- n, computed with the
+# Fraction Gauss-Jordan solve that re-expanded each moved polytabloid
+SPECHT_DIGESTS = {
+    4: "f209ea0a7cf34f8476caace0e47b1d275f7c87d456c8411b03f20d275b804eab",
+    5: "4306fa39d7da6b14cfaa3bbae401bf99c44fce74b01f6b7a9b4bce7e4431757a",
+    6: "ca5730b655c9e9eba400cbef211bf137fcf7e67b41656c05676d159eba54e441",
+    7: "87db008b56b11b60572fc28e26a824e9b44321c0f782774a73d8f46003c2665c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SPECHT_DIGESTS))
+def test_specht_generators_digest(n):
+    h = hashlib.sha256()
+    for lam in partitions_of(n):
+        for g in specht_matrices(lam).generators:
+            h.update(f"{lam} {g.dtype} {g.shape} {g.tolist()}\n".encode())
+    assert h.hexdigest() == SPECHT_DIGESTS[n]
 
 
 def test_specht_multiplicative_random_triples():
