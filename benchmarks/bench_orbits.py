@@ -2,7 +2,8 @@
 top character, and the whole CLI run.
 
 Each (stage, n) pair runs in a fresh interpreter, so no stage sees another's
-memos.  The stages are:
+memos.  Every stage runs for n = 5, 6, 7; specht, top and cli also for n = 8.
+The stages are:
 
     specht            specht_matrices for every lambda of n
     chain_characters  chain_character for degrees n, n+1, n+2
@@ -18,7 +19,7 @@ change hits both alike; which side goes first flips every repeat.  A child
 that runs past `--timeout` seconds is stopped and recorded as timed out, and
 that (side, stage, n) is not retried.
 
-    python3 benchmarks/bench_orbits.py --before ../parent --out BENCH_orbits.json
+    python3 benchmarks/bench_orbits.py --before ../parent --out BENCH_specht.json
 """
 
 import argparse
@@ -33,7 +34,7 @@ from pathlib import Path
 
 STAGES = tuple(
     (stage, n) for n in (5, 6, 7) for stage in ("specht", "chain_characters", "top", "cli")
-)
+) + tuple((stage, 8) for stage in ("specht", "top", "cli"))
 
 
 def run_stage(stage, n):

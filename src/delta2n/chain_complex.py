@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import linalg, theta_graphs
-from .linalg import SparseIntMatrix
+from .linalg import InternalConsistencyError, SparseIntMatrix
 from .symmetric_group import hook_dimension
 from .theta_graphs import (
     Degenerate,
@@ -32,10 +32,6 @@ from .theta_graphs import (
 
 # default of the CLI's --cache; the library does not read it
 CACHE_ENV = "DELTA2N_CACHE_DIR"
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural identity failed: points at an enumeration or sign bug."""
 
 
 class ChainBasis(NamedTuple):

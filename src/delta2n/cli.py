@@ -406,7 +406,7 @@ def run(config: RunConfig):
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 13 s and 125 MB for characters, betti or verify; about "
+            "VM: about 5 s and 125 MB for characters, betti or verify; about "
             "14 s and 250 MB for complex)",
             file=sys.stderr,
         )

@@ -31,7 +31,7 @@ from .chain_complex import (
     chain_orbits,
     vanishes,
 )
-from .linalg import int_matmul, kernel_exact, pivot_columns, rank_exact
+from .linalg import independent_columns, int_matmul, kernel_exact, rank_exact
 from .symmetric_group import (
     ClassFunction,
     NotACharacterError,
@@ -125,16 +125,24 @@ def chain_character(n, p) -> ClassFunction:
 @cache
 def multiplicity_space(lam, rep) -> np.ndarray:
     """Integer columns spanning W = {v in S^lam : rho(h) v = eps(h) v on the
-    stabilizer of rep}: the pivot columns of P = sum_h eps(h) rho(h).
+    stabilizer of rep}: independent columns of P = sum_h eps(h) rho(h).
 
-    P^2 = |H| P is checked, so P / |H| is the projection onto W.
+    P^2 = |H| P is checked, so P / |H| is the projection onto W, and
+    dim W = rank P = tr P / |H| exactly; no kernel is lifted.
     """
     rho = specht_matrices(lam)
     stab = signed_stabilizer(rep)
-    proj = sum(eps * rho.matrix(h).astype(object) for h, eps in stab)
-    if not np.array_equal(int_matmul(proj, proj), len(stab) * proj):
+    signs = np.array([[eps for _, eps in stab]])
+    proj = int_matmul(signs, np.stack([rho.matrix(h).ravel() for h, _ in stab]))
+    proj = proj.reshape(rho.dim, rho.dim)
+    square = int_matmul(proj, proj)
+    # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well
+    if not np.array_equal(square, len(stab) * proj.astype(square.dtype)):
         raise InternalConsistencyError(f"stabilizer of {rep} does not give a projection")
-    return proj[:, pivot_columns(proj)]
+    rank, rest = divmod(int(np.trace(proj)), len(stab))
+    if rest:
+        raise InternalConsistencyError(f"projection of the stabilizer of {rep} has trace not in |H| Z")
+    return proj[:, independent_columns(proj, rank)]
 
 
 # perfbench/tracer.py still traces this name, and perfbench/test_gate.py needs

@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers: a sparse integer matrix type for
 the boundaries, and one certified elimination core.
 
-Every exact result comes from ``kernel_exact``: the matrix is row reduced
-modulo word-sized primes (``kernels.rref_modp``), the kernel residues are
-glued with CRT and lifted to rationals, and the lifted kernel is verified
-exactly in integers.  The rank mod p is a lower bound and the verified kernel
-gives the matching upper bound.  ``rank_exact`` (one prime certifies full
-rank), ``pivot_columns`` and ``solve_exact`` are thin layers over it.  Inputs
-must be integer matrices: a non-integer entry raises ValueError.
+Every exact result rests on ``kernels.rref_modp``, row reduction modulo
+word-sized primes, whose rank is a lower bound on the rank over Q.
+``kernel_exact`` glues the kernel residues with CRT, lifts them to rationals
+and verifies the lifted kernel exactly in integers, which gives the matching
+upper bound.  ``rank_exact`` is a thin layer over it (one prime certifies full
+rank), and ``solve_exact``, which only ``d25_analysis`` uses, another.
+``independent_columns`` needs no kernel: its caller supplies the exact rank.
+Inputs must be integer matrices: a non-integer entry raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ PRIMES = (
 
 class RankCertificateError(RuntimeError):
     """Raised when the modular/exact certification loop cannot close."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural identity failed: points at an enumeration or sign bug."""
 
 
 class SparseIntMatrix:
@@ -214,13 +219,13 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
     """Certified exact right kernel of an integer matrix.
 
     Returns (rank, kernel, pivots, free) where kernel is a cols x nullity
-    Fraction array in reduced echelon shape: kernel[free[j], i] is 1 when
-    i == j and 0 otherwise, so rows at the free columns form an identity.
-    The rank is exact: mod-p rank is a lower bound, and the verified kernel
-    certifies the nullity from above.  The pivots are exact too: they are
-    independent mod p, hence over Q, and the verified kernel writes each free
-    column as a combination of earlier pivot columns.  ValueError for any
-    non-integer entry.
+    rational array (Python ints and Fractions) in reduced echelon shape:
+    kernel[free[j], i] is 1 when i == j and 0 otherwise, so rows at the free
+    columns form an identity.  The rank is exact: mod-p rank is a lower
+    bound, and the verified kernel certifies the nullity from above.  The
+    pivots are exact too: they are independent mod p, hence over Q, and the
+    verified kernel writes each free column as a combination of earlier pivot
+    columns.  ValueError for any non-integer entry.
     """
     a = _integer_array(mat)
     nrows, ncols = a.shape
@@ -252,9 +257,9 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
         kp[free, np.arange(free.size)] = 1
         kp[pivots] = (-red[:rank, free]) % p
         if residue is None:
-            residue = kp.astype(object)
-            modulus = p
+            residue, modulus = kp, p
         else:
+            residue = residue.astype(object)
             for r in range(ncols):
                 for c in range(free.size):
                     residue[r, c], _ = _crt_pair(
@@ -270,13 +275,19 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
 
 
 def _lift_matrix(residue, modulus):
-    out = np.empty(residue.shape, dtype=object)
-    for r in range(residue.shape[0]):
-        for c in range(residue.shape[1]):
-            v = rational_reconstruction(int(residue[r, c]), modulus)
-            if v is None:
-                return None
-            out[r, c] = v
+    """Rational lifts of a matrix of residues mod m, or None when an entry has
+    none.  A residue whose centered value c has |c| <= sqrt(m/2) lifts to c
+    itself (the lift within those bounds is unique, so Wang's algorithm
+    returns c too); those are taken in one pass, and only the rest go through
+    ``rational_reconstruction``.  Entries are Python ints or Fractions."""
+    half = modulus // 2
+    centered = np.where(residue > half, residue - modulus, residue)
+    out = centered.astype(object)
+    for idx in zip(*np.nonzero(np.abs(centered) > isqrt(half))):
+        v = rational_reconstruction(int(residue[idx]), modulus)
+        if v is None:
+            return None
+        out[idx] = v
     return out
 
 
@@ -291,14 +302,25 @@ def _verify_kernel(a, kern) -> bool:
     return not int_matmul(a, scaled).any()
 
 
-def pivot_columns(mat) -> np.ndarray:
-    """Exact pivot columns of an integer matrix (those of its reduced row
-    echelon form over Q), as certified by ``kernel_exact``."""
-    return kernel_exact(mat)[2]
+def independent_columns(mat, rank: int) -> np.ndarray:
+    """Indices of ``rank`` columns of an integer matrix that span its column
+    space over Q, given its exact rank: the pivot columns mod the first prime
+    of PRIMES whose rank mod p reaches ``rank``.  Columns independent mod p
+    are independent over Q, and ``rank`` independent columns span.
+    RankCertificateError when a rank mod p exceeds ``rank``, which is then
+    not the rank, or when every prime falls short of it."""
+    a = _integer_array(mat)
+    for p in PRIMES:
+        r, pivots = rref_modp(_residues(a, p), p)
+        if r > rank:
+            raise RankCertificateError(f"rank mod {p} is {r}, above the claimed rank {rank}")
+        if r == rank:
+            return pivots
+    raise RankCertificateError(f"no prime reaches the rank {rank}")
 
 
 def solve_exact(a, b) -> np.ndarray:
-    """The exact X with a[rows] @ X = b[rows], as a Fraction array, for an
+    """The exact X with a[rows] @ X = b[rows], as a rational array, for an
     integer matrix a of full column rank.  rows are the pivot columns of a^T
     mod PRIMES[0]: a[rows] is invertible mod p, so its determinant is a
     nonzero integer.  X is the top block of the verified kernel [X; I] of

@@ -1,5 +1,10 @@
 """Symmetric-group combinatorics: partitions, characters, Specht matrices.
 
+The Specht matrices are Young's natural representation, read off the
+standard-tabloid coefficients of the standard polytabloids by exact integer
+substitution, and certified by E X = B, the Coxeter relations and the
+character (``SpechtRep``).
+
 Partitions are weakly decreasing tuples of positive ints.  Conjugacy classes
 and irreducibles are both indexed by partitions, listed in ascending
 lexicographic order of the tuple, so e.g. for n=4 the class order is
@@ -14,11 +19,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from graphlib import CycleError, TopologicalSorter
 from math import factorial
 
 import numpy as np
 
-from .linalg import int_matmul, solve_exact
+from .linalg import InternalConsistencyError, int_matmul
 
 
 class NotACharacterError(ValueError):
@@ -293,6 +299,13 @@ def sjt_swaps(n: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Specht modules in Young's natural (polytabloid) basis
+#
+# The polytabloid e_t is the signed sum of the tabloids {pi t} over the column
+# permutations pi of t, and the standard polytabloids are a basis of S^lam.
+# The coefficient of the standard tabloid {t_i} in e_{t_k} is 1 when i = k,
+# and nonzero otherwise only when {t_k} strictly dominates {t_i} (Sagan, The
+# Symmetric Group, 2.5-2.6).  So the standard-tabloid rows alone determine
+# each generator, by integer substitution: no polytabloid is expanded.
 
 
 def standard_tableaux(lam):
@@ -318,53 +331,110 @@ def standard_tableaux(lam):
     return tabs
 
 
-def _tabloid_key(tab, n):
-    row_of = [0] * n
-    for r, row in enumerate(tab):
-        for x in row:
-            row_of[x] = r
-    return tuple(row_of)
+def _tabloid_coefficients(rows, tableaux):
+    """coef[i, k], the coefficient of tabloid i in e_{t_k}, for tabloids given
+    as rows[i, x] = the row holding x and tableaux t_k of one shape.  It is
+    nonzero exactly when the rows of each column of t_k, read downwards, are a
+    permutation of 0..len-1, and then it is the sign of that permutation: the
+    column permutation pi with {pi t_k} = tabloid i is unique."""
+    conj = conjugate_partition(tuple(len(row) for row in tableaux[0]))
+    reading = np.array(
+        [[t[r][c] for c, height in enumerate(conj) for r in range(height)] for t in tableaux]
+    )
+    first, second = [], []  # reading positions p < q within one column
+    start = 0
+    for height in conj:
+        for p, q in itertools.combinations(range(start, start + height), 2):
+            first.append(p)
+            second.append(q)
+        start += height
+    v = rows[:, reading]  # v[i, k, q]: the row, in tabloid i, of entry q of t_k
+    upper, lower = v[..., first], v[..., second]
+    ok = np.all(v < np.repeat(conj, conj), axis=-1) & np.all(upper != lower, axis=-1)
+    odd = np.sum(upper > lower, axis=-1) % 2
+    return np.where(ok, 1 - 2 * odd, 0).astype(np.int64)
 
 
-def _polytabloid(tab, n, index_of):
-    """Signed tabloid expansion of e_tab as {tabloid index: coefficient}."""
-    cols = []
-    ncols = max(len(row) for row in tab)
-    for c in range(ncols):
-        cols.append([row[c] for row in tab if len(row) > c])
-    vec = {}
-    for choice in itertools.product(*(itertools.permutations(col) for col in cols)):
-        sign = 1
-        sub = list(range(n))
-        for col, img in zip(cols, choice):
-            for x, y in zip(col, img):
-                sub[x] = y
-        # sign of the column permutation = product of per-column parities
-        for col, img in zip(cols, choice):
-            rank = {v: i for i, v in enumerate(col)}
-            arr = [rank[v] for v in img]
-            inv = sum(
-                1
-                for i in range(len(arr))
-                for j in range(i + 1, len(arr))
-                if arr[i] > arr[j]
-            )
-            if inv % 2:
-                sign = -sign
-        moved = tuple(tuple(sub[x] for x in row) for row in tab)
-        key = _tabloid_key(moved, n)
-        idx = index_of.setdefault(key, len(index_of))
-        vec[idx] = vec.get(idx, 0) + sign
-    return vec
+def _standard_coefficients(tableaux, n):
+    """E[i, k], the coefficient of {t_i} in e_{t_k}, and B = [B_0 | ... |
+    B_{n-2}] with B_j[i, k] the coefficient of s_j {t_i} in e_{t_k}.  Since
+    s_j e_{t_k} = sum_l X_j[l, k] e_{t_l}, reading off the coefficient of
+    {t_i} on both sides gives E X_j = B_j."""
+    d = len(tableaux)
+    rows = np.empty((d, n), dtype=np.int8)
+    for i, t in enumerate(tableaux):
+        for r, row in enumerate(t):
+            rows[i, list(row)] = r
+    moved = []
+    for j in range(n - 1):
+        # s_j {t_i} holds j where {t_i} holds j + 1, and the other way round
+        m = rows.copy()
+        m[:, [j, j + 1]] = rows[:, [j + 1, j]]
+        moved.append(m)
+    coef = _tabloid_coefficients(np.concatenate([rows, *moved]), tableaux)
+    b = coef[d:].reshape(n - 1, d, d).transpose(1, 0, 2).reshape(d, (n - 1) * d)
+    return coef[:d], b
 
 
-def _dense_columns(cols, nrows):
-    """int64 matrix whose column j is the sparse column dict cols[j]."""
-    out = np.zeros((nrows, len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            out[r, j] = v
+def _substitute(e, b):
+    """The integer X with E X = B, for E with unit diagonal whose support is
+    acyclic: each row of X is solved in a topological order of that support,
+    from rows already solved.  int_matmul keeps every step exact, and a row
+    too large for int64 raises OverflowError as it is stored."""
+    if not np.all(np.diagonal(e) == 1):
+        raise InternalConsistencyError("standard-tabloid coefficients lack a unit diagonal")
+    off = e - np.eye(e.shape[0], dtype=e.dtype)
+    support = [np.flatnonzero(row) for row in off]
+    try:
+        order = tuple(TopologicalSorter(dict(enumerate(support))).static_order())
+    except CycleError:
+        raise InternalConsistencyError(
+            "standard-tabloid coefficients are triangular in no order"
+        ) from None
+    x = np.zeros(b.shape, dtype=np.int64)
+    for i in order:
+        s = support[i]
+        x[i] = b[i] - int_matmul(off[i : i + 1, s], x[s])[0]
+    return x
+
+
+def _word_product(generators, perm, dim):
+    """rho(perm) as the product of the generators along its transposition word."""
+    out = np.eye(dim, dtype=np.int64)
+    for j in reversed(transposition_word(perm)):
+        out = int_matmul(out, generators[j])
     return out
+
+
+def _check_coxeter(lam, generators):
+    """Raise unless (s_i s_j)^m = 1 with m = 1, 3, 2 for j - i = 0, 1, >= 2:
+    the Coxeter presentation of S_n, so s_j -> generators[j] extends to a
+    homomorphism."""
+    eye = np.eye(hook_dimension(lam), dtype=np.int64)
+    for i in range(len(generators)):
+        for j in range(i, len(generators)):
+            m = 1 if j == i else 3 if j == i + 1 else 2
+            prod = int_matmul(generators[i], generators[j])
+            power = prod
+            for _ in range(m - 1):
+                power = int_matmul(power, prod)
+            if not np.array_equal(power, eye):
+                raise InternalConsistencyError(
+                    f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
+                )
+
+
+def _check_character(lam, generators):
+    """Raise unless tr rho(class representative of mu) = chi_lam(mu) for
+    every mu."""
+    dim = hook_dimension(lam)
+    for mu in partitions_of(sum(lam)):
+        trace = int(np.trace(_word_product(generators, class_representative(mu), dim)))
+        if trace != mn_character(lam, mu):
+            raise InternalConsistencyError(
+                f"Specht matrices of {lam} have trace {trace} on class {mu}, "
+                f"not {mn_character(lam, mu)}"
+            )
 
 
 class SpechtRep:
@@ -373,55 +443,38 @@ class SpechtRep:
     Matrices are integral; ``matrix(p)`` returns rho(p) with
     rho(p o q) = rho(p) @ rho(q).  Column j of rho(p) expands p . e_{t_j}
     in the polytabloid basis e_{t_1}, ..., e_{t_d}.
+
+    Construction certifies, exactly in integers, that E X = B on the
+    standard-tabloid rows, that the generators satisfy the Coxeter relations
+    (so ``matrix`` is a homomorphism) and that the trace on every class is
+    chi_lam: together, rho is isomorphic to S^lam.  InternalConsistencyError
+    otherwise.
     """
 
     def __init__(self, lam):
         self.lam = tuple(lam)
         self.n = sum(lam)
         self.tableaux = standard_tableaux(self.lam)
-        self.dim = len(self.tableaux)
-        if self.dim != hook_dimension(self.lam):
-            raise AssertionError("tableau count does not match hook formula")
-        index_of = {}
-        ecols = [_polytabloid(t, self.n, index_of) for t in self.tableaux]
-        # s_j . e_t = e_{s_j t}: relabel the expansion of e_t by s_j, which
-        # swaps the rows of j and j+1 in each tabloid
-        keys = list(index_of)
-        images = [
-            [
-                index_of.setdefault(k[:j] + (k[j + 1], k[j]) + k[j + 2 :], len(index_of))
-                for k in keys
-            ]
-            for j in range(self.n - 1)
-        ]
-        e_dense = _dense_columns(ecols, len(index_of))
-        self.generators = tuple(self._solve_action(e_dense, ecols, image) for image in images)
-        self._cache = {identity_perm(self.n): np.eye(self.dim, dtype=np.int64)}
-
-    @staticmethod
-    def _solve_action(e_dense, ecols, image):
-        """The integer X with E X = B, where column j of B is the expansion of
-        e_{t_j} with tabloid i relabeled to image[i]."""
-        bcols = [{image[i]: v for i, v in col.items()} for col in ecols]
-        b_dense = _dense_columns(bcols, e_dense.shape[0])
-        x = solve_exact(e_dense, b_dense)
-        if any(v.denominator != 1 for v in x.flat):
-            raise AssertionError("non-integral Specht matrix entry")
-        mat = np.array([v.numerator for v in x.flat], dtype=np.int64).reshape(x.shape)
-        if not np.array_equal(int_matmul(e_dense, mat), b_dense):
-            raise AssertionError("polytabloid action solve failed")
-        return mat
+        self.dim = d = len(self.tableaux)
+        if d != hook_dimension(self.lam):
+            raise InternalConsistencyError("tableau count does not match hook formula")
+        e, b = _standard_coefficients(self.tableaux, self.n)
+        x = _substitute(e, b)
+        if not np.array_equal(int_matmul(e, x), b):
+            raise InternalConsistencyError(f"E X = B fails for the Specht matrices of {self.lam}")
+        self.generators = tuple(
+            np.ascontiguousarray(x[:, j * d : (j + 1) * d]) for j in range(self.n - 1)
+        )
+        _check_coxeter(self.lam, self.generators)
+        _check_character(self.lam, self.generators)
+        self._cache = {identity_perm(self.n): np.eye(d, dtype=np.int64)}
 
     def matrix(self, perm) -> np.ndarray:
         perm = tuple(perm)
         cached = self._cache.get(perm)
-        if cached is not None:
-            return cached
-        out = np.eye(self.dim, dtype=np.int64)
-        for j in reversed(transposition_word(perm)):
-            out = int_matmul(out, self.generators[j])
-        self._cache[perm] = out
-        return out
+        if cached is None:
+            cached = self._cache[perm] = _word_product(self.generators, perm, self.dim)
+        return cached
 
     def character(self) -> ClassFunction:
         n = self.n

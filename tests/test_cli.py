@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from delta2n import chain_complex, clear_caches, cli, equivariant_homology
+from delta2n import chain_complex, clear_caches, cli, equivariant_homology, symmetric_group
 from delta2n.chain_complex import CACHE_ENV, build_basis
 from delta2n.cli import DEFAULT_SEED
 from delta2n.symfunc_check import EulerClassCheck
@@ -289,6 +289,23 @@ def test_decompose_unparseable_values(capsys):
     status, _, err = _run(capsys, "decompose", "--n", "3", "--values", "1,zebra,0")
     assert status == 1
     assert "comma-separated" in err
+
+
+def test_corrupted_specht_generator_exits_2(capsys, monkeypatch, fresh_caches):
+    # one wrong entry in one generator must end the run with status 2 and a
+    # message, not a traceback
+    real = symmetric_group._substitute
+
+    def corrupt(e, b):
+        x = real(e, b)
+        x[0, -1] += 1
+        return x
+
+    monkeypatch.setattr(symmetric_group, "_substitute", corrupt)
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2
+    assert out == ""
+    assert "internal consistency failure" in err and "E X = B" in err
 
 
 def test_n8_cost_warning(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delta2n import equivariant_homology, linalg
 from delta2n.chain_complex import betti, boundary_matrix, build_basis, chain_orbits
 from delta2n.equivariant_homology import (
     act,
@@ -13,7 +14,7 @@ from delta2n.equivariant_homology import (
     multiplicity_space,
 )
 from delta2n.kernels import project_stream
-from delta2n.linalg import rank_exact
+from delta2n.linalg import RankCertificateError, rank_exact
 from delta2n.symmetric_group import (
     ClassFunction,
     class_representative,
@@ -161,6 +162,60 @@ def test_multiplicity_spaces_are_fixed_and_full(n):
                 inner = sum(eps * int(np.trace(rho.matrix(h))) for h, eps in stab)
                 assert w.shape[1] * len(stab) == inner
                 assert rank_exact(w) == w.shape[1]
+
+
+def test_specht_and_multiplicity_spaces_lift_no_kernel(monkeypatch):
+    # the Specht matrices come from integer substitution and the
+    # multiplicity spaces from rank P = tr P / |H|: no exact solve and no
+    # kernel lift for any lambda |- 7
+    calls = []
+
+    def record(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for owner, name in [
+        (linalg, "kernel_exact"),
+        (linalg, "solve_exact"),
+        (equivariant_homology, "kernel_exact"),
+    ]:
+        monkeypatch.setattr(owner, name, record(name, getattr(owner, name)))
+    specht_matrices.cache_clear()
+    multiplicity_space.cache_clear()
+    for lam in partitions_of(7):
+        specht_matrices(lam)
+    assert calls == []
+    for p in (7, 8, 9):
+        for rep in chain_orbits(7, p):
+            for lam in partitions_of(7):
+                multiplicity_space(lam, rep)
+    assert calls == []
+
+
+def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
+    # eps is trivial on this order-2 stabilizer, so on the trivial module
+    # P = (2): rank 1 over Q but 0 mod 2, and the prime 2 must be passed over
+    n, lam = 5, (5,)
+    rep = next(
+        r
+        for p in (n, n + 1, n + 2)
+        for r in chain_orbits(n, p)
+        if len(signed_stabilizer(r)) == 2 and all(eps == 1 for _, eps in signed_stabilizer(r))
+    )
+    multiplicity_space.cache_clear()
+    want = multiplicity_space(lam, rep)
+    assert want.shape == (1, 1)
+    tried = []
+    real = linalg.rref_modp
+    monkeypatch.setattr(linalg, "rref_modp", lambda a, p: tried.append(p) or real(a, p))
+    monkeypatch.setattr(linalg, "PRIMES", (2,) + linalg.PRIMES)
+    multiplicity_space.cache_clear()
+    assert np.array_equal(multiplicity_space(lam, rep), want)
+    assert tried == [2, linalg.PRIMES[1]]
+    monkeypatch.setattr(linalg, "PRIMES", (2,))
+    multiplicity_space.cache_clear()
+    with pytest.raises(RankCertificateError):
+        multiplicity_space(lam, rep)
+    multiplicity_space.cache_clear()
 
 
 @pytest.mark.parametrize("n", [4, 5])

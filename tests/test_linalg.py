@@ -1,16 +1,19 @@
 import io
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from delta2n.linalg import (
     PRIMES,
+    RankCertificateError,
     SparseIntMatrix,
+    _lift_matrix,
+    independent_columns,
     int_matmul,
     is_surjective,
     kernel_exact,
-    pivot_columns,
     rank_exact,
     rank_modp,
     rational_reconstruction,
@@ -81,14 +84,14 @@ def test_sparse_to_int64_rejects_fractions():
     assert type(m[0, 0]) is int and m.to_int64().tolist() == [[2]]
 
 
-def test_pivot_columns_random():
+def test_kernel_exact_pivots_random():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = _random_rank(rng, rows, cols, r) if r else np.zeros((rows, cols), np.int64)
-        pivots = pivot_columns(a)
+        pivots = kernel_exact(a)[2]
         assert len(pivots) == _sympy_rank(a)
         want, want_pivots = sympy.Matrix(a.tolist()).rref()
         assert tuple(pivots) == want_pivots
@@ -124,7 +127,18 @@ def test_rank_exact_single_prime_path_survives_an_unlucky_prime():
     assert rank == 2 and kern.shape == (2, 0)
     # the right rank mod PRIMES[0] but the wrong pivot (1, not 0): a later
     # prime with the lesser pivot must replace it
-    assert list(pivot_columns([[PRIMES[0], 1, 1]])) == [0]
+    assert list(kernel_exact([[PRIMES[0], 1, 1]])[2]) == [0]
+
+
+def test_independent_columns_needs_the_exact_rank():
+    rng = np.random.default_rng(13)
+    a = _random_rank(rng, 7, 9, 4)
+    cols = independent_columns(a, 4)
+    assert len(cols) == 4 and _sympy_rank(a[:, cols]) == 4
+    # a claimed rank that no prime reaches, or that one exceeds, is refused
+    for wrong in (3, 5):
+        with pytest.raises(RankCertificateError):
+            independent_columns(a, wrong)
 
 
 def test_solve_exact_uses_an_invertible_row_block():
@@ -158,6 +172,62 @@ def test_rational_reconstruction_roundtrip():
 def test_rational_reconstruction_failure():
     # residues of huge fractions cannot be lifted from a single small prime
     assert rational_reconstruction(123456789, 101) is None
+
+
+def _lift_entrywise(residue, modulus):
+    """Reference for _lift_matrix: rational_reconstruction on every entry."""
+    out = np.empty(residue.shape, dtype=object)
+    for idx in np.ndindex(residue.shape):
+        v = rational_reconstruction(int(residue[idx]), modulus)
+        if v is None:
+            return None
+        out[idx] = v
+    return out
+
+
+def _same_lift(got, want):
+    if want is None:
+        return got is None
+    return got is not None and all(Fraction(g) == w for g, w in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize("moduli", [(101,), (PRIMES[0],), PRIMES[:3]])
+def test_lift_matrix_matches_entrywise_reconstruction(moduli):
+    # the one-pass lift of residues within +-sqrt(m/2) must agree with Wang's
+    # algorithm everywhere: on both sides of that threshold, on fractions,
+    # and on residues with no lift at all
+    rng = np.random.default_rng(17)
+    m = 1
+    for p in moduli:
+        m *= p
+    bound = isqrt(m // 2)
+    if m < 1000:
+        every = np.arange(m, dtype=np.int64).reshape(-1, 1)
+        for r in every:
+            assert _same_lift(_lift_matrix(r[None], m), _lift_entrywise(r[None], m))
+    for _ in range(20):
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=2))
+        size = shape[0] * shape[1]
+        signs = rng.choice([-1, 1], size)
+        near = [(bound - 2 + int(k)) * int(s) for k, s in zip(rng.integers(0, 5, size), signs)]
+        small = [int(v) for v in rng.integers(-50, 51, size)]
+        fracs = []
+        for _ in range(size):
+            den = int(rng.integers(1, min(bound, 10**6) + 1))
+            num = int(rng.integers(-min(bound, 10**6), min(bound, 10**6) + 1))
+            fracs.append(num * pow(den, -1, m) % m)
+        for values in (near, small, fracs, small[:-1] + fracs[-1:]):
+            residue = np.array([v % m for v in values], dtype=object).reshape(shape)
+            if m < 1 << 62:
+                residue = residue.astype(np.int64)
+            assert _same_lift(_lift_matrix(residue, m), _lift_entrywise(residue, m))
+    # one residue with no lift makes the whole matrix fail, as it must
+    unliftable = next(
+        r for r in (int(v) for v in rng.integers(0, min(m, 1 << 62), 1000))
+        if rational_reconstruction(r, m) is None
+    )
+    residue = np.array([[1, unliftable]], dtype=object)
+    assert _lift_matrix(residue, m) is None
 
 
 def test_kernel_exact_basic():

@@ -2,14 +2,18 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from math import factorial
 
 import numpy as np
 import pytest
 
+from delta2n import symmetric_group
+from delta2n.linalg import InternalConsistencyError
 from delta2n.symmetric_group import (
     ClassFunction,
     NotACharacterError,
+    SpechtRep,
     assemble_character,
     character_table,
     class_representative,
@@ -175,6 +179,81 @@ def test_specht_generators_digest(n):
         for g in specht_matrices(lam).generators:
             h.update(f"{lam} {g.dtype} {g.shape} {g.tolist()}\n".encode())
     assert h.hexdigest() == SPECHT_DIGESTS[n]
+
+
+def _polytabloid(tab, n):
+    """e_tab as {tabloid: coefficient}, a tabloid being the row of each
+    entry, by summing over every column permutation: the full expansion that
+    the Specht matrices are built without."""
+    cols = [[row[c] for row in tab if len(row) > c] for c in range(len(tab[0]))]
+    out = {}
+    for images in itertools.product(*(itertools.permutations(col) for col in cols)):
+        row_of = [0] * n
+        sign = 1
+        for col, image in zip(cols, images):
+            for r, x in enumerate(image):
+                row_of[x] = r
+            index = [col.index(x) for x in image]
+            for a, b in itertools.combinations(index, 2):
+                sign = -sign if a > b else sign
+        key = tuple(row_of)
+        out[key] = out.get(key, 0) + sign
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_specht_generators_solve_every_tabloid_row(n):
+    # the old all-tabloid certificate: with E and B over every tabloid of
+    # every e_t (not the standard ones alone), E X_j = B_j for each generator
+    for lam in partitions_of(n):
+        rep = specht_matrices(lam)
+        expansions = [_polytabloid(t, n) for t in rep.tableaux]
+        tabloids = sorted(set().union(*expansions))
+        index = {key: i for i, key in enumerate(tabloids)}
+        e = np.zeros((len(tabloids), rep.dim), dtype=np.int64)
+        for k, vec in enumerate(expansions):
+            for key, v in vec.items():
+                e[index[key], k] = v
+        for j, g in enumerate(rep.generators):
+            # s_j . e_t relabels j and j+1 in every tabloid of e_t
+            b = np.zeros_like(e)
+            for k, vec in enumerate(expansions):
+                for key, v in vec.items():
+                    moved = list(key)
+                    moved[j], moved[j + 1] = moved[j + 1], moved[j]
+                    b[index[tuple(moved)], k] = v
+            assert np.array_equal(e @ g, b)
+
+
+def test_wrong_substitution_order_fails_the_solve_check(monkeypatch):
+    # solving a row before the rows it depends on gives a wrong X
+    class Reversed(TopologicalSorter):
+        def static_order(self):
+            return reversed(tuple(super().static_order()))
+
+    monkeypatch.setattr(symmetric_group, "TopologicalSorter", Reversed)
+    with pytest.raises(InternalConsistencyError, match="E X = B"):
+        SpechtRep((3, 2))
+
+
+def test_swapped_generator_row_fails_the_coxeter_check():
+    rep = specht_matrices((3, 2))
+    symmetric_group._check_coxeter((3, 2), rep.generators)
+    bad = list(rep.generators)
+    bad[1] = bad[1][[1, 0, *range(2, rep.dim)]]
+    with pytest.raises(InternalConsistencyError, match="Coxeter"):
+        symmetric_group._check_coxeter((3, 2), bad)
+
+
+def test_sign_twisted_generators_fail_the_character_check():
+    # -s_j satisfies every Coxeter relation that s_j does, but the twisted
+    # representation is S^(2,2,1), not S^(3,2)
+    rep = specht_matrices((3, 2))
+    symmetric_group._check_character((3, 2), rep.generators)
+    twisted = [-g for g in rep.generators]
+    symmetric_group._check_coxeter((3, 2), twisted)
+    with pytest.raises(InternalConsistencyError, match="trace"):
+        symmetric_group._check_character((3, 2), twisted)
 
 
 def test_specht_multiplicative_random_triples():
