@@ -4,7 +4,7 @@ Each (stage, n) pair runs in a fresh interpreter, so no stage sees another's
 memos.  The stages are:
 
     bases       build_basis for degrees n, n+1, n+2          (n = 6, 7, 8)
-    boundaries  boundary_matrix for d_{n+1}, d_{n+2}          (n = 6, 7)
+    boundaries  boundary_matrix for d_{n+1}, d_{n+2}          (n = 6, 7, 8)
     d2          d_{n+1} . d_{n+2} == 0                        (n = 6, 7)
     act         act() of every class representative, 3 degrees (n = 6, 7)
 
@@ -14,7 +14,7 @@ holding this script); `--before DIR` measures a second checkout, such as a
 clone of the parent commit, alternating with the first run by run so that a
 host speed change hits both alike.
 
-    python3 benchmarks/bench_theta.py --before ../parent --out BENCH_canonical.json
+    python3 benchmarks/bench_theta.py --before ../parent --out BENCH_boundary.json
 """
 
 import argparse
@@ -28,7 +28,7 @@ from pathlib import Path
 
 STAGES = (
     ("bases", 6), ("bases", 7), ("bases", 8),
-    ("boundaries", 6), ("boundaries", 7),
+    ("boundaries", 6), ("boundaries", 7), ("boundaries", 8),
     ("d2", 6), ("d2", 7),
     ("act", 6), ("act", 7),
 )

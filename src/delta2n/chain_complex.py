@@ -14,20 +14,28 @@ import hashlib
 import os
 import tempfile
 from functools import cache
+from itertools import chain
+from math import factorial
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import linalg, theta_graphs
 from .linalg import InternalConsistencyError, SparseIntMatrix
 from .symmetric_group import hook_dimension
 from .theta_graphs import (
+    UNMARKED,
     Degenerate,
     ThetaGraph,
+    canonical_keys,
     contract,
     enumerate_theta,
     has_odd_automorphism,
     is_full_theta,
     orbit_representative,
+    signed_stabilizer,
+    symmetry_table,
 )
 
 # default of the CLI's --cache; the library does not read it
@@ -42,9 +50,6 @@ class ChainBasis(NamedTuple):
     @property
     def dim(self):
         return len(self.graphs)
-
-    def index(self):
-        return {g: i for i, g in enumerate(self.graphs)}
 
 
 @cache
@@ -80,6 +85,13 @@ def chain_orbits(n: int, p: int) -> tuple:
     return tuple(reps)
 
 
+@cache
+def chain_dim(n: int, p: int) -> int:
+    """dim C_p by orbit-stabilizer, without enumerating the basis: the sum of
+    n!/|H_o| over the orbits, H_o the signed stabilizer of the representative."""
+    return sum(factorial(n) // len(signed_stabilizer(rep)) for rep in chain_orbits(n, p))
+
+
 def boundary_terms(g: ThetaGraph):
     """The terms of d(g) as (canonical target, coefficient) pairs; a target
     may still vanish in the relative complex.  Contracting an interior edge
@@ -99,25 +111,127 @@ def vanishes(g: ThetaGraph) -> bool:
     return not is_full_theta(g) or has_odd_automorphism(g)
 
 
+class ShapeBlock(NamedTuple):
+    """The basis graphs of one slot shape: their positions and label rows."""
+
+    shape: tuple
+    index: np.ndarray
+    rows: np.ndarray
+
+
+class BasisArrays(NamedTuple):
+    """A chain basis as integer arrays: the canonical key of each graph, in
+    basis order, and its graphs grouped by slot shape."""
+
+    keys: np.ndarray
+    blocks: tuple
+
+    def locate(self, keys):
+        """(position, found) of each key in the basis."""
+        pos = np.searchsorted(self.keys, keys)
+        found = pos < len(self.keys)
+        found[found] = self.keys[pos[found]] == keys[found]
+        return pos, found
+
+
+@cache
+def basis_arrays(n: int, p: int) -> BasisArrays:
+    """The degree-p basis as label rows (see ``theta_graphs.canonical_keys``);
+    its keys must be strictly increasing, as the sorted basis implies."""
+    graphs = build_basis(n, p).graphs
+    dim = len(graphs)
+    # per graph a, b, two path lengths and the p - 2 interior labels; labels
+    # are below n, and symmetry_table rejects any n whose keys overflow
+    flat = np.fromiter(
+        chain.from_iterable(
+            (a, b, len(p0), len(p1), *p0, *p1, *p2) for a, b, (p0, p1, p2) in graphs
+        ),
+        dtype=np.int8,
+        count=dim * (p + 2),
+    ).reshape(dim, p + 2)
+    rows, lens = np.delete(flat, [2, 3], axis=1), flat[:, 2:4]
+    marked = rows[:, :2] != UNMARKED
+    # one integer per slot shape; the lengths are below p
+    code = ((marked[:, 0] * 2 + marked[:, 1]) * p + lens[:, 0]) * p + lens[:, 1]
+    order = np.argsort(code, kind="stable")
+    cuts = np.flatnonzero(np.diff(code[order])) + 1
+    keys = np.empty(dim, dtype=np.int64)
+    blocks = []
+    for index in np.split(order, cuts) if dim else ():
+        first = index[0]
+        l0, l1 = lens[first].tolist()
+        shape = (bool(marked[first, 0]), bool(marked[first, 1]), (l0, l1, p - 2 - l0 - l1))
+        weights, _ = symmetry_table(shape, n + 1)
+        keys[index] = (rows[index] + 1) @ weights[0]
+        blocks.append(ShapeBlock(shape, index, rows[index]))
+    if np.any(keys[1:] <= keys[:-1]):
+        raise InternalConsistencyError(f"basis keys of C_{p} are not increasing at n={n}")
+    for block in blocks:  # cached and shared: no caller may write to them
+        block.index.setflags(write=False)
+        block.rows.setflags(write=False)
+    keys.setflags(write=False)
+    return BasisArrays(keys, tuple(blocks))
+
+
+def _contractions(shape):
+    """The contractions of an edge of a graph with these slots that leave a
+    full theta graph with injective marking, as (target shape, column gather,
+    edge sign) triples.  Only a path-end edge with an unmarked branch on its
+    side qualifies, on a path of length at least 2; contracting edge i of
+    path t moves that end label into the branch slot, with sign (-1)^i."""
+    ma, mb, lens = shape
+    inner = range(2, 2 + sum(lens))
+    start, col = 0, 2  # first edge and first label column of path t
+    for t, m in enumerate(lens):
+        if m >= 2:
+            shorter = lens[:t] + (m - 1,) + lens[t + 1 :]
+            end = col + m - 1
+            if not ma:
+                gather = [col, 1, *(c for c in inner if c != col)]
+                yield (True, mb, shorter), gather, (-1) ** start
+            if not mb:
+                gather = [0, end, *(c for c in inner if c != end)]
+                yield (ma, True, shorter), gather, (-1) ** (start + m)
+        start += m + 1
+        col += m
+
+
 def _build_matrix(n: int, p: int) -> SparseIntMatrix:
-    col_basis = build_basis(n, p)
-    row_basis = build_basis(n, p - 1)
-    row_of = row_basis.index()
-    acc: dict = {}
-    for col, g in enumerate(col_basis.graphs):
-        for target, coef in boundary_terms(g):
-            row = row_of.get(target)
-            if row is None:
-                if vanishes(target):
-                    continue
+    """d_p from whole label arrays: each contraction of each column shape is
+    one column gather, canonicalized by integer keys and looked up in the
+    row basis.  A target missing from the row basis must have an odd
+    automorphism, and one found there must not."""
+    cols, rows = basis_arrays(n, p), basis_arrays(n, p - 1)
+    found_rows, found_cols, coefs = [], [], []
+    for shape, index, labels in cols.blocks:
+        for target, gather, edge_sign in _contractions(shape):
+            keys, signs, odd = canonical_keys(labels[:, gather], target, n + 1)
+            pos, found = rows.locate(keys)
+            bad = np.flatnonzero(found == odd)
+            if bad.size:
+                what = "hit a graph with an odd automorphism" if found[bad[0]] else "left the basis"
                 raise InternalConsistencyError(
-                    f"contraction left the basis at n={n}, p={p}, column {col}"
+                    f"contraction {what} at n={n}, p={p}, column {index[bad[0]]}"
                 )
-            key = (row, col)
-            acc[key] = acc.get(key, 0) + coef
-    return SparseIntMatrix(
-        row_basis.dim, col_basis.dim, {key: v for key, v in acc.items() if v}
-    )
+            found_rows.append(pos[found])
+            found_cols.append(index[found])
+            coefs.append(edge_sign * signs[found])
+    dims = (build_basis(n, p - 1).dim, build_basis(n, p).dim)
+    mat = SparseIntMatrix(*dims)
+    if not coefs:
+        return mat
+    # sum the terms of each (row, col) cell in integers and drop zeros
+    cell = np.concatenate(found_rows) * dims[1] + np.concatenate(found_cols)
+    order = np.argsort(cell)
+    cell, coef = cell[order], np.concatenate(coefs)[order]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    values = np.add.reduceat(coef, starts)
+    keep = values != 0
+    r, c = np.divmod(cell[starts][keep], dims[1])
+    ints = list(range(max(dims)))  # one int object per index, shared by the keys
+    r, c = map(ints.__getitem__, r.tolist()), map(ints.__getitem__, c.tolist())
+    mat.data = dict(zip(zip(r, c), values[keep].tolist()))
+    return mat
 
 
 @cache
@@ -194,8 +308,15 @@ class RelativeComplex(NamedTuple):
 
 
 def build_complex(n: int, cache_dir=None) -> RelativeComplex:
-    """Bases for degrees n..n+2 plus d_{n+1}, d_{n+2}, with d.d = 0 checked."""
+    """Bases for degrees n..n+2 plus d_{n+1}, d_{n+2}, with d.d = 0 checked
+    and each enumerated basis as large as orbit-stabilizer says."""
     bases = {p: build_basis(n, p) for p in (n, n + 1, n + 2)}
+    for p, basis in bases.items():
+        if basis.dim != chain_dim(n, p):
+            raise InternalConsistencyError(
+                f"enumeration gives dim C_{p} = {basis.dim}, orbit-stabilizer "
+                f"{chain_dim(n, p)} at n={n}"
+            )
     mats = {p: boundary_matrix(n, p, cache_dir) for p in (n + 1, n + 2)}
     if not mats[n + 1].matmul(mats[n + 2]).is_zero():
         raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 at n={n}")
@@ -217,6 +338,6 @@ def betti(n: int):
     rank_next, rank_top = (
         sum(hook_dimension(lam) * r.ranks[i] for lam, r in blocks.items()) for i in (0, 1)
     )
-    b_top = build_basis(n, n + 2).dim - rank_top
-    b_next = build_basis(n, n + 1).dim - rank_next - rank_top
+    b_top = chain_dim(n, n + 2) - rank_top
+    b_next = chain_dim(n, n + 1) - rank_next - rank_top
     return b_top, b_next

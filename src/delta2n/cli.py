@@ -406,8 +406,8 @@ def run(config: RunConfig):
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 5 s and 125 MB for characters, betti or verify; about "
-            "14 s and 250 MB for complex)",
+            "VM: about 2 s and 60 MB for characters, betti or verify; about "
+            "4-5 s and 220 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()

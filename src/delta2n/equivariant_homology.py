@@ -18,16 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain_complex import (
     InternalConsistencyError,
+    basis_arrays,
     boundary_matrix,
     boundary_terms,
-    build_basis,
+    chain_dim,
     chain_orbits,
     vanishes,
 )
@@ -45,11 +46,11 @@ from .symmetric_group import (
     specht_matrices,
 )
 from .theta_graphs import (
+    UNMARKED,
     MalformedGraphError,
-    _canonicalize_fast,
+    canonical_keys,
     orbit_normal_form,
     orbit_of,
-    relabel,
     signed_stabilizer,
 )
 
@@ -86,25 +87,22 @@ class SignedAction(NamedTuple):
         return int(self.sign[fixed].sum())
 
 
-@cache
-def _basis_index(n, p):
-    return build_basis(n, p).index()
-
-
 def act(sigma, p) -> SignedAction:
-    """Signed action of a permutation (one-line, 0-based) on the degree-p basis."""
+    """Signed action of a permutation (one-line, 0-based) on the degree-p basis:
+    the basis label rows relabeled by lookup, canonicalized by integer keys
+    and found in the basis keys."""
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise MalformedGraphError(f"{sigma!r} is not a permutation of 0..{n - 1}")
-    basis = build_basis(n, p)
-    index = _basis_index(n, p)
-    dim = basis.dim
-    image = np.empty(dim, dtype=np.int64)
-    sign = np.empty(dim, dtype=np.int64)
-    for c, g in enumerate(basis.graphs):
-        iso = _canonicalize_fast(relabel(g, sigma))
-        image[c] = index[iso.target]
-        sign[c] = iso.sign
+    basis = basis_arrays(n, p)
+    lookup = np.array([*sigma, UNMARKED], dtype=np.int8)  # an unmarked branch stays unmarked
+    image = np.empty(len(basis.keys), dtype=np.int64)
+    sign = np.empty(len(basis.keys), dtype=np.int64)
+    for shape, index, rows in basis.blocks:
+        keys, sign[index], _ = canonical_keys(lookup[rows], shape, n + 1)
+        image[index], found = basis.locate(keys)
+        if not found.all():
+            raise InternalConsistencyError(f"{sigma!r} moves a graph out of C_{p}")
     return SignedAction(p, image, sign)
 
 
@@ -216,14 +214,14 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
 @cache
 def isotypic_ranks(n) -> dict:
     """isotypic_block_ranks for every lambda, with sum_lam d_lam m_lam(C_p)
-    checked against dim C_p in each degree."""
+    checked against dim C_p (by orbit-stabilizer) in each degree."""
     out = {lam: isotypic_block_ranks(lam, n) for lam in partitions_of(n)}
     for i, p in enumerate((n, n + 1, n + 2)):
         total = sum(hook_dimension(lam) * r.mults[i] for lam, r in out.items())
-        if total != build_basis(n, p).dim:
+        if total != chain_dim(n, p):
             raise InternalConsistencyError(
                 f"isotypic multiplicities of C_{p} add up to {total}, "
-                f"but dim C_{p} = {build_basis(n, p).dim} at n={n}"
+                f"but dim C_{p} = {chain_dim(n, p)} at n={n}"
             )
     return out
 
@@ -264,24 +262,30 @@ def kernel_character_oracle(n, cache_dir=None) -> ClassFunction:
     """Character of ker d_{n+2} by exact change of basis, no projections.
 
     For each class representative sigma, solves K X = A_sigma K exactly using
-    the echelon structure of the kernel basis K and returns trace(X).
+    the echelon structure of the kernel basis K and returns trace(X).  All of
+    it runs in integers: with L the lcm of K's denominators, L X is read off
+    the free rows of L A K, and (L K)[pivots] (L X) = L (L A K)[pivots] is
+    checked through ``int_matmul``.
     """
     d = boundary_matrix(n, n + 2, cache_dir)
     _, kern, pivots, free = kernel_exact(d)
     width = kern.shape[1]
+    scale = lcm(*(v.denominator for v in kern.flat))
+    lk = np.array(
+        [v.numerator * (scale // v.denominator) for v in kern.flat], dtype=object
+    ).reshape(kern.shape)
     values = {}
     for mu in partitions_of(n):
         sigma = class_representative(mu)
         gidx, gsgn = act(sigma, n + 2).gather_tables()
-        ak = gsgn[:, None].astype(object) * kern[gidx]
-        x = ak[free]  # kern[free] = identity, so these rows pin X
-        check = kern[pivots].dot(x) if len(pivots) else np.zeros((0, width), object)
-        if not np.array_equal(check, ak[pivots]):
+        lak = gsgn[:, None] * lk[gidx]
+        lx = lak[free]  # kern[free] = identity, so these rows pin L X
+        if not np.array_equal(int_matmul(lk[pivots], lx), scale * lak[pivots]):
             raise InternalConsistencyError(
                 f"kernel is not invariant under class {mu}: sign/action bug"
             )
-        tr = sum((x[i, i] for i in range(width)), Fraction(0))
-        if Fraction(tr).denominator != 1:
+        tr, rest = divmod(int(sum(lx[i, i] for i in range(width))), scale)
+        if rest:
             raise InternalConsistencyError(f"non-integral kernel trace at {mu}")
-        values[mu] = int(tr)
+        values[mu] = tr
     return ClassFunction.from_dict(n, values)

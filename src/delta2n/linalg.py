@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -94,17 +95,24 @@ class SparseIntMatrix:
         return self.data.items()
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
+        """The product, summed one output column at a time: self's entries
+        are grouped by column as references to their keys, and other's are
+        walked in column order, so no table of every partial sum is held."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        mine: dict = {}
-        for (r, k), w in self.data.items():
-            mine.setdefault(k, []).append((r, w))
-        acc: dict = {}
-        for (k, c), v in other.data.items():
-            for r, w in mine.get(k, ()):
-                acc[r, c] = acc.get((r, c), 0) + w * v
+        by_col: dict = {}
+        for key in self.data:
+            by_col.setdefault(key[1], []).append(key)
         out = SparseIntMatrix(self.rows, other.cols)
-        out.data = {key: v for key, v in acc.items() if v}
+        col, acc = None, {}
+        for k, c in sorted(other.data, key=itemgetter(1)):
+            if c != col:
+                out.data.update(((r, col), v) for r, v in acc.items() if v)
+                col, acc = c, {}
+            v = other.data[k, c]
+            for key in by_col.get(k, ()):
+                acc[key[0]] = acc.get(key[0], 0) + self.data[key] * v
+        out.data.update(((r, col), v) for r, v in acc.items() if v)
         return out
 
     def to_int64(self) -> np.ndarray:

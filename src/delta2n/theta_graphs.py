@@ -30,7 +30,10 @@ larger than its flipped-and-sorted image.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import NamedTuple
+
+import numpy as np
 
 UNMARKED = -1
 
@@ -109,13 +112,13 @@ def _apply_symmetry(g: ThetaGraph, flip: int, perm) -> ThetaGraph:
     return ThetaGraph(a, b, (base[perm[0]], base[perm[1]], base[perm[2]]))
 
 
-def _edge_source_map(g: ThetaGraph, flip: int, perm) -> list[int]:
-    """Reference label in g of the edge landing at each reference slot of the image.
+def _edge_source_map(lens, flip: int, perm) -> list[int]:
+    """Reference label, in a graph with these path lengths, of the edge landing
+    at each reference slot of its image.
 
-    Slot j of the image graph receives g's edge src[j]; the symmetry's sign is
+    Slot j of the image graph receives the edge src[j]; the symmetry's sign is
     the parity of this permutation.
     """
-    lens = [len(p) for p in g.paths]
     off = [0, lens[0] + 1, lens[0] + lens[1] + 2]
     src = []
     for i in range(3):
@@ -126,6 +129,10 @@ def _edge_source_map(g: ThetaGraph, flip: int, perm) -> list[int]:
         else:
             src.extend(off[q] + j for j in range(m + 1))
     return src
+
+
+def _lens(g: ThetaGraph) -> tuple:
+    return tuple(len(p) for p in g.paths)
 
 
 def perm_parity(arr) -> int:
@@ -175,7 +182,7 @@ def _sorted_images(g: ThetaGraph):
 def _canonicalize_fast(g: ThetaGraph) -> SignedIso:
     unflipped, flipped = _sorted_images(g)
     best, flip, perm = flipped if flipped[0] < unflipped[0] else unflipped
-    return SignedIso(best, perm_parity(_edge_source_map(g, flip, perm)))
+    return SignedIso(best, perm_parity(_edge_source_map(_lens(g), flip, perm)))
 
 
 def canonical_form(g: ThetaGraph) -> ThetaGraph:
@@ -187,7 +194,7 @@ def automorphisms(g: ThetaGraph):
     out = []
     for flip, perm in SYMMETRIES:
         if _apply_symmetry(g, flip, perm) == g:
-            out.append(((flip, perm), perm_parity(_edge_source_map(g, flip, perm))))
+            out.append(((flip, perm), perm_parity(_edge_source_map(_lens(g), flip, perm))))
     return out
 
 
@@ -205,9 +212,69 @@ def has_odd_automorphism(g: ThetaGraph) -> bool:
     if g.branch_a != g.branch_b:
         return False  # the flip swaps the branch labels, so the images differ
     (img0, _, perm0), (img1, _, perm1) = _sorted_images(g)
-    return img0 == img1 and perm_parity(_edge_source_map(g, 0, perm0)) != perm_parity(
-        _edge_source_map(g, 1, perm1)
+    return img0 == img1 and perm_parity(_edge_source_map(_lens(g), 0, perm0)) != perm_parity(
+        _edge_source_map(_lens(g), 1, perm1)
     )
+
+
+# Integer keys, for whole arrays of graphs at once.  A graph on the labels
+# 0..n-1 is held as a label row [a, b, interior labels path-major] (-1 when a
+# branch is unmarked) under its slot shape (_slots), and encoded as one
+# base-(n+1) integer with the digits a+1, b+1, then each path's labels +1
+# followed by a 0 terminator.  The graphs of one degree p have p+3 digits, so
+# their keys compare as the graphs do.
+
+
+@cache
+def symmetry_table(shape, base: int):
+    """Digit weights and edge parities of the 12 symmetry images of a graph
+    with these slots, in SYMMETRIES order: the key of image s of a label row
+    x is (x + 1) @ weights[s], and its sign is parity[s]."""
+    _, _, lens = shape
+    width = 2 + sum(lens)
+    digits = width + 3
+    if base ** digits > 2**63:
+        raise OverflowError(f"keys of {digits} base-{base} digits overflow int64")
+    off = (2, 2 + lens[0], 2 + lens[0] + lens[1])
+    weights = np.zeros((len(SYMMETRIES), width), dtype=np.int64)
+    parity = np.empty(len(SYMMETRIES), dtype=np.int64)
+    for s, (flip, perm) in enumerate(SYMMETRIES):
+        cols = [1, 0] if flip else [0, 1]
+        for q in perm:
+            path = list(range(off[q], off[q] + lens[q]))
+            cols.extend(path[::-1] if flip else path)
+            cols.append(None)  # the terminator digit is 0
+        for pos, col in enumerate(cols):
+            if col is not None:
+                weights[s, col] = base ** (digits - 1 - pos)
+        parity[s] = perm_parity(_edge_source_map(lens, flip, perm))
+    weights.setflags(write=False)  # cached and shared
+    parity.setflags(write=False)
+    return weights, parity
+
+
+def canonical_keys(rows: np.ndarray, shape, base: int):
+    """Canonical keys of the graphs given as label rows of one slot shape,
+    with each one's sign, as ``_canonicalize_fast`` gives them, and whether it
+    has an odd automorphism: (keys, signs, odd).
+
+    The key is the least of the 12 image keys and the sign that of the first
+    symmetry reaching it; a later symmetry reaching it with the other sign is
+    an odd automorphism.  The images are taken one symmetry at a time.
+    """
+    weights, parity = symmetry_table(shape, base)
+    digits = rows + 1
+    best = digits @ weights[0]
+    sign = np.full(best.shape, parity[0])
+    odd = np.zeros(best.shape, dtype=bool)
+    for w, par in zip(weights[1:], parity[1:]):
+        key = digits @ w
+        odd |= (key == best) & (sign != par)
+        lower = key < best
+        odd[lower] = False
+        best[lower] = key[lower]
+        sign[lower] = par
+    return best, sign, odd
 
 
 class OrbitForm(NamedTuple):
@@ -244,7 +311,7 @@ def _moves_into(g: ThetaGraph, slots):
     for flip, perm in SYMMETRIES:
         img = _apply_symmetry(g, flip, perm)
         if _slots(img) == slots:
-            yield img, perm_parity(_edge_source_map(g, flip, perm))
+            yield img, perm_parity(_edge_source_map(_lens(g), flip, perm))
 
 
 def _carry(src: ThetaGraph, dst: ThetaGraph):

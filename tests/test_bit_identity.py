@@ -1,9 +1,11 @@
 """Pinned SHA-256 digests of the chain bases, boundaries and action tables.
 
-The expected digests were computed from the 12-image canonicalization (every
-symmetry image built, the least one kept).  Any change to enumeration order,
-canonical forms, contraction signs or the signed action shows up here, for
-n = 7 too, where the other tests check only dimensions and nnz.
+The expected digests for n = 4..7 were computed from the 12-image
+canonicalization (every symmetry image built, the least one kept), and the
+n = 8 digest from the per-graph boundary assembly that preceded the batched
+one.  Any change to enumeration order, canonical forms, contraction signs or
+the signed action shows up here, for n = 7 and 8 too, where the other tests
+check only dimensions and nnz.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ COMPLEX_DIGESTS = {
     5: "55328aec3f8d5479103c7d38ca85a9873a073a5a6791c81800f1b27589b8504e",
     6: "f6f0ff72b9fa1dfa8fb25208169689f2eccfcda0fcabe74644bd2a7150aca096",
     7: "0dfae90ed8478b06d8689f3a4b1370ad555f318c732b3472ef2b14ec18e790fd",
+    8: "a009a595f1444b4f6d35efb088687504bf77218570a655b3046bee07c024fd6b",
 }
 ACT_DIGEST_N6 = "c5c5f99a0e04148fbc0908cf504de36358740ce292250df974afa01585f7237e"
 

@@ -8,7 +8,7 @@ import pytest
 from delta2n import chain_complex as cc
 from delta2n import clear_caches
 from delta2n import d25_analysis, equivariant_homology, symmetric_group
-from delta2n.linalg import SparseIntMatrix, kernel_exact, rank_exact
+from delta2n.linalg import InternalConsistencyError, SparseIntMatrix, kernel_exact, rank_exact
 from delta2n.theta_graphs import has_odd_automorphism, is_full_theta, orbit_of
 
 # (n, degree) -> dimension, all pinned by the brute-force enumeration oracle
@@ -158,6 +158,52 @@ def test_betti_matches_global_rank_oracle(n):
     assert cc.betti(n) == (nullity, d_next.cols - d_next.rows - rank_top)
 
 
+def _per_graph_boundary(n, p):
+    """d_p one graph at a time through boundary_terms, as columns of
+    {row: coefficient}, vanishing targets dropped."""
+    row_of = {g: i for i, g in enumerate(cc.build_basis(n, p - 1).graphs)}
+    columns = []
+    for g in cc.build_basis(n, p).graphs:
+        col = {}
+        for target, coef in cc.boundary_terms(g):
+            if not cc.vanishes(target):
+                col[row_of[target]] = col.get(row_of[target], 0) + coef
+        columns.append({r: v for r, v in col.items() if v})
+    return columns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_boundary_matches_per_graph_terms(n):
+    # n <= 3 has empty bases and n = 4 an empty d_5: no shape, no term
+    for p in (n + 1, n + 2):
+        mat = cc._build_matrix(n, p)
+        assert mat.shape == (cc.build_basis(n, p - 1).dim, cc.build_basis(n, p).dim)
+        columns = [{} for _ in range(mat.cols)]
+        for (r, c), v in mat.entries():
+            columns[c][r] = v
+        for col, (got, want) in enumerate(zip(columns, _per_graph_boundary(n, p))):
+            assert got == want, (n, p, col)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_orbit_stabilizer_dimension_matches_enumeration(n):
+    for p in (n, n + 1, n + 2):
+        assert cc.chain_dim(n, p) == cc.build_basis(n, p).dim
+
+
+def test_build_complex_checks_the_orbit_stabilizer_dimension(monkeypatch):
+    # dropping one of the two degree-7 orbits halves dim C_7 by orbit-stabilizer
+    real = cc.chain_orbits
+    monkeypatch.setattr(cc, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None])
+    clear_caches()
+    try:
+        with pytest.raises(InternalConsistencyError, match="dim C_7 = 60, orbit-stabilizer 30"):
+            cc.build_complex(5)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_chain_orbits_cover_the_basis(n):
     for p in (n, n + 1, n + 2):
@@ -179,7 +225,8 @@ def test_clear_caches_empties_every_memo():
         cc.build_basis,
         cc.chain_orbits,
         cc._boundary_matrix,
-        equivariant_homology._basis_index,
+        cc.basis_arrays,
+        cc.chain_dim,
         equivariant_homology.chain_character,
         equivariant_homology.multiplicity_space,
         equivariant_homology.isotypic_ranks,

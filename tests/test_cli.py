@@ -7,9 +7,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from delta2n import chain_complex, clear_caches, cli, equivariant_homology, symmetric_group
+from delta2n import (
+    chain_complex,
+    clear_caches,
+    cli,
+    equivariant_homology,
+    symmetric_group,
+    theta_graphs,
+)
 from delta2n.chain_complex import CACHE_ENV, build_basis
 from delta2n.cli import DEFAULT_SEED
 from delta2n.symfunc_check import EulerClassCheck
@@ -306,6 +314,37 @@ def test_corrupted_specht_generator_exits_2(capsys, monkeypatch, fresh_caches):
     assert status == 2
     assert out == ""
     assert "internal consistency failure" in err and "E X = B" in err
+
+
+def test_corrupted_parity_table_exits_2(capsys, monkeypatch, fresh_caches):
+    # one symmetry's edge parity flipped gives wrong boundary signs
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    real = theta_graphs.symmetry_table
+
+    def table(shape, base):
+        weights, parity = real(shape, base)
+        return weights, parity * np.where(np.arange(len(parity)) == 1, -1, 1)
+
+    monkeypatch.setattr(theta_graphs, "symmetry_table", table)
+    status, out, err = _run(capsys, "complex", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: d_6 . d_7 != 0 at n=5" in err
+
+
+def test_missing_basis_key_exits_2(capsys, monkeypatch, fresh_caches):
+    # a contraction whose canonical key is not among the row keys, and that
+    # has no odd automorphism, left the basis
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    real = chain_complex.basis_arrays
+
+    def arrays(n, p):
+        out = real(n, p)
+        return out._replace(keys=np.delete(out.keys, 5)) if p == 6 else out
+
+    monkeypatch.setattr(chain_complex, "basis_arrays", arrays)
+    status, out, err = _run(capsys, "complex", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: contraction left the basis at n=5, p=7" in err
 
 
 def test_n8_cost_warning(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from delta2n.equivariant_homology import (
     multiplicity_space,
 )
 from delta2n.kernels import project_stream
-from delta2n.linalg import RankCertificateError, rank_exact
+from delta2n.linalg import InternalConsistencyError, RankCertificateError, rank_exact
 from delta2n.symmetric_group import (
     ClassFunction,
     class_representative,
@@ -81,6 +81,46 @@ def test_act_is_homomorphism(n, p):
         a_st = act(compose(sigma, tau), p)
         assert np.array_equal(a_st.image, a_s.image[a_t.image])
         assert np.array_equal(a_st.sign, a_t.sign * a_s.sign[a_t.image])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_act_matches_per_graph_canonicalization(n):
+    rng = np.random.default_rng(11)
+    for p in (n, n + 1, n + 2):
+        graphs = build_basis(n, p).graphs
+        index = {g: i for i, g in enumerate(graphs)}
+        for _ in range(3):
+            sigma = tuple(rng.permutation(n).tolist())
+            a = act(sigma, p)
+            want = [canonicalize(relabel(g, sigma)) for g in graphs]
+            assert a.image.tolist() == [index[t] for t, _ in want]
+            assert a.sign.tolist() == [s for _, s in want]
+
+
+def test_act_raises_on_a_key_missing_from_the_basis(monkeypatch):
+    real = equivariant_homology.basis_arrays
+    monkeypatch.setattr(
+        equivariant_homology,
+        "basis_arrays",
+        lambda n, p: real(n, p)._replace(keys=np.delete(real(n, p).keys, 7)),
+    )
+    with pytest.raises(InternalConsistencyError, match="moves a graph out of C_7"):
+        act((1, 0, 2, 3, 4), 7)
+
+
+def test_kernel_trace_oracle_rejects_a_wrong_action_sign(monkeypatch):
+    # one flipped sign in each non-identity action breaks kernel invariance
+    real = equivariant_homology.act
+
+    def flipped(sigma, p):
+        a = real(sigma, p)
+        if list(sigma) != sorted(sigma):
+            a.sign[0] *= -1
+        return a
+
+    monkeypatch.setattr(equivariant_homology, "act", flipped)
+    with pytest.raises(InternalConsistencyError, match="kernel is not invariant"):
+        kernel_character_oracle(5)
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 2, 3), (1, 2, 3, 4), (0, 1, 2, -1)])
@@ -278,7 +318,7 @@ def test_homology_character_next(n):
     assert all(k > 0 for k in mults.values())
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_kernel_character_oracle_agrees(n):
     oracle = kernel_character_oracle(n)
     assert oracle.as_ints() == homology_character_top(n).as_ints()

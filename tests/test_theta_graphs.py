@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from delta2n.theta_graphs import (
@@ -11,6 +12,7 @@ from delta2n.theta_graphs import (
     ThetaGraph,
     automorphisms,
     canonical_form,
+    canonical_keys,
     canonicalize,
     contract,
     enumerate_theta,
@@ -442,3 +444,46 @@ def test_signed_stabilizer_matches_group_scan(n):
                     scan[sigma] = sign
             assert dict(signed_stabilizer(rep)) == scan
 
+
+
+# ---------------------------------------------------------------------------
+# integer keys: the batched canonical form
+
+
+def _key(g, base):
+    # digits a+1, b+1, then each path's labels +1 and a 0 terminator
+    digits = [g.branch_a + 1, g.branch_b + 1]
+    for p in g.paths:
+        digits += [l + 1 for l in p] + [0]
+    key = 0
+    for d in digits:
+        key = key * base + d
+    return key
+
+
+def _label_rows(graphs):
+    """Label rows [a, b, interior path-major] grouped by slot shape."""
+    groups = {}
+    for g in graphs:
+        shape = (g.branch_a != UNMARKED, g.branch_b != UNMARKED, tuple(map(len, g.paths)))
+        groups.setdefault(shape, []).append(g)
+    for shape, gs in groups.items():
+        rows = np.array([[g.branch_a, g.branch_b, *itertools.chain(*g.paths)] for g in gs])
+        yield shape, gs, rows.reshape(len(gs), -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_keys_match_canonicalize_exhaustive(n):
+    # every labelled graph, canonical or not, empty paths included
+    for shape, graphs, rows in _label_rows(_all_labelled(n)):
+        keys, signs, odd = canonical_keys(rows, shape, n + 1)
+        for g, key, sign, o in zip(graphs, keys.tolist(), signs.tolist(), odd.tolist()):
+            target, want = canonicalize(g)
+            assert (key, sign, o) == (_key(target, n + 1), want, has_odd_automorphism(g)), g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_keys_order_graphs_of_one_degree(n):
+    for e in (n + 1, n + 2, n + 3):
+        keys = [_key(g, n + 1) for g in enumerate_theta(n, e)]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
