@@ -1,20 +1,26 @@
-"""Stage timings of the graph layer: bases, boundaries, d^2 check, action tables.
+"""Stage timings of the graph layer: bases, boundaries, d^2 check, action
+tables, and whole `complex` runs.
 
 Each (stage, n) pair runs in a fresh interpreter, so no stage sees another's
 memos.  The stages are:
 
-    bases       build_basis for degrees n, n+1, n+2          (n = 6, 7, 8)
+    bases       basis_arrays for degrees n, n+1, n+2          (n = 6, 7, 8)
     boundaries  boundary_matrix for d_{n+1}, d_{n+2}          (n = 6, 7, 8)
-    d2          d_{n+1} . d_{n+2} == 0                        (n = 6, 7)
+    d2          d_{n+1} . d_{n+2} == 0                        (n = 6, 7, 8)
     act         act() of every class representative, 3 degrees (n = 6, 7)
+    cli_cold    `python -m delta2n.cli complex --n N --format json --cache DIR`
+                on a new empty DIR                            (n = 7, 8)
+    cli_warm    the same on a DIR filled by an untimed run    (n = 7, 8)
 
 Only the named stage is timed; what it needs (bases, boundaries) is built
-first, untimed.  `--src DIR` measures the checkout at DIR (default: the one
-holding this script); `--before DIR` measures a second checkout, such as a
-clone of the parent commit, alternating with the first run by run so that a
-host speed change hits both alike.
+first, untimed.  The cli stages time the whole process from outside, and
+take its peak RSS from os.wait4, so it is the child's own.  `--src DIR`
+measures the checkout at DIR (default: the one holding this script);
+`--before DIR` measures a second checkout, such as a clone of the parent
+commit, alternating with the first run by run so that a host speed change
+hits both alike.
 
-    python3 benchmarks/bench_theta.py --before ../parent --out BENCH_boundary.json
+    python3 benchmarks/bench_theta.py --before ../parent --out BENCH_complex.json
 """
 
 import argparse
@@ -24,32 +30,34 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 STAGES = (
     ("bases", 6), ("bases", 7), ("bases", 8),
     ("boundaries", 6), ("boundaries", 7), ("boundaries", 8),
-    ("d2", 6), ("d2", 7),
+    ("d2", 6), ("d2", 7), ("d2", 8),
     ("act", 6), ("act", 7),
+    ("cli_cold", 7), ("cli_warm", 7), ("cli_cold", 8), ("cli_warm", 8),
 )
 
 
 def run_stage(stage, n):
     """Child side: build the prerequisites, time one stage, return a record."""
     import resource
-    import time
 
-    from delta2n.chain_complex import boundary_matrix, build_basis
+    from delta2n.chain_complex import basis_arrays, boundary_matrix
 
     degrees = (n, n + 1, n + 2)
     if stage != "bases":
         for p in degrees:
-            build_basis(n, p)
+            basis_arrays(n, p)
     if stage == "d2":
         mats = [boundary_matrix(n, p) for p in (n + 1, n + 2)]
     t0 = time.perf_counter()
     if stage == "bases":
-        result = [build_basis(n, p).dim for p in degrees]
+        result = [len(basis_arrays(n, p).keys) for p in degrees]
     elif stage == "boundaries":
         result = [boundary_matrix(n, p).nnz for p in (n + 1, n + 2)]
     elif stage == "d2":
@@ -73,8 +81,35 @@ def run_stage(stage, n):
     }
 
 
+def measure_cli(env, stage, n):
+    """One fresh `complex --n N` process on a new cache dir, filled first by
+    an untimed run for cli_warm."""
+    with tempfile.TemporaryDirectory() as cache:
+        cmd = [sys.executable, "-m", "delta2n.cli", "complex", "--n", str(n),
+               "--format", "json", "--cache", cache]
+        if stage == "cli_warm":
+            subprocess.run(cmd, capture_output=True, env=env, check=True)
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t0
+        proc.stdout.close()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"{stage} n={n} exited with status {proc.returncode}")
+    payload = json.loads(out)
+    return {
+        "seconds": seconds,
+        "result": [payload["dims"], payload["boundary_nnz"], payload["d_squared_zero"]],
+        "peak_rss_mb": usage.ru_maxrss / 1024,
+    }
+
+
 def measure(src, stage, n):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve() / "src"))
+    if stage.startswith("cli"):
+        return measure_cli(env, stage, n)
     child = subprocess.run(
         [sys.executable, __file__, "--child", stage, str(n)],
         capture_output=True, text=True, env=env, check=True,

@@ -14,7 +14,7 @@ import hashlib
 import os
 import tempfile
 from functools import cache
-from itertools import chain
+from itertools import chain, permutations
 from math import factorial
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +30,6 @@ from .theta_graphs import (
     ThetaGraph,
     canonical_keys,
     contract,
-    enumerate_theta,
     has_odd_automorphism,
     is_full_theta,
     orbit_representative,
@@ -55,15 +54,16 @@ class ChainBasis(NamedTuple):
 @cache
 def build_basis(n: int, p: int) -> ChainBasis:
     """Canonical full-theta graphs of chain degree p (= p+1 edges), odd
-    automorphisms excluded, in sorted canonical order."""
-    if n < 2:
-        raise ValueError(f"n={n} is out of range")
-    graphs = tuple(
-        g
-        for g in enumerate_theta(n, p + 1, full_only=True)
-        if not has_odd_automorphism(g)
-    )
-    return ChainBasis(n, p, graphs)
+    automorphisms excluded, in sorted canonical order: the rows of
+    ``basis_arrays`` decoded, for callers that want graph objects."""
+    arrays = basis_arrays(n, p)
+    graphs = [None] * arrays.dim
+    for (_, _, (l0, l1, _)), index, rows in arrays.blocks:
+        c1, c2 = 2 + l0, 2 + l0 + l1
+        for i, row in zip(index.tolist(), rows.tolist()):
+            paths = tuple(row[2:c1]), tuple(row[c1:c2]), tuple(row[c2:])
+            graphs[i] = ThetaGraph(row[0], row[1], paths)
+    return ChainBasis(n, p, tuple(graphs))
 
 
 @cache
@@ -126,6 +126,10 @@ class BasisArrays(NamedTuple):
     keys: np.ndarray
     blocks: tuple
 
+    @property
+    def dim(self):
+        return sum(len(block.index) for block in self.blocks)
+
     def locate(self, keys):
         """(position, found) of each key in the basis."""
         pos = np.searchsorted(self.keys, keys)
@@ -134,41 +138,72 @@ class BasisArrays(NamedTuple):
         return pos, found
 
 
+def _slot_shapes(n: int, p: int) -> tuple:
+    """The slot shapes of the canonical graphs of degree p: n+2-p marked
+    branch vertices, an unmarked one first (it sorts lowest), and p-2
+    interior labels on three nonempty paths."""
+    marks, interior = n + 2 - p, p - 2
+    if marks not in (0, 1, 2):
+        return ()
+    return tuple(
+        (marks == 2, marks >= 1, (l0, l1, interior - l0 - l1))
+        for l0 in range(1, interior - 1)
+        for l1 in range(1, interior - l0)
+    )
+
+
+@cache
+def _labelings(n: int) -> np.ndarray:
+    """Every ordering of the labels 0..n-1, one row each."""
+    flat = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8)
+    return flat.reshape(-1, n)
+
+
+def _shape_rows(n: int, shape):
+    """The label rows of one slot shape that are canonical and have no odd
+    automorphism, sorted, with their keys.  A labeling fills the marked
+    branches, then the paths; only paths sorted by first label (and a < b
+    when both branches are marked) can be canonical, and of those a row is
+    kept when its own key is the least of its 12 images'."""
+    ma, mb, (l0, l1, _) = shape
+    marks = ma + mb
+    perms = _labelings(n)
+    first = perms[:, marks], perms[:, marks + l0], perms[:, marks + l0 + l1]
+    keep = (first[0] < first[1]) & (first[1] < first[2])
+    if ma:
+        keep &= perms[:, 0] < perms[:, 1]
+    perms = perms[keep]
+    rows = np.hstack([np.full((len(perms), 2 - marks), UNMARKED, dtype=np.int8), perms])
+    weights, _ = symmetry_table(shape, n + 1)
+    keys, _, odd = canonical_keys(rows, shape, n + 1)
+    keep = (keys == (rows + 1) @ weights[0]) & ~odd
+    order = np.argsort(keys[keep])
+    return rows[keep][order], keys[keep][order]
+
+
 @cache
 def basis_arrays(n: int, p: int) -> BasisArrays:
-    """The degree-p basis as label rows (see ``theta_graphs.canonical_keys``);
-    its keys must be strictly increasing, as the sorted basis implies."""
-    graphs = build_basis(n, p).graphs
-    dim = len(graphs)
-    # per graph a, b, two path lengths and the p - 2 interior labels; labels
-    # are below n, and symmetry_table rejects any n whose keys overflow
-    flat = np.fromiter(
-        chain.from_iterable(
-            (a, b, len(p0), len(p1), *p0, *p1, *p2) for a, b, (p0, p1, p2) in graphs
-        ),
-        dtype=np.int8,
-        count=dim * (p + 2),
-    ).reshape(dim, p + 2)
-    rows, lens = np.delete(flat, [2, 3], axis=1), flat[:, 2:4]
-    marked = rows[:, :2] != UNMARKED
-    # one integer per slot shape; the lengths are below p
-    code = ((marked[:, 0] * 2 + marked[:, 1]) * p + lens[:, 0]) * p + lens[:, 1]
-    order = np.argsort(code, kind="stable")
-    cuts = np.flatnonzero(np.diff(code[order])) + 1
-    keys = np.empty(dim, dtype=np.int64)
-    blocks = []
-    for index in np.split(order, cuts) if dim else ():
-        first = index[0]
-        l0, l1 = lens[first].tolist()
-        shape = (bool(marked[first, 0]), bool(marked[first, 1]), (l0, l1, p - 2 - l0 - l1))
-        weights, _ = symmetry_table(shape, n + 1)
-        keys[index] = (rows[index] + 1) @ weights[0]
-        blocks.append(ShapeBlock(shape, index, rows[index]))
+    """The degree-p basis as label rows (see ``theta_graphs.canonical_keys``),
+    enumerated one slot shape at a time; its keys, merged and sorted, must be
+    strictly increasing, as distinct graphs have distinct keys."""
+    if n < 2:
+        raise ValueError(f"n={n} is out of range")
+    found = [(shape, *_shape_rows(n, shape)) for shape in _slot_shapes(n, p)]
+    found = [(shape, rows, keys) for shape, rows, keys in found if len(rows)]
+    keys = np.concatenate([keys for _, _, keys in found]) if found else np.empty(0, np.int64)
+    order = np.argsort(keys)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    keys = keys[order]
     if np.any(keys[1:] <= keys[:-1]):
         raise InternalConsistencyError(f"basis keys of C_{p} are not increasing at n={n}")
-    for block in blocks:  # cached and shared: no caller may write to them
-        block.index.setflags(write=False)
-        block.rows.setflags(write=False)
+    blocks, start = [], 0
+    for shape, rows, _ in found:
+        index = position[start : start + len(rows)]
+        start += len(rows)
+        index.setflags(write=False)  # cached and shared: no caller may write to them
+        rows.setflags(write=False)
+        blocks.append(ShapeBlock(shape, index, rows))
     keys.setflags(write=False)
     return BasisArrays(keys, tuple(blocks))
 
@@ -216,22 +251,10 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
             found_rows.append(pos[found])
             found_cols.append(index[found])
             coefs.append(edge_sign * signs[found])
-    dims = (build_basis(n, p - 1).dim, build_basis(n, p).dim)
-    mat = SparseIntMatrix(*dims)
     if not coefs:
-        return mat
-    # sum the terms of each (row, col) cell in integers and drop zeros
-    cell = np.concatenate(found_rows) * dims[1] + np.concatenate(found_cols)
-    order = np.argsort(cell)
-    cell, coef = cell[order], np.concatenate(coefs)[order]
-    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-    values = np.add.reduceat(coef, starts)
-    keep = values != 0
-    r, c = np.divmod(cell[starts][keep], dims[1])
-    ints = list(range(max(dims)))  # one int object per index, shared by the keys
-    r, c = map(ints.__getitem__, r.tolist()), map(ints.__getitem__, c.tolist())
-    mat.data = dict(zip(zip(r, c), values[keep].tolist()))
-    return mat
+        return SparseIntMatrix(rows.dim, cols.dim)
+    terms = (np.concatenate(found_rows), np.concatenate(found_cols), np.concatenate(coefs))
+    return SparseIntMatrix.from_terms(rows.dim, cols.dim, *terms)
 
 
 @cache
@@ -244,14 +267,15 @@ def _code_version() -> str:
 
 
 def _cache_path(cache_dir, n, p):
-    return Path(cache_dir) / f"boundary_n{n}_p{p}_{_code_version()}.txt"
+    return Path(cache_dir) / f"boundary_n{n}_p{p}_{_code_version()}.npy"
 
 
 def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
     """Matrix of d_p : C_p -> C_{p-1}; columns follow the degree-p basis.
 
-    With ``cache_dir`` the matrix is read from, or written to, a file there.
-    Either way it is built at most once per (n, p, cache_dir) per process.
+    With ``cache_dir`` the matrix is read from, or written to, a file there:
+    its ``coords`` array in numpy's ``.npy`` format.  Either way it is built
+    at most once per (n, p, cache_dir) per process.
     """
     # one positional key per matrix: the cache tells f(n, p) from f(n, p, None)
     return _boundary_matrix(n, p, os.fspath(cache_dir) if cache_dir else None)
@@ -259,13 +283,12 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
 
 def _read_cached(path, shape):
     """The matrix stored at path, or None when it is missing, malformed, or
-    of the wrong shape (a stale or foreign file)."""
+    not a matrix of this shape (a stale or foreign file)."""
     try:
-        with open(path) as fh:
-            mat = SparseIntMatrix.read(fh)
-    except (FileNotFoundError, ValueError):
+        with open(path, "rb") as fh:
+            return SparseIntMatrix.from_coords(*shape, np.load(fh, allow_pickle=False))
+    except (FileNotFoundError, EOFError, ValueError):
         return None
-    return mat if mat.shape == shape else None
 
 
 def _write_cached(path, mat) -> None:
@@ -274,8 +297,8 @@ def _write_cached(path, mat) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            mat.write(fh)
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, mat.coords, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -287,7 +310,7 @@ def _boundary_matrix(n, p, cache_dir):
     path = _cache_path(cache_dir, n, p) if cache_dir else None
     mat = None
     if path is not None:
-        mat = _read_cached(path, (build_basis(n, p - 1).dim, build_basis(n, p).dim))
+        mat = _read_cached(path, (basis_arrays(n, p - 1).dim, basis_arrays(n, p).dim))
     if mat is None:
         mat = _build_matrix(n, p)
         if path is not None:
@@ -310,7 +333,7 @@ class RelativeComplex(NamedTuple):
 def build_complex(n: int, cache_dir=None) -> RelativeComplex:
     """Bases for degrees n..n+2 plus d_{n+1}, d_{n+2}, with d.d = 0 checked
     and each enumerated basis as large as orbit-stabilizer says."""
-    bases = {p: build_basis(n, p) for p in (n, n + 1, n + 2)}
+    bases = {p: basis_arrays(n, p) for p in (n, n + 1, n + 2)}
     for p, basis in bases.items():
         if basis.dim != chain_dim(n, p):
             raise InternalConsistencyError(

@@ -17,7 +17,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .chain_complex import InternalConsistencyError, boundary_matrix, build_basis
+from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
 from .equivariant_homology import act
 from .linalg import kernel_exact, rank_exact, solve_exact
 from .symmetric_group import (
@@ -89,10 +89,6 @@ def _orbit_sum(a_pi, signed_e):
     return out
 
 
-def _path_shape(g):
-    return tuple(sorted(len(p) for p in g.paths))
-
-
 def find_isotypic_cycle(lam=(3, 1, 1)):
     """Deterministic search for a nonzero lam-isotypic cycle of orbit form.
 
@@ -101,7 +97,7 @@ def find_isotypic_cycle(lam=(3, 1, 1)):
     P_lam v = v. Falls back to projecting a fixed random vector if the
     structured search fails.
     """
-    basis = build_basis(N, TOP_DEGREE)
+    basis = basis_arrays(N, TOP_DEGREE)
     d = boundary_matrix(N, TOP_DEGREE).to_int64()
     pi = tuple(list(range(1, N)) + [0])
     a_pi = act(pi, TOP_DEGREE)
@@ -113,7 +109,10 @@ def find_isotypic_cycle(lam=(3, 1, 1)):
         e[g] = 1
         orbits.append(_orbit_sum(a_pi, e))
     bvecs = [d @ o for o in orbits]
-    shapes = [_path_shape(g) for g in basis.graphs]
+    shapes = [None] * dim  # the sorted path lengths of each basis graph
+    for (_, _, lens), index, _ in basis.blocks:
+        for i in index.tolist():
+            shapes[i] = tuple(sorted(lens))
 
     # hash signed pair sums of orbit boundaries, then look for a second pair
     # cancelling the first (meet in the middle over 4-term supports)

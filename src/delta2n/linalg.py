@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import itemgetter
 
 import numpy as np
 
@@ -51,16 +50,50 @@ class InternalConsistencyError(RuntimeError):
 
 
 class SparseIntMatrix:
-    """Dict-of-entries sparse matrix of Python ints with a plain text
-    ``r c v`` triplet format."""
+    """Sparse integer matrix held as one read-only int64 array ``coords`` of
+    shape (3, nnz): the row, column and value of each nonzero entry, sorted
+    row-major, each cell at most once."""
 
     def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.data: dict = {}
-        if entries:
-            for (r, c), v in dict(entries).items():
-                self[r, c] = v
+        """From a mapping {(row, col): value}; zero values are dropped, and a
+        value that is not an integer raises ValueError."""
+        items = dict(entries or {})
+        r, c = (np.array([k[i] for k in items], dtype=np.int64) for i in (0, 1))
+        v = np.array([_as_int(x) for x in items.values()], dtype=np.int64)
+        self._set(rows, cols, _cell_sums(rows, cols, r, c, v))
+
+    def _set(self, rows, cols, coords):
+        self.rows, self.cols = rows, cols
+        self.coords = coords.view()  # read-only here, whoever else holds the data
+        self.coords.setflags(write=False)
+
+    @classmethod
+    def from_terms(cls, rows: int, cols: int, r, c, v) -> "SparseIntMatrix":
+        """The sum of the terms v[k] at the cells (r[k], c[k]), in any order
+        and repeats allowed; ValueError for a cell outside the shape.  The
+        sums are taken in int64: the caller bounds them below 2**63."""
+        mat = cls.__new__(cls)
+        mat._set(rows, cols, _cell_sums(rows, cols, r, c, v))
+        return mat
+
+    @classmethod
+    def from_coords(cls, rows: int, cols: int, coords) -> "SparseIntMatrix":
+        """From an array already in the layout of ``coords``; ValueError for
+        anything else (another dtype, rank or shape, a cell out of range,
+        out of order or repeated, a zero value): a foreign or damaged array
+        is rejected, never repaired."""
+        coords = np.asarray(coords)
+        if coords.dtype != np.int64 or coords.ndim != 2 or coords.shape[0] != 3:
+            raise ValueError(f"not an int64 array of shape (3, nnz): {coords.dtype} {coords.shape}")
+        r, c, v = coords
+        _check_range(rows, cols, r, c)
+        if np.any(r[1:] * cols + c[1:] <= r[:-1] * cols + c[:-1]):
+            raise ValueError("entries are not in strictly increasing row-major order")
+        if not v.all():
+            raise ValueError("a stored value is zero")
+        mat = cls.__new__(cls)
+        mat._set(rows, cols, coords)
+        return mat
 
     @property
     def shape(self):
@@ -68,82 +101,76 @@ class SparseIntMatrix:
 
     @property
     def nnz(self):
-        return len(self.data)
-
-    def __getitem__(self, key):
-        return self.data.get(key, 0)
-
-    def __setitem__(self, key, value):
-        r, c = key
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(key)
-        v = _as_int(value)
-        if v:
-            self.data[r, c] = v
-        else:
-            self.data.pop(key, None)
+        return self.coords.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.data == other.data
+        return self.shape == other.shape and np.array_equal(self.coords, other.coords)
 
     def is_zero(self):
-        return not self.data
+        return self.nnz == 0
 
     def entries(self):
-        return self.data.items()
+        """The entries as ((row, col), value) pairs of Python ints, row-major."""
+        r, c, v = self.coords.tolist()
+        return list(zip(zip(r, c), v))
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        """The product, summed one output column at a time: self's entries
-        are grouped by column as references to their keys, and other's are
-        walked in column order, so no table of every partial sum is held."""
+        """The exact product, with no dense array: entry (i, j, a) of self
+        meets other's row j, a contiguous run of other's entries, and the
+        terms of each cell are summed in int64.  A cell gets at most as many
+        terms as self's row and other's column have entries, so the product
+        runs only when max|a| * max|b| times the fewer of those is below
+        2**62; OverflowError otherwise, before any product is formed."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_col: dict = {}
-        for key in self.data:
-            by_col.setdefault(key[1], []).append(key)
-        out = SparseIntMatrix(self.rows, other.cols)
-        col, acc = None, {}
-        for k, c in sorted(other.data, key=itemgetter(1)):
-            if c != col:
-                out.data.update(((r, col), v) for r, v in acc.items() if v)
-                col, acc = c, {}
-            v = other.data[k, c]
-            for key in by_col.get(k, ()):
-                acc[key[0]] = acc.get(key[0], 0) + self.data[key] * v
-        out.data.update(((r, col), v) for r, v in acc.items() if v)
-        return out
+        (ar, ac, av), (br, bc, bv) = self.coords, other.coords
+        if not (av.size and bv.size):
+            return SparseIntMatrix(self.rows, other.cols)
+        terms = min(np.bincount(ar).max(), np.bincount(bc).max())
+        bound = _max_abs(av) * _max_abs(bv) * int(terms)
+        if bound >= _INT64_SAFE:
+            raise OverflowError(f"a sum of products may reach {bound}, beyond int64")
+        start = np.searchsorted(br, ac)
+        count = np.searchsorted(br, ac, side="right") - start
+        left = np.repeat(np.arange(av.size), count)
+        # index into other of each term: its run's start plus its place in the run
+        right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return SparseIntMatrix.from_terms(
+            self.rows, other.cols, ar[left], bc[right], av[left] * bv[right]
+        )
 
     def to_int64(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.data.items():
-            out[r, c] = v
+        out = np.zeros(self.shape, dtype=np.int64)
+        r, c, v = self.coords
+        out[r, c] = v
         return out
 
-    def write(self, fh) -> None:
-        fh.write(f"{self.rows} {self.cols} {self.nnz}\n")
-        for (r, c) in sorted(self.data):
-            fh.write(f"{r} {c} {self.data[r, c]}\n")
 
-    @classmethod
-    def read(cls, fh) -> "SparseIntMatrix":
-        """Parse the format `write` emits; ValueError for any malformed file."""
-        head = fh.readline().split()
-        if len(head) != 3:
-            raise ValueError("bad matrix header")
-        rows, cols, nnz = map(int, head)
-        m = cls(rows, cols)
-        for _ in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError("truncated matrix data")
-            r, c, v = map(int, parts)
-            try:
-                m[r, c] = v
-            except IndexError as exc:
-                raise ValueError(f"bad matrix entry {parts!r}") from exc
-        return m
+def _check_range(rows, cols, r, c):
+    if r.size and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
+        raise ValueError(f"an entry lies outside the shape {(rows, cols)}")
+
+
+def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
+    """The nonzero sums of the terms v at the cells (r, c), in the layout of
+    ``SparseIntMatrix.coords``."""
+    r, c, v = (np.asarray(x, dtype=np.int64) for x in (r, c, v))
+    _check_range(rows, cols, r, c)
+    if not v.size:
+        return np.stack([r, c, v])
+    cell = r * cols + c
+    order = np.argsort(cell)
+    cell = cell[order]
+    heads = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    sums = np.add.reduceat(v[order], heads)
+    keep = sums != 0
+    return np.stack([*np.divmod(cell[heads][keep], cols), sums[keep]])
+
+
+def _max_abs(a) -> int:
+    return max(int(a.max()), -int(a.min()))
 
 
 def _as_int(v) -> int:

@@ -263,7 +263,7 @@ def canonical_keys(rows: np.ndarray, shape, base: int):
     an odd automorphism.  The images are taken one symmetry at a time.
     """
     weights, parity = symmetry_table(shape, base)
-    digits = rows + 1
+    digits = rows.astype(np.int64) + 1  # one cast, not one per image
     best = digits @ weights[0]
     sign = np.full(best.shape, parity[0])
     odd = np.zeros(best.shape, dtype=bool)

@@ -9,7 +9,7 @@ from delta2n import chain_complex as cc
 from delta2n import clear_caches
 from delta2n import d25_analysis, equivariant_homology, symmetric_group
 from delta2n.linalg import InternalConsistencyError, SparseIntMatrix, kernel_exact, rank_exact
-from delta2n.theta_graphs import has_odd_automorphism, is_full_theta, orbit_of
+from delta2n.theta_graphs import enumerate_theta, has_odd_automorphism, is_full_theta, orbit_of
 
 # (n, degree) -> dimension, all pinned by the brute-force enumeration oracle
 # in test_theta_graphs
@@ -117,7 +117,7 @@ def test_disk_cache_roundtrip(tmp_path):
     fresh = cc._build_matrix(4, 6)
     clear_caches()
     first = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
-    files = list(tmp_path.glob("boundary_n4_p6_*.txt"))
+    files = list(tmp_path.glob("boundary_n4_p6_*.npy"))
     assert len(files) == 1
     clear_caches()
     again = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
@@ -125,24 +125,34 @@ def test_disk_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_format(tmp_path):
+    # one int64 array of shape (3, nnz): rows, cols, values, row-major
     clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
-    (path,) = tmp_path.glob("*.txt")
-    lines = path.read_text().splitlines()
-    rows, cols, nnz = map(int, lines[0].split())
-    assert (rows, cols) == mat.shape and nnz == mat.nnz
-    r, c, v = map(int, lines[1].split())
-    assert mat[r, c] == v
+    (path,) = tmp_path.glob("*.npy")
+    stored = np.load(path, allow_pickle=False)
+    assert stored.dtype == np.int64 and stored.shape == (3, mat.nnz)
+    assert np.array_equal(stored, mat.coords)
+    assert [((r, c), v) for r, c, v in stored.T.tolist()] == mat.entries()
 
 
 def test_stale_cache_rebuilt(tmp_path):
-    # wrong-shape file under the right name is ignored, not trusted
+    # a file of a larger matrix under the right name is ignored, not trusted
     path = cc._cache_path(tmp_path, 4, 6)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("2 2 1\n0 0 5\n")
+    np.save(path, cc._build_matrix(5, 7).coords)
     clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
-    assert mat.shape == (4, 6)
+    assert mat.shape == (4, 6) and mat == cc._build_matrix(4, 6)
+
+
+def test_old_text_cache_files_are_ignored(tmp_path):
+    # the `r c v` text files of earlier versions are neither read nor removed
+    old = tmp_path / cc._cache_path(tmp_path, 4, 6).with_suffix(".txt").name
+    old.write_text("4 6 1\n0 0 5\n")
+    clear_caches()
+    assert cc.boundary_matrix(4, 6, cache_dir=tmp_path) == cc._build_matrix(4, 6)
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npy", ".txt"]
+    assert old.read_text() == "4 6 1\n0 0 5\n"
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -204,6 +214,62 @@ def test_build_complex_checks_the_orbit_stabilizer_dimension(monkeypatch):
         clear_caches()
 
 
+def test_build_complex_checks_the_enumerated_shapes(monkeypatch):
+    # an enumerator that misses one slot shape gives too small a basis
+    real = cc._slot_shapes
+    monkeypatch.setattr(cc, "_slot_shapes", lambda n, p: real(n, p)[:-1] if p == 7 else real(n, p))
+    clear_caches()
+    try:
+        with pytest.raises(InternalConsistencyError, match="dim C_7 = 45, orbit-stabilizer 60"):
+            cc.build_complex(5)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def test_build_complex_checks_d_squared(monkeypatch):
+    # one entry of d_7 with its sign flipped breaks d_6 . d_7 = 0
+    real = cc._build_matrix
+
+    def flipped(n, p):
+        mat = real(n, p)
+        if p != n + 2:
+            return mat
+        coords = mat.coords.copy()
+        coords[2, 0] *= -1
+        return SparseIntMatrix.from_coords(*mat.shape, coords)
+
+    monkeypatch.setattr(cc, "_build_matrix", flipped)
+    clear_caches()
+    try:
+        with pytest.raises(InternalConsistencyError, match=r"d_6 \. d_7 != 0 at n=5"):
+            cc.build_complex(5)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def _reference_key(g, base):
+    """g's key written out digit by digit: a+1, b+1, then each path's
+    labels +1 and a 0."""
+    digits = [g.branch_a + 1, g.branch_b + 1]
+    for path in g.paths:
+        digits += [label + 1 for label in path] + [0]
+    return sum(d * base**i for i, d in enumerate(reversed(digits)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_array_enumerator_matches_the_reference(n):
+    # the per-graph enumerator, odd automorphisms dropped, gives the same
+    # graphs in the same order, and their keys are the basis keys
+    for p in (n, n + 1, n + 2):
+        want = [g for g in enumerate_theta(n, p + 1, full_only=True) if not has_odd_automorphism(g)]
+        assert list(cc.build_basis(n, p).graphs) == want
+        assert cc.basis_arrays(n, p).keys.tolist() == [_reference_key(g, n + 1) for g in want]
+        if n <= 3:
+            assert want == []
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_chain_orbits_cover_the_basis(n):
     for p in (n, n + 1, n + 2):
@@ -242,26 +308,73 @@ def test_clear_caches_empties_every_memo():
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 
+def _save(path, coords, allow_pickle=False):
+    with open(path, "wb") as fh:
+        np.save(fh, coords, allow_pickle=allow_pickle)
+
+
+def _edited(path, edit):
+    """Rewrite the file's array after edit(coords) changed it in place."""
+    coords = np.load(path, allow_pickle=False)
+    edit(coords)
+    _save(path, coords)
+
+
+def _col_out_of_range(coords):
+    coords[1, 0] = 60
+
+
+def _repeat_first_cell(coords):
+    coords[:, 1] = coords[:, 0]
+
+
+def _zero_value(coords):
+    coords[2, 0] = 0
+
+
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda path: path.write_bytes(path.read_bytes()[:60]),  # truncated
-        lambda path: path.write_text("60 60 1\n0 0 1/0\n"),  # zero denominator
+        lambda path: path.write_bytes(path.read_bytes()[:-8]),
+        lambda path: path.write_bytes(path.read_bytes()[:60]),
+        lambda path: path.write_bytes(b""),
+        lambda path: _save(path, np.load(path).astype(np.float64)),
+        lambda path: _save(path, np.load(path).astype(np.int32)),
+        lambda path: _save(path, np.load(path).ravel()),
+        lambda path: _save(path, np.load(path)[:2]),
+        lambda path: _edited(path, _col_out_of_range),
+        lambda path: _edited(path, _repeat_first_cell),
+        lambda path: _edited(path, _zero_value),
+        lambda path: _save(path, np.load(path).astype(object), allow_pickle=True),
+        lambda path: path.write_text("60 60 1\n0 0 1\n"),
     ],
-    ids=["truncated", "zero-denominator"],
+    ids=[
+        "truncated",
+        "truncated-header",
+        "empty",
+        "float-values",
+        "int32-values",
+        "wrong-rank",
+        "wrong-shape",
+        "out-of-range",
+        "repeated-cell",
+        "zero-value",
+        "object-array",
+        "text-file",
+    ],
 )
 def test_unreadable_cache_rebuilt(tmp_path, damage):
     fresh = cc._build_matrix(5, 7)
     clear_caches()
     cc.boundary_matrix(5, 7, cache_dir=tmp_path)
-    (path,) = tmp_path.glob("boundary_n5_p7_*.txt")
+    (path,) = tmp_path.glob("boundary_n5_p7_*.npy")
     damage(path)
+    assert cc._read_cached(path, fresh.shape) is None
     clear_caches()
     assert cc.boundary_matrix(5, 7, cache_dir=tmp_path) == fresh
     # the bad file was overwritten by a good one, and no temporary file is left
     assert list(tmp_path.iterdir()) == [path]
-    with open(path) as fh:
-        assert SparseIntMatrix.read(fh) == fresh
+    assert cc._read_cached(path, fresh.shape) == fresh
 
 
 def test_cache_key_covers_linalg(tmp_path, monkeypatch):
@@ -294,9 +407,8 @@ def test_concurrent_cache_writers_never_expose_a_partial_file(tmp_path):
 
     def read():
         while not stop.is_set():
-            with open(path) as fh:
-                if SparseIntMatrix.read(fh) != mat:
-                    errors.append("read a different matrix")
+            if cc._read_cached(path, mat.shape) != mat:
+                errors.append("read a different matrix")
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -139,6 +139,7 @@ def test_complex_reports_dims(capsys):
     payload = json.loads(out)
     assert payload["dims"] == {"4": 0, "5": 4, "6": 6}
     assert payload["d_squared_zero"] is True
+    assert list(payload["metadata"]["timings"]) == ["bases", "boundaries", "d_squared"]
 
 
 def test_verify_passes(capsys):

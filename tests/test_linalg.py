@@ -38,35 +38,62 @@ def _sparse(a):
 
 
 def test_sparse_roundtrip():
-    m = SparseIntMatrix(3, 4)
-    m[0, 1] = 2
-    m[2, 0] = -5
-    m[1, 3] = np.int64(-7)
-    buf = io.StringIO()
-    m.write(buf)
+    # coords survive the cache's .npy round trip unchanged
+    m = SparseIntMatrix(3, 4, {(0, 1): 2, (2, 0): -5, (1, 3): np.int64(-7)})
+    buf = io.BytesIO()
+    np.save(buf, m.coords, allow_pickle=False)
     buf.seek(0)
-    back = SparseIntMatrix.read(buf)
+    back = SparseIntMatrix.from_coords(3, 4, np.load(buf, allow_pickle=False))
     assert back == m
     assert back.shape == (3, 4) and back.nnz == 3
     assert all(type(v) is int for _, v in back.entries())
 
 
-def test_sparse_header_format():
-    m = SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): -2})
-    buf = io.StringIO()
-    m.write(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "2 2 2"
-    assert lines[1] == "0 0 1"
-    assert lines[2] == "1 1 -2"
+def test_sparse_coords_layout():
+    m = SparseIntMatrix(2, 2, {(1, 1): -2, (0, 0): 1})
+    assert m.coords.dtype == np.int64 and m.coords.shape == (3, 2)
+    assert m.coords.tolist() == [[0, 1], [0, 1], [1, -2]]  # rows, cols, values
+    assert m.entries() == [((0, 0), 1), ((1, 1), -2)]
+    with pytest.raises(ValueError):
+        m.coords[2, 0] = 5  # read-only: a cached matrix is shared
 
 
-def test_sparse_setitem_drops_zero():
-    m = SparseIntMatrix(2, 2, {(0, 0): 3})
-    m[0, 0] = 0
-    assert m.is_zero()
-    with pytest.raises(IndexError):
-        m[5, 0] = 1
+def test_sparse_constructor_drops_zero():
+    assert SparseIntMatrix(2, 2, {(0, 0): 0}).is_zero()
+    assert SparseIntMatrix(2, 2, {(0, 0): 3, (1, 0): 0}).entries() == [((0, 0), 3)]
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 2, {(5, 0): 1})
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 2, {(0, -1): 1})
+
+
+def test_sparse_from_terms_sums_repeated_cells():
+    m = SparseIntMatrix.from_terms(2, 3, [1, 0, 1, 1], [2, 1, 2, 0], [4, -1, -4, 7])
+    assert m.entries() == [((0, 1), -1), ((1, 0), 7)]
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        np.array([[0], [0], [1]], dtype=np.int32),  # another dtype
+        np.array([[0.0], [0.0], [1.0]]),
+        np.array([0, 0, 1], dtype=np.int64),  # another rank
+        np.array([[0], [0], [1], [1]], dtype=np.int64),  # another shape
+        np.array([[2], [0], [1]], dtype=np.int64),  # row out of range
+        np.array([[0], [-1], [1]], dtype=np.int64),  # col out of range
+        np.array([[0, 0], [1, 1], [1, 2]], dtype=np.int64),  # repeated cell
+        np.array([[1, 0], [0, 1], [1, 2]], dtype=np.int64),  # not row-major
+        np.array([[0], [0], [0]], dtype=np.int64),  # zero value
+        np.array([[0], [0], [1]], dtype=object),
+    ],
+)
+def test_sparse_from_coords_rejects_foreign_arrays(coords):
+    with pytest.raises(ValueError):
+        SparseIntMatrix.from_coords(2, 2, coords)
+
+
+def _dense_product(a, b):
+    return int_matmul(a.to_int64(), b.to_int64())
 
 
 def test_sparse_matmul_matches_dense():
@@ -76,12 +103,77 @@ def test_sparse_matmul_matches_dense():
     assert np.array_equal(_sparse(a).matmul(_sparse(b)).to_int64(), a @ b)
 
 
+def test_sparse_matmul_matches_int_matmul_on_random_matrices():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        rows, inner, cols = (int(x) for x in rng.integers(1, 9, size=3))
+        density = rng.uniform(0.1, 0.9)
+        a = rng.integers(-9, 10, size=(rows, inner)) * (rng.random((rows, inner)) < density)
+        b = rng.integers(-9, 10, size=(inner, cols)) * (rng.random((inner, cols)) < density)
+        got = _sparse(a).matmul(_sparse(b))
+        assert np.array_equal(got.to_int64(), _dense_product(_sparse(a), _sparse(b)))
+        assert got == SparseIntMatrix.from_coords(rows, cols, got.coords)  # canonical layout
+
+
+def test_sparse_matmul_cancels_to_zero():
+    # every cell's terms cancel: no zero is stored
+    a = np.array([[1, 1, 0], [2, 0, -2]])
+    b = np.array([[1, 3], [-1, -3], [1, 3]])
+    prod = _sparse(a).matmul(_sparse(b))
+    assert prod.is_zero() and prod.shape == (2, 2)
+    assert np.array_equal(prod.to_int64(), a @ b)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
+def test_sparse_matmul_empty_shapes(rows, inner, cols):
+    a = SparseIntMatrix(rows, inner, {(0, 0): 1} if rows and inner else None)
+    b = SparseIntMatrix(inner, cols, {(0, 0): 1} if inner and cols else None)
+    prod = a.matmul(b)
+    assert prod.shape == (rows, cols) and prod.is_zero()
+
+
+def test_sparse_matmul_zero_factor():
+    a = SparseIntMatrix(2, 3)
+    b = _sparse(np.array([[1, 2], [3, 4], [5, 6]]))
+    assert a.matmul(b) == SparseIntMatrix(2, 2)
+    assert b.matmul(SparseIntMatrix(2, 4)) == SparseIntMatrix(3, 4)
+
+
+def test_sparse_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 3).matmul(SparseIntMatrix(2, 3))
+
+
+def test_sparse_matmul_rules_out_overflow_before_multiplying(monkeypatch):
+    big = 1 << 40
+    a = SparseIntMatrix(1, 2, {(0, 0): big, (0, 1): -big})
+    b = SparseIntMatrix(2, 1, {(0, 0): big, (1, 0): big})
+
+    def no_product(*args):
+        raise AssertionError("terms were summed before the overflow check")
+
+    monkeypatch.setattr(SparseIntMatrix, "from_terms", no_product)
+    with pytest.raises(OverflowError):
+        a.matmul(b)
+    # 2**31 * 2**31 * one term reaches 2**62: still refused
+    edge = SparseIntMatrix(1, 1, {(0, 0): 1 << 31})
+    with pytest.raises(OverflowError):
+        edge.matmul(edge)
+    monkeypatch.undo()
+    # just below the bound the product runs, and is exact
+    half = 1 << 30
+    a = SparseIntMatrix(1, 2, {(0, 0): half, (0, 1): half})
+    b = SparseIntMatrix(2, 1, {(0, 0): half - 1, (1, 0): half - 1})
+    assert a.matmul(b).entries() == [((0, 0), 2 * half * (half - 1))]
+
+
 def test_sparse_to_int64_rejects_fractions():
-    # the matrix holds Python ints only, so no fraction can reach to_int64
+    # the matrix holds integers only, so no fraction can reach to_int64
     with pytest.raises(ValueError):
         SparseIntMatrix(1, 1, {(0, 0): Fraction(1, 2)})
     m = SparseIntMatrix(1, 1, {(0, 0): Fraction(4, 2)})
-    assert type(m[0, 0]) is int and m.to_int64().tolist() == [[2]]
+    ((_, v),) = m.entries()
+    assert type(v) is int and m.to_int64().tolist() == [[2]]
 
 
 def test_kernel_exact_pivots_random():
@@ -270,11 +362,7 @@ def test_kernel_exact_zero_matrix():
 
 
 def test_kernel_exact_sparse_input():
-    m = SparseIntMatrix(3, 4)
-    m[0, 0] = 1
-    m[0, 3] = -2
-    m[1, 1] = 1
-    m[1, 3] = 5
+    m = SparseIntMatrix(3, 4, {(0, 0): 1, (0, 3): -2, (1, 1): 1, (1, 3): 5})
     rank, kern, _, free = kernel_exact(m)
     assert rank == 2 and kern.shape == (4, 2)
     assert m.to_int64().astype(object).dot(kern).tolist() == [[0, 0], [0, 0], [0, 0]]
