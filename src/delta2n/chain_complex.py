@@ -274,8 +274,9 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
     """Matrix of d_p : C_p -> C_{p-1}; columns follow the degree-p basis.
 
     With ``cache_dir`` the matrix is read from, or written to, a file there:
-    its ``coords`` array in numpy's ``.npy`` format.  Either way it is built
-    at most once per (n, p, cache_dir) per process.
+    one int64 array in numpy's ``.npy`` format, a header column
+    (rows, cols, 0) followed by the matrix's ``coords``.  Either way it is
+    built at most once per (n, p, cache_dir) per process.
     """
     # one positional key per matrix: the cache tells f(n, p) from f(n, p, None)
     return _boundary_matrix(n, p, os.fspath(cache_dir) if cache_dir else None)
@@ -283,10 +284,14 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
 
 def _read_cached(path, shape):
     """The matrix stored at path, or None when it is missing, malformed, or
-    not a matrix of this shape (a stale or foreign file)."""
+    stored with another shape (a stale or foreign file)."""
+    rows, cols = shape
     try:
         with open(path, "rb") as fh:
-            return SparseIntMatrix.from_coords(*shape, np.load(fh, allow_pickle=False))
+            stored = np.load(fh, allow_pickle=False)
+        if stored.ndim != 2 or stored[:, :1].tolist() != [[rows], [cols], [0]]:
+            return None
+        return SparseIntMatrix.from_coords(rows, cols, stored[:, 1:])
     except (FileNotFoundError, EOFError, ValueError):
         return None
 
@@ -298,7 +303,8 @@ def _write_cached(path, mat) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, mat.coords, allow_pickle=False)
+            head = np.array([[mat.rows], [mat.cols], [0]], dtype=np.int64)
+            np.save(fh, np.hstack([head, mat.coords]), allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -54,13 +54,10 @@ class SparseIntMatrix:
     shape (3, nnz): the row, column and value of each nonzero entry, sorted
     row-major, each cell at most once."""
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        """From a mapping {(row, col): value}; zero values are dropped, and a
-        value that is not an integer raises ValueError."""
-        items = dict(entries or {})
-        r, c = (np.array([k[i] for k in items], dtype=np.int64) for i in (0, 1))
-        v = np.array([_as_int(x) for x in items.values()], dtype=np.int64)
-        self._set(rows, cols, _cell_sums(rows, cols, r, c, v))
+    def __init__(self, rows: int, cols: int):
+        """The zero matrix of this shape; ``from_terms`` and ``from_coords``
+        build the others."""
+        self._set(rows, cols, np.zeros((3, 0), dtype=np.int64))
 
     def _set(self, rows, cols, coords):
         self.rows, self.cols = rows, cols
@@ -70,8 +67,9 @@ class SparseIntMatrix:
     @classmethod
     def from_terms(cls, rows: int, cols: int, r, c, v) -> "SparseIntMatrix":
         """The sum of the terms v[k] at the cells (r[k], c[k]), in any order
-        and repeats allowed; ValueError for a cell outside the shape.  The
-        sums are taken in int64: the caller bounds them below 2**63."""
+        and repeats allowed; ValueError for a cell outside the shape or an
+        array that does not hold integers.  The sums are taken in int64: the
+        caller bounds them below 2**63."""
         mat = cls.__new__(cls)
         mat._set(rows, cols, _cell_sums(rows, cols, r, c, v))
         return mat
@@ -156,7 +154,7 @@ def _check_range(rows, cols, r, c):
 def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     """The nonzero sums of the terms v at the cells (r, c), in the layout of
     ``SparseIntMatrix.coords``."""
-    r, c, v = (np.asarray(x, dtype=np.int64) for x in (r, c, v))
+    r, c, v = (_int64(x) for x in (r, c, v))
     _check_range(rows, cols, r, c)
     if not v.size:
         return np.stack([r, c, v])
@@ -167,6 +165,15 @@ def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     sums = np.add.reduceat(v[order], heads)
     keep = sums != 0
     return np.stack([*np.divmod(cell[heads][keep], cols), sums[keep]])
+
+
+def _int64(a) -> np.ndarray:
+    """a as an int64 array; ValueError unless its dtype casts to int64
+    exactly (floats, objects and uint64 do not), an empty array excepted."""
+    a = np.asarray(a)
+    if a.size and not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"not an integer array: {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 def _max_abs(a) -> int:

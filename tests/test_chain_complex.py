@@ -69,15 +69,15 @@ def test_boundary_entries_are_small_integers():
 
 def test_rank_examples():
     assert rank_exact(SparseIntMatrix(3, 3)) == 0
-    eye = SparseIntMatrix(4, 4, {(i, i): 1 for i in range(4)})
+    eye = SparseIntMatrix.from_terms(4, 4, range(4), range(4), [1] * 4)
     assert rank_exact(eye) == 4
     assert rank_exact(cc.boundary_matrix(4, 6)) == 3
 
 
 def test_kernel_basis_examples():
-    eye = SparseIntMatrix(3, 3, {(i, i): 1 for i in range(3)})
+    eye = SparseIntMatrix.from_terms(3, 3, range(3), range(3), [1] * 3)
     assert kernel_exact(eye)[1].shape == (3, 0)
-    row = SparseIntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    row = SparseIntMatrix.from_terms(1, 2, [0, 0], [0, 1], [1, 1])
     k = kernel_exact(row)[1]
     assert k.shape == (2, 1)
     assert k[0, 0] * 1 + k[1, 0] * 1 == 0 and k.any()
@@ -125,24 +125,37 @@ def test_disk_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_format(tmp_path):
-    # one int64 array of shape (3, nnz): rows, cols, values, row-major
+    # one int64 array of shape (3, nnz + 1): a header column (rows, cols, 0),
+    # then the rows, cols and values of the entries, row-major
     clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.npy")
     stored = np.load(path, allow_pickle=False)
-    assert stored.dtype == np.int64 and stored.shape == (3, mat.nnz)
-    assert np.array_equal(stored, mat.coords)
-    assert [((r, c), v) for r, c, v in stored.T.tolist()] == mat.entries()
+    assert stored.dtype == np.int64 and stored.shape == (3, mat.nnz + 1)
+    assert stored[:, 0].tolist() == [4, 6, 0]
+    assert np.array_equal(stored[:, 1:], mat.coords)
+    assert [((r, c), v) for r, c, v in stored[:, 1:].T.tolist()] == mat.entries()
 
 
 def test_stale_cache_rebuilt(tmp_path):
-    # a file of a larger matrix under the right name is ignored, not trusted
+    # a file of another shape under the right name is ignored, not trusted,
+    # even when its entries would fit inside the expected shape
     path = cc._cache_path(tmp_path, 4, 6)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(path, cc._build_matrix(5, 7).coords)
-    clear_caches()
-    mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
-    assert mat.shape == (4, 6) and mat == cc._build_matrix(4, 6)
+    smaller = SparseIntMatrix.from_terms(2, 2, [0], [0], [5])
+    stale = [np.array([[0], [0], [5]]), _with_header(smaller), _with_header(cc._build_matrix(5, 7))]
+    for stored in stale:
+        np.save(path, stored)
+        assert cc._read_cached(path, (4, 6)) is None
+        clear_caches()
+        mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
+        assert mat.shape == (4, 6) and mat == cc._build_matrix(4, 6)
+        assert cc._read_cached(path, (4, 6)) == mat
+
+
+def _with_header(mat):
+    """mat as the cache stores it: a (rows, cols, 0) column, then coords."""
+    return np.hstack([np.array([[mat.rows], [mat.cols], [0]]), mat.coords])
 
 
 def test_old_text_cache_files_are_ignored(tmp_path):
@@ -320,16 +333,27 @@ def _edited(path, edit):
     _save(path, coords)
 
 
+# column 0 of a stored array is the header (rows, cols, 0); entries follow
+
+
 def _col_out_of_range(coords):
-    coords[1, 0] = 60
+    coords[1, 1] = 60
 
 
 def _repeat_first_cell(coords):
-    coords[:, 1] = coords[:, 0]
+    coords[:, 2] = coords[:, 1]
 
 
 def _zero_value(coords):
-    coords[2, 0] = 0
+    coords[2, 1] = 0
+
+
+def _other_rows(coords):
+    coords[0, 0] = 61
+
+
+def _nonzero_tag(coords):
+    coords[2, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -347,6 +371,9 @@ def _zero_value(coords):
         lambda path: _edited(path, _zero_value),
         lambda path: _save(path, np.load(path).astype(object), allow_pickle=True),
         lambda path: path.write_text("60 60 1\n0 0 1\n"),
+        lambda path: _save(path, np.load(path)[:, 1:]),
+        lambda path: _edited(path, _other_rows),
+        lambda path: _edited(path, _nonzero_tag),
     ],
     ids=[
         "truncated",
@@ -361,6 +388,9 @@ def _zero_value(coords):
         "zero-value",
         "object-array",
         "text-file",
+        "no-header",
+        "header-shape",
+        "header-tag",
     ],
 )
 def test_unreadable_cache_rebuilt(tmp_path, damage):

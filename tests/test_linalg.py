@@ -34,12 +34,18 @@ def _sympy_rank(a):
 
 
 def _sparse(a):
-    return SparseIntMatrix(a.shape[0], a.shape[1], {(r, c): a[r, c] for r, c in zip(*np.nonzero(a))})
+    return SparseIntMatrix.from_terms(*a.shape, *np.nonzero(a), a[np.nonzero(a)])
+
+
+def _matrix(rows, cols, entries):
+    """The matrix with the entries {(row, col): value}."""
+    r, c = ([cell[i] for cell in entries] for i in (0, 1))
+    return SparseIntMatrix.from_terms(rows, cols, r, c, list(entries.values()))
 
 
 def test_sparse_roundtrip():
     # coords survive the cache's .npy round trip unchanged
-    m = SparseIntMatrix(3, 4, {(0, 1): 2, (2, 0): -5, (1, 3): np.int64(-7)})
+    m = _matrix(3, 4, {(0, 1): 2, (2, 0): -5, (1, 3): np.int64(-7)})
     buf = io.BytesIO()
     np.save(buf, m.coords, allow_pickle=False)
     buf.seek(0)
@@ -50,7 +56,7 @@ def test_sparse_roundtrip():
 
 
 def test_sparse_coords_layout():
-    m = SparseIntMatrix(2, 2, {(1, 1): -2, (0, 0): 1})
+    m = _matrix(2, 2, {(1, 1): -2, (0, 0): 1})
     assert m.coords.dtype == np.int64 and m.coords.shape == (3, 2)
     assert m.coords.tolist() == [[0, 1], [0, 1], [1, -2]]  # rows, cols, values
     assert m.entries() == [((0, 0), 1), ((1, 1), -2)]
@@ -59,12 +65,13 @@ def test_sparse_coords_layout():
 
 
 def test_sparse_constructor_drops_zero():
-    assert SparseIntMatrix(2, 2, {(0, 0): 0}).is_zero()
-    assert SparseIntMatrix(2, 2, {(0, 0): 3, (1, 0): 0}).entries() == [((0, 0), 3)]
+    assert SparseIntMatrix(2, 2).is_zero() and SparseIntMatrix(2, 2).shape == (2, 2)
+    assert SparseIntMatrix.from_terms(2, 2, [0], [0], [0]).is_zero()
+    assert SparseIntMatrix.from_terms(2, 2, [0, 1], [0, 0], [3, 0]).entries() == [((0, 0), 3)]
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, {(5, 0): 1})
+        SparseIntMatrix.from_terms(2, 2, [5], [0], [1])
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, {(0, -1): 1})
+        SparseIntMatrix.from_terms(2, 2, [0], [-1], [1])
 
 
 def test_sparse_from_terms_sums_repeated_cells():
@@ -126,8 +133,8 @@ def test_sparse_matmul_cancels_to_zero():
 
 @pytest.mark.parametrize("rows,inner,cols", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
 def test_sparse_matmul_empty_shapes(rows, inner, cols):
-    a = SparseIntMatrix(rows, inner, {(0, 0): 1} if rows and inner else None)
-    b = SparseIntMatrix(inner, cols, {(0, 0): 1} if inner and cols else None)
+    a = _matrix(rows, inner, {(0, 0): 1} if rows and inner else {})
+    b = _matrix(inner, cols, {(0, 0): 1} if inner and cols else {})
     prod = a.matmul(b)
     assert prod.shape == (rows, cols) and prod.is_zero()
 
@@ -146,8 +153,9 @@ def test_sparse_matmul_shape_mismatch():
 
 def test_sparse_matmul_rules_out_overflow_before_multiplying(monkeypatch):
     big = 1 << 40
-    a = SparseIntMatrix(1, 2, {(0, 0): big, (0, 1): -big})
-    b = SparseIntMatrix(2, 1, {(0, 0): big, (1, 0): big})
+    a = _matrix(1, 2, {(0, 0): big, (0, 1): -big})
+    b = _matrix(2, 1, {(0, 0): big, (1, 0): big})
+    edge = _matrix(1, 1, {(0, 0): 1 << 31})
 
     def no_product(*args):
         raise AssertionError("terms were summed before the overflow check")
@@ -156,22 +164,25 @@ def test_sparse_matmul_rules_out_overflow_before_multiplying(monkeypatch):
     with pytest.raises(OverflowError):
         a.matmul(b)
     # 2**31 * 2**31 * one term reaches 2**62: still refused
-    edge = SparseIntMatrix(1, 1, {(0, 0): 1 << 31})
     with pytest.raises(OverflowError):
         edge.matmul(edge)
     monkeypatch.undo()
     # just below the bound the product runs, and is exact
     half = 1 << 30
-    a = SparseIntMatrix(1, 2, {(0, 0): half, (0, 1): half})
-    b = SparseIntMatrix(2, 1, {(0, 0): half - 1, (1, 0): half - 1})
+    a = _matrix(1, 2, {(0, 0): half, (0, 1): half})
+    b = _matrix(2, 1, {(0, 0): half - 1, (1, 0): half - 1})
     assert a.matmul(b).entries() == [((0, 0), 2 * half * (half - 1))]
 
 
 def test_sparse_to_int64_rejects_fractions():
-    # the matrix holds integers only, so no fraction can reach to_int64
-    with pytest.raises(ValueError):
-        SparseIntMatrix(1, 1, {(0, 0): Fraction(1, 2)})
-    m = SparseIntMatrix(1, 1, {(0, 0): Fraction(4, 2)})
+    # the matrix holds integers only, so no fraction can reach to_int64:
+    # terms must come as an array that casts to int64 exactly
+    for value in (Fraction(1, 2), Fraction(4, 2), 0.5, 2.0, 1 << 63, np.uint64(1 << 63)):
+        with pytest.raises(ValueError):
+            SparseIntMatrix.from_terms(1, 1, [0], [0], [value])
+        with pytest.raises(ValueError):
+            SparseIntMatrix.from_coords(1, 1, np.array([[0], [0], [value]], dtype=object))
+    m = SparseIntMatrix.from_terms(1, 1, [0], [0], np.array([2], dtype=np.int8))
     ((_, v),) = m.entries()
     assert type(v) is int and m.to_int64().tolist() == [[2]]
 
@@ -362,7 +373,7 @@ def test_kernel_exact_zero_matrix():
 
 
 def test_kernel_exact_sparse_input():
-    m = SparseIntMatrix(3, 4, {(0, 0): 1, (0, 3): -2, (1, 1): 1, (1, 3): 5})
+    m = _matrix(3, 4, {(0, 0): 1, (0, 3): -2, (1, 1): 1, (1, 3): 5})
     rank, kern, _, free = kernel_exact(m)
     assert rank == 2 and kern.shape == (4, 2)
     assert m.to_int64().astype(object).dot(kern).tolist() == [[0, 0], [0, 0], [0, 0]]
