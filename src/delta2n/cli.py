@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .chain_complex import (
@@ -49,12 +49,20 @@ DEFAULT_SEED = 271828
 class RunConfig(NamedTuple):
     command: str
     n: Optional[int] = None
-    method: str = "projection"
     seed: int = DEFAULT_SEED
     cache: Optional[str] = None
     fmt: str = "text"
     degree: Optional[int] = None
     values: Optional[str] = None
+
+
+class Result(NamedTuple):
+    """What a subcommand computed: the JSON payload (without metadata), the
+    text lines (without the metadata header) and, for csv, the rows."""
+
+    payload: dict
+    lines: list
+    rows: Optional[list] = None
 
 
 class _Stages:
@@ -69,31 +77,9 @@ class _Stages:
         self.entries.append((name, time.perf_counter() - t0))
         return out
 
-    def as_dict(self):
-        return {name: round(dt, 6) for name, dt in self.entries}
-
 
 def _part_str(lam):
     return ",".join(str(a) for a in lam)
-
-
-def _metadata(config, stages):
-    return {
-        "version": __version__,
-        "seed": config.seed,
-        "timings": stages.as_dict(),
-    }
-
-
-def _emit_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _text_metadata(config, stages):
-    lines = [f"# version={__version__} seed={config.seed}"]
-    for name, dt in stages.entries:
-        lines.append(f"# stage {name}: {dt:.3f}s")
-    return lines
 
 
 def _character_block(n, degree, values, mults, seed):
@@ -142,9 +128,7 @@ def _cmd_enumerate(config, stages):
             for p, graphs, kept in blocks
         ],
     }
-    if config.fmt == "json":
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
+    lines = []
     for entry in payload["degrees"]:
         lines.append(
             "degree {degree}: {classes} classes, {with_odd_automorphism} odd, "
@@ -152,7 +136,7 @@ def _cmd_enumerate(config, stages):
         )
         if entry["graphs"]:
             lines.extend("  " + s for s in entry["graphs"])
-    return "\n".join(lines) + "\n"
+    return Result(payload, lines)
 
 
 def _cmd_complex(config, stages):
@@ -168,52 +152,31 @@ def _cmd_complex(config, stages):
         "boundary_nnz": {str(p): cx.d(p).nnz for p in (n + 1, n + 2)},
         "d_squared_zero": True,  # enforced during construction
     }
-    if config.fmt == "json":
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
-    lines.append(
-        "dims: "
-        + ", ".join(f"C_{p} = {payload['dims'][str(p)]}" for p in range(n, n + 3))
-    )
-    lines.append(
+    lines = [
+        "dims: " + ", ".join(f"C_{p} = {payload['dims'][str(p)]}" for p in range(n, n + 3)),
         "boundary nnz: "
-        + ", ".join(f"d_{p}: {payload['boundary_nnz'][str(p)]}" for p in (n + 1, n + 2))
-    )
-    lines.append("d^2 = 0: verified")
-    return "\n".join(lines) + "\n"
+        + ", ".join(f"d_{p}: {payload['boundary_nnz'][str(p)]}" for p in (n + 1, n + 2)),
+        "d^2 = 0: verified",
+    ]
+    return Result(payload, lines)
 
 
 def _cmd_betti(config, stages):
     n = config.n
     top, nxt = stages.run("betti", lambda: betti(n))
-    if config.fmt == "json":
-        payload = {
-            "n": n,
-            "betti": {f"H_{n + 2}": top, f"H_{n + 1}": nxt},
-        }
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
-    lines.append(f"H_{n + 2}: {top}, H_{n + 1}: {nxt}")
-    return "\n".join(lines) + "\n"
+    payload = {"n": n, "betti": {f"H_{n + 2}": top, f"H_{n + 1}": nxt}}
+    return Result(payload, [f"H_{n + 2}: {top}, H_{n + 1}: {nxt}"])
 
 
-def _top_character(method, config, stages):
-    if method == "kernel-trace":
-        return stages.run(
-            "kernel_trace", lambda: kernel_character_oracle(config.n, config.cache)
-        )
-    return stages.run("projection", lambda: homology_character_top(config.n))
-
-
-def _compute_characters(config, stages):
-    top = _top_character(config.method, config, stages)
-    nxt = stages.run("euler_next", lambda: homology_character_next(config.n, top))
+def _homology_characters(n, stages):
+    top = stages.run("blocks", lambda: homology_character_top(n))
+    nxt = stages.run("euler_next", lambda: homology_character_next(n, top))
     return top, nxt
 
 
 def _cmd_characters(config, stages):
     n = config.n
-    top, nxt = _compute_characters(config, stages)
+    top, nxt = _homology_characters(n, stages)
     report = check_euler(n, top, nxt)
     if not all(entry.ok for entry in report):
         print(
@@ -226,19 +189,10 @@ def _cmd_characters(config, stages):
         _character_block(n, n + 2, top.as_ints(), mults_top, config.seed),
         _character_block(n, n + 1, nxt.as_ints(), mults_nxt, config.seed),
     ]
-    if config.fmt == "json":
-        return _emit_json({"metadata": _metadata(config, stages), "characters": blocks})
-    if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["degree"] + blocks[0]["classes"])
-        for b in blocks:
-            writer.writerow([b["degree"]] + b["values"])
-        return buf.getvalue()
-    lines = _text_metadata(config, stages)
-    lines += _character_text(f"H_{n + 2}:", n, blocks[0]["values"], mults_top)
+    lines = _character_text(f"H_{n + 2}:", n, blocks[0]["values"], mults_top)
     lines += _character_text(f"H_{n + 1}:", n, blocks[1]["values"], mults_nxt)
-    return "\n".join(lines) + "\n"
+    rows = [["degree"] + blocks[0]["classes"]] + [[b["degree"]] + b["values"] for b in blocks]
+    return Result({"characters": blocks}, lines, rows)
 
 
 def _cmd_decompose(config, stages):
@@ -261,23 +215,18 @@ def _cmd_decompose(config, stages):
         "n": n,
         "decomposition": {_part_str(lam): k for lam, k in sorted(mults.items())},
     }
-    if config.fmt == "json":
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
-    for lam, k in sorted(mults.items(), reverse=True):
-        lines.append(f"chi_{_part_str(lam)}: {k}")
-    return "\n".join(lines) + "\n"
+    lines = [f"chi_{_part_str(lam)}: {k}" for lam, k in sorted(mults.items(), reverse=True)]
+    return Result(payload, lines)
 
 
 def _cmd_verify(config, stages):
     n = config.n
-    top, nxt = _compute_characters(config, stages)
+    top, nxt = _homology_characters(n, stages)
     report = stages.run("euler_check", lambda: check_euler(n, top, nxt))
     agree = None
     if n <= 6:
-        # the method not used for top, so that the two methods are compared
-        other = "projection" if config.method == "kernel-trace" else "kernel-trace"
-        agree = _top_character(other, config, stages).as_ints() == top.as_ints()
+        oracle = stages.run("kernel_trace", lambda: kernel_character_oracle(n))
+        agree = oracle.as_ints() == top.as_ints()
     ok = all(entry.ok for entry in report) and agree is not False
     payload = {
         "n": n,
@@ -293,29 +242,22 @@ def _cmd_verify(config, stages):
         "method_agreement": agree,
         "ok": ok,
     }
-    if config.fmt == "json":
-        out = _emit_json({"metadata": _metadata(config, stages), **payload})
-    else:
-        lines = _text_metadata(config, stages)
+    lines = [
+        f"euler check: z2 against the chain characters of C_{n}..C_{n + 2} "
+        f"(H_{n + 2} cancels, so only method agreement checks it)",
+        f"{'class':>16}  {'coefficient':>14}  {'bracket':>14}  ok",
+    ]
+    for e in report:
         lines.append(
-            f"euler check: z2 against the chain characters of C_{n}..C_{n + 2} "
-            f"(H_{n + 2} cancels, so only method agreement checks it)"
+            f"{_part_str(e.cycle_type):>16}  {str(e.coefficient):>14}  "
+            f"{str(e.bracket):>14}  {'pass' if e.ok else 'FAIL'}"
         )
-        lines.append(f"{'class':>16}  {'coefficient':>14}  {'bracket':>14}  ok")
-        for e in report:
-            lines.append(
-                f"{_part_str(e.cycle_type):>16}  {str(e.coefficient):>14}  "
-                f"{str(e.bracket):>14}  {'pass' if e.ok else 'FAIL'}"
-            )
-        if agree is None:
-            lines.append("method agreement: skipped (kernel trace beyond budget)")
-        else:
-            lines.append(f"method agreement: {'pass' if agree else 'FAIL'}")
-        lines.append("verify: " + ("pass" if ok else "FAIL"))
-        out = "\n".join(lines) + "\n"
-    if not ok:
-        raise InternalConsistencyError("verification failed:\n" + out)
-    return out
+    if agree is None:
+        lines.append("method agreement: skipped (kernel trace beyond budget)")
+    else:
+        lines.append(f"method agreement: {'pass' if agree else 'FAIL'}")
+    lines.append("verify: " + ("pass" if ok else "FAIL"))
+    return Result(payload, lines)
 
 
 def _cmd_chartable(config, stages):
@@ -325,18 +267,14 @@ def _cmd_chartable(config, stages):
     rows = {
         _part_str(lam): [int(v) for v in table.row(lam)] for lam in partitions_of(n)
     }
-    if config.fmt == "json":
-        payload = {"n": n, "classes": classes, "rows": rows}
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
     width = max(len(c) for c in classes) + 2
-    lines.append(" " * 12 + "".join(c.rjust(width) for c in classes))
+    lines = [" " * 12 + "".join(c.rjust(width) for c in classes)]
     for lam in reversed(partitions_of(n)):
         vals = rows[_part_str(lam)]
         lines.append(
             _part_str(lam).ljust(12) + "".join(str(v).rjust(width) for v in vals)
         )
-    return "\n".join(lines) + "\n"
+    return Result({"n": n, "classes": classes, "rows": rows}, lines)
 
 
 def _cmd_analyze_d25(config, stages):
@@ -349,48 +287,42 @@ def _cmd_analyze_d25(config, stages):
 
     basis = build_basis(5, 7)
     v = stages.run("cycle_search", find_isotypic_cycle)
-    support = [(to_line(basis.graphs[i]), int(v[i])) for i in range(60) if v[i]]
+    support = [(to_line(basis.graphs[i]), int(v[i])) for i in range(basis.dim) if v[i]]
     p311 = stages.run("projection", lambda: projection_on_kernel((3, 1, 1)))
     vb = stages.run("orbit_basis", lambda: orbit_basis(v))
     h0 = stages.run("intertwiner", lambda: equivariant_isomorphism(vb))
     payload = {
         "n": 5,
         "cycle_support": [{"graph": g, "coefficient": c} for g, c in support],
-        "projection_trace": str(sum(p311[i, i] for i in range(15))),
+        "projection_trace": str(sum(p311[i, i] for i in range(p311.shape[0]))),
         "orbit_rank": 6,
         "h0": [[str(x) for x in row] for row in h0],
     }
-    if config.fmt == "json":
-        return _emit_json({"metadata": _metadata(config, stages), **payload})
-    lines = _text_metadata(config, stages)
-    lines.append("isotypic cycle support (graph, coefficient):")
+    lines = ["isotypic cycle support (graph, coefficient):"]
     lines.extend(f"  {g}  {c:+d}" for g, c in support)
     lines.append(f"projection trace on kernel: {payload['projection_trace']}")
     lines.append("orbit basis rank: 6 (exact)")
     lines.append("h0:")
     lines.extend("  " + "  ".join(str(x).rjust(4) for x in row) for row in h0)
-    return "\n".join(lines) + "\n"
+    return Result(payload, lines)
+
+
+class Command(NamedTuple):
+    handler: Callable
+    n_range: Optional[tuple]  # (lo, hi) for --n, or None: the command takes no --n
+    options: tuple = ()  # read beyond --seed and --format
+    formats: tuple = ("text", "json")
 
 
 _COMMANDS = {
-    "enumerate": (_cmd_enumerate, True),
-    "complex": (_cmd_complex, True),
-    "betti": (_cmd_betti, True),
-    "characters": (_cmd_characters, True),
-    "decompose": (_cmd_decompose, True),
-    "verify": (_cmd_verify, True),
-    "chartable": (_cmd_chartable, True),
-    "analyze-d25": (_cmd_analyze_d25, False),
-}
-
-_N_BOUNDS = {
-    "enumerate": (2, 8),
-    "complex": (2, 8),
-    "betti": (4, 8),
-    "characters": (4, 8),
-    "decompose": (2, 8),
-    "verify": (4, 8),
-    "chartable": (2, 8),
+    "enumerate": Command(_cmd_enumerate, (2, 8), ("--degree",)),
+    "complex": Command(_cmd_complex, (2, 8), ("--cache",)),
+    "betti": Command(_cmd_betti, (4, 8)),
+    "characters": Command(_cmd_characters, (4, 8), formats=("text", "json", "csv")),
+    "decompose": Command(_cmd_decompose, (2, 8), ("--values",)),
+    "verify": Command(_cmd_verify, (4, 8)),
+    "chartable": Command(_cmd_chartable, (2, 8)),
+    "analyze-d25": Command(_cmd_analyze_d25, None),
 }
 
 
@@ -398,11 +330,25 @@ class ConfigError(ValueError):
     pass
 
 
-def run(config: RunConfig):
-    """Execute one subcommand; returns (exit status, formatted output)."""
-    handler, needs_n = _COMMANDS[config.command]
-    if needs_n:
-        lo, hi = _N_BOUNDS[config.command]
+def _render(config, stages, result):
+    if config.fmt == "json":
+        timings = {name: round(dt, 6) for name, dt in stages.entries}
+        metadata = {"version": __version__, "seed": config.seed, "timings": timings}
+        return json.dumps({"metadata": metadata, **result.payload}, indent=2, sort_keys=True) + "\n"
+    if config.fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(result.rows)
+        return buf.getvalue()
+    lines = [f"# version={__version__} seed={config.seed}"]
+    lines += [f"# stage {name}: {dt:.3f}s" for name, dt in stages.entries]
+    return "\n".join(lines + result.lines) + "\n"
+
+
+def run(config: RunConfig) -> str:
+    """Execute one subcommand and return its formatted output."""
+    command = _COMMANDS[config.command]
+    if command.n_range:
+        lo, hi = command.n_range
         if config.n is None:
             raise ConfigError(f"{config.command} requires --n")
         if not lo <= config.n <= hi:
@@ -417,7 +363,11 @@ def run(config: RunConfig):
             file=sys.stderr,
         )
     stages = _Stages()
-    return 0, handler(config, stages)
+    result = command.handler(config, stages)
+    out = _render(config, stages, result)
+    if result.payload.get("ok") is False:
+        raise InternalConsistencyError("verification failed:\n" + out)
+    return out
 
 
 def _build_parser():
@@ -426,19 +376,20 @@ def _build_parser():
         description="Equivariant rational homology of the genus-2 tropical "
         "moduli spaces via full-theta chain complexes.",
     )
+    options = {
+        "--degree": {"type": int},
+        "--cache": {"default": os.environ.get(CACHE_ENV)},
+        "--values": {},
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument(
-            "--method", choices=["projection", "kernel-trace"], default="projection"
-        )
+        if command.n_range:
+            p.add_argument("--n", type=int)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--degree", type=int, default=None)
-        if name == "decompose":
-            p.add_argument("--values", default=None)
+        p.add_argument("--format", dest="fmt", choices=command.formats, default="text")
+        for option in command.options:
+            p.add_argument(option, **options[option])
     return parser
 
 
@@ -448,18 +399,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit:
         return 1
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        method=args.method,
-        seed=args.seed,
-        cache=args.cache,
-        fmt=args.format,
-        degree=args.degree,
-        values=getattr(args, "values", None),
-    )
     try:
-        status, output = run(config)
+        output = run(RunConfig(**vars(args)))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -472,7 +413,7 @@ def main(argv=None):
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -189,8 +189,8 @@ def test_05_method_agreement():
         oracle = kernel_character_oracle(n).as_ints()
         proj = homology_character_top(n).as_ints()
         if oracle != proj:
-            bad.append(f"n={n}: oracle {oracle} vs projection {proj}")
-    _report(5, "kernel-trace oracle vs projection n=4,5", not bad, "; ".join(bad))
+            bad.append(f"n={n}: oracle {oracle} vs blocks {proj}")
+    _report(5, "kernel-trace oracle vs block method n=4,5", not bad, "; ".join(bad))
 
 
 def test_06_euler_generating_function():

@@ -106,14 +106,6 @@ def test_characters_text_decomposition_line(capsys):
     assert "decomposition: chi_4" in out
 
 
-def test_methods_agree_in_payload(capsys):
-    _, a, _ = _run(capsys, "characters", "--n", "4", "--format", "json")
-    _, b, _ = _run(
-        capsys, "characters", "--n", "4", "--method", "kernel-trace", "--format", "json"
-    )
-    assert _payload(a) == _payload(b)
-
-
 def test_enumerate_text_all_degrees(capsys):
     status, out, _ = _run(capsys, "enumerate", "--n", "4")
     assert status == 0
@@ -216,20 +208,18 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
 
 
 def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
-    # the kernel-trace oracle reads d_7 from the --cache dir: it is built
-    # once and cached once
+    # complex reads d_6 and d_7 through the --cache dir in two stages: each is
+    # built once and cached once
     monkeypatch.delenv(CACHE_ENV, raising=False)
     built = []
     real = chain_complex._build_matrix
     monkeypatch.setattr(
         chain_complex, "_build_matrix", lambda n, p: built.append(p) or real(n, p)
     )
-    status, _, _ = _run(
-        capsys, "verify", "--n", "5", "--method", "kernel-trace", "--cache", str(tmp_path)
-    )
+    status, _, _ = _run(capsys, "complex", "--n", "5", "--cache", str(tmp_path))
     assert status == 0
-    assert sorted(built) == [7]
-    assert len(list(tmp_path.iterdir())) == 1
+    assert sorted(built) == [6, 7]
+    assert len(list(tmp_path.iterdir())) == 2
     assert CACHE_ENV not in os.environ
 
 
@@ -274,6 +264,32 @@ def test_n_out_of_range(capsys):
 
 def test_unknown_command(capsys):
     assert _run(capsys, "frobnicate")[0] == 1
+
+
+_REJECTED = [
+    *[[cmd, "--n", "4", "--format", "csv"] for cmd in
+      ("enumerate", "complex", "betti", "verify", "chartable")],
+    ["decompose", "--n", "3", "--values", "3,1,0", "--format", "csv"],
+    ["analyze-d25", "--format", "csv"],
+    *[[cmd, "--n", "4", "--cache", "DIR"] for cmd in ("betti", "characters", "verify")],
+    ["analyze-d25", "--cache", "DIR"],
+    *[[cmd, "--n", "4", "--degree", "5"] for cmd in ("complex", "betti", "characters")],
+    ["analyze-d25", "--n", "5"],
+    ["characters", "--n", "4", "--method", "projection"],
+    ["verify", "--n", "4", "--method", "kernel-trace"],
+]
+_ACCEPTED = [
+    ["characters", "--n", "4", "--format", "csv"],
+    ["complex", "--n", "4", "--cache", "DIR"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(a, 1) for a in _REJECTED] + [(a, 0) for a in _ACCEPTED]
+)
+def test_each_command_accepts_only_the_options_it_reads(capsys, tmp_path, argv, status):
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    assert _run(capsys, *argv)[0] == status
 
 
 def test_negative_seed_rejected(capsys):
@@ -350,7 +366,8 @@ def test_missing_basis_key_exits_2(capsys, monkeypatch, fresh_caches):
 
 def test_n8_cost_warning(capsys, monkeypatch):
     # stub the handler: only the warning plumbing is under test
-    monkeypatch.setitem(cli._COMMANDS, "betti", (lambda config, stages: "stub\n", True))
+    stub = cli._COMMANDS["betti"]._replace(handler=lambda config, stages: cli.Result({}, ["stub"]))
+    monkeypatch.setitem(cli._COMMANDS, "betti", stub)
     status, out, err = _run(capsys, "betti", "--n", "8")
     assert status == 0
     assert "warning" in err and "n=8" in err
@@ -391,7 +408,7 @@ def test_block_d_squared_failure_exits_2(capsys, monkeypatch, fresh_caches):
 
 
 def test_projection_failure_exits_2(capsys, monkeypatch, fresh_caches):
-    # the projection method's per-block check that d_6 is onto fails
+    # the block method's check that d_6 is onto fails
     _corrupt_terms(monkeypatch, 6, lambda out: [])
     status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
@@ -441,21 +458,8 @@ def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
 
 
 def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
-    # top cancels in the Euler check, so only the kernel-trace oracle sees it
-    real = cli.homology_character_top
-    monkeypatch.setattr(
-        cli, "homology_character_top", lambda *args: _plus_trivial(real(*args))
-    )
-    status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
-    assert status == 2
-    payload = _failed_verify_payload(err)
-    assert all(entry["ok"] for entry in payload["euler_check"])
-    assert payload["method_agreement"] is False
-
-
-def test_kernel_trace_verify_compares_with_the_projection_method(capsys, monkeypatch):
-    # with --method kernel-trace the oracle is the method, so agreement must
-    # check it against the projection method, and run the oracle only once
+    # top cancels in the Euler check, so only the kernel-trace oracle sees it;
+    # the oracle runs once
     real_top = cli.homology_character_top
     monkeypatch.setattr(
         cli, "homology_character_top", lambda *args: _plus_trivial(real_top(*args))
@@ -465,9 +469,7 @@ def test_kernel_trace_verify_compares_with_the_projection_method(capsys, monkeyp
     monkeypatch.setattr(
         cli, "kernel_character_oracle", lambda *args: calls.append(args) or real_oracle(*args)
     )
-    status, _, err = _run(
-        capsys, "verify", "--n", "5", "--method", "kernel-trace", "--format", "json"
-    )
+    status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
     assert status == 2
     payload = _failed_verify_payload(err)
     assert all(entry["ok"] for entry in payload["euler_check"])
