@@ -178,11 +178,10 @@ def _cmd_characters(config, stages):
     n = config.n
     top, nxt = _homology_characters(n, stages)
     report = check_euler(n, top, nxt)
-    if not all(entry.ok for entry in report):
-        print(
-            "advisory: generating-function cross-check failed on "
-            + ", ".join(_part_str(e.cycle_type) for e in report if not e.ok),
-            file=sys.stderr,
+    failed = [_part_str(e.cycle_type) for e in report if not e.ok]
+    if failed:
+        raise InternalConsistencyError(
+            "Euler characteristic cross-check failed on classes " + ", ".join(failed)
         )
     mults_top, mults_nxt = decompose(top), decompose(nxt)
     blocks = [

@@ -13,13 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
 from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import kernel_exact, rank_exact, solve_exact
+from .linalg import clear_denominators, kernel_exact, rank_exact, solve_exact
 from .symmetric_group import (
     cycle_type,
     hook_dimension,
@@ -89,13 +89,13 @@ def _orbit_sum(a_pi, signed_e):
     return out
 
 
-def find_isotypic_cycle(lam=(3, 1, 1)):
-    """Deterministic search for a nonzero lam-isotypic cycle of orbit form.
+def find_isotypic_cycle():
+    """Deterministic search for a nonzero (3,1,1)-isotypic cycle of orbit form.
 
     Looks for v = sum_i pi^i u, pi the 5-cycle, u a 4-term +-1 combination of
     basis graphs using both path shapes (two of each), with d v = 0 and
-    P_lam v = v. Falls back to projecting a fixed random vector if the
-    structured search fails.
+    P_(3,1,1) v = v.  There is no fallback: InternalConsistencyError when no
+    such v exists.
     """
     basis = basis_arrays(N, TOP_DEGREE)
     d = boundary_matrix(N, TOP_DEGREE).to_int64()
@@ -127,41 +127,22 @@ def find_isotypic_cycle(lam=(3, 1, 1)):
                 pairs.append((g1, g2, s2))
 
     wanted = sorted([(1, 1, 3), (1, 1, 3), (1, 2, 2), (1, 2, 2)])
-    for require_shapes in (True, False):
-        for idx, (g1, g2, s2) in enumerate(pairs):
-            b12 = bvecs[g1] + s2 * bvecs[g2]
-            for flip, key in ((1, tuple(-b12)), (-1, tuple(b12))):
-                for jdx in pair_index.get(key, []):
-                    if jdx <= idx:
-                        continue
-                    g3, g4, s4 = pairs[jdx]
-                    support = (g1, g2, g3, g4)
-                    if len(set(support)) < 4:
-                        continue
-                    shape_list = sorted(shapes[g] for g in support)
-                    if require_shapes and shape_list != wanted:
-                        continue
-                    if not require_shapes and len(set(shape_list)) < 2:
-                        continue
-                    v = (
-                        orbits[g1]
-                        + s2 * orbits[g2]
-                        + flip * orbits[g3]
-                        + flip * s4 * orbits[g4]
-                    )
-                    if not v.any() or (d @ v).any():
-                        continue
-                    pv = apply_projector(lam, v)
-                    if np.array_equal(pv, v.astype(object)):
-                        return v.astype(object)
-
-    # fallback: project a fixed seeded vector into the isotypic subspace
-    rng = np.random.default_rng(20250819)
-    x = rng.integers(-9, 10, size=dim).astype(np.int64)
-    pv = apply_projector(lam, x)
-    if not pv.any() or (d.astype(object) @ pv).any():
-        raise InternalConsistencyError("fallback projection produced no cycle")
-    return pv
+    for idx, (g1, g2, s2) in enumerate(pairs):
+        b12 = bvecs[g1] + s2 * bvecs[g2]
+        for flip, key in ((1, tuple(-b12)), (-1, tuple(b12))):
+            for jdx in pair_index.get(key, []):
+                if jdx <= idx:
+                    continue
+                g3, g4, s4 = pairs[jdx]
+                support = (g1, g2, g3, g4)
+                if len(set(support)) < 4 or sorted(shapes[g] for g in support) != wanted:
+                    continue
+                v = orbits[g1] + s2 * orbits[g2] + flip * orbits[g3] + flip * s4 * orbits[g4]
+                if not v.any() or (d @ v).any():
+                    continue
+                if np.array_equal(apply_projector((3, 1, 1), v), v.astype(object)):
+                    return v.astype(object)
+    raise InternalConsistencyError("no (3,1,1)-isotypic cycle of orbit form")
 
 
 def marked_triple_perms():
@@ -179,27 +160,21 @@ def orbit_basis(v):
         gidx, gsgn = _act_tables(sigma)
         cols.append(gsgn.astype(object) * np.asarray(v, dtype=object)[gidx])
     vb = np.stack(cols, axis=1)
-    if rank_exact(_cleared(vb)) != 6:
+    if rank_exact(clear_denominators(vb)[0]) != 6:
         raise DegenerateVectorError("orbit of the vector has rank < 6")
     return vb
 
 
-def _cleared(m):
-    """m times the lcm of its entries' denominators, as Python ints."""
-    scale = lcm(*(Fraction(v).denominator for v in m.flat))
-    return np.array([int(v * scale) for v in m.flat], dtype=object).reshape(m.shape)
-
-
 def representation_on_span(vb):
     """rho1: group element -> 6x6 exact matrix of its action on span(vb)."""
-    base = _cleared(vb)
+    base, _ = clear_denominators(vb)
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
         avb = gsgn.astype(object)[:, None] * vb[gidx]
         # avb holds the entries of vb up to sign, so both get the same scale
         try:
-            rho = solve_exact(base, _cleared(avb))
+            rho = solve_exact(base, clear_denominators(avb)[0])
         except ValueError:
             raise DegenerateVectorError(f"basis matrix has rank < {vb.shape[1]} mod p") from None
         if not np.array_equal(vb.dot(rho), avb):
@@ -227,6 +202,6 @@ def equivariant_isomorphism(vb, specht=None):
     for pi, r1 in rho1.items():
         if not np.array_equal(h0.dot(r1), rep.matrix(pi).astype(object).dot(h0)):
             raise InternalConsistencyError("intertwining identity failed")
-    if rep.dim != width or rank_exact(_cleared(h0)) != rep.dim:
+    if rep.dim != width or rank_exact(clear_denominators(h0)[0]) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")
     return h0

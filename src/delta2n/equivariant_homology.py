@@ -9,7 +9,7 @@ the image of sum_h eps_o(h) rho(h); so m_lam(C_p) = sum_o dim W_o.  With the
 terms of d(r_o) written c_j g_j, g_j = s_j tau_j . r_o', precomposing with d_p
 gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
-H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  No global boundary, random
+H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  No global boundary, drawn
 vector or group action enters, and every run checks d_{n+1} d_{n+2} = 0 and
 d_{n+1} onto on each block, and sum_lam d_lam m_lam(C_p) = dim C_p.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .chain_complex import (
     chain_orbits,
     vanishes,
 )
-from .linalg import independent_columns, int_matmul, kernel_exact, rank_exact
+from .linalg import clear_denominators, independent_columns, int_matmul, kernel_exact, rank_exact
 from .symmetric_group import (
     ClassFunction,
     NotACharacterError,
@@ -273,10 +273,7 @@ def kernel_character_oracle(n) -> ClassFunction:
     d = boundary_matrix(n, n + 2)
     _, kern, pivots, free = kernel_exact(d)
     width = kern.shape[1]
-    scale = lcm(*(v.denominator for v in kern.flat))
-    lk = np.array(
-        [v.numerator * (scale // v.denominator) for v in kern.flat], dtype=object
-    ).reshape(kern.shape)
+    lk, scale = clear_denominators(kern)
     values = {}
     for mu in partitions_of(n):
         sigma = class_representative(mu)

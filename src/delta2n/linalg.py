@@ -205,6 +205,15 @@ def _integer_array(mat) -> np.ndarray:
     return np.array([_as_int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
 
 
+def clear_denominators(m):
+    """(L m, L) for an array m of integers and Fractions, with L the lcm of
+    the entries' denominators: L m holds Python ints, in m's shape."""
+    m = np.asarray(m, dtype=object)
+    scale = lcm(*(v.denominator for v in m.flat))
+    cleared = [v.numerator * (scale // v.denominator) for v in m.flat]
+    return np.array(cleared, dtype=object).reshape(m.shape), scale
+
+
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """An integer array reduced mod p, as a fresh int64 array."""
     return np.mod(a, p).astype(np.int64)
@@ -257,7 +266,7 @@ def _crt_pair(x1: int, m1: int, x2: int, m2: int):
     return (x1 + m1 * t) % (m1 * m2), m1 * m2
 
 
-def kernel_exact(mat, max_primes: int = len(PRIMES)):
+def kernel_exact(mat):
     """Certified exact right kernel of an integer matrix.
 
     Returns (rank, kernel, pivots, free) where kernel is a cols x nullity
@@ -281,7 +290,7 @@ def kernel_exact(mat, max_primes: int = len(PRIMES)):
     best = None  # (rank, pivots)
     residue = None
     modulus = 1
-    for p in PRIMES[:max_primes]:
+    for p in PRIMES:
         red = _residues(a, p)
         rank, pivots = rref_modp(red, p)
         # mod p, the rank can only drop and each pivot only move right, so
@@ -338,9 +347,7 @@ def _verify_kernel(a, kern) -> bool:
     of its denominators, and the product is taken in integers."""
     scaled = np.empty(kern.shape, dtype=object)
     for j in range(kern.shape[1]):
-        col = kern[:, j]
-        scale = lcm(*(v.denominator for v in col))
-        scaled[:, j] = [v.numerator * (scale // v.denominator) for v in col]
+        scaled[:, j], _ = clear_denominators(kern[:, j])
     return not int_matmul(a, scaled).any()
 
 

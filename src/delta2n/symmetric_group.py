@@ -182,7 +182,7 @@ def irreducible_character(lam) -> ClassFunction:
     return ClassFunction(n, tuple(Fraction(mn_character(lam, mu)) for mu in partitions_of(n)))
 
 
-def decompose(f: ClassFunction, allow_virtual: bool = False) -> dict:
+def decompose(f: ClassFunction) -> dict:
     """Multiplicities <f, chi_lam>; raises unless they are non-negative ints."""
     n = f.n
     table = character_table(n)
@@ -195,7 +195,7 @@ def decompose(f: ClassFunction, allow_virtual: bool = False) -> dict:
         mult = acc / order
         if mult.denominator != 1:
             raise NotACharacterError("non-integral multiplicity %s for %s" % (mult, lam))
-        if mult < 0 and not allow_virtual:
+        if mult < 0:
             raise NotACharacterError("negative multiplicity %s for %s" % (mult, lam))
         if mult:
             out[lam] = int(mult)

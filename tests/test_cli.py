@@ -14,6 +14,7 @@ from delta2n import (
     chain_complex,
     clear_caches,
     cli,
+    d25_analysis,
     equivariant_homology,
     symmetric_group,
     theta_graphs,
@@ -172,6 +173,13 @@ def test_analyze_d25(capsys):
     assert all(len(row) == 6 for row in payload["h0"])
     coeffs = {entry["coefficient"] for entry in payload["cycle_support"]}
     assert payload["cycle_support"] and coeffs <= {1, -1}
+
+
+def test_analyze_d25_fails_when_no_cycle_is_found(capsys, monkeypatch):
+    monkeypatch.setattr(d25_analysis, "apply_projector", lambda lam, x: 0 * x.astype(object))
+    status, out, err = _run(capsys, "analyze-d25", "--format", "json")
+    assert status == 2 and out == ""
+    assert "no (3,1,1)-isotypic cycle" in err
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +463,18 @@ def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
     payload = _failed_verify_payload(err)
     assert not any(entry["ok"] for entry in payload["euler_check"])
     assert payload["method_agreement"] is True
+
+
+def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch):
+    real = equivariant_homology.chain_character
+    monkeypatch.setattr(
+        equivariant_homology,
+        "chain_character",
+        lambda n, p: _plus_trivial(real(n, p)) if p == n + 1 else real(n, p),
+    )
+    status, out, err = _run(capsys, "characters", "--n", "5", "--format", "json")
+    assert status == 2 and out == ""
+    assert err.startswith("internal consistency failure: Euler characteristic cross-check failed")
 
 
 def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
