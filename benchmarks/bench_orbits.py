@@ -1,14 +1,17 @@
 """Stage timings of `characters --n N`: Specht modules, chain characters, the
-top character, and the whole CLI run.
+top character, the whole CLI run, and the largest block of n = 9.
 
 Each (stage, n) pair runs in a fresh interpreter, so no stage sees another's
-memos.  Every stage runs for n = 5, 6, 7; specht, top and cli also for n = 8.
-The stages are:
+memos.  Every stage runs for n = 5, 6, 7; specht, top and cli also for n = 8;
+blocks only for n = 9.  The stages are:
 
     specht            specht_matrices for every lambda of n
     chain_characters  chain_character for degrees n, n+1, n+2
     top               homology_character_top(n)
     cli               `python -m delta2n.cli characters --n N --format json`
+    blocks            isotypic_block_ranks(BLOCK_LAMBDA, 9), the lambda of n = 9
+                      with the largest block (its Specht module and the orbit
+                      representatives are built first, untimed)
 
 Only the named stage is timed; the bases and Specht modules it needs are
 built first, untimed (the cli stage times the whole process from outside).
@@ -32,9 +35,12 @@ import sys
 import time
 from pathlib import Path
 
-STAGES = tuple(
-    (stage, n) for n in (5, 6, 7) for stage in ("specht", "chain_characters", "top", "cli")
-) + tuple((stage, 8) for stage in ("specht", "top", "cli"))
+STAGES = (
+    tuple((stage, n) for n in (5, 6, 7) for stage in ("specht", "chain_characters", "top", "cli"))
+    + tuple((stage, 8) for stage in ("specht", "top", "cli"))
+    + (("blocks", 9),)
+)
+BLOCK_LAMBDA = (4, 2, 2, 1)
 
 
 def run_stage(stage, n):
@@ -42,11 +48,15 @@ def run_stage(stage, n):
     import resource
 
     from delta2n import equivariant_homology as eh
-    from delta2n.chain_complex import build_basis
+    from delta2n.chain_complex import build_basis, chain_orbits
     from delta2n.symmetric_group import partitions_of, specht_matrices
 
     degrees = (n, n + 1, n + 2)
-    if stage != "specht":
+    if stage == "blocks":
+        specht_matrices(BLOCK_LAMBDA)
+        for p in degrees:
+            chain_orbits(n, p)
+    elif stage != "specht":
         for p in degrees:
             build_basis(n, p)
         for lam in partitions_of(n):
@@ -58,6 +68,8 @@ def run_stage(stage, n):
         result = [list(eh.chain_character(n, p).as_ints()) for p in degrees]
     elif stage == "top":
         result = list(eh.homology_character_top(n).as_ints())
+    elif stage == "blocks":
+        result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
     else:
         raise ValueError(f"unknown stage {stage!r}")
     seconds = time.perf_counter() - t0

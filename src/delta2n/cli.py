@@ -357,7 +357,7 @@ def run(config: RunConfig) -> str:
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 2 s and 60 MB for characters, betti or verify; about "
+            "VM: about 1 s and 50 MB for characters, betti or verify; about "
             "1 s and 100 MB for complex)",
             file=sys.stderr,
         )

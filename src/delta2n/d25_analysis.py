@@ -193,14 +193,16 @@ def equivariant_isomorphism(vb, specht=None):
     rho1 = representation_on_span(vb)
     width = vb.shape[1]
     seed = np.eye(rep.dim, width, dtype=np.int64).astype(object)
+    perms = list(permutations(range(N)))
+    rho2 = dict(zip(perms, (m.astype(object) for m in rep.matrices(perms))))
     h0 = np.zeros((rep.dim, width), dtype=object)
-    for pi in permutations(range(N)):
+    for pi in perms:
         inv = tuple(np.argsort(pi).tolist())
-        h0 = h0 + rep.matrix(inv).astype(object).dot(seed).dot(rho1[pi])
+        h0 = h0 + rho2[inv].dot(seed).dot(rho1[pi])
     if not h0.any():
         raise WrongIsotypeError("averaged intertwiner is zero")
     for pi, r1 in rho1.items():
-        if not np.array_equal(h0.dot(r1), rep.matrix(pi).astype(object).dot(h0)):
+        if not np.array_equal(h0.dot(r1), rho2[pi].dot(h0)):
             raise InternalConsistencyError("intertwining identity failed")
     if rep.dim != width or rank_exact(clear_denominators(h0)[0]) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")

@@ -32,10 +32,19 @@ from .chain_complex import (
     chain_orbits,
     vanishes,
 )
-from .linalg import clear_denominators, independent_columns, int_matmul, kernel_exact, rank_exact
+from .linalg import (
+    _INT64_SAFE,
+    _max_abs,
+    clear_denominators,
+    independent_columns,
+    int_matmul,
+    kernel_exact,
+    rank_exact,
+)
 from .symmetric_group import (
     ClassFunction,
     NotACharacterError,
+    WordTree,
     assemble_character,
     class_representative,
     class_size,
@@ -44,6 +53,7 @@ from .symmetric_group import (
     hook_dimension,
     partitions_of,
     specht_matrices,
+    word_tree,
 )
 from .theta_graphs import (
     UNMARKED,
@@ -128,27 +138,34 @@ def multiplicity_space(lam, rep) -> np.ndarray:
     P^2 = |H| P is checked, so P / |H| is the projection onto W, and
     dim W = rank P = tr P / |H| exactly; no kernel is lifted.
     """
-    rho = specht_matrices(lam)
     stab = signed_stabilizer(rep)
-    signs = np.array([[eps for _, eps in stab]])
-    proj = int_matmul(signs, np.stack([rho.matrix(h).ravel() for h, _ in stab]))
-    proj = proj.reshape(rho.dim, rho.dim)
+    mats = specht_matrices(lam).matrices(h for h, _ in stab)
+    return _fixed_columns(rep, [eps for _, eps in stab], mats)
+
+
+def _fixed_columns(rep, signs, mats) -> np.ndarray:
+    """``multiplicity_space`` from the signs eps(h) and the matrices rho(h)
+    of rep's signed stabilizer."""
+    d = mats[0].shape[0]
+    proj = int_matmul(np.array([signs]), np.stack([m.ravel() for m in mats])).reshape(d, d)
     square = int_matmul(proj, proj)
     # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well
-    if not np.array_equal(square, len(stab) * proj.astype(square.dtype)):
+    if not np.array_equal(square, len(signs) * proj.astype(square.dtype)):
         raise InternalConsistencyError(f"stabilizer of {rep} does not give a projection")
-    rank, rest = divmod(int(np.trace(proj)), len(stab))
+    rank, rest = divmod(int(np.trace(proj)), len(signs))
     if rest:
         raise InternalConsistencyError(f"projection of the stabilizer of {rep} has trace not in |H| Z")
     return proj[:, independent_columns(proj, rank)]
 
 
 # perfbench/tracer.py times the multiplicity spaces under this older name
-# (equivariant_homology.isotypic_seed_basis.s).  The tracer itself only reports
-# a missing name as absent, but test_tracer_survives_missing_and_private_targets
-# in perfbench/test_gate.py requires the absent list to be exactly the names it
+# (equivariant_homology.isotypic_seed_basis.s); the tracer rebinds every
+# reference to the function, so the blocks' calls of _fixed_columns are the
+# ones it times.  The tracer itself only reports a missing name as absent,
+# but test_tracer_survives_missing_and_private_targets in
+# perfbench/test_gate.py requires the absent list to be exactly the names it
 # injects, so every name the tracer traces has to exist
-isotypic_seed_basis = multiplicity_space
+isotypic_seed_basis = _fixed_columns
 
 
 def _orbit_terms(rep, lower):
@@ -164,23 +181,68 @@ def _orbit_terms(rep, lower):
         yield j, coef * form.sign, form.tau
 
 
-def _precompose_block(lam, upper, lower):
+class _BlockPlan(NamedTuple):
+    """What every lambda block of one n reads.  Permutations are slots of
+    ``tree``: stabilizers[i][o] lists (slot of h, eps(h)) over the signed
+    stabilizer of orbit o of degree n + i, and terms[i][o] lists (lower
+    orbit j, c_j s_j, slot of tau_j) over the terms of d(r_o), r_o of degree
+    n + i + 1."""
+
+    stabilizers: tuple
+    terms: tuple
+    tree: WordTree
+
+
+@cache
+def _block_plan(reps) -> _BlockPlan:
+    """The plan of the orbits ``reps`` (degrees n, n+1, n+2): the lambda
+    blocks share its stabilizers, boundary terms and the WordTree of every
+    permutation they name."""
+    perms = {}
+
+    def slot(perm):
+        return perms.setdefault(tuple(perm), len(perms))
+
+    stabilizers = tuple(
+        tuple(tuple((slot(h), eps) for h, eps in signed_stabilizer(rep)) for rep in degree)
+        for degree in reps
+    )
+    terms = tuple(
+        tuple(
+            tuple((j, coef, slot(tau)) for j, coef, tau in _orbit_terms(rep, lower))
+            for rep in upper
+        )
+        for lower, upper in zip(reps, reps[1:])
+    )
+    return _BlockPlan(stabilizers, terms, word_tree(perms))
+
+
+def _precompose_block(terms, mats, lower):
     """The map (v_o') -> (sum_j c_j s_j rho(tau_j) v_o')_o over the upper
-    representatives, in S^lam coordinates, as Python ints."""
-    rho = specht_matrices(lam)
-    d = rho.dim
-    out = np.zeros((d * len(upper), d * len(lower)), dtype=object)
-    for i, rep in enumerate(upper):
-        for j, coef, tau in _orbit_terms(rep, lower):
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * rho.matrix(tau).astype(object)
+    orbits, in S^lam coordinates, in int64: ``terms`` are the plan's for one
+    degree, ``mats`` the rho of its slots and ``lower`` the number of lower
+    orbits.  OverflowError before assembly unless sum |c_j| max|rho(tau_j)|,
+    a bound on every entry, is below 2**62."""
+    d = mats[0].shape[0]
+    bound = sum(abs(coef) * _max_abs(mats[k]) for upper in terms for _, coef, k in upper)
+    if bound >= _INT64_SAFE:
+        raise OverflowError(f"a block entry may reach {bound}, beyond int64")
+    out = np.zeros((d * len(terms), d * lower), dtype=np.int64)
+    for i, upper in enumerate(terms):
+        for j, coef, k in upper:
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * mats[k]
     return out
 
 
-def _stacked_spaces(lam, reps):
-    """Block-diagonal matrix of the multiplicity spaces of the given orbits."""
-    d = specht_matrices(lam).dim
-    spaces = [multiplicity_space(lam, rep) for rep in reps]
-    out = np.zeros((d * len(reps), sum(w.shape[1] for w in spaces)), dtype=object)
+def _stacked_spaces(reps, stabilizers, mats):
+    """Block-diagonal int64 matrix of the multiplicity spaces of the given
+    orbits, from the plan's stabilizers and the rho of its slots."""
+    d = mats[0].shape[0]
+    spaces = [
+        _fixed_columns(rep, [eps for _, eps in stab], [mats[k] for k, _ in stab])
+        for rep, stab in zip(reps, stabilizers)
+    ]
+    out = np.zeros((d * len(reps), sum(w.shape[1] for w in spaces)), dtype=np.int64)
     col = 0
     for i, w in enumerate(spaces):
         out[i * d : (i + 1) * d, col : col + w.shape[1]] = w
@@ -200,10 +262,13 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
     (default ``chain_orbits``); any canonical graphs of those orbits will do."""
     if reps is None:
         reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
-    spaces = [_stacked_spaces(lam, r) for r in reps]
+    plan = _block_plan(reps)
+    mats = specht_matrices(lam).matrices(plan.tree)
+    spaces = [_stacked_spaces(r, s, mats) for r, s in zip(reps, plan.stabilizers)]
     mults = tuple(w.shape[1] for w in spaces)
-    full_next = _precompose_block(lam, reps[1], reps[0])
-    full_top = _precompose_block(lam, reps[2], reps[1])
+    full_next = _precompose_block(plan.terms[0], mats, len(reps[0]))
+    full_top = _precompose_block(plan.terms[1], mats, len(reps[1]))
+    del mats  # every rho(sigma) is now inside the blocks: free them before the products
     block_next = int_matmul(full_next, spaces[0])
     block_top = int_matmul(full_top, spaces[1])
     if np.any(int_matmul(full_top, block_next)):

@@ -13,6 +13,7 @@ Inputs must be integer matrices: a non-integer entry raises ValueError.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -221,19 +222,35 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 # |entries| and partial sums below this fit int64 with room for a sign
 _INT64_SAFE = 1 << 62
+# every integer of absolute value up to this is a float64
+_FLOAT64_EXACT = 1 << 53
+
+
+def _product_dtype(a, b):
+    """The dtype ``int_matmul`` multiplies a and b in: float64 when the bound
+    max|a| * max|b| * (inner dimension) on every partial sum is below 2**53,
+    so each product and each partial sum is an integer that float64 holds
+    exactly whatever order BLAS adds in; int64 when it is below 2**62; Python
+    ints (object) otherwise."""
+    bound = max(a.shape[1], 1)
+    for m in (a, b):
+        bound *= max(_max_abs(m) if m.size else 0, 1)
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    if bound < _INT64_SAFE:
+        return np.int64
+    return object
 
 
 def int_matmul(a, b) -> np.ndarray:
-    """Exact product of integer matrices: in int64 when max|a| * max|b| *
-    (inner dimension), a bound on every partial sum, is below 2**62, else in
-    Python ints.  Nothing can overflow."""
+    """Exact product of integer matrices, in the narrowest of float64 (on
+    BLAS), int64 and Python ints that ``_product_dtype`` proves exact before
+    anything is multiplied.  The result is int64 unless it was taken in
+    Python ints."""
     a, b = np.asarray(a), np.asarray(b)
-    bound = max(a.shape[1], 1)
-    for m in (a, b):
-        bound *= max(int(np.abs(m).max()) if m.size else 0, 1)
-    if bound < _INT64_SAFE:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
+    dtype = _product_dtype(a, b)
+    out = a.astype(dtype) @ b.astype(dtype)
+    return out if dtype is object else out.astype(np.int64, copy=False)
 
 
 def rank_modp(mat, p: int) -> int:
@@ -266,6 +283,12 @@ def _crt_pair(x1: int, m1: int, x2: int, m2: int):
     return (x1 + m1 * t) % (m1 * m2), m1 * m2
 
 
+def _reduce(a: np.ndarray, p: int):
+    """(p, the RREF of a mod p, its rank, its pivot columns)."""
+    red = _residues(a, p)
+    return (p, red, *rref_modp(red, p))
+
+
 def kernel_exact(mat):
     """Certified exact right kernel of an integer matrix.
 
@@ -279,6 +302,13 @@ def kernel_exact(mat):
     columns.  ValueError for any non-integer entry.
     """
     a = _integer_array(mat)
+    return _lift_kernel(a, (_reduce(a, p) for p in PRIMES))
+
+
+def _lift_kernel(a, reductions):
+    """``kernel_exact`` of the integer array a, from its reductions
+    ``_reduce(a, p)`` over the primes in order, taken one at a time until the
+    lifted kernel verifies."""
     nrows, ncols = a.shape
     if ncols == 0 or nrows == 0:
         free = np.arange(ncols)
@@ -290,9 +320,7 @@ def kernel_exact(mat):
     best = None  # (rank, pivots)
     residue = None
     modulus = 1
-    for p in PRIMES:
-        red = _residues(a, p)
-        rank, pivots = rref_modp(red, p)
+    for p, red, rank, pivots in reductions:
         # mod p, the rank can only drop and each pivot only move right, so
         # the highest rank with the least pivots is the one to lift
         if best is None or (rank, tuple(-pivots)) > (best[0], tuple(-best[1])):
@@ -388,14 +416,16 @@ def solve_exact(a, b) -> np.ndarray:
 def rank_exact(mat) -> int:
     """Exact rank.  One prime certifies full rank, as the rank mod p is a
     lower bound; otherwise the verified kernel of ``kernel_exact`` certifies
-    it.  ValueError for any non-integer entry."""
+    it, starting from the same reduction mod the first prime.  ValueError
+    for any non-integer entry."""
     a = _integer_array(mat)
     if 0 in a.shape:
         return 0
-    r = rank_modp(a, PRIMES[0])
-    if r == min(a.shape):
-        return r
-    return kernel_exact(a)[0]
+    first = _reduce(a, PRIMES[0])
+    if first[2] == min(a.shape):
+        return first[2]
+    rest = (_reduce(a, p) for p in PRIMES[1:])
+    return _lift_kernel(a, itertools.chain([first], rest))[0]
 
 
 def is_surjective(mat) -> bool:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,10 +215,6 @@ def assemble_character(n, mults) -> ClassFunction:
 # permutations (one-line tuples)
 
 
-def identity_perm(n):
-    return tuple(range(n))
-
-
 def compose(p, q):
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[x] for x in q)
@@ -398,38 +395,103 @@ def _substitute(e, b):
     return x
 
 
-def _word_product(generators, perm, dim):
-    """rho(perm) as the product of the generators along its transposition word."""
-    out = np.eye(dim, dtype=np.int64)
-    for j in reversed(transposition_word(perm)):
-        out = int_matmul(out, generators[j])
-    return out
+class WordTree(NamedTuple):
+    """The prefix tree of the transposition words of a batch of permutations,
+    held level by level.  The node of a prefix w[:k] stands for rho(t[w[k-1]]
+    o ... o t[w[0]]) = G[w[k-1]] rho(parent), so each level follows from the
+    one before.  ``levels[k - 1]`` describes level k, its nodes sorted by last
+    letter: the index in level k - 1 of each node's parent, and one (letter,
+    start, stop) per run of nodes with that last letter.  ``ends[k]`` holds
+    (slot, node) for each distinct permutation whose word has length k (the
+    root, level 0, is the identity), and ``slots[i]`` is the slot of the i-th
+    permutation asked for."""
+
+    levels: tuple
+    ends: tuple
+    slots: tuple
+
+
+def word_tree(perms) -> WordTree:
+    """The WordTree of the given permutations (repeats allowed, any order)."""
+    slot_of = {}
+    slots = tuple(slot_of.setdefault(tuple(p), len(slot_of)) for p in perms)
+    words = [tuple(transposition_word(p)) for p in slot_of]
+    index = {(): 0}  # prefix -> node, on the current level
+    levels, ends = [], []
+    for k in range(max(map(len, words), default=0) + 1):
+        if k:
+            prefixes = sorted(
+                {w[:k] for w in words if len(w) >= k}, key=lambda q: (q[-1], index[q[:-1]])
+            )
+            parents = np.array([index[q[:-1]] for q in prefixes], dtype=np.intp)
+            runs, start = [], 0
+            for letter, group in itertools.groupby(q[-1] for q in prefixes):
+                stop = start + sum(1 for _ in group)
+                runs.append((letter, start, stop))
+                start = stop
+            levels.append((parents, tuple(runs)))
+            index = {q: i for i, q in enumerate(prefixes)}
+        ends.append(tuple((slot, index[w]) for slot, w in enumerate(words) if len(w) == k))
+    return WordTree(tuple(levels), tuple(ends), slots)
+
+
+def _sweep(generators, tree: WordTree, dim):
+    """rho of every permutation of the tree, from the generators: level by
+    level, each run of nodes with one last letter j is G_j times its parents
+    side by side, one ``int_matmul``.  Only the live level is held, and each
+    requested matrix is copied out of it, so no output keeps a level alive;
+    a permutation asked for twice gets the same array twice.  The levels are
+    int64: an entry beyond it raises OverflowError as it is stored."""
+    out = [None] * sum(map(len, tree.ends))
+    live = np.eye(dim, dtype=np.int64)[:, None, :]  # live[:, i, :] is node i
+    for k, ends in enumerate(tree.ends):
+        if k:
+            parents, runs = tree.levels[k - 1]
+            nxt = np.empty((dim, parents.size, dim), dtype=np.int64)
+            for letter, start, stop in runs:
+                side_by_side = live[:, parents[start:stop], :].reshape(dim, -1)
+                product = int_matmul(generators[letter], side_by_side)
+                nxt[:, start:stop, :] = product.reshape(dim, stop - start, dim)
+            live = nxt
+        for slot, node in ends:
+            out[slot] = live[:, node, :].copy()
+    return [out[slot] for slot in tree.slots]
 
 
 def _check_coxeter(lam, generators):
-    """Raise unless (s_i s_j)^m = 1 with m = 1, 3, 2 for j - i = 0, 1, >= 2:
-    the Coxeter presentation of S_n, so s_j -> generators[j] extends to a
-    homomorphism."""
-    eye = np.eye(hook_dimension(lam), dtype=np.int64)
-    for i in range(len(generators)):
-        for j in range(i, len(generators)):
+    """Raise unless s_i^2 = 1, s_i s_j = s_j s_i for j - i >= 2 and
+    (s_i s_{i+1})^2 = s_{i+1} s_i: given the involutions, the last two are
+    (s_i s_j)^2 = 1 and (s_i s_{i+1})^3 = 1, the Coxeter presentation of S_n,
+    so s_j -> generators[j] extends to a homomorphism.  Every s_i s_j comes
+    from one stacked product; the braid relations take n - 2 more."""
+    k = len(generators)
+    if not k:
+        return
+    d = generators[0].shape[0]
+    # pairs[i, :, j, :] = s_i s_j
+    pairs = int_matmul(np.vstack(generators), np.hstack(generators)).reshape(k, d, k, d)
+    eye = np.eye(d, dtype=np.int64)
+    sides = [(i, i, pairs[i, :, i], eye) for i in range(k)]
+    sides += [(i, j, pairs[i, :, j], pairs[j, :, i]) for i in range(k) for j in range(i + 2, k)]
+    sides += [
+        (i, i + 1, int_matmul(pairs[i, :, i + 1], pairs[i, :, i + 1]), pairs[i + 1, :, i])
+        for i in range(k - 1)
+    ]
+    for i, j, left, right in sides:
+        if not np.array_equal(left, right):
             m = 1 if j == i else 3 if j == i + 1 else 2
-            prod = int_matmul(generators[i], generators[j])
-            power = prod
-            for _ in range(m - 1):
-                power = int_matmul(power, prod)
-            if not np.array_equal(power, eye):
-                raise InternalConsistencyError(
-                    f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
-                )
+            raise InternalConsistencyError(
+                f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
+            )
 
 
 def _check_character(lam, generators):
     """Raise unless tr rho(class representative of mu) = chi_lam(mu) for
-    every mu."""
-    dim = hook_dimension(lam)
-    for mu in partitions_of(sum(lam)):
-        trace = int(np.trace(_word_product(generators, class_representative(mu), dim)))
+    every mu, with the class representatives taken in one sweep."""
+    parts = partitions_of(sum(lam))
+    tree = word_tree(class_representative(mu) for mu in parts)
+    for mu, mat in zip(parts, _sweep(generators, tree, hook_dimension(lam))):
+        trace = int(np.trace(mat))
         if trace != mn_character(lam, mu):
             raise InternalConsistencyError(
                 f"Specht matrices of {lam} have trace {trace} on class {mu}, "
@@ -440,13 +502,19 @@ def _check_character(lam, generators):
 class SpechtRep:
     """Young's natural representation of S_n on standard polytabloids.
 
-    Matrices are integral; ``matrix(p)`` returns rho(p) with
-    rho(p o q) = rho(p) @ rho(q).  Column j of rho(p) expands p . e_{t_j}
-    in the polytabloid basis e_{t_1}, ..., e_{t_d}.
+    Matrices are integral; ``matrices(perms)`` returns rho(p) for a batch of
+    permutations with rho(p o q) = rho(p) @ rho(q), and ``matrix(p)`` one of
+    them.  Column j of rho(p) expands p . e_{t_j} in the polytabloid basis
+    e_{t_1}, ..., e_{t_d}.  A batch is evaluated in one sweep over the prefix
+    tree of the permutations' transposition words (``WordTree``), level by
+    level, with one product per run of nodes that share a last letter, so
+    shared prefixes are multiplied once.  Nothing is memoized per
+    permutation: a caller that needs the same batch for many lambda builds
+    its WordTree once and passes it in place of the permutations.
 
     Construction certifies, exactly in integers, that E X = B on the
     standard-tabloid rows, that the generators satisfy the Coxeter relations
-    (so ``matrix`` is a homomorphism) and that the trace on every class is
+    (so ``matrices`` is a homomorphism) and that the trace on every class is
     chi_lam: together, rho is isomorphic to S^lam.  InternalConsistencyError
     otherwise.
     """
@@ -467,22 +535,20 @@ class SpechtRep:
         )
         _check_coxeter(self.lam, self.generators)
         _check_character(self.lam, self.generators)
-        self._cache = {identity_perm(self.n): np.eye(d, dtype=np.int64)}
+
+    def matrices(self, perms) -> list:
+        """rho(p) for each permutation of ``perms``, or of the batch a
+        WordTree was built from, in order, as fresh int64 arrays."""
+        tree = perms if isinstance(perms, WordTree) else word_tree(perms)
+        return _sweep(self.generators, tree, self.dim)
 
     def matrix(self, perm) -> np.ndarray:
-        perm = tuple(perm)
-        cached = self._cache.get(perm)
-        if cached is None:
-            cached = self._cache[perm] = _word_product(self.generators, perm, self.dim)
-        return cached
+        return self.matrices([perm])[0]
 
     def character(self) -> ClassFunction:
         n = self.n
-        vals = tuple(
-            Fraction(int(np.trace(self.matrix(class_representative(mu)))))
-            for mu in partitions_of(n)
-        )
-        return ClassFunction(n, vals)
+        reps = self.matrices(class_representative(mu) for mu in partitions_of(n))
+        return ClassFunction(n, tuple(Fraction(int(np.trace(m))) for m in reps))
 
 
 @cache

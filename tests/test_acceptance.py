@@ -53,12 +53,14 @@ GOLDEN_TOP = {
     5: (15, 3, -1, 0, 0, -1, 0),
     6: (86, 2, 10, 6, -1, -1, 2, 0, 0, 1, 0),
     7: (575, 5, -13, 17, -1, -1, -1, -1, -1, 1, -1, 0, 0, -1, 1),
+    8: (4426, 16, -2, -84, -30, 1, 1, 1, 4, 4, -2, 0, 2, 1, -2, 1, 1, 1, 0, 0, 2, 0),
 }
 GOLDEN_NEXT = {
     4: (1, 1, 1, 1, 1),
     5: (5, 1, 1, -1, 1, -1, 0),
     6: (26, 2, -2, -2, -1, -1, -1, 0, 0, 1, 1),
     7: (155, 5, -1, -7, -1, -1, -1, 5, -1, 1, -1, 0, 0, -1, 1),
+    8: (1066, 16, -2, 12, 2, 1, 1, 1, -2, 4, -2, 0, 2, 1, -2, 1, 1, 1, 0, 2, 2, 0),
 }
 # the n=6 multiplicities of chi_33 and chi_222 are forced by the golden
 # character row above (inner products are unambiguous), and two independent
@@ -89,6 +91,26 @@ GOLDEN_MULTS_TOP = {
         (5, 1, 1): 1,
         (5, 2): 2,
     },
+    8: {
+        (1, 1, 1, 1, 1, 1, 1, 1): 1,
+        (2, 1, 1, 1, 1, 1, 1): 2,
+        (2, 2, 1, 1, 1, 1): 3,
+        (2, 2, 2, 1, 1): 5,
+        (2, 2, 2, 2): 1,
+        (3, 2, 1, 1, 1): 7,
+        (3, 2, 2, 1): 6,
+        (3, 3, 1, 1): 9,
+        (3, 3, 2): 5,
+        (4, 1, 1, 1, 1): 1,
+        (4, 2, 1, 1): 10,
+        (4, 2, 2): 2,
+        (4, 3, 1): 10,
+        (4, 4): 1,
+        (5, 1, 1, 1): 7,
+        (5, 2, 1): 7,
+        (5, 3): 2,
+        (6, 1, 1): 5,
+    },
 }
 GOLDEN_MULTS_NEXT = {
     4: {(4,): 1},
@@ -103,6 +125,22 @@ GOLDEN_MULTS_NEXT = {
         (4, 2, 1): 1,
         (4, 3): 1,
         (5, 1, 1): 1,
+    },
+    8: {
+        (3, 1, 1, 1, 1, 1): 1,
+        (3, 2, 1, 1, 1): 2,
+        (3, 2, 2, 1): 2,
+        (3, 3, 1, 1): 1,
+        (3, 3, 2): 1,
+        (4, 1, 1, 1, 1): 1,
+        (4, 2, 1, 1): 2,
+        (4, 2, 2): 2,
+        (4, 3, 1): 2,
+        (5, 1, 1, 1): 1,
+        (5, 2, 1): 2,
+        (5, 3): 1,
+        (6, 2): 1,
+        (8,): 1,
     },
 }
 
@@ -363,3 +401,23 @@ def test_10_n5_kernel_cycle_suite():
     dt = time.perf_counter() - t0
     ok = not bad and dt < 60.0
     _report(10, "n=5 isotypic cycle analysis", ok, "; ".join(bad) or f"{dt:.1f}s")
+
+
+def test_11_n8_characters():
+    # pinned from `characters --n 8` of the code that built each Specht
+    # matrix on its own word product, in int64: dim H_10 = 4426, dim H_9 = 1066
+    t0 = time.perf_counter()
+    top = homology_character_top(8)
+    nxt = homology_character_next(8, top)
+    dt = time.perf_counter() - t0
+    bad = []
+    if top.as_ints() != GOLDEN_TOP[8]:
+        bad.append(f"top: {top.as_ints()}")
+    if nxt.as_ints() != GOLDEN_NEXT[8]:
+        bad.append(f"next: {nxt.as_ints()}")
+    if decompose(top) != GOLDEN_MULTS_TOP[8]:
+        bad.append("top decomposition mismatch")
+    if decompose(nxt) != GOLDEN_MULTS_NEXT[8]:
+        bad.append("next decomposition mismatch")
+    ok = not bad and dt < 120.0
+    _report(11, "n=8 characters", ok, "; ".join(bad) or f"{dt:.0f}s")

@@ -298,6 +298,7 @@ def test_clear_caches_empties_every_memo():
     cc.build_complex(4)
     equivariant_homology.chain_character(4, 6)
     equivariant_homology.act((1, 0, 2, 3), 6)
+    equivariant_homology.multiplicity_space((2, 2), cc.chain_orbits(4, 6)[0])
     d25_analysis._kernel()
     d25_analysis._act_tables((1, 0, 2, 3, 4))
     owners = [
@@ -308,6 +309,7 @@ def test_clear_caches_empties_every_memo():
         cc.chain_dim,
         equivariant_homology.chain_character,
         equivariant_homology.multiplicity_space,
+        equivariant_homology._block_plan,
         equivariant_homology.isotypic_ranks,
         d25_analysis._kernel,
         d25_analysis._act_tables,

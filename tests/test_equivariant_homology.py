@@ -22,7 +22,6 @@ from delta2n.symmetric_group import (
     compose,
     decompose,
     hook_dimension,
-    identity_perm,
     inverse,
     partitions_of,
     specht_matrices,
@@ -66,7 +65,7 @@ GOLDEN_MULTS = {
 
 def test_act_identity():
     for n, p in [(4, 6), (5, 7)]:
-        a = act(identity_perm(n), p)
+        a = act(tuple(range(n)), p)
         dim = build_basis(n, p).dim
         assert np.array_equal(a.image, np.arange(dim))
         assert np.all(a.sign == 1)
@@ -257,6 +256,16 @@ def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
     with pytest.raises(RankCertificateError):
         multiplicity_space(lam, rep)
     multiplicity_space.cache_clear()
+
+
+def test_block_assembly_refuses_entries_beyond_int64():
+    # two terms of 2**61 in one cell would reach 2**62: refused before any
+    # entry is written; one less in each and the sum is assembled exactly
+    terms = (((0, 1, 0), (0, 1, 0)),)
+    big = np.full((1, 1), 1 << 61, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        equivariant_homology._precompose_block(terms, [big], 1)
+    assert equivariant_homology._precompose_block(terms, [big - 1], 1).tolist() == [[(1 << 62) - 2]]
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -10,6 +10,7 @@ from delta2n.linalg import (
     RankCertificateError,
     SparseIntMatrix,
     _lift_matrix,
+    _product_dtype,
     independent_columns,
     int_matmul,
     is_surjective,
@@ -415,3 +416,19 @@ def test_int_matmul_leaves_int64_before_it_could_overflow():
     assert small.dtype == np.int64 and np.array_equal(small, b)
     assert int_matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))).shape == (2, 3)
 
+
+
+def test_int_matmul_takes_float64_only_below_2_53():
+    # 2**53 - 1 = 441650591 * 20394401; odd entries near 2**27 have 54-bit
+    # products, which float64 rounds, so only an exact path gets them right
+    below = np.array([[441650591]]), np.array([[20394401]])
+    at = np.array([[1 << 26]]), np.array([[1 << 27]])
+    odd = np.array([[(1 << 27) + 1, (1 << 27) + 3]]), np.array([[(1 << 27) - 1], [(1 << 27) - 3]])
+    for (a, b), dtype in ((below, np.float64), (at, np.int64), (odd, np.int64)):
+        assert _product_dtype(a, b) is dtype
+        got = int_matmul(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    a, b = odd
+    rounded = (a.astype(np.float64) @ b.astype(np.float64)).astype(object)
+    assert rounded.tolist() != (a.astype(object) @ b.astype(object)).tolist()

@@ -22,7 +22,6 @@ from delta2n.symmetric_group import (
     cycle_type,
     decompose,
     hook_dimension,
-    identity_perm,
     inverse,
     irreducible_character,
     mn_character,
@@ -32,6 +31,7 @@ from delta2n.symmetric_group import (
     specht_matrices,
     standard_tableaux,
     transposition_word,
+    word_tree,
 )
 
 
@@ -106,7 +106,7 @@ def test_perm_helpers():
             p, q = rng.choice(perms), rng.choice(perms)
             pq = compose(p, q)
             assert all(pq[i] == p[q[i]] for i in range(n))
-            assert compose(p, inverse(p)) == identity_perm(n)
+            assert compose(p, inverse(p)) == tuple(range(n))
             assert sorted(cycle_type(p), reverse=True) == list(cycle_type(p))
     for mu in partitions_of(6):
         assert cycle_type(class_representative(mu)) == mu
@@ -119,7 +119,7 @@ def test_transposition_word():
         for _ in range(30):
             p = rng.choice(perms)
             word = transposition_word(p)
-            rebuilt = identity_perm(n)
+            rebuilt = tuple(range(n))
             for j in reversed(word):
                 t = list(range(n))
                 t[j], t[j + 1] = t[j + 1], t[j]
@@ -245,6 +245,27 @@ def test_swapped_generator_row_fails_the_coxeter_check():
         symmetric_group._check_coxeter((3, 2), bad)
 
 
+def _swap(i, j):
+    """The permutation matrix of the transposition (i j) of four points."""
+    out = np.eye(4, dtype=np.int64)
+    out[[i, j]] = out[[j, i]]
+    return out
+
+
+def test_coxeter_check_needs_each_kind_of_relation():
+    # three would-be generators of S_4, each set failing one kind of relation
+    # only: s_0 s_2 = s_2 s_0, or (s_i s_{i+1})^3 = 1, or s_i^2 = 1
+    g, g_inv = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
+    symmetric_group._check_coxeter((2, 2), [_swap(0, 1), _swap(1, 2), _swap(2, 3)])
+    for bad in (
+        [_swap(0, 1), _swap(1, 2), _swap(0, 2)],
+        [_swap(0, 1), _swap(2, 3), _swap(0, 1)],
+        [g, g_inv, g],
+    ):
+        with pytest.raises(InternalConsistencyError, match="Coxeter"):
+            symmetric_group._check_coxeter((2, 2), bad)
+
+
 def test_sign_twisted_generators_fail_the_character_check():
     # -s_j satisfies every Coxeter relation that s_j does, but the twisted
     # representation is S^(2,2,1), not S^(3,2)
@@ -266,6 +287,37 @@ def test_specht_multiplicative_random_triples():
             assert np.array_equal(
                 rep.matrix(compose(p, q)), rep.matrix(p) @ rep.matrix(q)
             )
+
+
+def _word_product(rep, perm):
+    """rho(perm) as the plain product of the generators along its
+    transposition word, in Python ints: the reference for the sweep."""
+    out = np.eye(rep.dim, dtype=np.int64).astype(object)
+    for j in reversed(transposition_word(perm)):
+        out = out @ rep.generators[j].astype(object)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_specht_matrices_match_the_word_product(n):
+    # every permutation in a shuffled batch with repeats, the same batch as a
+    # prebuilt WordTree, and single-permutation calls
+    rng = random.Random(n)
+    perms = list(itertools.permutations(range(n)))
+    for lam in partitions_of(n):
+        rep = specht_matrices(lam)
+        want = {p: _word_product(rep, p) for p in perms}
+        batch = perms + rng.choices(perms, k=len(perms) // 2 + 1)
+        rng.shuffle(batch)
+        for got in (rep.matrices(batch), rep.matrices(word_tree(batch))):
+            assert len(got) == len(batch)
+            for p, mat in zip(batch, got):
+                assert mat.dtype == np.int64 and mat.base is None  # no view of the sweep
+                assert np.array_equal(mat, want[p])
+        for p in rng.sample(perms, min(len(perms), 8)):
+            assert np.array_equal(rep.matrix(p), want[p])
+            assert np.array_equal(rep.matrices([p])[0], want[p])
+    assert specht_matrices(partitions_of(n)[0]).matrices([]) == []
 
 
 def test_specht_trace_equals_mn_exhaustive():
