@@ -10,7 +10,6 @@ per-irreducible boundary ranks of ``equivariant_homology``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from functools import cache
@@ -260,6 +259,8 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
 @cache
 def _code_version() -> str:
     """Hash of the modules that build, write and read a cached matrix."""
+    import hashlib  # here, not at the top: only runs with a cache directory need it
+
     h = hashlib.sha256()
     for path in (theta_graphs.__file__, linalg.__file__, __file__):
         h.update(Path(path).read_bytes())

@@ -32,11 +32,11 @@ N = 5
 TOP_DEGREE = 7
 
 
-class DegenerateVectorError(RuntimeError):
+class DegenerateVectorError(InternalConsistencyError):
     """The marked-point orbit of the vector fails to span the subspace."""
 
 
-class WrongIsotypeError(RuntimeError):
+class WrongIsotypeError(InternalConsistencyError):
     """The averaged intertwiner vanished, so the source isotype was wrong."""
 
 

@@ -485,12 +485,18 @@ def _check_coxeter(lam, generators):
             )
 
 
+@cache
+def _class_tree(n) -> WordTree:
+    """The WordTree of the class representatives of S_n, in partitions_of order."""
+    return word_tree(class_representative(mu) for mu in partitions_of(n))
+
+
 def _check_character(lam, generators):
     """Raise unless tr rho(class representative of mu) = chi_lam(mu) for
     every mu, with the class representatives taken in one sweep."""
-    parts = partitions_of(sum(lam))
-    tree = word_tree(class_representative(mu) for mu in parts)
-    for mu, mat in zip(parts, _sweep(generators, tree, hook_dimension(lam))):
+    n = sum(lam)
+    parts = partitions_of(n)
+    for mu, mat in zip(parts, _sweep(generators, _class_tree(n), hook_dimension(lam))):
         trace = int(np.trace(mat))
         if trace != mn_character(lam, mu):
             raise InternalConsistencyError(
@@ -546,9 +552,8 @@ class SpechtRep:
         return self.matrices([perm])[0]
 
     def character(self) -> ClassFunction:
-        n = self.n
-        reps = self.matrices(class_representative(mu) for mu in partitions_of(n))
-        return ClassFunction(n, tuple(Fraction(int(np.trace(m))) for m in reps))
+        reps = self.matrices(_class_tree(self.n))
+        return ClassFunction(self.n, tuple(Fraction(int(np.trace(m))) for m in reps))
 
 
 @cache

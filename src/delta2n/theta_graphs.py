@@ -229,8 +229,11 @@ def has_odd_automorphism(g: ThetaGraph) -> bool:
 def symmetry_table(shape, base: int):
     """Digit weights and edge parities of the 12 symmetry images of a graph
     with these slots, in SYMMETRIES order: the key of image s of a label row
-    x is (x + 1) @ weights[s], and its sign is parity[s]."""
+    x is (x + 1) @ weights[s], and its sign is parity[s].  Every path must be
+    nonempty (ValueError otherwise)."""
     _, _, lens = shape
+    if not all(lens):
+        raise ValueError(f"slot shape {shape} has an empty path")
     width = 2 + sum(lens)
     digits = width + 3
     if base ** digits > 2**63:
@@ -253,28 +256,41 @@ def symmetry_table(shape, base: int):
     return weights, parity
 
 
-def canonical_keys(rows: np.ndarray, shape, base: int):
-    """Canonical keys of the graphs given as label rows of one slot shape,
-    with each one's sign, as ``_canonicalize_fast`` gives them, and whether it
-    has an odd automorphism: (keys, signs, odd).
+def _order_code(x0, x1, x2):
+    return 4 * (x0 > x1) + 2 * (x0 > x2) + (x1 > x2)
 
-    The key is the least of the 12 image keys and the sign that of the first
-    symmetry reaching it; a later symmetry reaching it with the other sign is
-    an odd automorphism.  The images are taken one symmetry at a time.
+
+# _PATH_PERMS index of the path permutation that sorts three distinct values,
+# looked up by their _order_code (two of the eight codes cannot occur)
+_SORTING_PERM = np.zeros(8, dtype=np.intp)
+_SORTING_PERM[[_order_code(*np.argsort(perm)) for perm in _PATH_PERMS]] = range(len(_PATH_PERMS))
+
+
+def canonical_keys(rows: np.ndarray, shape, base: int):
+    """Canonical keys of the graphs given as label rows of one slot shape
+    (every path nonempty), with each one's sign, as ``_canonicalize_fast``
+    gives them, and whether it has an odd automorphism: (keys, signs, odd).
+
+    Within one flip the least image lists the paths by their first label
+    (their last label when flipped), which are distinct, so only those two
+    images are keyed.  The key is the lesser, the unflipped one on a tie, and
+    a tie with different parities is an odd automorphism.
     """
     weights, parity = symmetry_table(shape, base)
-    digits = rows.astype(np.int64) + 1  # one cast, not one per image
-    best = digits @ weights[0]
-    sign = np.full(best.shape, parity[0])
-    odd = np.zeros(best.shape, dtype=bool)
-    for w, par in zip(weights[1:], parity[1:]):
-        key = digits @ w
-        odd |= (key == best) & (sign != par)
-        lower = key < best
-        odd[lower] = False
-        best[lower] = key[lower]
-        sign[lower] = par
-    return best, sign, odd
+    lens = shape[2]
+    first = np.cumsum((2, *lens[:2]))
+    digits = rows.astype(np.int64) + 1  # one cast, shared by both images
+    keys = []
+    for flip, ends in ((0, first), (1, first + lens - 1)):
+        s = flip * len(_PATH_PERMS) + _SORTING_PERM[_order_code(*(digits[:, c] for c in ends))]
+        keys.append((np.einsum("ij,ij->i", digits, weights[s]), parity[s]))
+    (key0, par0), (key1, par1) = keys
+    flipped = key1 < key0
+    return (
+        np.where(flipped, key1, key0),
+        np.where(flipped, par1, par0),
+        (key0 == key1) & (par0 != par1),
+    )
 
 
 class OrbitForm(NamedTuple):

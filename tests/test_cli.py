@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -180,6 +181,61 @@ def test_analyze_d25_fails_when_no_cycle_is_found(capsys, monkeypatch):
     status, out, err = _run(capsys, "analyze-d25", "--format", "json")
     assert status == 2 and out == ""
     assert "no (3,1,1)-isotypic cycle" in err
+
+
+@pytest.mark.parametrize(
+    "error", [d25_analysis.DegenerateVectorError, d25_analysis.WrongIsotypeError]
+)
+def test_analyze_d25_failure_exits_2(capsys, monkeypatch, error):
+    monkeypatch.setattr(d25_analysis, "orbit_basis", _raise(error("stub failure")))
+    status, out, err = _run(capsys, "analyze-d25")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: stub failure" in err
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+
+
+def test_entry_point_prints_what_main_returns(capsys):
+    argv = ["characters", "--n", "5", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "delta2n.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, out, _ = _run(capsys, *argv)
+    assert status == 0
+    assert _payload(proc.stdout) == _payload(out)
+
+
+def test_entry_point_rejects_an_unknown_option():
+    proc = subprocess.run(
+        [sys.executable, "-m", "delta2n.cli", "betti", "--n", "4", "--frobnicate"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # only the process entry point freezes; tests and tracers call main in-process
+    before = gc.get_freeze_count()
+    assert _run(capsys, "betti", "--n", "4")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_and_main_block_call_one_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["delta2n"]
+    module, func = target.split(":")
+    assert module == cli.__name__ and callable(getattr(cli, func))
+    main_block = Path(cli.__file__).read_text().split('if __name__ == "__main__":')[1]
+    assert main_block.strip() == f"{func}()"
 
 
 # ---------------------------------------------------------------------------
