@@ -1,9 +1,11 @@
 """Whole CLI processes, timed from outside: wall time, CPU time and peak RSS
 of one fresh `python -m delta2n.cli` child per run.
 
-The runs are `characters` and `verify` at n = 5..8 and `complex` at n = 7, 8
-(no cache directory), each with `--format json`, plus two reference children
-that show the fixed cost every run pays:
+The runs are `characters` and `verify` at n = 5..8 and `complex` at n = 7, 8,
+each with `--format json`.  `complex` runs twice: with no cache directory,
+and as `complex_cache` with `--cache` pointing at a new empty directory per
+child, so that run builds and writes both boundaries.  Two reference children
+show the fixed cost every run pays:
 
     python_pass   `python -c pass`: interpreter start and exit
     import_cli    `python -c "import delta2n.cli"`: start, imports and exit
@@ -30,10 +32,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
+FRESH_CACHE = "{cache}"  # an argument replaced by a new empty directory per child
 RUNS = (
     ("python_pass", ("-c", "pass")),
     ("import_cli", ("-c", "import delta2n.cli")),
@@ -44,6 +48,11 @@ RUNS = (
     ),
     *(
         (f"complex_n{n}", ("-m", "delta2n.cli", "complex", "--n", str(n), "--format", "json"))
+        for n in (7, 8)
+    ),
+    *(
+        (f"complex_cache_n{n}", ("-m", "delta2n.cli", "complex", "--n", str(n), "--format", "json",
+                                 "--cache", FRESH_CACHE))
         for n in (7, 8)
     ),
 )
@@ -61,6 +70,9 @@ def result_digest(stdout):
 
 def measure(src, args, timeout):
     """One fresh interpreter; None when it runs past the timeout."""
+    if FRESH_CACHE in args:
+        with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
+            return measure(src, [cache if a == FRESH_CACHE else a for a in args], timeout)
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
     env["PYTHONPATH"] = str(Path(src).resolve() / "src")
     t0 = time.perf_counter()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zlib
 from functools import cache
 from itertools import chain, permutations
 from math import factorial
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import linalg, theta_graphs
 from .linalg import InternalConsistencyError, SparseIntMatrix
-from .symmetric_group import hook_dimension
 from .theta_graphs import (
     UNMARKED,
     Degenerate,
@@ -258,13 +258,13 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
 
 @cache
 def _code_version() -> str:
-    """Hash of the modules that build, write and read a cached matrix."""
-    import hashlib  # here, not at the top: only runs with a cache directory need it
-
-    h = hashlib.sha256()
+    """CRC-32 of the modules that build, write and read a cached matrix.  It
+    only names a file stale after a code change; every read still checks
+    the shape header and rejects a malformed file."""
+    crc = 0
     for path in (theta_graphs.__file__, linalg.__file__, __file__):
-        h.update(Path(path).read_bytes())
-    return h.hexdigest()[:12]
+        crc = zlib.crc32(Path(path).read_bytes(), crc)
+    return f"{crc:08x}"
 
 
 def _cache_path(cache_dir, n, p):
@@ -363,6 +363,7 @@ def betti(n: int):
         raise ValueError(f"betti supports 4 <= n <= 8, got n={n}")
     # the block ranks live one layer up, which imports this module
     from .equivariant_homology import isotypic_ranks
+    from .symmetric_group import hook_dimension
 
     blocks = isotypic_ranks(n)
     rank_next, rank_top = (

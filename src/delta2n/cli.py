@@ -26,21 +26,11 @@ from .chain_complex import (
     build_basis,
     build_complex,
 )
-from .equivariant_homology import (
-    homology_character_next,
-    homology_character_top,
-    kernel_character_oracle,
-)
-from .linalg import RankCertificateError
-from .symfunc_check import check_euler
-from .symmetric_group import (
-    NotACharacterError,
-    ClassFunction,
-    character_table,
-    decompose,
-    partitions_of,
-)
+from .linalg import NotACharacterError, RankCertificateError
 from .theta_graphs import enumerate_theta, has_odd_automorphism, to_line
+
+# the homology layer (equivariant_homology, symfunc_check, symmetric_group) is
+# imported inside the handlers that run it: complex and enumerate never load it
 
 # accepted and echoed in metadata only: no result depends on it
 DEFAULT_SEED = 271828
@@ -82,19 +72,18 @@ def _part_str(lam):
     return ",".join(str(a) for a in lam)
 
 
-def _character_block(n, degree, values, mults, seed):
+def _character_block(n, classes, degree, values, mults, seed):
     return {
         "n": n,
         "degree": degree,
-        "classes": [_part_str(mu) for mu in partitions_of(n)],
+        "classes": classes,
         "values": [int(v) for v in values],
         "decomposition": {_part_str(lam): int(k) for lam, k in sorted(mults.items())},
         "seed": seed,
     }
 
 
-def _character_text(title, n, values, mults):
-    classes = [_part_str(mu) for mu in partitions_of(n)]
+def _character_text(title, classes, values, mults):
     widths = [max(len(c), len(str(v))) for c, v in zip(classes, values)]
     head = "  ".join(c.rjust(w) for c, w in zip(classes, widths))
     row = "  ".join(str(v).rjust(w) for v, w in zip(values, widths))
@@ -144,7 +133,12 @@ def _cmd_complex(config, stages):
     # build_complex reuses the memoized bases and boundaries of the first two
     # stages, and adds the dimension and d^2 = 0 checks
     stages.run("bases", lambda: [basis_arrays(n, p) for p in range(n, n + 3)])
-    stages.run("boundaries", lambda: [boundary_matrix(n, p, config.cache) for p in (n + 1, n + 2)])
+    try:
+        stages.run(
+            "boundaries", lambda: [boundary_matrix(n, p, config.cache) for p in (n + 1, n + 2)]
+        )
+    except OSError as exc:  # only the cache directory touches the file system
+        raise ConfigError(f"cannot use --cache directory {config.cache}: {exc.strerror or exc}")
     cx = stages.run("d_squared", lambda: build_complex(n, config.cache))
     payload = {
         "n": n,
@@ -169,12 +163,17 @@ def _cmd_betti(config, stages):
 
 
 def _homology_characters(n, stages):
+    from .equivariant_homology import homology_character_next, homology_character_top
+
     top = stages.run("blocks", lambda: homology_character_top(n))
     nxt = stages.run("euler_next", lambda: homology_character_next(n, top))
     return top, nxt
 
 
 def _cmd_characters(config, stages):
+    from .symfunc_check import check_euler
+    from .symmetric_group import decompose, partitions_of
+
     n = config.n
     top, nxt = _homology_characters(n, stages)
     report = check_euler(n, top, nxt)
@@ -184,17 +183,20 @@ def _cmd_characters(config, stages):
             "Euler characteristic cross-check failed on classes " + ", ".join(failed)
         )
     mults_top, mults_nxt = decompose(top), decompose(nxt)
+    classes = [_part_str(mu) for mu in partitions_of(n)]
     blocks = [
-        _character_block(n, n + 2, top.as_ints(), mults_top, config.seed),
-        _character_block(n, n + 1, nxt.as_ints(), mults_nxt, config.seed),
+        _character_block(n, classes, n + 2, top.as_ints(), mults_top, config.seed),
+        _character_block(n, classes, n + 1, nxt.as_ints(), mults_nxt, config.seed),
     ]
-    lines = _character_text(f"H_{n + 2}:", n, blocks[0]["values"], mults_top)
-    lines += _character_text(f"H_{n + 1}:", n, blocks[1]["values"], mults_nxt)
-    rows = [["degree"] + blocks[0]["classes"]] + [[b["degree"]] + b["values"] for b in blocks]
+    lines = _character_text(f"H_{n + 2}:", classes, blocks[0]["values"], mults_top)
+    lines += _character_text(f"H_{n + 1}:", classes, blocks[1]["values"], mults_nxt)
+    rows = [["degree"] + classes] + [[b["degree"]] + b["values"] for b in blocks]
     return Result({"characters": blocks}, lines, rows)
 
 
 def _cmd_decompose(config, stages):
+    from .symmetric_group import ClassFunction, decompose, partitions_of
+
     n = config.n
     parts = partitions_of(n)
     try:
@@ -219,6 +221,9 @@ def _cmd_decompose(config, stages):
 
 
 def _cmd_verify(config, stages):
+    from .equivariant_homology import kernel_character_oracle
+    from .symfunc_check import check_euler
+
     n = config.n
     top, nxt = _homology_characters(n, stages)
     report = stages.run("euler_check", lambda: check_euler(n, top, nxt))
@@ -260,6 +265,8 @@ def _cmd_verify(config, stages):
 
 
 def _cmd_chartable(config, stages):
+    from .symmetric_group import character_table, partitions_of
+
     n = config.n
     table = stages.run("chartable", lambda: character_table(n))
     classes = [_part_str(mu) for mu in partitions_of(n)]
@@ -360,7 +367,7 @@ def run(config: RunConfig) -> str:
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
             "VM: about 1 s and 45 MB for characters, betti or verify; about "
-            "0.7 s and 100 MB for complex)",
+            "0.6 s and 100 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()

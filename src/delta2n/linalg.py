@@ -50,6 +50,10 @@ class InternalConsistencyError(RuntimeError):
     """A structural identity failed: points at an enumeration or sign bug."""
 
 
+class NotACharacterError(ValueError):
+    """A class function is not a nonnegative integer combination of irreducibles."""
+
+
 class SparseIntMatrix:
     """Sparse integer matrix held as one read-only int64 array ``coords`` of
     shape (3, nnz): the row, column and value of each nonzero entry, sorted

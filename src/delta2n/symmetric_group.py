@@ -25,11 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InternalConsistencyError, int_matmul
-
-
-class NotACharacterError(ValueError):
-    pass
+from .linalg import InternalConsistencyError, NotACharacterError, int_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +458,30 @@ def _check_coxeter(lam, generators):
     """Raise unless s_i^2 = 1, s_i s_j = s_j s_i for j - i >= 2 and
     (s_i s_{i+1})^2 = s_{i+1} s_i: given the involutions, the last two are
     (s_i s_j)^2 = 1 and (s_i s_{i+1})^3 = 1, the Coxeter presentation of S_n,
-    so s_j -> generators[j] extends to a homomorphism.  Every s_i s_j comes
-    from one stacked product; the braid relations take n - 2 more."""
+    so s_j -> generators[j] extends to a homomorphism.  One generator at a
+    time, s_i [s_i ... s_{k-1}] and [s_{i+1}; ...; s_{k-1}] s_i give every
+    s_i s_j and s_j s_i with j >= i in two stacked products, so at most 2kd^2
+    product entries are held at once; each braid relation takes one more."""
     k = len(generators)
     if not k:
         return
     d = generators[0].shape[0]
-    # pairs[i, :, j, :] = s_i s_j
-    pairs = int_matmul(np.vstack(generators), np.hstack(generators)).reshape(k, d, k, d)
+    row, col = np.hstack(generators), np.vstack(generators)
     eye = np.eye(d, dtype=np.int64)
-    sides = [(i, i, pairs[i, :, i], eye) for i in range(k)]
-    sides += [(i, j, pairs[i, :, j], pairs[j, :, i]) for i in range(k) for j in range(i + 2, k)]
-    sides += [
-        (i, i + 1, int_matmul(pairs[i, :, i + 1], pairs[i, :, i + 1]), pairs[i + 1, :, i])
-        for i in range(k - 1)
-    ]
-    for i, j, left, right in sides:
-        if not np.array_equal(left, right):
-            m = 1 if j == i else 3 if j == i + 1 else 2
-            raise InternalConsistencyError(
-                f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
-            )
+    for i, s in enumerate(generators):
+        left = int_matmul(s, row[:, i * d :]).reshape(d, k - i, d)  # [:, j - i] = s_i s_j
+        right = int_matmul(col[(i + 1) * d :], s).reshape(k - i - 1, d, d)  # [j - i - 1] = s_j s_i
+        sides = [(i, left[:, 0], eye)]
+        if i + 1 < k:
+            braid = left[:, 1]
+            sides.append((i + 1, int_matmul(braid, braid), right[0]))
+        sides += [(j, left[:, j - i], right[j - i - 1]) for j in range(i + 2, k)]
+        for j, lhs, rhs in sides:
+            if not np.array_equal(lhs, rhs):
+                m = 1 if j == i else 3 if j == i + 1 else 2
+                raise InternalConsistencyError(
+                    f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
+                )
 
 
 @cache

@@ -409,11 +409,16 @@ def test_unreadable_cache_rebuilt(tmp_path, damage):
     assert cc._read_cached(path, fresh.shape) == fresh
 
 
-def test_cache_key_covers_linalg(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "module", [cc.theta_graphs, cc.linalg, cc], ids=lambda m: m.__name__.rpartition(".")[2]
+)
+def test_cache_key_covers_each_source_file(tmp_path, monkeypatch, module):
+    # an edit to any module that builds, writes or reads a cached matrix
+    # renames the cache file
     before = cc._cache_path(tmp_path, 4, 6)
-    copy = tmp_path / "linalg.py"
-    copy.write_text(Path(cc.linalg.__file__).read_text() + "\n# changed\n")
-    monkeypatch.setattr(cc.linalg, "__file__", str(copy))
+    copy = tmp_path / Path(module.__file__).name
+    copy.write_text(Path(module.__file__).read_text() + "\n# changed\n")
+    monkeypatch.setattr(module, "__file__", str(copy))
     clear_caches()
     try:
         assert cc._cache_path(tmp_path, 4, 6) != before

@@ -17,6 +17,7 @@ from delta2n import (
     cli,
     d25_analysis,
     equivariant_homology,
+    symfunc_check,
     symmetric_group,
     theta_graphs,
 )
@@ -238,6 +239,32 @@ def test_console_script_and_main_block_call_one_entry_function():
     assert main_block.strip() == f"{func}()"
 
 
+def test_complex_and_enumerate_load_only_the_graph_layer(tmp_path):
+    # neither command runs the homology layer, and naming a cache file needs
+    # no hashlib, whose _hashlib maps OpenSSL's libcrypto
+    script = f"""
+import contextlib, io, sys
+from delta2n import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["complex", "--n", "5", "--cache", {str(tmp_path)!r}]) == 0
+    assert cli.main(["enumerate", "--n", "4"]) == 0
+print(*sorted(m for m in sys.modules if m.startswith(("delta2n", "_hashlib"))))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "delta2n",
+        "delta2n.chain_complex",
+        "delta2n.cli",
+        "delta2n.kernels",
+        "delta2n.linalg",
+        "delta2n.theta_graphs",
+    ]
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 # ---------------------------------------------------------------------------
 # determinism and caching
 
@@ -285,6 +312,16 @@ def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
     assert sorted(built) == [6, 7]
     assert len(list(tmp_path.iterdir())) == 2
     assert CACHE_ENV not in os.environ
+
+
+@pytest.mark.parametrize("below", [[], ["sub"]], ids=["file", "below_file"])
+def test_unusable_cache_dir_is_config_error(capsys, tmp_path, below):
+    (tmp_path / "file").write_text("not a directory\n")
+    cache = tmp_path.joinpath("file", *below)
+    status, out, err = _run(capsys, "complex", "--n", "5", "--cache", str(cache))
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: cannot use --cache directory {cache}: ")
+    assert err.count("\n") == 1
 
 
 def test_characters_builds_no_global_boundary(capsys, monkeypatch, fresh_caches):
@@ -439,7 +476,7 @@ def test_n8_cost_warning(capsys, monkeypatch):
 
 def test_consistency_failure_exits_2(capsys, monkeypatch):
     bad = EulerClassCheck((4,), Fraction(1), Fraction(0), False)
-    monkeypatch.setattr(cli, "check_euler", lambda n, top, nxt: [bad])
+    monkeypatch.setattr(symfunc_check, "check_euler", lambda n, top, nxt: [bad])
     status, _, err = _run(capsys, "verify", "--n", "4")
     assert status == 2
     assert "internal consistency failure" in err
@@ -491,7 +528,7 @@ def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
 
 
 def test_not_a_character_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "decompose", _raise(NotACharacterError("negative")))
+    monkeypatch.setattr(symmetric_group, "decompose", _raise(NotACharacterError("negative")))
     status, out, err = _run(capsys, "characters", "--n", "4")
     assert status == 2 and out == ""
     assert "internal consistency failure: negative" in err
@@ -536,14 +573,18 @@ def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch):
 def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
     # top cancels in the Euler check, so only the kernel-trace oracle sees it;
     # the oracle runs once
-    real_top = cli.homology_character_top
+    real_top = equivariant_homology.homology_character_top
     monkeypatch.setattr(
-        cli, "homology_character_top", lambda *args: _plus_trivial(real_top(*args))
+        equivariant_homology,
+        "homology_character_top",
+        lambda *args: _plus_trivial(real_top(*args)),
     )
     calls = []
-    real_oracle = cli.kernel_character_oracle
+    real_oracle = equivariant_homology.kernel_character_oracle
     monkeypatch.setattr(
-        cli, "kernel_character_oracle", lambda *args: calls.append(args) or real_oracle(*args)
+        equivariant_homology,
+        "kernel_character_oracle",
+        lambda *args: calls.append(args) or real_oracle(*args),
     )
     status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
     assert status == 2
