@@ -1,0 +1,309 @@
+"""Stage timings of the delta2n pipeline, one fresh interpreter per run.
+
+The stages come in three groups, chosen by name on the command line (one or
+more; default all):
+
+    graph     bases        basis_arrays for degrees n, n+1, n+2     (n = 6, 7, 8)
+              boundaries   boundary_matrix for d_{n+1}, d_{n+2}     (n = 6, 7, 8)
+              d2           d_{n+1} . d_{n+2} == 0                   (n = 6, 7, 8)
+              act          act() of every class representative,
+                           three degrees                            (n = 6, 7)
+    homology  specht       specht_matrices for every lambda of n    (n = 5..8)
+              chain_characters  chain_character, three degrees      (n = 5, 6, 7)
+              top          homology_character_top(n)                (n = 5..8)
+              blocks       isotypic_block_ranks(BLOCK_LAMBDA, 9), the lambda
+                           of n = 9 with the largest block          (n = 9)
+    cli       python_pass  `python -c pass`: interpreter start and exit
+              import_cli   `python -c "import delta2n.cli"`
+              characters, verify   `delta2n.cli ... --n N --format json`
+                                                                    (n = 5..8)
+              complex      the same with no cache; complex_cache on a new
+                           empty --cache dir; complex_warm on a dir filled
+                           by an untimed run first                  (n = 7, 8)
+
+A graph or homology stage runs as `bench.py --child STAGE N`: the child builds
+what the stage needs (bases, boundaries, orbit representatives, Specht
+modules), then times the stage alone and prints {"stage_s", "result"}.  A cli
+stage's result is a digest of its JSON payload without the metadata.
+
+Every child is reaped with os.wait4, so its wall time, CPU time (user +
+system) and peak RSS are its own, and is killed at --timeout seconds; a stage
+that times out on a side is recorded so and not retried there.  The driver
+pins itself, and with it every child, to one CPU, and the children run with
+one OpenMP/OpenBLAS/MKL thread and without DELTA2N_CACHE_DIR, so timings do
+not depend on how many cores are idle.  `--src DIR` measures the checkout at
+DIR (default: the one holding this script).  `--before DIR` measures a
+second checkout, such as a clone of the parent commit, alternating with the
+first run by run, and flips which side goes first every repeat, so that a
+host speed change hits both alike.  The children put DIR/src on PYTHONPATH
+and run the stage code of this script, so DIR needs no copy of it.  The
+driver exits as soon as any two runs of a stage give different results.
+
+    python3 benchmarks/bench.py --before ../parent --out BENCH_topic.json
+    python3 benchmarks/bench.py homology cli --repeat 3
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+SCRIPT = str(Path(__file__).resolve())
+BLOCK_LAMBDA = (4, 2, 2, 1)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CACHE_ENV = "DELTA2N_CACHE_DIR"
+EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per child
+METRICS = ("stage_s", "wall_s", "cpu_s", "peak_rss_mb")
+
+
+def _child(stage, ns):
+    return {f"{stage}_n{n}": (SCRIPT, "--child", stage, str(n)) for n in ns}
+
+
+def _cli(name, command, ns, *extra):
+    return {
+        f"{name}_n{n}": ("-m", "delta2n.cli", command, "--n", str(n), "--format", "json", *extra)
+        for n in ns
+    }
+
+
+GROUPS = {
+    "graph": {
+        **_child("bases", (6, 7, 8)),
+        **_child("boundaries", (6, 7, 8)),
+        **_child("d2", (6, 7, 8)),
+        **_child("act", (6, 7)),
+    },
+    "homology": {
+        **_child("specht", (5, 6, 7, 8)),
+        **_child("chain_characters", (5, 6, 7)),
+        **_child("top", (5, 6, 7, 8)),
+        **_child("blocks", (9,)),
+    },
+    "cli": {
+        "python_pass": ("-c", "pass"),
+        "import_cli": ("-c", "import delta2n.cli"),
+        **_cli("characters", "characters", (5, 6, 7, 8)),
+        **_cli("verify", "verify", (5, 6, 7, 8)),
+        **_cli("complex", "complex", (7, 8)),
+        **_cli("complex_cache", "complex", (7, 8), "--cache", EMPTY_CACHE),
+        **_cli("complex_warm", "complex", (7, 8), "--cache", WARM_CACHE),
+    },
+}
+
+
+def run_stage(stage, n):
+    """Child side: build what the stage needs, then time the stage alone."""
+    from delta2n import equivariant_homology as eh
+    from delta2n.chain_complex import basis_arrays, boundary_matrix, chain_orbits
+    from delta2n.symmetric_group import class_representative, partitions_of, specht_matrices
+
+    degrees = (n, n + 1, n + 2)
+    if stage in ("boundaries", "d2", "act"):
+        for p in degrees:
+            basis_arrays(n, p)
+    if stage == "d2":
+        d_next, d_top = (boundary_matrix(n, p) for p in (n + 1, n + 2))
+    if stage in ("chain_characters", "top", "blocks"):
+        for p in degrees:
+            chain_orbits(n, p)
+        for lam in (BLOCK_LAMBDA,) if stage == "blocks" else partitions_of(n):
+            specht_matrices(lam)
+    t0 = time.perf_counter()
+    if stage == "bases":
+        result = [basis_arrays(n, p).dim for p in degrees]
+    elif stage == "boundaries":
+        result = [boundary_matrix(n, p).nnz for p in (n + 1, n + 2)]
+    elif stage == "d2":
+        result = d_next.matmul(d_top).is_zero()
+    elif stage == "act":
+        result = [
+            eh.act(class_representative(mu), p).trace() for p in degrees for mu in partitions_of(n)
+        ]
+    elif stage == "specht":
+        result = [specht_matrices(lam).dim for lam in partitions_of(n)]
+    elif stage == "chain_characters":
+        result = [list(eh.chain_character(n, p).as_ints()) for p in degrees]
+    elif stage == "top":
+        result = list(eh.homology_character_top(n).as_ints())
+    elif stage == "blocks":
+        result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    return {"stage_s": time.perf_counter() - t0, "result": result}
+
+
+def child_env(src):
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env.update(dict.fromkeys(THREAD_VARS, "1"), PYTHONPATH=str(Path(src).resolve() / "src"))
+    return env
+
+
+def result_digest(stdout):
+    """Digest of a CLI run's JSON payload without its metadata (timings)."""
+    if not stdout:
+        return None
+    payload = json.loads(stdout)
+    payload.pop("metadata")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def measure(args, env, timeout):
+    """One fresh interpreter; None when it runs past the timeout."""
+    if EMPTY_CACHE in args or WARM_CACHE in args:
+        with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
+            filled = [cache if a in (EMPTY_CACHE, WARM_CACHE) else a for a in args]
+            if WARM_CACHE in args:
+                subprocess.run([sys.executable, *filled], env=env, check=True,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            return measure(filled, env, timeout)
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err, env=env)
+        killer = threading.Timer(timeout, proc.kill)
+        killer.start()
+        try:
+            stdout = proc.stdout.read()  # drain before reaping: a full pipe would block the child
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+            proc.stdout.close()
+        wall = time.perf_counter() - t0
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if wall >= timeout:
+            return None
+        if code != 0:
+            err.seek(0)
+            tail = err.read().decode(errors="replace")[-2000:]
+            raise SystemExit(f"{' '.join(args)} with {env['PYTHONPATH']} exited {code}\n{tail}")
+    rec = {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux reports KiB
+    }
+    if args[0] == SCRIPT:
+        rec.update(json.loads(stdout.decode().splitlines()[-1]))
+    else:
+        rec["result"] = result_digest(stdout.decode())
+    return rec
+
+
+def summarize(runs, timed_out):
+    if timed_out:
+        return {"timed_out": True}
+    out = {}
+    for metric in METRICS:
+        if metric in runs[0]:
+            values = [r[metric] for r in runs]
+            out[metric] = {
+                "median": round(statistics.median(values), 6),
+                "min": round(min(values), 6),
+                "runs": [round(v, 6) for v in values],
+            }
+    out["result"] = runs[0]["result"]
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("groups", nargs="*", metavar="GROUP",
+                    help=f"stage groups to run, of {', '.join(GROUPS)} (default: all)")
+    ap.add_argument("--src", default=str(Path(SCRIPT).parent.parent),
+                    help="checkout to measure (its src/ goes on PYTHONPATH)")
+    ap.add_argument("--before", default=None, help="baseline checkout measured alongside")
+    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--timeout", type=float, default=120.0,
+                    help="seconds before a child is stopped and recorded as timed out")
+    ap.add_argument("--out", default=None, help="write the JSON record here")
+    ap.add_argument("--child", nargs=2, metavar=("STAGE", "N"), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+
+    if args.child:
+        print(json.dumps(run_stage(args.child[0], int(args.child[1]))))
+        return
+    groups = args.groups or list(GROUPS)
+    unknown = [g for g in groups if g not in GROUPS]
+    if unknown:
+        ap.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
+    stages = {key: cmd for g in groups for key, cmd in GROUPS[g].items()}
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})  # inherited by every child
+    sides = {"after": args.src}
+    if args.before:
+        sides = {"before": args.before, "after": args.src}
+    envs = {side: child_env(src) for side, src in sides.items()}
+    runs = {side: {key: [] for key in stages} for side in sides}
+    timed_out = {side: set() for side in sides}
+    results = {}
+    for rep in range(args.repeat):
+        for key, cmd in stages.items():
+            for side in list(sides)[:: -1 if rep % 2 else 1]:
+                if key in timed_out[side]:
+                    continue
+                rec = measure(cmd, envs[side], args.timeout)
+                if rec is None:
+                    timed_out[side].add(key)
+                    continue
+                first = results.setdefault(key, rec["result"])
+                if rec["result"] != first:
+                    raise SystemExit(f"{key}: {side} gave {rec['result']}, an earlier run {first}")
+                runs[side][key].append(rec)
+
+    record = {
+        "script": "benchmarks/bench.py",
+        "groups": groups,
+        "repeat": args.repeat,
+        "timeout_s": args.timeout,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "pinned_cpu": cpu,
+            "python": platform.python_version(),
+        },
+    }
+    for side in sides:
+        record[side] = {
+            key: summarize(rs, key in timed_out[side]) for key, rs in runs[side].items()
+        }
+    if args.before:
+        change = {}
+        for key, after in record["after"].items():
+            before = record["before"][key]
+            if before.get("timed_out") or after.get("timed_out"):
+                change[key] = None
+                continue
+            change[key] = {
+                metric: round(after[metric]["median"] / before[metric]["median"] - 1, 4)
+                for metric in METRICS if metric in after
+            }
+        record["median_change"] = change
+    if args.out:
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+
+    def show(entry):
+        if entry.get("timed_out"):
+            return f"{'timed out':>30}"
+        time_s = entry["stage_s" if "stage_s" in entry else "wall_s"]["median"]
+        return (f"{time_s:>8.4f}s {entry['cpu_s']['median']:>7.3f}s cpu"
+                f" {entry['peak_rss_mb']['median']:>6.1f}MB")
+
+    width = max(len(key) for key in stages)
+    print("medians of the stage time (graph, homology) or wall time (cli), CPU time, peak RSS")
+    for key, after in record["after"].items():
+        line = f"{key:{width}}  {show(after)}"
+        if args.before:
+            line += f"  before {show(record['before'][key])}"
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

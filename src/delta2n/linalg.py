@@ -280,13 +280,6 @@ def rational_reconstruction(a: int, m: int):
     return Fraction(num, den)
 
 
-def _crt_pair(x1: int, m1: int, x2: int, m2: int):
-    """Combine x mod m1 and x mod m2 (coprime moduli)."""
-    inv = pow(m1 % m2, -1, m2)
-    t = (x2 - x1) % m2 * inv % m2
-    return (x1 + m1 * t) % (m1 * m2), m1 * m2
-
-
 def _reduce(a: np.ndarray, p: int):
     """(p, the RREF of a mod p, its rank, its pivot columns)."""
     red = _residues(a, p)
@@ -342,12 +335,11 @@ def _lift_kernel(a, reductions):
         if residue is None:
             residue, modulus = kp, p
         else:
+            # CRT in Python ints (modulus * t overflows int64); the sum
+            # stays below modulus * p since 0 <= residue < modulus, 0 <= t < p
             residue = residue.astype(object)
-            for r in range(ncols):
-                for c in range(free.size):
-                    residue[r, c], _ = _crt_pair(
-                        int(residue[r, c]), modulus, int(kp[r, c]), p
-                    )
+            t = (kp - residue) % p * pow(modulus % p, -1, p) % p
+            residue = residue + modulus * t
             modulus *= p
         lifted = _lift_matrix(residue, modulus)
         if lifted is None:

@@ -56,11 +56,6 @@ def class_size(mu) -> int:
     return size
 
 
-def partition_sign(mu) -> int:
-    """Sign character evaluated on the class mu: (-1)^(n - #parts)."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
 def conjugate_partition(lam):
     if not lam:
         return ()

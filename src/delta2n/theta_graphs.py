@@ -497,22 +497,3 @@ def to_line(g: ThetaGraph) -> str:
     for i, p in enumerate(g.paths):
         parts.append("p%d=%s" % (i, ",".join(str(l + 1) for l in p)))
     return ";".join(parts)
-
-
-def from_line(line: str) -> ThetaGraph:
-    fields = {}
-    for chunk in line.strip().split(";"):
-        key, _, val = chunk.partition("=")
-        fields[key.strip()] = val.strip()
-    try:
-        a = UNMARKED if fields["a"] == "-" else int(fields["a"]) - 1
-        b = UNMARKED if fields["b"] == "-" else int(fields["b"]) - 1
-        paths = tuple(
-            tuple(int(tok) - 1 for tok in fields["p%d" % i].split(",") if tok)
-            for i in range(3)
-        )
-    except (KeyError, ValueError) as exc:
-        raise MalformedGraphError("bad graph line %r" % line) from exc
-    g = ThetaGraph(a, b, paths)
-    validate(g)
-    return g

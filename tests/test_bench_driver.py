@@ -1,0 +1,32 @@
+"""Smoke test of benchmarks/bench.py: its library stages still run against
+the package, so a renamed function breaks this test, not a later benchmark."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from delta2n.chain_complex import basis_arrays
+from delta2n.symmetric_group import hook_dimension, partitions_of
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child_result(stage, n):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench.py"), "--child", stage, str(n)],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    record = json.loads(child.stdout.splitlines()[-1])
+    assert record["stage_s"] >= 0
+    return record["result"]
+
+
+def test_bases_child():
+    assert _child_result("bases", 6) == [basis_arrays(6, p).dim for p in (6, 7, 8)]
+
+
+def test_specht_child():
+    assert _child_result("specht", 5) == [hook_dimension(lam) for lam in partitions_of(5)]

@@ -16,7 +16,6 @@ from delta2n.theta_graphs import (
     canonicalize,
     contract,
     enumerate_theta,
-    from_line,
     has_odd_automorphism,
     is_full_theta,
     make_graph,
@@ -315,11 +314,6 @@ def test_perm_parity():
 
 
 def test_line_roundtrip():
-    rng = random.Random(37)
-    for n in (2, 4, 6):
-        for _ in range(25):
-            g = canonical_form(_random_graph(rng, n))
-            assert from_line(to_line(g)) == g
     assert to_line(make_graph(None, 1, [[0], [], [2, 3]])) == "a=-;b=2;p0=1;p1=;p2=3,4"
 
 
@@ -328,8 +322,6 @@ def test_validate_errors():
         canonicalize(make_graph(None, None, [[0, 0], [1], []]))
     with pytest.raises(MalformedGraphError):
         canonicalize(make_graph(2, None, [[0], [1], [2]]))
-    with pytest.raises(MalformedGraphError):
-        from_line("a=-;b=-;p0=1")
 
 
 # ---------------------------------------------------------------------------
