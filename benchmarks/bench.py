@@ -4,8 +4,8 @@ The stages come in three groups, chosen by name on the command line (one or
 more; default all):
 
     graph     bases        basis_arrays for degrees n, n+1, n+2     (n = 6, 7, 8)
-              boundaries   boundary_matrix for d_{n+1}, d_{n+2}     (n = 6, 7, 8)
-              d2           d_{n+1} . d_{n+2} == 0                   (n = 6, 7, 8)
+              boundaries   boundary_matrix for d_{n+1}, d_{n+2}     (n = 6..9)
+              d2           d_{n+1} . d_{n+2} == 0                   (n = 6..9)
               act          act() of every class representative,
                            three degrees                            (n = 6, 7)
     homology  specht       specht_matrices for every lambda of n    (n = 5..8)
@@ -35,9 +35,13 @@ not depend on how many cores are idle.  `--src DIR` measures the checkout at
 DIR (default: the one holding this script).  `--before DIR` measures a
 second checkout, such as a clone of the parent commit, alternating with the
 first run by run, and flips which side goes first every repeat, so that a
-host speed change hits both alike.  The children put DIR/src on PYTHONPATH
-and run the stage code of this script, so DIR needs no copy of it.  The
-driver exits as soon as any two runs of a stage give different results.
+host speed change hits both alike.  The two runs of one repeat are adjacent
+and share the host's speed state, so besides the change of the medians the
+record gives, per stage and metric, the median over repeats of the paired
+ratio after/before - 1 and how many repeats the after side won (came out
+lower).  The children put DIR/src on PYTHONPATH and run the stage code of
+this script, so DIR needs no copy of it.  The driver exits as soon as any
+two runs of a stage give different results.
 
     python3 benchmarks/bench.py --before ../parent --out BENCH_topic.json
     python3 benchmarks/bench.py homology cli --repeat 3
@@ -78,8 +82,8 @@ def _cli(name, command, ns, *extra):
 GROUPS = {
     "graph": {
         **_child("bases", (6, 7, 8)),
-        **_child("boundaries", (6, 7, 8)),
-        **_child("d2", (6, 7, 8)),
+        **_child("boundaries", (6, 7, 8, 9)),
+        **_child("d2", (6, 7, 8, 9)),
         **_child("act", (6, 7)),
     },
     "homology": {
@@ -212,6 +216,21 @@ def summarize(runs, timed_out):
     return out
 
 
+def paired_change(before, after):
+    """Per metric, the median over repeats of after/before - 1 within each
+    repeat, and in how many repeats the after side came out lower."""
+    out = {}
+    for metric in METRICS:
+        if metric in after[0]:
+            pairs = [(b[metric], a[metric]) for b, a in zip(before, after)]
+            out[metric] = {
+                "median": round(statistics.median(a / b - 1 for b, a in pairs), 4),
+                "after_won": sum(a < b for b, a in pairs),
+                "pairs": len(pairs),
+            }
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("groups", nargs="*", metavar="GROUP",
@@ -286,6 +305,10 @@ def main():
                 for metric in METRICS if metric in after
             }
         record["median_change"] = change
+        record["paired_change"] = {
+            key: paired_change(runs["before"][key], runs["after"][key])
+            for key in stages if change[key] is not None
+        }
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

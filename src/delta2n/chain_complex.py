@@ -234,8 +234,11 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
     """d_p from whole label arrays: each contraction of each column shape is
     one column gather, canonicalized by integer keys and looked up in the
     row basis.  A target missing from the row basis must have an odd
-    automorphism, and one found there must not."""
+    automorphism, and one found there must not.  The terms are kept in the
+    narrowest types that hold them (positions unsigned, signs int8) until
+    they are summed."""
     cols, rows = basis_arrays(n, p), basis_arrays(n, p - 1)
+    position = np.min_scalar_type(max(rows.dim, cols.dim))
     found_rows, found_cols, coefs = [], [], []
     for shape, index, labels in cols.blocks:
         for target, gather, edge_sign in _contractions(shape):
@@ -247,12 +250,13 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
                 raise InternalConsistencyError(
                     f"contraction {what} at n={n}, p={p}, column {index[bad[0]]}"
                 )
-            found_rows.append(pos[found])
-            found_cols.append(index[found])
-            coefs.append(edge_sign * signs[found])
+            found_rows.append(pos[found].astype(position))
+            found_cols.append(index[found].astype(position))
+            coefs.append((edge_sign * signs[found]).astype(np.int8))
     if not coefs:
         return SparseIntMatrix(rows.dim, cols.dim)
-    terms = (np.concatenate(found_rows), np.concatenate(found_cols), np.concatenate(coefs))
+    terms = [np.concatenate(parts) for parts in (found_rows, found_cols, coefs)]
+    del found_rows, found_cols, coefs
     return SparseIntMatrix.from_terms(rows.dim, cols.dim, *terms)
 
 
@@ -304,8 +308,15 @@ def _write_cached(path, mat) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            head = np.array([[mat.rows], [mat.cols], [0]], dtype=np.int64)
-            np.save(fh, np.hstack([head, mat.coords]), allow_pickle=False)
+            # the bytes np.save gives the header column and coords side by
+            # side, written a row at a time instead of from a joined copy
+            fmt = np.lib.format
+            header = {"descr": fmt.dtype_to_descr(mat.coords.dtype), "fortran_order": False,
+                      "shape": (3, mat.nnz + 1)}
+            fmt.write_array_header_1_0(fh, header)
+            for head, row in zip((mat.rows, mat.cols, 0), mat.coords):
+                fh.write(np.int64(head).tobytes())
+                fh.write(np.ascontiguousarray(row).data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -367,7 +367,7 @@ def run(config: RunConfig) -> str:
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
             "VM: about 1 s and 45 MB for characters, betti or verify; about "
-            "0.6 s and 100 MB for complex)",
+            "0.5 s and 56 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()

@@ -125,7 +125,12 @@ class SparseIntMatrix:
         terms of each cell are summed in int64.  A cell gets at most as many
         terms as self's row and other's column have entries, so the product
         runs only when max|a| * max|b| times the fewer of those is below
-        2**62; OverflowError otherwise, before any product is formed."""
+        2**62; OverflowError otherwise, before any product is formed.
+
+        Every term of cell (i, j) comes from row i of self, so the terms are
+        formed and summed over whole rows of self, at most ``_PRODUCT_CHUNK``
+        at a time (a row with more in one piece), and the row-major sums of
+        successive pieces concatenate into the product's ``coords``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         (ar, ac, av), (br, bc, bv) = self.coords, other.coords
@@ -135,14 +140,27 @@ class SparseIntMatrix:
         bound = _max_abs(av) * _max_abs(bv) * int(terms)
         if bound >= _INT64_SAFE:
             raise OverflowError(f"a sum of products may reach {bound}, beyond int64")
-        start = np.searchsorted(br, ac)
-        count = np.searchsorted(br, ac, side="right") - start
-        left = np.repeat(np.arange(av.size), count)
-        # index into other of each term: its run's start plus its place in the run
-        right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return SparseIntMatrix.from_terms(
-            self.rows, other.cols, ar[left], bc[right], av[left] * bv[right]
-        )
+        length = np.bincount(br, minlength=other.rows)  # entries in each row of other
+        first = np.cumsum(length) - length  # where each row of other starts
+        row_end = np.flatnonzero(np.r_[ar[1:] != ar[:-1], True]) + 1  # past each row of self
+        through = np.cumsum(length[ac])[row_end - 1]  # terms up to the end of each row
+        parts, k = [], 0
+        while k < row_end.size:
+            lo, done = (row_end[k - 1], through[k - 1]) if k else (0, 0)
+            k = max(int(np.searchsorted(through, done + _PRODUCT_CHUNK, side="right")), k + 1)
+            hi = row_end[k - 1]
+            run, begin = length[ac[lo:hi]], first[ac[lo:hi]]
+            left = np.repeat(np.arange(lo, hi), run)
+            # index into other of each term: its run's start plus its place in the run
+            right = np.repeat(begin - (np.cumsum(run) - run), run)
+            right += np.arange(right.size)
+            r, c, v = ar[left], bc[right], av[left]
+            v *= bv[right]
+            del left, right
+            parts.append(_cell_sums(self.rows, other.cols, r, c, v))
+        mat = SparseIntMatrix.__new__(SparseIntMatrix)
+        mat._set(self.rows, other.cols, np.concatenate(parts, axis=1))
+        return mat
 
     def to_int64(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.int64)
@@ -158,27 +176,39 @@ def _check_range(rows, cols, r, c):
 
 def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     """The nonzero sums of the terms v at the cells (r, c), in the layout of
-    ``SparseIntMatrix.coords``."""
-    r, c, v = (_int64(x) for x in (r, c, v))
+    ``SparseIntMatrix.coords``; ValueError for a cell outside the shape or an
+    array whose dtype does not cast to int64 exactly (floats, objects and
+    uint64 do not), an empty array excepted.  Narrower integer terms are not
+    widened: the cells are sorted and summed in int64 in the rows of the
+    result, and each full-length temporary is freed before the next."""
+    r, c, v = (np.asarray(x) for x in (r, c, v))
+    for x in (r, c, v):
+        if x.size and not np.can_cast(x.dtype, np.int64):
+            raise ValueError(f"not an integer array: {x.dtype}")
     _check_range(rows, cols, r, c)
+    out = np.empty((3, v.size), dtype=np.int64)
     if not v.size:
-        return np.stack([r, c, v])
-    cell = r * cols + c
+        return out
+    cell = np.multiply(r, cols, out=out[0], dtype=np.int64)
+    cell += c
     order = np.argsort(cell)
-    cell = cell[order]
-    heads = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-    sums = np.add.reduceat(v[order], heads)
-    keep = sums != 0
-    return np.stack([*np.divmod(cell[heads][keep], cols), sums[keep]])
-
-
-def _int64(a) -> np.ndarray:
-    """a as an int64 array; ValueError unless its dtype casts to int64
-    exactly (floats, objects and uint64 do not), an empty array excepted."""
-    a = np.asarray(a)
-    if a.size and not np.can_cast(a.dtype, np.int64):
-        raise ValueError(f"not an integer array: {a.dtype}")
-    return a.astype(np.int64, copy=False)
+    # order is a permutation, so clipping never acts; take's default mode
+    # would copy out[1] once more before writing to it
+    cell = np.take(cell, order, out=out[1], mode="clip")
+    out[2] = v[order]
+    del order
+    step = cell[1:] != cell[:-1]
+    if not step.all():  # some cell has several terms: sum them into its first
+        heads = np.flatnonzero(np.r_[True, step])
+        del step
+        out[2, : heads.size] = np.add.reduceat(out[2], heads)
+        out[1, : heads.size] = cell[heads]
+        out = out[:, : heads.size]
+    np.divmod(out[1], cols, out=(out[0], out[1]))
+    keep = out[2] != 0
+    if out.shape[1] < v.size or not keep.all():
+        out = out[:, keep]  # a fresh array, without the cancelled cells
+    return out
 
 
 def _max_abs(a) -> int:
@@ -226,6 +256,8 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 # |entries| and partial sums below this fit int64 with room for a sign
 _INT64_SAFE = 1 << 62
+# terms of a sparse product formed and summed at a time
+_PRODUCT_CHUNK = 1 << 14
 # every integer of absolute value up to this is a float64
 _FLOAT64_EXACT = 1 << 53
 

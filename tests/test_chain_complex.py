@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from delta2n import chain_complex as cc
 from delta2n import clear_caches
-from delta2n import d25_analysis, equivariant_homology, symmetric_group
+from delta2n import d25_analysis, equivariant_homology, linalg, symmetric_group
 from delta2n.linalg import InternalConsistencyError, SparseIntMatrix, kernel_exact, rank_exact
 from delta2n.theta_graphs import enumerate_theta, has_odd_automorphism, is_full_theta, orbit_of
 
@@ -240,8 +241,40 @@ def test_build_complex_checks_the_enumerated_shapes(monkeypatch):
         clear_caches()
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_build_complex_under_tiny_product_chunks(n, monkeypatch):
+    # the d^2 product summed two terms at a time: same matrices, same check
+    want = cc.build_complex(n)
+    monkeypatch.setattr(linalg, "_PRODUCT_CHUNK", 2)
+    clear_caches()
+    try:
+        got = cc.build_complex(n)
+    finally:
+        clear_caches()
+    assert got.matrices == want.matrices
+
+
+def test_build_complex_memory_tracks_its_output():
+    # the n = 7 boundaries keep about 1 MB.  Summing the d^2 product a chunk
+    # at a time and the boundary terms in narrow types holds the traced peak
+    # near 2.3 MB; forming every term at once in int64 took 4.5 MB.
+    clear_caches()
+    for p in (7, 8, 9):
+        cc.basis_arrays(7, p)
+        cc.chain_dim(7, p)
+    tracemalloc.start()
+    try:
+        cc.build_complex(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak < 3_000_000
+
+
 def test_build_complex_checks_d_squared(monkeypatch):
-    # one entry of d_7 with its sign flipped breaks d_6 . d_7 = 0
+    # one entry of d_7 with its sign flipped breaks d_6 . d_7 = 0, whether
+    # the product sums its terms in one chunk or two at a time
     real = cc._build_matrix
 
     def flipped(n, p):
@@ -252,14 +285,16 @@ def test_build_complex_checks_d_squared(monkeypatch):
         coords[2, 0] *= -1
         return SparseIntMatrix.from_coords(*mat.shape, coords)
 
-    monkeypatch.setattr(cc, "_build_matrix", flipped)
-    clear_caches()
-    try:
-        with pytest.raises(InternalConsistencyError, match=r"d_6 \. d_7 != 0 at n=5"):
-            cc.build_complex(5)
-    finally:
-        monkeypatch.undo()
+    for chunk in (linalg._PRODUCT_CHUNK, 2):
+        monkeypatch.setattr(linalg, "_PRODUCT_CHUNK", chunk)
+        monkeypatch.setattr(cc, "_build_matrix", flipped)
         clear_caches()
+        try:
+            with pytest.raises(InternalConsistencyError, match=r"d_6 \. d_7 != 0 at n=5"):
+                cc.build_complex(5)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
 
 def _reference_key(g, base):

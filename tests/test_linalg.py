@@ -5,6 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from delta2n import linalg
 from delta2n.linalg import (
     PRIMES,
     RankCertificateError,
@@ -111,16 +112,56 @@ def test_sparse_matmul_matches_dense():
     assert np.array_equal(_sparse(a).matmul(_sparse(b)).to_int64(), a @ b)
 
 
-def test_sparse_matmul_matches_int_matmul_on_random_matrices():
+def test_sparse_matmul_matches_int_matmul_on_random_matrices(monkeypatch):
+    # each case also summed 1, 2 and 3 terms at a time, so that the chunks
+    # cut between most rows and through none
     rng = np.random.default_rng(11)
     for _ in range(40):
         rows, inner, cols = (int(x) for x in rng.integers(1, 9, size=3))
         density = rng.uniform(0.1, 0.9)
         a = rng.integers(-9, 10, size=(rows, inner)) * (rng.random((rows, inner)) < density)
         b = rng.integers(-9, 10, size=(inner, cols)) * (rng.random((inner, cols)) < density)
-        got = _sparse(a).matmul(_sparse(b))
-        assert np.array_equal(got.to_int64(), _dense_product(_sparse(a), _sparse(b)))
-        assert got == SparseIntMatrix.from_coords(rows, cols, got.coords)  # canonical layout
+        for chunk in (linalg._PRODUCT_CHUNK, 1, 2, 3):
+            monkeypatch.setattr(linalg, "_PRODUCT_CHUNK", chunk)
+            got = _sparse(a).matmul(_sparse(b))
+            assert np.array_equal(got.to_int64(), _dense_product(_sparse(a), _sparse(b)))
+            assert got == SparseIntMatrix.from_coords(rows, cols, got.coords)  # canonical layout
+            monkeypatch.undo()
+
+
+def _recording_cell_sums(monkeypatch):
+    """Patch the product's summing routine to record the rows of each chunk."""
+    calls, real = [], linalg._cell_sums
+
+    def record(rows, cols, r, c, v):
+        calls.append(sorted(set(np.asarray(r).tolist())))
+        return real(rows, cols, r, c, v)
+
+    monkeypatch.setattr(linalg, "_cell_sums", record)
+    return calls
+
+
+def test_sparse_matmul_keeps_a_long_row_in_one_chunk(monkeypatch):
+    # row 1 of a meets all of b: 3 * 4 = 12 terms, four times the chunk
+    a = np.array([[1, 0, 0], [2, -1, 3], [0, 0, 4]])
+    b = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [-1, 0, 1, 2]])
+    sa, sb = _sparse(a), _sparse(b)
+    monkeypatch.setattr(linalg, "_PRODUCT_CHUNK", 3)
+    calls = _recording_cell_sums(monkeypatch)
+    prod = sa.matmul(sb)
+    assert np.array_equal(prod.to_int64(), a @ b)
+    assert calls == [[0], [1], [2]]  # whole rows, the long one alone
+
+
+def test_sparse_matmul_cancels_in_one_chunk_only(monkeypatch):
+    # row 0's terms cancel in the first chunk; row 1's do not in the second
+    sa, sb = _sparse(np.array([[1, 1], [1, 2]])), _sparse(np.array([[1], [-1]]))
+    monkeypatch.setattr(linalg, "_PRODUCT_CHUNK", 2)
+    calls = _recording_cell_sums(monkeypatch)
+    prod = sa.matmul(sb)
+    assert calls == [[0], [1]]
+    assert prod.entries() == [((1, 0), -1)]
+    assert prod == SparseIntMatrix.from_coords(2, 1, prod.coords)  # canonical layout
 
 
 def test_sparse_matmul_cancels_to_zero():
@@ -161,7 +202,8 @@ def test_sparse_matmul_rules_out_overflow_before_multiplying(monkeypatch):
     def no_product(*args):
         raise AssertionError("terms were summed before the overflow check")
 
-    monkeypatch.setattr(SparseIntMatrix, "from_terms", no_product)
+    # the routine that matmul sums each chunk's terms through
+    monkeypatch.setattr(linalg, "_cell_sums", no_product)
     with pytest.raises(OverflowError):
         a.matmul(b)
     # 2**31 * 2**31 * one term reaches 2**62: still refused
