@@ -6,9 +6,10 @@ __version__ = "0.1.0"
 def clear_caches():
     """Empty every in-process memo (each is a ``functools.cache``), so the
     next call recomputes; boundary files on disk are left alone."""
-    from . import chain_complex, d25_analysis, equivariant_homology, symmetric_group
+    from . import chain_complex, d25_analysis, equivariant_homology, symmetric_group, theta_graphs
 
-    for module in (chain_complex, equivariant_homology, d25_analysis, symmetric_group):
+    modules = (chain_complex, equivariant_homology, d25_analysis, symmetric_group, theta_graphs)
+    for module in modules:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()

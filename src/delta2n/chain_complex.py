@@ -30,7 +30,6 @@ from .theta_graphs import (
     canonical_keys,
     contract,
     has_odd_automorphism,
-    is_full_theta,
     orbit_representative,
     signed_stabilizer,
     symmetry_table,
@@ -105,11 +104,6 @@ def boundary_terms(g: ThetaGraph):
         start += len(path) + 1
 
 
-def vanishes(g: ThetaGraph) -> bool:
-    """Whether a canonical graph is zero in the relative complex."""
-    return not is_full_theta(g) or has_odd_automorphism(g)
-
-
 class ShapeBlock(NamedTuple):
     """The basis graphs of one slot shape: their positions and label rows."""
 
@@ -120,10 +114,13 @@ class ShapeBlock(NamedTuple):
 
 class BasisArrays(NamedTuple):
     """A chain basis as integer arrays: the canonical key of each graph, in
-    basis order, and its graphs grouped by slot shape."""
+    basis order, and its graphs grouped by slot shape; ``odd`` counts the
+    canonical full-theta graphs of the degree left out for an odd
+    automorphism."""
 
     keys: np.ndarray
     blocks: tuple
+    odd: int
 
     @property
     def dim(self):
@@ -160,10 +157,11 @@ def _labelings(n: int) -> np.ndarray:
 
 def _shape_rows(n: int, shape):
     """The label rows of one slot shape that are canonical and have no odd
-    automorphism, sorted, with their keys.  A labeling fills the marked
-    branches, then the paths; only paths sorted by first label (and a < b
-    when both branches are marked) can be canonical, and of those a row is
-    kept when its own key is the least of its 12 images'."""
+    automorphism, sorted, with their keys, and the number of canonical rows
+    dropped for an odd automorphism.  A labeling fills the marked branches,
+    then the paths; only paths sorted by first label (and a < b when both
+    branches are marked) can be canonical, and of those a row is canonical
+    when its own key is the least of its 12 images'."""
     ma, mb, (l0, l1, _) = shape
     marks = ma + mb
     perms = _labelings(n)
@@ -175,9 +173,10 @@ def _shape_rows(n: int, shape):
     rows = np.hstack([np.full((len(perms), 2 - marks), UNMARKED, dtype=np.int8), perms])
     weights, _ = symmetry_table(shape, n + 1)
     keys, _, odd = canonical_keys(rows, shape, n + 1)
-    keep = (keys == (rows + 1) @ weights[0]) & ~odd
+    canonical = keys == (rows + 1) @ weights[0]
+    keep = canonical & ~odd
     order = np.argsort(keys[keep])
-    return rows[keep][order], keys[keep][order]
+    return rows[keep][order], keys[keep][order], int(np.count_nonzero(canonical & odd))
 
 
 @cache
@@ -188,7 +187,8 @@ def basis_arrays(n: int, p: int) -> BasisArrays:
     if n < 2:
         raise ValueError(f"n={n} is out of range")
     found = [(shape, *_shape_rows(n, shape)) for shape in _slot_shapes(n, p)]
-    found = [(shape, rows, keys) for shape, rows, keys in found if len(rows)]
+    odd = sum(dropped for *_, dropped in found)
+    found = [(shape, rows, keys) for shape, rows, keys, _ in found if len(rows)]
     keys = np.concatenate([keys for _, _, keys in found]) if found else np.empty(0, np.int64)
     order = np.argsort(keys)
     position = np.empty_like(order)
@@ -204,7 +204,7 @@ def basis_arrays(n: int, p: int) -> BasisArrays:
         rows.setflags(write=False)
         blocks.append(ShapeBlock(shape, index, rows))
     keys.setflags(write=False)
-    return BasisArrays(keys, tuple(blocks))
+    return BasisArrays(keys, tuple(blocks), odd)
 
 
 def _contractions(shape):

@@ -27,7 +27,7 @@ from .chain_complex import (
     build_complex,
 )
 from .linalg import NotACharacterError, RankCertificateError
-from .theta_graphs import enumerate_theta, has_odd_automorphism, to_line
+from .theta_graphs import MalformedGraphError, to_line
 
 # the homology layer (equivariant_homology, symfunc_check, symmetric_group) is
 # imported inside the handlers that run it: complex and enumerate never load it
@@ -97,24 +97,22 @@ def _character_text(title, classes, values, mults):
 def _cmd_enumerate(config, stages):
     n = config.n
     degrees = [config.degree] if config.degree is not None else list(range(n, n + 3))
-    blocks = []
-    for p in degrees:
-        graphs = stages.run(
-            f"enumerate_p{p}", lambda p=p: enumerate_theta(n, p + 1, full_only=True)
-        )
-        kept = [g for g in graphs if not has_odd_automorphism(g)]
-        blocks.append((p, graphs, kept))
+    bases = [stages.run(f"enumerate_p{p}", lambda p=p: basis_arrays(n, p)) for p in degrees]
     payload = {
         "n": n,
         "degrees": [
             {
                 "degree": p,
-                "classes": len(graphs),
-                "with_odd_automorphism": len(graphs) - len(kept),
-                "dim": len(kept),
-                "graphs": [to_line(g) for g in kept] if config.degree is not None else None,
+                "classes": basis.dim + basis.odd,
+                "with_odd_automorphism": basis.odd,
+                "dim": basis.dim,
+                "graphs": (
+                    [to_line(g) for g in build_basis(n, p).graphs]
+                    if config.degree is not None
+                    else None
+                ),
             }
-            for p, graphs, kept in blocks
+            for p, basis in zip(degrees, bases)
         ],
     }
     lines = []
@@ -416,6 +414,7 @@ def main(argv=None):
         InternalConsistencyError,
         RankCertificateError,
         NotACharacterError,
+        MalformedGraphError,
         OverflowError,
     ) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

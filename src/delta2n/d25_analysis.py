@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import clear_denominators, kernel_exact, rank_exact, solve_exact
+from .linalg import clear_denominators, kernel_exact, rank_exact
 from .symmetric_group import (
     cycle_type,
     hook_dimension,
@@ -166,20 +166,23 @@ def orbit_basis(v):
 
 
 def representation_on_span(vb):
-    """rho1: group element -> 6x6 exact matrix of its action on span(vb)."""
+    """rho1: group element -> 6x6 exact matrix of its action on span(vb).
+    rho1(pi) is the top block X of the verified kernel [X; I] of
+    [vb | -pi vb], denominators cleared, so vb X = pi vb holds on every row;
+    the kernel has that shape exactly when its pivots are the columns of vb."""
     base, _ = clear_denominators(vb)
+    width = vb.shape[1]
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
         avb = gsgn.astype(object)[:, None] * vb[gidx]
         # avb holds the entries of vb up to sign, so both get the same scale
-        try:
-            rho = solve_exact(base, clear_denominators(avb)[0])
-        except ValueError:
-            raise DegenerateVectorError(f"basis matrix has rank < {vb.shape[1]} mod p") from None
-        if not np.array_equal(vb.dot(rho), avb):
-            raise DegenerateVectorError("span is not invariant under the group")
-        reps[pi] = rho
+        _, kern, pivots, _ = kernel_exact(np.hstack([base, -clear_denominators(avb)[0]]))
+        if not np.array_equal(pivots, np.arange(width)):
+            raise DegenerateVectorError(
+                f"the {width} vectors are dependent or their span is not invariant under {pi}"
+            )
+        reps[pi] = kern[:width]
     return reps
 
 

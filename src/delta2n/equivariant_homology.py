@@ -28,9 +28,7 @@ from .chain_complex import (
     basis_arrays,
     boundary_matrix,
     boundary_terms,
-    chain_dim,
     chain_orbits,
-    vanishes,
 )
 from .linalg import (
     _INT64_SAFE,
@@ -50,7 +48,6 @@ from .symmetric_group import (
     class_size,
     cycle_type,
     decompose,
-    hook_dimension,
     partitions_of,
     specht_matrices,
     word_tree,
@@ -174,8 +171,6 @@ def _orbit_terms(rep, lower):
     for target, coef in boundary_terms(rep):
         j = index.get(orbit_of(target))
         if j is None:
-            if vanishes(target):
-                continue
             raise InternalConsistencyError(f"contraction of {rep} left the basis")
         form = orbit_normal_form(target, lower[j])
         yield j, coef * form.sign, form.tau
@@ -281,15 +276,14 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
 
 @cache
 def isotypic_ranks(n) -> dict:
-    """isotypic_block_ranks for every lambda, with sum_lam d_lam m_lam(C_p)
-    checked against dim C_p (by orbit-stabilizer) in each degree."""
+    """isotypic_block_ranks for every lambda, with sum_lam m_lam(C_p) chi_lam
+    checked against the character of C_p on every class, in each degree."""
     out = {lam: isotypic_block_ranks(lam, n) for lam in partitions_of(n)}
     for i, p in enumerate((n, n + 1, n + 2)):
-        total = sum(hook_dimension(lam) * r.mults[i] for lam, r in out.items())
-        if total != chain_dim(n, p):
+        assembled = assemble_character(n, {lam: r.mults[i] for lam, r in out.items()})
+        if assembled != chain_character(n, p):
             raise InternalConsistencyError(
-                f"isotypic multiplicities of C_{p} add up to {total}, "
-                f"but dim C_{p} = {chain_dim(n, p)} at n={n}"
+                f"isotypic multiplicities of C_{p} do not give its character at n={n}"
             )
     return out
 

@@ -6,7 +6,7 @@ word-sized primes, whose rank is a lower bound on the rank over Q.
 ``kernel_exact`` glues the kernel residues with CRT, lifts them to rationals
 and verifies the lifted kernel exactly in integers, which gives the matching
 upper bound.  ``rank_exact`` is a thin layer over it (one prime certifies full
-rank), and ``solve_exact``, which only ``d25_analysis`` uses, another.
+rank).
 ``independent_columns`` needs no kernel: its caller supplies the exact rank.
 Inputs must be integer matrices: a non-integer entry raises ValueError.
 """
@@ -422,23 +422,6 @@ def independent_columns(mat, rank: int) -> np.ndarray:
         if r == rank:
             return pivots
     raise RankCertificateError(f"no prime reaches the rank {rank}")
-
-
-def solve_exact(a, b) -> np.ndarray:
-    """The exact X with a[rows] @ X = b[rows], as a rational array, for an
-    integer matrix a of full column rank.  rows are the pivot columns of a^T
-    mod PRIMES[0]: a[rows] is invertible mod p, so its determinant is a
-    nonzero integer.  X is the top block of the verified kernel [X; I] of
-    [a[rows] | -b[rows]].  The other rows of a @ X = b are the caller's to
-    check; ValueError when a has no invertible row block mod p.
-    """
-    a, b = _integer_array(a), _integer_array(b)
-    width = a.shape[1]
-    rank, rows = rref_modp(_residues(a.T, PRIMES[0]), PRIMES[0])
-    if rank < width:
-        raise ValueError("no row block of the matrix is invertible mod p")
-    _, kern, _, _ = kernel_exact(np.hstack([a[rows].astype(object), -b[rows].astype(object)]))
-    return kern[:width]
 
 
 def rank_exact(mat) -> int:

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from graphlib import CycleError, TopologicalSorter
 from math import factorial
 from typing import NamedTuple
 
@@ -365,24 +364,20 @@ def _standard_coefficients(tableaux, n):
 
 
 def _substitute(e, b):
-    """The integer X with E X = B, for E with unit diagonal whose support is
-    acyclic: each row of X is solved in a topological order of that support,
-    from rows already solved.  int_matmul keeps every step exact, and a row
-    too large for int64 raises OverflowError as it is stored."""
-    if not np.all(np.diagonal(e) == 1):
-        raise InternalConsistencyError("standard-tabloid coefficients lack a unit diagonal")
+    """The integer X with E X = B, for E unit lower triangular, as it is in
+    tableau order: {t_k} dominates {t_i} only when t_k comes first.  Forward
+    substitution solves each row of X from the rows before it in its
+    support.  int_matmul keeps every step exact, and a row too large for
+    int64 raises OverflowError as it is stored."""
     off = e - np.eye(e.shape[0], dtype=e.dtype)
-    support = [np.flatnonzero(row) for row in off]
-    try:
-        order = tuple(TopologicalSorter(dict(enumerate(support))).static_order())
-    except CycleError:
+    if np.triu(off).any():
         raise InternalConsistencyError(
-            "standard-tabloid coefficients are triangular in no order"
-        ) from None
+            "standard-tabloid coefficients are not unit lower triangular in tableau order"
+        )
     x = np.zeros(b.shape, dtype=np.int64)
-    for i in order:
-        s = support[i]
-        x[i] = b[i] - int_matmul(off[i : i + 1, s], x[s])[0]
+    for i, row in enumerate(off):
+        s = np.flatnonzero(row)
+        x[i] = b[i] - int_matmul(row[None, s], x[s])[0]
     return x
 
 
@@ -453,27 +448,18 @@ def _check_coxeter(lam, generators):
     """Raise unless s_i^2 = 1, s_i s_j = s_j s_i for j - i >= 2 and
     (s_i s_{i+1})^2 = s_{i+1} s_i: given the involutions, the last two are
     (s_i s_j)^2 = 1 and (s_i s_{i+1})^3 = 1, the Coxeter presentation of S_n,
-    so s_j -> generators[j] extends to a homomorphism.  One generator at a
-    time, s_i [s_i ... s_{k-1}] and [s_{i+1}; ...; s_{k-1}] s_i give every
-    s_i s_j and s_j s_i with j >= i in two stacked products, so at most 2kd^2
-    product entries are held at once; each braid relation takes one more."""
-    k = len(generators)
-    if not k:
-        return
-    d = generators[0].shape[0]
-    row, col = np.hstack(generators), np.vstack(generators)
-    eye = np.eye(d, dtype=np.int64)
+    so s_j -> generators[j] extends to a homomorphism.  One pair at a time."""
     for i, s in enumerate(generators):
-        left = int_matmul(s, row[:, i * d :]).reshape(d, k - i, d)  # [:, j - i] = s_i s_j
-        right = int_matmul(col[(i + 1) * d :], s).reshape(k - i - 1, d, d)  # [j - i - 1] = s_j s_i
-        sides = [(i, left[:, 0], eye)]
-        if i + 1 < k:
-            braid = left[:, 1]
-            sides.append((i + 1, int_matmul(braid, braid), right[0]))
-        sides += [(j, left[:, j - i], right[j - i - 1]) for j in range(i + 2, k)]
-        for j, lhs, rhs in sides:
+        for j in range(i, len(generators)):
+            t = generators[j]
+            if j == i:
+                lhs, rhs, m = int_matmul(s, s), np.eye(s.shape[0], dtype=np.int64), 1
+            elif j == i + 1:
+                st = int_matmul(s, t)
+                lhs, rhs, m = int_matmul(st, st), int_matmul(t, s), 3
+            else:
+                lhs, rhs, m = int_matmul(s, t), int_matmul(t, s), 2
             if not np.array_equal(lhs, rhs):
-                m = 1 if j == i else 3 if j == i + 1 else 2
                 raise InternalConsistencyError(
                     f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
                 )

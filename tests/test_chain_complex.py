@@ -8,7 +8,7 @@ import pytest
 
 from delta2n import chain_complex as cc
 from delta2n import clear_caches
-from delta2n import d25_analysis, equivariant_homology, linalg, symmetric_group
+from delta2n import d25_analysis, equivariant_homology, linalg, symmetric_group, theta_graphs
 from delta2n.linalg import InternalConsistencyError, SparseIntMatrix, kernel_exact, rank_exact
 from delta2n.theta_graphs import enumerate_theta, has_odd_automorphism, is_full_theta, orbit_of
 
@@ -184,14 +184,13 @@ def test_betti_matches_global_rank_oracle(n):
 
 def _per_graph_boundary(n, p):
     """d_p one graph at a time through boundary_terms, as columns of
-    {row: coefficient}, vanishing targets dropped."""
+    {row: coefficient}; every target must be a basis graph."""
     row_of = {g: i for i, g in enumerate(cc.build_basis(n, p - 1).graphs)}
     columns = []
     for g in cc.build_basis(n, p).graphs:
         col = {}
         for target, coef in cc.boundary_terms(g):
-            if not cc.vanishes(target):
-                col[row_of[target]] = col.get(row_of[target], 0) + coef
+            col[row_of[target]] = col.get(row_of[target], 0) + coef
         columns.append({r: v for r, v in col.items() if v})
     return columns
 
@@ -318,6 +317,17 @@ def test_array_enumerator_matches_the_reference(n):
             assert want == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_array_enumerator_counts_the_odd_graphs_it_drops(n):
+    # the canonical full-theta graphs of each degree are the basis plus the
+    # ones with an odd automorphism, which basis_arrays counts
+    for p in (n, n + 1, n + 2):
+        every = enumerate_theta(n, p + 1, full_only=True)
+        odd = sum(1 for g in every if has_odd_automorphism(g))
+        basis = cc.basis_arrays(n, p)
+        assert (basis.odd, basis.dim + basis.odd) == (odd, len(every))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_chain_orbits_cover_the_basis(n):
     for p in (n, n + 1, n + 2):
@@ -337,6 +347,7 @@ def test_clear_caches_empties_every_memo():
     d25_analysis._kernel()
     d25_analysis._act_tables((1, 0, 2, 3, 4))
     owners = [
+        theta_graphs.symmetry_table,
         cc.build_basis,
         cc.chain_orbits,
         cc._boundary_matrix,
@@ -352,7 +363,7 @@ def test_clear_caches_empties_every_memo():
     ]
     assert all(f.cache_info().currsize > 0 for f in owners)
     clear_caches()
-    modules = (cc, equivariant_homology, d25_analysis, symmetric_group)
+    modules = (cc, equivariant_homology, d25_analysis, symmetric_group, theta_graphs)
     caches = [obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert {id(f) for f in owners} <= {id(c) for c in caches}
     assert all(c.cache_info().currsize == 0 for c in caches)

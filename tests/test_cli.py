@@ -434,6 +434,38 @@ def test_corrupted_specht_generator_exits_2(capsys, monkeypatch, fresh_caches):
     assert "internal consistency failure" in err and "E X = B" in err
 
 
+def test_swapped_multiplicities_of_equal_dimension_exit_2(capsys, monkeypatch, fresh_caches):
+    # (4,1) and (2,1,1,1) both have dimension 4, so swapping their
+    # multiplicities in C_6 (3 and 1) keeps sum_lam d_lam m_lam = dim C_6;
+    # the character of C_6 on the other classes tells them apart
+    real = equivariant_homology.isotypic_block_ranks
+    swap = {(4, 1): (2, 1, 1, 1), (2, 1, 1, 1): (4, 1)}
+
+    def swapped(lam, n, reps=None):
+        ranks = real(lam, n, reps)
+        if lam not in swap:
+            return ranks
+        mults = list(ranks.mults)
+        mults[1] = real(swap[lam], n, reps).mults[1]
+        return ranks._replace(mults=tuple(mults))
+
+    monkeypatch.setattr(equivariant_homology, "isotypic_block_ranks", swapped)
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: isotypic multiplicities of C_6" in err
+
+
+def test_malformed_graph_inside_a_run_exits_2(capsys, monkeypatch, fresh_caches):
+    # no command takes a graph as input, so a malformed one is an internal fault
+    def fail(rep):
+        raise theta_graphs.MalformedGraphError(f"{rep} is malformed")
+
+    monkeypatch.setattr(equivariant_homology, "signed_stabilizer", fail)
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure:" in err and "is malformed" in err
+
+
 def test_corrupted_parity_table_exits_2(capsys, monkeypatch, fresh_caches):
     # one symmetry's edge parity flipped gives wrong boundary signs
     monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -517,14 +549,18 @@ def test_projection_failure_exits_2(capsys, monkeypatch, fresh_caches):
 
 
 def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
-    # dropping one of the two degree-7 orbits halves the isotypic total
-    real = equivariant_homology.chain_orbits
-    monkeypatch.setattr(
-        equivariant_homology, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None]
-    )
+    # blocks built without one of the two degree-7 orbits miss half of the
+    # isotypic multiplicities of C_7, which the character of C_7 shows
+    real = equivariant_homology.isotypic_block_ranks
+
+    def ranks(lam, n, reps=None):
+        reps = tuple(chain_complex.chain_orbits(n, p) for p in (n, n + 1, n + 2))
+        return real(lam, n, reps[:2] + (reps[2][:1],))
+
+    monkeypatch.setattr(equivariant_homology, "isotypic_block_ranks", ranks)
     status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
-    assert "isotypic multiplicities of C_7 add up to 30, but dim C_7 = 60" in err
+    assert "isotypic multiplicities of C_7 do not give its character at n=5" in err
 
 
 def test_not_a_character_exits_2(capsys, monkeypatch):
@@ -545,6 +581,9 @@ def _plus_trivial(f):
 
 
 def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
+    # the block multiplicities are checked against the chain characters too:
+    # compute them first, so that only the Euler identity reads the corruption
+    equivariant_homology.isotypic_ranks(5)
     real = equivariant_homology.chain_character
     monkeypatch.setattr(
         equivariant_homology,
@@ -559,6 +598,7 @@ def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
 
 
 def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch):
+    equivariant_homology.isotypic_ranks(5)  # as above: only the Euler identity reads it
     real = equivariant_homology.chain_character
     monkeypatch.setattr(
         equivariant_homology,
@@ -568,6 +608,19 @@ def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch):
     status, out, err = _run(capsys, "characters", "--n", "5", "--format", "json")
     assert status == 2 and out == ""
     assert err.startswith("internal consistency failure: Euler characteristic cross-check failed")
+
+
+def test_betti_fails_on_corrupt_chain_character(capsys, monkeypatch, fresh_caches):
+    # betti runs no Euler check: the multiplicity check is what sees it
+    real = equivariant_homology.chain_character
+    monkeypatch.setattr(
+        equivariant_homology,
+        "chain_character",
+        lambda n, p: _plus_trivial(real(n, p)) if p == n + 1 else real(n, p),
+    )
+    status, out, err = _run(capsys, "betti", "--n", "5")
+    assert status == 2 and out == ""
+    assert "isotypic multiplicities of C_6 do not give its character at n=5" in err
 
 
 def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from delta2n import d25_analysis
 from delta2n.chain_complex import boundary_matrix
 from delta2n.d25_analysis import (
     DegenerateVectorError,
@@ -14,6 +15,7 @@ from delta2n.d25_analysis import (
     marked_triple_perms,
     orbit_basis,
     projection_on_kernel,
+    representation_on_span,
 )
 from delta2n.linalg import rank_exact
 from delta2n.symmetric_group import partitions_of, specht_matrices
@@ -90,6 +92,28 @@ def test_orbit_basis_rejects_small_isotype():
     assert px.any()
     with pytest.raises(DegenerateVectorError):
         orbit_basis(px)
+
+
+def test_rank_deficient_orbit_basis_is_degenerate():
+    vb = orbit_basis(find_isotypic_cycle())
+    vb[:, 5] = vb[:, 0] + vb[:, 1]
+    with pytest.raises(DegenerateVectorError):
+        representation_on_span(vb)
+
+
+def test_span_that_is_not_invariant_is_degenerate():
+    vb = orbit_basis(find_isotypic_cycle())
+    vb[:, 5] = np.eye(60, dtype=np.int64)[0]
+    assert rank_exact(vb) == 6
+    with pytest.raises(DegenerateVectorError):
+        representation_on_span(vb)
+
+
+def test_representation_on_span_holds_on_every_row():
+    vb = orbit_basis(find_isotypic_cycle())
+    for pi, rho in representation_on_span(vb).items():
+        gidx, gsgn = d25_analysis._act_tables(pi)
+        assert np.array_equal(vb.dot(rho), gsgn[:, None] * vb[gidx])
 
 
 def test_equivariant_isomorphism():

@@ -215,7 +215,6 @@ def test_specht_and_multiplicity_spaces_lift_no_kernel(monkeypatch):
 
     for owner, name in [
         (linalg, "kernel_exact"),
-        (linalg, "solve_exact"),
         (equivariant_homology, "kernel_exact"),
     ]:
         monkeypatch.setattr(owner, name, record(name, getattr(owner, name)))

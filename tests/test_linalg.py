@@ -19,7 +19,6 @@ from delta2n.linalg import (
     rank_exact,
     rank_modp,
     rational_reconstruction,
-    solve_exact,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -285,19 +284,6 @@ def test_independent_columns_needs_the_exact_rank():
     for wrong in (3, 5):
         with pytest.raises(RankCertificateError):
             independent_columns(a, wrong)
-
-
-def test_solve_exact_uses_an_invertible_row_block():
-    rng = np.random.default_rng(12)
-    # the first two rows are zero, so the solve rows must skip them
-    a = np.vstack([np.zeros((2, 4), np.int64), _random_rank(rng, 6, 4, 4)])
-    x = np.array(
-        [[Fraction(int(v), 7) for v in row] for row in rng.integers(-9, 10, size=(4, 3))]
-    )
-    b = a.astype(object).dot(7 * x)
-    assert np.array_equal(solve_exact(7 * a, b), x)
-    with pytest.raises(ValueError):
-        solve_exact(np.ones((3, 2), np.int64), np.zeros((3, 1), np.int64))
 
 
 def test_rank_modp_generic():

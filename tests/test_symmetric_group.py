@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from graphlib import TopologicalSorter
 from math import factorial
 
 import numpy as np
@@ -224,14 +223,12 @@ def test_specht_generators_solve_every_tabloid_row(n):
             assert np.array_equal(e @ g, b)
 
 
-def test_wrong_substitution_order_fails_the_solve_check(monkeypatch):
-    # solving a row before the rows it depends on gives a wrong X
-    class Reversed(TopologicalSorter):
-        def static_order(self):
-            return reversed(tuple(super().static_order()))
-
-    monkeypatch.setattr(symmetric_group, "TopologicalSorter", Reversed)
-    with pytest.raises(InternalConsistencyError, match="E X = B"):
+def test_tableau_order_with_e_not_unit_lower_triangular_is_rejected(monkeypatch):
+    # reversed, the tableaux make E upper triangular, so forward
+    # substitution would solve rows before the rows they depend on
+    real = symmetric_group.standard_tableaux
+    monkeypatch.setattr(symmetric_group, "standard_tableaux", lambda lam: real(lam)[::-1])
+    with pytest.raises(InternalConsistencyError, match="unit lower triangular"):
         SpechtRep((3, 2))
 
 
