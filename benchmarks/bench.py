@@ -104,6 +104,15 @@ GROUPS = {
 }
 
 
+def _trace(action):
+    """Trace of the action from its gather tables (gidx, gsgn), the sum of
+    gsgn over the fixed points of gidx.  A scatter form (degree, image,
+    sign), as --before checkouts may return, ends in two arrays with the
+    same fixed points and the same signs there, so it gives the same trace."""
+    idx, sgn = action[-2:]
+    return int(sgn[idx == range(len(idx))].sum())
+
+
 def run_stage(stage, n):
     """Child side: build what the stage needs, then time the stage alone."""
     from delta2n import equivariant_homology as eh
@@ -130,7 +139,7 @@ def run_stage(stage, n):
         result = d_next.matmul(d_top).is_zero()
     elif stage == "act":
         result = [
-            eh.act(class_representative(mu), p).trace() for p in degrees for mu in partitions_of(n)
+            _trace(eh.act(class_representative(mu), p)) for p in degrees for mu in partitions_of(n)
         ]
     elif stage == "specht":
         result = [specht_matrices(lam).dim for lam in partitions_of(n)]

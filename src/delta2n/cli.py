@@ -268,9 +268,7 @@ def _cmd_chartable(config, stages):
     n = config.n
     table = stages.run("chartable", lambda: character_table(n))
     classes = [_part_str(mu) for mu in partitions_of(n)]
-    rows = {
-        _part_str(lam): [int(v) for v in table.row(lam)] for lam in partitions_of(n)
-    }
+    rows = {_part_str(lam): row for lam, row in zip(partitions_of(n), table.tolist())}
     width = max(len(c) for c in classes) + 2
     lines = [" " * 12 + "".join(c.rjust(width) for c in classes)]
     for lam in reversed(partitions_of(n)):

@@ -19,12 +19,11 @@ import numpy as np
 
 from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import clear_denominators, kernel_exact, rank_exact
+from .linalg import _kernel_coordinates, clear_denominators, kernel_exact, rank_exact
 from .symmetric_group import (
     cycle_type,
     hook_dimension,
     irreducible_character,
-    partitions_of,
     specht_matrices,
 )
 
@@ -42,50 +41,54 @@ class WrongIsotypeError(InternalConsistencyError):
 
 @cache
 def _kernel():
-    d = boundary_matrix(N, TOP_DEGREE)
-    _, kern, pivots, free = kernel_exact(d)
-    return kern, pivots, free
+    """The top kernel K as (L K, L, pivots, free), L the lcm of K's denominators."""
+    _, kern, pivots, free = kernel_exact(boundary_matrix(N, TOP_DEGREE))
+    return (*clear_denominators(kern), pivots, free)
 
 
 @cache
 def _act_tables(pi):
-    return act(pi, TOP_DEGREE).gather_tables()
+    return act(pi, TOP_DEGREE)
+
+
+def _character_sum(lam, x):
+    """sum_pi chi_lam(pi) A_pi x, exactly, in Python ints."""
+    chi = irreducible_character(lam)
+    x = np.asarray(x, dtype=object)
+    acc = np.zeros(x.shape, dtype=object)
+    for pi in permutations(range(N)):
+        c = int(chi.at(cycle_type(pi)))
+        if not c:
+            continue
+        gidx, gsgn = _act_tables(pi)
+        acc = acc + c * (gsgn if x.ndim == 1 else gsgn[:, None]) * x[gidx]
+    return acc
 
 
 def apply_projector(lam, x):
     """(d_lam/120) * sum_pi chi_lam(pi) A_pi x, exactly."""
-    chi = irreducible_character(lam)
-    acc = np.zeros(x.shape, dtype=object)
-    xo = x.astype(object)
-    for pi in permutations(range(N)):
-        c = chi.at(cycle_type(pi))
-        if not c:
-            continue
-        gidx, gsgn = _act_tables(pi)
-        signs = gsgn.astype(object) if xo.ndim == 1 else gsgn.astype(object)[:, None]
-        acc = acc + c * (signs * xo[gidx])
-    scale = Fraction(hook_dimension(lam), factorial(N))
-    return np.vectorize(lambda t: scale * t, otypes=[object])(acc)
+    return _character_sum(lam, x) * Fraction(hook_dimension(lam), factorial(N))
 
 
 def projection_on_kernel(lam):
-    """Matrix of the lam-isotypic projector in kernel-basis coordinates."""
-    kern, pivots, free = _kernel()
-    pk = apply_projector(lam, kern)
-    m = pk[free]  # kernel rows at free indices form the identity
-    check = kern[pivots].dot(m) if len(pivots) else np.zeros((0, m.shape[1]), object)
-    if not np.array_equal(check, pk[pivots]):
+    """Matrix of the lam-isotypic projector in kernel-basis coordinates: with
+    S = sum_pi chi_lam(pi) A_pi (L K) summed in integers, ``_kernel_coordinates``
+    gives L X with K X = S / L, and the matrix is d_lam (L X) / (120 L)."""
+    lk, scale, pivots, free = _kernel()
+    lx = _kernel_coordinates(lk, scale, pivots, free, _character_sum(lam, lk))
+    if lx is None:
         raise InternalConsistencyError("projector does not preserve the kernel")
-    return m
+    return lx * Fraction(hook_dimension(lam), factorial(N) * scale)
 
 
-def _orbit_sum(a_pi, signed_e):
-    """sum_{i=0}^{4} A_pi^i applied to a signed coordinate vector."""
+def _orbit_sum(gidx, gsgn, signed_e):
+    """sum_{i=0}^{4} A_pi^i applied to a signed coordinate vector, for the
+    gather tables (gidx, gsgn) of A_pi."""
     out = np.zeros(signed_e.shape[0], dtype=np.int64)
     cur = signed_e.copy()
     for _ in range(N):
         out += cur
-        cur = a_pi.apply(cur)
+        cur = gsgn * cur[gidx]
     return out
 
 
@@ -100,14 +103,14 @@ def find_isotypic_cycle():
     basis = basis_arrays(N, TOP_DEGREE)
     d = boundary_matrix(N, TOP_DEGREE).to_int64()
     pi = tuple(list(range(1, N)) + [0])
-    a_pi = act(pi, TOP_DEGREE)
+    gidx, gsgn = act(pi, TOP_DEGREE)
     dim = basis.dim
 
     orbits = []
     for g in range(dim):
         e = np.zeros(dim, dtype=np.int64)
         e[g] = 1
-        orbits.append(_orbit_sum(a_pi, e))
+        orbits.append(_orbit_sum(gidx, gsgn, e))
     bvecs = [d @ o for o in orbits]
     shapes = [None] * dim  # the sorted path lengths of each basis graph
     for (_, _, lens), index, _ in basis.blocks:

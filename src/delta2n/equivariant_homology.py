@@ -32,6 +32,7 @@ from .chain_complex import (
 )
 from .linalg import (
     _INT64_SAFE,
+    _kernel_coordinates,
     _max_abs,
     clear_denominators,
     independent_columns,
@@ -62,55 +63,27 @@ from .theta_graphs import (
 )
 
 
-class SignedAction(NamedTuple):
-    """sigma . e_c = sign[c] * e_[image[c]] on a chain basis."""
-
-    degree: int
-    image: np.ndarray
-    sign: np.ndarray
-
-    def apply(self, x):
-        out = np.zeros_like(x)
-        out[self.image] = self.sign * x.T if x.ndim == 1 else self.sign[:, None] * x
-        return out
-
-    def gather_tables(self):
-        """Row form: (A x)[b] = gsgn[b] * x[gidx[b]]."""
-        dim = self.image.shape[0]
-        gidx = np.empty(dim, dtype=np.int64)
-        gsgn = np.empty(dim, dtype=np.int64)
-        gidx[self.image] = np.arange(dim)
-        gsgn[self.image] = self.sign
-        return gidx, gsgn
-
-    def matrix(self):
-        dim = self.image.shape[0]
-        out = np.zeros((dim, dim), dtype=np.int64)
-        out[self.image, np.arange(dim)] = self.sign
-        return out
-
-    def trace(self):
-        fixed = self.image == np.arange(self.image.shape[0])
-        return int(self.sign[fixed].sum())
-
-
-def act(sigma, p) -> SignedAction:
-    """Signed action of a permutation (one-line, 0-based) on the degree-p basis:
-    the basis label rows relabeled by lookup, canonicalized by integer keys
-    and found in the basis keys."""
+def act(sigma, p):
+    """Signed action of a permutation (one-line, 0-based) on the degree-p
+    basis as gather tables (gidx, gsgn): (sigma . x)[b] = gsgn[b] *
+    x[gidx[b]].  sigma . e_c = s e_b exactly when sigma^-1 . e_b = s e_c, so
+    row b is the image of basis graph b under sigma^-1: its label rows
+    relabeled by lookup, canonicalized by integer keys and found in the
+    basis keys."""
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise MalformedGraphError(f"{sigma!r} is not a permutation of 0..{n - 1}")
     basis = basis_arrays(n, p)
-    lookup = np.array([*sigma, UNMARKED], dtype=np.int8)  # an unmarked branch stays unmarked
-    image = np.empty(len(basis.keys), dtype=np.int64)
-    sign = np.empty(len(basis.keys), dtype=np.int64)
+    # sigma^-1 by lookup; an unmarked branch stays unmarked
+    lookup = np.array([*np.argsort(sigma), UNMARKED], dtype=np.int8)
+    gidx = np.empty(len(basis.keys), dtype=np.int64)
+    gsgn = np.empty(len(basis.keys), dtype=np.int64)
     for shape, index, rows in basis.blocks:
-        keys, sign[index], _ = canonical_keys(lookup[rows], shape, n + 1)
-        image[index], found = basis.locate(keys)
+        keys, gsgn[index], _ = canonical_keys(lookup[rows], shape, n + 1)
+        gidx[index], found = basis.locate(keys)
         if not found.all():
             raise InternalConsistencyError(f"{sigma!r} moves a graph out of C_{p}")
-    return SignedAction(p, image, sign)
+    return gidx, gsgn
 
 
 @cache
@@ -127,22 +100,14 @@ def chain_character(n, p) -> ClassFunction:
     return ClassFunction.from_dict(n, values)
 
 
-@cache
-def multiplicity_space(lam, rep) -> np.ndarray:
+def _fixed_columns(rep, signs, mats) -> np.ndarray:
     """Integer columns spanning W = {v in S^lam : rho(h) v = eps(h) v on the
-    stabilizer of rep}: independent columns of P = sum_h eps(h) rho(h).
+    stabilizer of rep}, from the signs eps(h) and the matrices rho(h) of
+    rep's signed stabilizer: independent columns of P = sum_h eps(h) rho(h).
 
     P^2 = |H| P is checked, so P / |H| is the projection onto W, and
     dim W = rank P = tr P / |H| exactly; no kernel is lifted.
     """
-    stab = signed_stabilizer(rep)
-    mats = specht_matrices(lam).matrices(h for h, _ in stab)
-    return _fixed_columns(rep, [eps for _, eps in stab], mats)
-
-
-def _fixed_columns(rep, signs, mats) -> np.ndarray:
-    """``multiplicity_space`` from the signs eps(h) and the matrices rho(h)
-    of rep's signed stabilizer."""
     d = mats[0].shape[0]
     proj = int_matmul(np.array([signs]), np.stack([m.ravel() for m in mats])).reshape(d, d)
     square = int_matmul(proj, proj)
@@ -323,27 +288,21 @@ def homology_character_next(n, top: ClassFunction) -> ClassFunction:
 def kernel_character_oracle(n) -> ClassFunction:
     """Character of ker d_{n+2} by exact change of basis, no projections.
 
-    For each class representative sigma, solves K X = A_sigma K exactly using
-    the echelon structure of the kernel basis K and returns trace(X).  All of
-    it runs in integers: with L the lcm of K's denominators, L X is read off
-    the free rows of L A K, and (L K)[pivots] (L X) = L (L A K)[pivots] is
-    checked through ``int_matmul``.
+    For each class representative sigma, solves K X = A_sigma K for the
+    kernel basis K through ``_kernel_coordinates``, in integers, and returns
+    trace(X).
     """
-    d = boundary_matrix(n, n + 2)
-    _, kern, pivots, free = kernel_exact(d)
-    width = kern.shape[1]
+    _, kern, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
     lk, scale = clear_denominators(kern)
     values = {}
     for mu in partitions_of(n):
-        sigma = class_representative(mu)
-        gidx, gsgn = act(sigma, n + 2).gather_tables()
-        lak = gsgn[:, None] * lk[gidx]
-        lx = lak[free]  # kern[free] = identity, so these rows pin L X
-        if not np.array_equal(int_matmul(lk[pivots], lx), scale * lak[pivots]):
+        gidx, gsgn = act(class_representative(mu), n + 2)
+        lx = _kernel_coordinates(lk, scale, pivots, free, gsgn[:, None] * lk[gidx])
+        if lx is None:
             raise InternalConsistencyError(
                 f"kernel is not invariant under class {mu}: sign/action bug"
             )
-        tr, rest = divmod(int(sum(lx[i, i] for i in range(width))), scale)
+        tr, rest = divmod(int(np.trace(lx)), scale)
         if rest:
             raise InternalConsistencyError(f"non-integral kernel trace at {mu}")
         values[mu] = tr

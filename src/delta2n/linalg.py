@@ -334,6 +334,18 @@ def kernel_exact(mat):
     return _lift_kernel(a, (_reduce(a, p) for p in PRIMES))
 
 
+def _kernel_coordinates(lk, scale, pivots, free, y):
+    """L X for the X with K X = Y, given the kernel K of ``kernel_exact`` as
+    lk = L K and scale = L with its pivots and free rows, and y = L Y an
+    integer matrix; None unless Y lies in the column space of K.  K[free] =
+    I, so the free rows pin L X = y[free], and the pivot rows (L K)[pivots]
+    (L X) = L y[pivots] are checked exactly, in integers."""
+    lx = y[free]
+    if not np.array_equal(int_matmul(lk[pivots], lx), scale * y[pivots]):
+        return None
+    return lx
+
+
 def _lift_kernel(a, reductions):
     """``kernel_exact`` of the integer array a, from its reductions
     ``_reduce(a, p)`` over the primes in order, taken one at a time until the

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InternalConsistencyError, NotACharacterError, int_matmul
+from .linalg import InternalConsistencyError, NotACharacterError, clear_denominators, int_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -101,28 +101,14 @@ def mn_character(lam, mu) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    n: int
-    parts: tuple  # partitions in ascending lex order (classes and irreps)
-    values: dict  # (lam, mu) -> int
-    sizes: tuple  # class sizes aligned with parts
-
-    def row(self, lam):
-        return tuple(self.values[lam, mu] for mu in self.parts)
-
-    def dim(self, lam):
-        return self.values[lam, self.parts[0]]
-
-
 @cache
-def character_table(n: int) -> CharacterTable:
+def character_table(n: int) -> np.ndarray:
+    """The characters of S_n as one read-only int64 array: entry (i, j) is
+    chi_lam(mu) for lam, mu the i-th and j-th partitions of partitions_of(n)."""
     parts = partitions_of(n)
-    values = {
-        (lam, mu): mn_character(lam, mu) for lam in parts for mu in parts
-    }
-    sizes = tuple(class_size(mu) for mu in parts)
-    return CharacterTable(n, parts, values, sizes)
+    table = np.array([[mn_character(lam, mu) for mu in parts] for lam in parts], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +155,24 @@ class ClassFunction:
 
 
 def irreducible_character(lam) -> ClassFunction:
+    """chi_lam, read off its row of the character table."""
     n = sum(lam)
-    return ClassFunction(n, tuple(Fraction(mn_character(lam, mu)) for mu in partitions_of(n)))
+    return ClassFunction.from_row(n, character_table(n)[partitions_of(n).index(lam)].tolist())
 
 
 def decompose(f: ClassFunction) -> dict:
-    """Multiplicities <f, chi_lam>; raises unless they are non-negative ints."""
+    """Multiplicities <f, chi_lam> = (1/n!) sum_mu |class mu| f(mu) chi_lam(mu),
+    summed in integers over the common denominator L of f's values, one
+    product with the character table; raises unless they are non-negative
+    ints."""
     n = f.n
-    table = character_table(n)
-    order = factorial(n)
+    parts = partitions_of(n)
+    scaled, scale = clear_denominators(f.values)
+    weighted = np.array([[class_size(mu) * v] for mu, v in zip(parts, scaled)], dtype=object)
+    sums = int_matmul(character_table(n), weighted)[:, 0].tolist()
     out = {}
-    for lam in table.parts:
-        acc = Fraction(0)
-        for mu, size, val in zip(table.parts, table.sizes, f.values):
-            acc += size * val * table.values[lam, mu]
-        mult = acc / order
+    for lam, total in zip(parts, sums):
+        mult = Fraction(total, scale * factorial(n))
         if mult.denominator != 1:
             raise NotACharacterError("non-integral multiplicity %s for %s" % (mult, lam))
         if mult < 0:
@@ -194,27 +183,17 @@ def decompose(f: ClassFunction) -> dict:
 
 
 def assemble_character(n, mults) -> ClassFunction:
-    values = [Fraction(0)] * len(partitions_of(n))
+    """sum_lam mults[lam] chi_lam: the multiplicity vector, in partitions_of(n)
+    order, times the character table."""
+    parts = partitions_of(n)
+    vec = [0] * len(parts)
     for lam, m in mults.items():
-        for i, mu in enumerate(partitions_of(n)):
-            values[i] += m * mn_character(lam, mu)
-    return ClassFunction(n, tuple(values))
+        vec[parts.index(lam)] = m
+    return ClassFunction.from_row(n, int_matmul(np.array([vec]), character_table(n))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
 # permutations (one-line tuples)
-
-
-def compose(p, q):
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[x] for x in q)
-
-
-def inverse(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def cycle_type(p):
@@ -476,12 +455,12 @@ def _check_character(lam, generators):
     every mu, with the class representatives taken in one sweep."""
     n = sum(lam)
     parts = partitions_of(n)
-    for mu, mat in zip(parts, _sweep(generators, _class_tree(n), hook_dimension(lam))):
+    row = character_table(n)[parts.index(lam)].tolist()
+    for mu, chi, mat in zip(parts, row, _sweep(generators, _class_tree(n), hook_dimension(lam))):
         trace = int(np.trace(mat))
-        if trace != mn_character(lam, mu):
+        if trace != chi:
             raise InternalConsistencyError(
-                f"Specht matrices of {lam} have trace {trace} on class {mu}, "
-                f"not {mn_character(lam, mu)}"
+                f"Specht matrices of {lam} have trace {trace} on class {mu}, not {chi}"
             )
 
 
@@ -489,8 +468,8 @@ class SpechtRep:
     """Young's natural representation of S_n on standard polytabloids.
 
     Matrices are integral; ``matrices(perms)`` returns rho(p) for a batch of
-    permutations with rho(p o q) = rho(p) @ rho(q), and ``matrix(p)`` one of
-    them.  Column j of rho(p) expands p . e_{t_j} in the polytabloid basis
+    permutations with rho(p o q) = rho(p) @ rho(q), the one way to get rho.
+    Column j of rho(p) expands p . e_{t_j} in the polytabloid basis
     e_{t_1}, ..., e_{t_d}.  A batch is evaluated in one sweep over the prefix
     tree of the permutations' transposition words (``WordTree``), level by
     level, with one product per run of nodes that share a last letter, so
@@ -527,13 +506,6 @@ class SpechtRep:
         WordTree was built from, in order, as fresh int64 arrays."""
         tree = perms if isinstance(perms, WordTree) else word_tree(perms)
         return _sweep(self.generators, tree, self.dim)
-
-    def matrix(self, perm) -> np.ndarray:
-        return self.matrices([perm])[0]
-
-    def character(self) -> ClassFunction:
-        reps = self.matrices(_class_tree(self.n))
-        return ClassFunction(self.n, tuple(Fraction(int(np.trace(m))) for m in reps))
 
 
 @cache

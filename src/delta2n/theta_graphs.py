@@ -71,14 +71,6 @@ class Degenerate(NamedTuple):
     reason: str  # "cyclic-theta" or "non-injective-marking"
 
 
-def make_graph(branch_a, branch_b, paths) -> ThetaGraph:
-    return ThetaGraph(
-        UNMARKED if branch_a is None else branch_a,
-        UNMARKED if branch_b is None else branch_b,
-        tuple(tuple(p) for p in paths),
-    )
-
-
 def validate(g: ThetaGraph) -> None:
     """Raise MalformedGraphError unless g is a well-formed marked theta graph."""
     labels = []
@@ -183,10 +175,6 @@ def _canonicalize_fast(g: ThetaGraph) -> SignedIso:
     unflipped, flipped = _sorted_images(g)
     best, flip, perm = flipped if flipped[0] < unflipped[0] else unflipped
     return SignedIso(best, perm_parity(_edge_source_map(_lens(g), flip, perm)))
-
-
-def canonical_form(g: ThetaGraph) -> ThetaGraph:
-    return _canonicalize_fast(g).target
 
 
 def automorphisms(g: ThetaGraph):

@@ -19,7 +19,6 @@ from delta2n.chain_complex import (
     chain_orbits,
 )
 from delta2n.equivariant_homology import (
-    act,
     homology_character_next,
     homology_character_top,
     isotypic_block_ranks,
@@ -29,21 +28,22 @@ from delta2n.linalg import is_surjective
 from delta2n.symfunc_check import check_euler
 from delta2n.symmetric_group import (
     character_table,
+    class_representative,
     class_size,
-    compose,
     decompose,
     hook_dimension,
     partitions_of,
     specht_matrices,
 )
 from delta2n.theta_graphs import (
-    canonical_form,
     canonicalize,
     enumerate_theta,
     has_odd_automorphism,
     relabel,
     to_line,
 )
+
+from test_equivariant_homology import action_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -293,21 +293,19 @@ def test_08_representation_theory_suite():
         sizes = [class_size(mu) for mu in parts]
         if sum(hook_dimension(lam) ** 2 for lam in parts) != factorial:
             bad.append(f"n={n}: sum of squared dimensions != n!")
-        for lam in parts:
-            row = table.row(lam)
-            if int(row[0]) != hook_dimension(lam):
+        for lam, row in zip(parts, table.tolist()):
+            if row[0] != hook_dimension(lam):
                 bad.append(f"n={n} {lam}: identity column != hook dimension")
-            for kap in parts:
-                inner = sum(s * int(a) * int(b)
-                            for s, a, b in zip(sizes, row, table.row(kap)))
+            for kap, other in zip(parts, table.tolist()):
+                inner = sum(s * a * b for s, a, b in zip(sizes, row, other))
                 if inner != (factorial if lam == kap else 0):
                     bad.append(f"n={n}: rows {lam},{kap} not orthogonal")
     # trace of the natural matrices reproduces the recursive character values
     for n in range(2, 6):
-        table = character_table(n)
-        for lam in partitions_of(n):
-            got = tuple(int(v) for v in specht_matrices(lam).character().values)
-            if got != tuple(int(v) for v in table.row(lam)):
+        classes = [class_representative(mu) for mu in partitions_of(n)]
+        for lam, row in zip(partitions_of(n), character_table(n).tolist()):
+            got = [int(np.trace(m)) for m in specht_matrices(lam).matrices(classes)]
+            if got != row:
                 bad.append(f"specht trace vs table: n={n} {lam}")
     rng = np.random.default_rng(17)
     for n, lam in ((4, (2, 2)), (5, (3, 1, 1))):
@@ -315,8 +313,8 @@ def test_08_representation_theory_suite():
         for _ in range(5):
             p = tuple(rng.permutation(n).tolist())
             q = tuple(rng.permutation(n).tolist())
-            if not np.array_equal(rep.matrix(compose(p, q)),
-                                  rep.matrix(p) @ rep.matrix(q)):
+            pq, rho_p, rho_q = rep.matrices([tuple(p[x] for x in q), p, q])
+            if not np.array_equal(pq, rho_p @ rho_q):
                 bad.append(f"multiplicativity: n={n} {lam}")
     dt = time.perf_counter() - t0
     ok = not bad and dt < 10.0
@@ -339,11 +337,8 @@ def test_09_structural_properties():
                 dmat[r, c] = int(v)
             for _ in range(3):
                 sigma = tuple(rng.permutation(n).tolist())
-                lo, hi = act(sigma, p - 1), act(sigma, p)
-                lhs = hi.sign[None, :] * dmat[:, hi.image]
-                rhs = np.empty_like(dmat)
-                rhs[lo.image, :] = lo.sign[:, None] * dmat
-                if not np.array_equal(lhs, rhs):
+                lo, hi = action_matrix(sigma, p - 1), action_matrix(sigma, p)
+                if not np.array_equal(lo @ dmat, dmat @ hi):
                     bad.append(f"n={n} p={p}: boundary not equivariant")
                     break
     # block ranks that do not depend on which graph of each orbit represents it
@@ -351,7 +346,7 @@ def test_09_structural_properties():
         reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
         for lam in partitions_of(n):
             moved = tuple(
-                tuple(canonical_form(relabel(r, tuple(rng.permutation(n).tolist())))
+                tuple(canonicalize(relabel(r, tuple(rng.permutation(n).tolist()))).target
                       for r in rs)
                 for rs in reps
             )

@@ -10,6 +10,7 @@ check only dimensions and nnz.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from delta2n.chain_complex import boundary_matrix, build_basis
@@ -45,10 +46,13 @@ def act_digest(n):
     h = hashlib.sha256()
     for p in (n, n + 1, n + 2):
         for mu in partitions_of(n):
-            a = act(class_representative(mu), p)
+            gidx, gsgn = act(class_representative(mu), p)
+            # the scatter form the digest was pinned on: sigma . e_c = sign[c] e_[image[c]]
+            image = np.argsort(gidx)
+            sign = gsgn[image]
             h.update(f"act {p} {mu}\n".encode())
-            h.update(",".join(map(str, a.image.tolist())).encode() + b"\n")
-            h.update(",".join(map(str, a.sign.tolist())).encode() + b"\n")
+            h.update(",".join(map(str, image.tolist())).encode() + b"\n")
+            h.update(",".join(map(str, sign.tolist())).encode() + b"\n")
     return h.hexdigest()
 
 

@@ -341,9 +341,9 @@ def test_chain_orbits_cover_the_basis(n):
 def test_clear_caches_empties_every_memo():
     cc.betti(4)
     cc.build_complex(4)
+    cc.build_basis(4, 6)
     equivariant_homology.chain_character(4, 6)
     equivariant_homology.act((1, 0, 2, 3), 6)
-    equivariant_homology.multiplicity_space((2, 2), cc.chain_orbits(4, 6)[0])
     d25_analysis._kernel()
     d25_analysis._act_tables((1, 0, 2, 3, 4))
     owners = [
@@ -354,12 +354,12 @@ def test_clear_caches_empties_every_memo():
         cc.basis_arrays,
         cc.chain_dim,
         equivariant_homology.chain_character,
-        equivariant_homology.multiplicity_space,
         equivariant_homology._block_plan,
         equivariant_homology.isotypic_ranks,
         d25_analysis._kernel,
         d25_analysis._act_tables,
         symmetric_group.specht_matrices,
+        symmetric_group.character_table,
     ]
     assert all(f.cache_info().currsize > 0 for f in owners)
     clear_caches()

@@ -13,24 +13,21 @@ from delta2n.equivariant_homology import (
     isotypic_block_ranks,
     kernel_character_oracle,
     kernel_multiplicity,
-    multiplicity_space,
 )
 from delta2n.linalg import InternalConsistencyError, RankCertificateError, rank_exact
 from delta2n.symmetric_group import (
     ClassFunction,
     class_representative,
-    compose,
     decompose,
     hook_dimension,
-    inverse,
     partitions_of,
     specht_matrices,
 )
 from delta2n.theta_graphs import (
+    UNMARKED,
     MalformedGraphError,
-    canonical_form,
+    ThetaGraph,
     canonicalize,
-    make_graph,
     relabel,
     signed_stabilizer,
 )
@@ -63,12 +60,28 @@ GOLDEN_MULTS = {
 }
 
 
+def action_matrix(sigma, p):
+    """act(sigma, p) as a dense matrix A, so that A x = gsgn * x[gidx]."""
+    gidx, gsgn = act(sigma, p)
+    out = np.zeros((gidx.size, gidx.size), dtype=np.int64)
+    out[np.arange(gidx.size), gidx] = gsgn
+    return out
+
+
+def multiplicity_space(lam, rep):
+    """W_o for the orbit of rep, as the blocks build it: ``_fixed_columns``
+    of the rho(h) and eps(h) over rep's signed stabilizer."""
+    stab = signed_stabilizer(rep)
+    mats = specht_matrices(lam).matrices([h for h, _ in stab])
+    return equivariant_homology._fixed_columns(rep, [eps for _, eps in stab], mats)
+
+
 def test_act_identity():
     for n, p in [(4, 6), (5, 7)]:
-        a = act(tuple(range(n)), p)
+        gidx, gsgn = act(tuple(range(n)), p)
         dim = build_basis(n, p).dim
-        assert np.array_equal(a.image, np.arange(dim))
-        assert np.all(a.sign == 1)
+        assert np.array_equal(gidx, np.arange(dim))
+        assert np.all(gsgn == 1)
 
 
 @pytest.mark.parametrize("n,p", [(4, 6), (5, 7), (6, 8)])
@@ -77,10 +90,11 @@ def test_act_is_homomorphism(n, p):
     for _ in range(4):
         sigma = tuple(rng.permutation(n).tolist())
         tau = tuple(rng.permutation(n).tolist())
-        a_s, a_t = act(sigma, p), act(tau, p)
-        a_st = act(compose(sigma, tau), p)
-        assert np.array_equal(a_st.image, a_s.image[a_t.image])
-        assert np.array_equal(a_st.sign, a_t.sign * a_s.sign[a_t.image])
+        (s_idx, s_sgn), (t_idx, t_sgn) = act(sigma, p), act(tau, p)
+        st_idx, st_sgn = act(tuple(sigma[x] for x in tau), p)
+        # (st . x)[b] = (s . (t . x))[b] = s_sgn[b] t_sgn[s_idx[b]] x[t_idx[s_idx[b]]]
+        assert np.array_equal(st_idx, t_idx[s_idx])
+        assert np.array_equal(st_sgn, s_sgn * t_sgn[s_idx])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -91,10 +105,11 @@ def test_act_matches_per_graph_canonicalization(n):
         index = {g: i for i, g in enumerate(graphs)}
         for _ in range(3):
             sigma = tuple(rng.permutation(n).tolist())
-            a = act(sigma, p)
             want = [canonicalize(relabel(g, sigma)) for g in graphs]
-            assert a.image.tolist() == [index[t] for t, _ in want]
-            assert a.sign.tolist() == [s for _, s in want]
+            # sigma . e_c = s e_t is column c of the action matrix
+            expected = np.zeros((len(graphs), len(graphs)), dtype=np.int64)
+            expected[[index[t] for t, _ in want], np.arange(len(graphs))] = [s for _, s in want]
+            assert np.array_equal(action_matrix(sigma, p), expected)
 
 
 def test_act_raises_on_a_key_missing_from_the_basis(monkeypatch):
@@ -113,10 +128,10 @@ def test_kernel_trace_oracle_rejects_a_wrong_action_sign(monkeypatch):
     real = equivariant_homology.act
 
     def flipped(sigma, p):
-        a = real(sigma, p)
+        gidx, gsgn = real(sigma, p)
         if list(sigma) != sorted(sigma):
-            a.sign[0] *= -1
-        return a
+            gsgn[0] *= -1
+        return gidx, gsgn
 
     monkeypatch.setattr(equivariant_homology, "act", flipped)
     with pytest.raises(InternalConsistencyError, match="kernel is not invariant"):
@@ -129,18 +144,10 @@ def test_act_rejects_non_permutation(sigma):
         act(sigma, 6)
 
 
-def test_act_apply_matches_matrix():
-    a = act((1, 0, 3, 2), 6)
-    x = np.arange(1, build_basis(4, 6).dim + 1, dtype=np.int64)
-    assert np.array_equal(a.apply(x), a.matrix() @ x)
-    gidx, gsgn = a.gather_tables()
-    assert np.array_equal(a.apply(x), gsgn * x[gidx])
-
-
 def test_swap_fixes_two_marked_theta_evenly():
     # both markings subdividing distinct paths: the marking swap extends to
     # an even automorphism, so the cell is fixed with sign +1
-    t1 = make_graph(None, None, [[], [0], [1]])
+    t1 = ThetaGraph(UNMARKED, UNMARKED, ((), (0,), (1,)))
     iso = canonicalize(relabel(t1, (1, 0)))
     assert iso.target == canonicalize(t1).target
     assert iso.sign == canonicalize(t1).sign
@@ -175,15 +182,16 @@ def test_boundary_equivariance(n):
             d[r, c] = int(v)
         for _ in range(3):
             sigma = tuple(rng.permutation(n).tolist())
-            lo = act(sigma, p - 1).matrix()
-            hi = act(sigma, p).matrix()
+            lo, hi = action_matrix(sigma, p - 1), action_matrix(sigma, p)
             assert np.array_equal(lo @ d, d @ hi)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_induced_chain_character_matches_action_traces(n):
     for p in (n, n + 1, n + 2):
-        traces = {mu: act(class_representative(mu), p).trace() for mu in partitions_of(n)}
+        traces = {
+            mu: int(np.trace(action_matrix(class_representative(mu), p))) for mu in partitions_of(n)
+        }
         assert chain_character(n, p) == ClassFunction.from_dict(n, traces)
 
 
@@ -195,11 +203,11 @@ def test_multiplicity_spaces_are_fixed_and_full(n):
         for rep in chain_orbits(n, p):
             stab = signed_stabilizer(rep)
             for lam in partitions_of(n):
-                rho = specht_matrices(lam)
+                mats = specht_matrices(lam).matrices([h for h, _ in stab])
                 w = multiplicity_space(lam, rep)
-                for h, eps in stab:
-                    assert np.array_equal(rho.matrix(h) @ w, eps * w)
-                inner = sum(eps * int(np.trace(rho.matrix(h))) for h, eps in stab)
+                for (_, eps), rho_h in zip(stab, mats):
+                    assert np.array_equal(rho_h @ w, eps * w)
+                inner = sum(eps * int(np.trace(rho_h)) for (_, eps), rho_h in zip(stab, mats))
                 assert w.shape[1] * len(stab) == inner
                 assert rank_exact(w) == w.shape[1]
 
@@ -219,7 +227,6 @@ def test_specht_and_multiplicity_spaces_lift_no_kernel(monkeypatch):
     ]:
         monkeypatch.setattr(owner, name, record(name, getattr(owner, name)))
     specht_matrices.cache_clear()
-    multiplicity_space.cache_clear()
     for lam in partitions_of(7):
         specht_matrices(lam)
     assert calls == []
@@ -240,21 +247,17 @@ def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
         for r in chain_orbits(n, p)
         if len(signed_stabilizer(r)) == 2 and all(eps == 1 for _, eps in signed_stabilizer(r))
     )
-    multiplicity_space.cache_clear()
     want = multiplicity_space(lam, rep)
     assert want.shape == (1, 1)
     tried = []
     real = linalg.rref_modp
     monkeypatch.setattr(linalg, "rref_modp", lambda a, p: tried.append(p) or real(a, p))
     monkeypatch.setattr(linalg, "PRIMES", (2,) + linalg.PRIMES)
-    multiplicity_space.cache_clear()
     assert np.array_equal(multiplicity_space(lam, rep), want)
     assert tried == [2, linalg.PRIMES[1]]
     monkeypatch.setattr(linalg, "PRIMES", (2,))
-    multiplicity_space.cache_clear()
     with pytest.raises(RankCertificateError):
         multiplicity_space(lam, rep)
-    multiplicity_space.cache_clear()
 
 
 def test_block_assembly_refuses_entries_beyond_int64():
@@ -272,10 +275,12 @@ def test_multiplicities_match_the_group_average(n):
     # rank of the brute-force n!-term average (n!/d) p11 over every basis
     # vector is m_lam(C_p), independently of stabilizers and Frobenius
     for p in (n, n + 1, n + 2):
-        actions = {g: act(g, p).matrix() for g in itertools.permutations(range(n))}
+        perms = list(itertools.permutations(range(n)))
+        actions = [action_matrix(g, p) for g in perms]
+        inverses = [tuple(np.argsort(g).tolist()) for g in perms]
         for lam in partitions_of(n):
-            rho = specht_matrices(lam)
-            image = sum(int(rho.matrix(inverse(g))[0, 0]) * a for g, a in actions.items())
+            r11 = [int(m[0, 0]) for m in specht_matrices(lam).matrices(inverses)]
+            image = sum(r * a for r, a in zip(r11, actions))
             want = sum(multiplicity_space(lam, r).shape[1] for r in chain_orbits(n, p))
             assert rank_exact(image) == want
 
@@ -288,7 +293,7 @@ def test_block_ranks_independent_of_representatives():
         for lam in partitions_of(n):
             moved = tuple(
                 tuple(
-                    canonical_form(relabel(r, tuple(rng.permutation(n).tolist())))
+                    canonicalize(relabel(r, tuple(rng.permutation(n).tolist()))).target
                     for r in chain_orbits(n, p)
                 )
                 for p in (n, n + 1, n + 2)

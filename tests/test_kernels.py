@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delta2n.kernels import project_stream, rref_modp
-from delta2n.symmetric_group import inverse, sjt_swaps, specht_matrices
+from delta2n.symmetric_group import sjt_swaps, specht_matrices
 
 
 def _pairs_basis(n):
@@ -45,11 +45,17 @@ def _pairs_tables(n):
     return gidx, gsgn
 
 
-def _brute_stream(n, lam, x):
+def _matrix_units(n, lam):
+    """(g, r11(g^{-1}), rho(g)) over g in S_n."""
+    perms = list(itertools.permutations(range(n)))
+    inverses = [tuple(np.argsort(g).tolist()) for g in perms]
     rep = specht_matrices(lam)
+    return zip(perms, (int(m[0, 0]) for m in rep.matrices(inverses)), rep.matrices(perms))
+
+
+def _brute_stream(n, lam, x):
     acc = np.zeros_like(x)
-    for perm in itertools.permutations(range(n)):
-        r11 = int(rep.matrix(inverse(perm))[0, 0])
+    for perm, r11, _ in _matrix_units(n, lam):
         if r11:
             acc += r11 * (_pairs_matrix(n, perm) @ x)
     return acc
@@ -95,8 +101,8 @@ def test_matrix_unit_identity():
         rep = specht_matrices(lam)
         d = rep.dim
         total = np.zeros((d, d), dtype=object)
-        for perm in itertools.permutations(range(n)):
-            total += int(rep.matrix(inverse(perm))[0, 0]) * rep.matrix(perm)
+        for _, r11, rho in _matrix_units(n, lam):
+            total += r11 * rho
         want = np.zeros((d, d), dtype=object)
         want[0, 0] = factorial(n) // d
         assert np.array_equal(total, want)

@@ -17,11 +17,9 @@ from delta2n.symmetric_group import (
     character_table,
     class_representative,
     class_size,
-    compose,
     cycle_type,
     decompose,
     hook_dimension,
-    inverse,
     irreducible_character,
     mn_character,
     partitions_of,
@@ -31,6 +29,11 @@ from delta2n.symmetric_group import (
     transposition_word,
     word_tree,
 )
+
+
+def _compose(p, q):
+    """(p o q)(i) = p[q[i]]."""
+    return tuple(p[x] for x in q)
 
 
 def test_partitions_order_and_count():
@@ -72,22 +75,35 @@ def test_mn_against_s4_table():
         (4,): (1, 1, 1, 1, 1),
     }
     table = character_table(4)
-    for lam, expect in rows.items():
-        assert table.row(lam) == expect
+    for i, lam in enumerate(partitions_of(4)):
+        assert tuple(table[i].tolist()) == rows[lam]
 
 
 def test_orthogonality_and_dimensions():
-    for n in range(2, 7):
+    # rows lam, columns mu, both in partitions_of order: entry by entry the
+    # border-strip value, the identity column the hook dimension, and the
+    # rows orthogonal under the class sizes, each of norm n!
+    for n in range(1, 9):
+        parts = partitions_of(n)
         table = character_table(n)
-        for lam in table.parts:
-            assert table.dim(lam) == hook_dimension(lam)
-            for lam2 in table.parts:
-                dot = sum(
-                    size * table.values[lam, mu] * table.values[lam2, mu]
-                    for mu, size in zip(table.parts, table.sizes)
-                )
-                assert dot == (factorial(n) if lam == lam2 else 0)
-        assert sum(hook_dimension(lam) ** 2 for lam in table.parts) == factorial(n)
+        assert table.dtype == np.int64 and table.shape == (len(parts), len(parts))
+        for i, lam in enumerate(parts):
+            assert table[i, 0] == hook_dimension(lam)
+            for j, mu in enumerate(parts):
+                assert table[i, j] == mn_character(lam, mu)
+        sizes = np.array([class_size(mu) for mu in parts], dtype=object)
+        gram = table.astype(object) @ (sizes[:, None] * table.T.astype(object))
+        assert np.array_equal(gram, factorial(n) * np.eye(len(parts), dtype=np.int64))
+        assert sum(hook_dimension(lam) ** 2 for lam in parts) == factorial(n)
+
+
+def test_character_table_is_read_only():
+    table = character_table(5)
+    with pytest.raises(ValueError):
+        table[0, 0] = 7
+    with pytest.raises(ValueError):
+        table[1] += 1
+    assert character_table(5) is table and table[0, 0] == 1
 
 
 def test_hook_dimensions():
@@ -101,11 +117,9 @@ def test_perm_helpers():
     for n in (4, 6):
         perms = list(itertools.permutations(range(n)))
         for _ in range(40):
-            p, q = rng.choice(perms), rng.choice(perms)
-            pq = compose(p, q)
-            assert all(pq[i] == p[q[i]] for i in range(n))
-            assert compose(p, inverse(p)) == tuple(range(n))
+            p = rng.choice(perms)
             assert sorted(cycle_type(p), reverse=True) == list(cycle_type(p))
+            assert sum(cycle_type(p)) == n
     for mu in partitions_of(6):
         assert cycle_type(class_representative(mu)) == mu
 
@@ -121,7 +135,7 @@ def test_transposition_word():
             for j in reversed(word):
                 t = list(range(n))
                 t[j], t[j + 1] = t[j + 1], t[j]
-                rebuilt = compose(rebuilt, tuple(t))
+                rebuilt = _compose(rebuilt, tuple(t))
             assert rebuilt == p
 
 
@@ -280,9 +294,8 @@ def test_specht_multiplicative_random_triples():
         perms = list(itertools.permutations(range(n)))
         for _ in range(15):
             p, q = rng.choice(perms), rng.choice(perms)
-            assert np.array_equal(
-                rep.matrix(compose(p, q)), rep.matrix(p) @ rep.matrix(q)
-            )
+            pq, rho_p, rho_q = rep.matrices([_compose(p, q), p, q])
+            assert np.array_equal(pq, rho_p @ rho_q)
 
 
 def _word_product(rep, perm):
@@ -311,7 +324,6 @@ def test_specht_matrices_match_the_word_product(n):
                 assert mat.dtype == np.int64 and mat.base is None  # no view of the sweep
                 assert np.array_equal(mat, want[p])
         for p in rng.sample(perms, min(len(perms), 8)):
-            assert np.array_equal(rep.matrix(p), want[p])
             assert np.array_equal(rep.matrices([p])[0], want[p])
     assert specht_matrices(partitions_of(n)[0]).matrices([]) == []
 
@@ -319,14 +331,15 @@ def test_specht_matrices_match_the_word_product(n):
 def test_specht_trace_equals_mn_exhaustive():
     for n in range(2, 6):
         for lam in partitions_of(n):
-            rep = specht_matrices(lam)
-            for p in itertools.permutations(range(n)):
-                assert np.trace(rep.matrix(p)) == mn_character(lam, cycle_type(p))
+            perms = list(itertools.permutations(range(n)))
+            for p, mat in zip(perms, specht_matrices(lam).matrices(perms)):
+                assert np.trace(mat) == mn_character(lam, cycle_type(p))
 
 
 def test_specht_character_classfunction():
-    rep = specht_matrices((3, 2))
-    assert rep.character() == irreducible_character((3, 2))
+    classes = [class_representative(mu) for mu in partitions_of(5)]
+    traces = [int(np.trace(m)) for m in specht_matrices((3, 2)).matrices(classes)]
+    assert ClassFunction.from_row(5, traces) == irreducible_character((3, 2))
 
 
 def test_decompose_roundtrip():
@@ -337,6 +350,14 @@ def test_decompose_roundtrip():
         mults = {k: v for k, v in mults.items() if v}
         f = assemble_character(n, mults)
         assert decompose(f) == mults
+
+
+def test_decompose_roundtrip_every_irreducible_of_8():
+    parts = partitions_of(8)
+    for lam in parts:
+        assert decompose(assemble_character(8, {lam: 1})) == {lam: 1}
+    every = dict.fromkeys(parts, 1)
+    assert decompose(assemble_character(8, every)) == every
 
 
 def test_decompose_rejects_non_characters():

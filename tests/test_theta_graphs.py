@@ -11,14 +11,12 @@ from delta2n.theta_graphs import (
     SignedIso,
     ThetaGraph,
     automorphisms,
-    canonical_form,
     canonical_keys,
     canonicalize,
     contract,
     enumerate_theta,
     has_odd_automorphism,
     is_full_theta,
-    make_graph,
     orbit_normal_form,
     orbit_of,
     orbit_representative,
@@ -27,6 +25,15 @@ from delta2n.theta_graphs import (
     signed_stabilizer,
     to_line,
 )
+
+
+def _graph(branch_a, branch_b, paths):
+    """A ThetaGraph from path lists, with None for an unmarked branch vertex."""
+    return ThetaGraph(
+        UNMARKED if branch_a is None else branch_a,
+        UNMARKED if branch_b is None else branch_b,
+        tuple(tuple(p) for p in paths),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +141,9 @@ def test_canonical_form_constant_on_orbit():
     for n in (2, 4, 5):
         for _ in range(40):
             g = _random_graph(rng, n)
-            c = canonical_form(g)
+            c = canonicalize(g).target
             for img, _ in _oracle_images(g):
-                assert canonical_form(img) == c
+                assert canonicalize(img).target == c
 
 
 def test_sign_matches_endpoint_oracle():
@@ -154,7 +161,7 @@ def test_automorphism_parities_match_oracle():
     rng = random.Random(17)
     for n in (2, 3, 4):
         for _ in range(60):
-            g = canonical_form(_random_graph(rng, n))
+            g = canonicalize(_random_graph(rng, n)).target
             got = sorted(parity for _, parity in automorphisms(g))
             expect = sorted(s for img, s in _oracle_images(g) if img == g)
             assert got == expect
@@ -163,8 +170,8 @@ def test_automorphism_parities_match_oracle():
 def test_sign_of_two_disjoint_transpositions():
     # swapping two singleton paths moves 4 edges in two transpositions: even,
     # so both placements canonicalize with the same sign
-    g1 = make_graph(None, None, [[0], [1], []])
-    g2 = make_graph(None, None, [[1], [0], []])
+    g1 = _graph(None, None, [[0], [1], []])
+    g2 = _graph(None, None, [[1], [0], []])
     r1, r2 = canonicalize(g1), canonicalize(g2)
     assert r1.target == r2.target
     assert r1.sign == r2.sign
@@ -210,7 +217,7 @@ def test_trivial_automorphisms_for_n_ge_4():
 
 
 def test_n3_triple_path_has_odd_flip():
-    g = canonical_form(make_graph(None, None, [[0], [1], [2]]))
+    g = canonicalize(_graph(None, None, [[0], [1], [2]])).target
     autos = automorphisms(g)
     assert any(parity == -1 for _, parity in autos)
     # the flip reverses three 2-edge paths: three transpositions, odd
@@ -221,11 +228,11 @@ def test_n3_triple_path_has_odd_flip():
 def test_n2_theta_type_census():
     classes = enumerate_theta(2)
     assert len(classes) == 5
-    t1 = canonical_form(make_graph(None, None, [[], [0], [1]]))
-    t2 = canonical_form(make_graph(None, 1, [[], [], [0]]))
-    t3 = canonical_form(make_graph(None, 0, [[], [], [1]]))
-    t4 = canonical_form(make_graph(0, 1, [[], [], []]))
-    one_path = canonical_form(make_graph(None, None, [[], [], [0, 1]]))
+    t1 = canonicalize(_graph(None, None, [[], [0], [1]])).target
+    t2 = canonicalize(_graph(None, 1, [[], [], [0]])).target
+    t3 = canonicalize(_graph(None, 0, [[], [], [1]])).target
+    t4 = canonicalize(_graph(0, 1, [[], [], []])).target
+    one_path = canonicalize(_graph(None, None, [[], [], [0, 1]])).target
     assert sorted([t1, t2, t3, t4, one_path]) == classes
     assert not has_odd_automorphism(t1)
     assert has_odd_automorphism(t2)
@@ -237,37 +244,37 @@ def test_n2_theta_type_census():
 
 
 def test_contract_interior_interior_degenerate():
-    g = canonical_form(make_graph(None, None, [[0, 1], [2], [3]]))
+    g = canonicalize(_graph(None, None, [[0, 1], [2], [3]])).target
     # edge 1 of path 0 joins the two marked interior vertices
     res = contract(g, 1)
     assert res == Degenerate("non-injective-marking")
 
 
 def test_contract_into_marked_branch():
-    g = make_graph(3, None, [[0], [1], [2]])
+    g = _graph(3, None, [[0], [1], [2]])
     res = contract(g, 0)  # u-side edge of path 0, u marked
     assert res == Degenerate("non-injective-marking")
 
 
 def test_contract_empties_path():
-    g = make_graph(None, None, [[0], [1], [2]])
+    g = _graph(None, None, [[0], [1], [2]])
     res = contract(g, 0)  # path 0 loses its only marking
     assert res == Degenerate("cyclic-theta")
 
 
 def test_contract_direct_edge():
-    both = make_graph(0, 1, [[], [], []])
+    both = _graph(0, 1, [[], [], []])
     assert contract(both, 0) == Degenerate("non-injective-marking")
-    one = make_graph(0, None, [[], [], []])
+    one = _graph(0, None, [[], [], []])
     assert contract(one, 0) == Degenerate("cyclic-theta")
 
 
 def test_contract_moves_marking_to_branch():
     # v-side edge of path 0: interior vertex 1 merges into unmarked v
-    g = make_graph(4, None, [[0, 1], [2], [3]])
+    g = _graph(4, None, [[0, 1], [2], [3]])
     res = contract(g, 2)
     assert isinstance(res, SignedIso)
-    expect = canonicalize(make_graph(4, 1, [[0], [2], [3]]))
+    expect = canonicalize(_graph(4, 1, [[0], [2], [3]]))
     assert res.target == expect.target
     assert res.sign == expect.sign
     assert res.target.num_edges == g.num_edges - 1
@@ -314,14 +321,14 @@ def test_perm_parity():
 
 
 def test_line_roundtrip():
-    assert to_line(make_graph(None, 1, [[0], [], [2, 3]])) == "a=-;b=2;p0=1;p1=;p2=3,4"
+    assert to_line(_graph(None, 1, [[0], [], [2, 3]])) == "a=-;b=2;p0=1;p1=;p2=3,4"
 
 
 def test_validate_errors():
     with pytest.raises(MalformedGraphError):
-        canonicalize(make_graph(None, None, [[0, 0], [1], []]))
+        canonicalize(_graph(None, None, [[0, 0], [1], []]))
     with pytest.raises(MalformedGraphError):
-        canonicalize(make_graph(2, None, [[0], [1], [2]]))
+        canonicalize(_graph(2, None, [[0], [1], [2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +414,7 @@ def test_orbit_normal_form_round_trips_every_basis_graph(n):
             orbit, tau, sign = orbit_normal_form(g)
             assert orbit == orbit_of(g)
             rep = orbit_representative(orbit)
-            assert orbit_of(rep) == orbit and canonical_form(rep) == rep
+            assert orbit_of(rep) == orbit and canonicalize(rep).target == rep
             assert canonicalize(relabel(rep, tau)) == SignedIso(g, sign)
 
 
