@@ -31,8 +31,12 @@ system) and peak RSS are its own, and is killed at --timeout seconds; a stage
 that times out on a side is recorded so and not retried there.  The driver
 pins itself, and with it every child, to one CPU, and the children run with
 one OpenMP/OpenBLAS/MKL thread and without DELTA2N_CACHE_DIR, so timings do
-not depend on how many cores are idle.  `--src DIR` measures the checkout at
-DIR (default: the one holding this script).  `--before DIR` measures a
+not depend on how many cores are idle.  Each side's children write and read
+bytecode only in that side's own PYTHONPYCACHEPREFIX, under a temporary
+directory the driver makes, fills with two untimed imports per side and
+removes, so a stale __pycache__ in one checkout cannot make it look faster.
+`--src DIR` measures the checkout at DIR (default: the one holding this
+script).  `--before DIR` measures a
 second checkout, such as a clone of the parent commit, alternating with the
 first run by run, and flips which side goes first every repeat, so that a
 host speed change hits both alike.  The two runs of one repeat are adjacent
@@ -65,6 +69,9 @@ BLOCK_LAMBDA = (4, 2, 2, 1)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CACHE_ENV = "DELTA2N_CACHE_DIR"
 EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per child
+# run once per side before timing, so the timed children read bytecode
+# rather than compile it: a stage child and the CLI with its lazy imports
+WARM_UP = ((SCRIPT, "--child", "specht", "2"), ("-c", "import delta2n.cli, delta2n.symfunc_check"))
 METRICS = ("stage_s", "wall_s", "cpu_s", "peak_rss_mb")
 
 
@@ -144,9 +151,12 @@ def run_stage(stage, n):
     elif stage == "specht":
         result = [specht_matrices(lam).dim for lam in partitions_of(n)]
     elif stage == "chain_characters":
-        result = [list(eh.chain_character(n, p).as_ints()) for p in degrees]
+        # an int64 row here; older checkouts return Fractions in a .values tuple
+        chars = [eh.chain_character(n, p) for p in degrees]
+        result = [[int(v) for v in getattr(f, "values", f)] for f in chars]
     elif stage == "top":
-        result = list(eh.homology_character_top(n).as_ints())
+        f = eh.homology_character_top(n)
+        result = [int(v) for v in getattr(f, "values", f)]
     elif stage == "blocks":
         result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
     else:
@@ -154,9 +164,15 @@ def run_stage(stage, n):
     return {"stage_s": time.perf_counter() - t0, "result": result}
 
 
-def child_env(src):
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env.update(dict.fromkeys(THREAD_VARS, "1"), PYTHONPATH=str(Path(src).resolve() / "src"))
+def child_env(src, pycache):
+    """The environment of a child measuring the checkout src, its bytecode
+    written to and read from pycache alone."""
+    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONDONTWRITEBYTECODE")}
+    env.update(
+        dict.fromkeys(THREAD_VARS, "1"),
+        PYTHONPATH=str(Path(src).resolve() / "src"),
+        PYTHONPYCACHEPREFIX=str(pycache),
+    )
     return env
 
 
@@ -268,7 +284,11 @@ def main():
     sides = {"after": args.src}
     if args.before:
         sides = {"before": args.before, "after": args.src}
-    envs = {side: child_env(src) for side, src in sides.items()}
+    pycache = tempfile.TemporaryDirectory(prefix="bench-pycache-")
+    envs = {side: child_env(src, Path(pycache.name) / side) for side, src in sides.items()}
+    for env in envs.values():
+        for cmd in WARM_UP:
+            subprocess.run([sys.executable, *cmd], env=env, check=True, stdout=subprocess.DEVNULL)
     runs = {side: {key: [] for key in stages} for side in sides}
     timed_out = {side: set() for side in sides}
     results = {}
@@ -285,6 +305,7 @@ def main():
                 if rec["result"] != first:
                     raise SystemExit(f"{key}: {side} gave {rec['result']}, an earlier run {first}")
                 runs[side][key].append(rec)
+    pycache.cleanup()
 
     record = {
         "script": "benchmarks/bench.py",

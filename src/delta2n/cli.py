@@ -180,11 +180,11 @@ def _cmd_characters(config, stages):
         raise InternalConsistencyError(
             "Euler characteristic cross-check failed on classes " + ", ".join(failed)
         )
-    mults_top, mults_nxt = decompose(top), decompose(nxt)
+    mults_top, mults_nxt = decompose(n, top), decompose(n, nxt)
     classes = [_part_str(mu) for mu in partitions_of(n)]
     blocks = [
-        _character_block(n, classes, n + 2, top.as_ints(), mults_top, config.seed),
-        _character_block(n, classes, n + 1, nxt.as_ints(), mults_nxt, config.seed),
+        _character_block(n, classes, n + 2, top.tolist(), mults_top, config.seed),
+        _character_block(n, classes, n + 1, nxt.tolist(), mults_nxt, config.seed),
     ]
     lines = _character_text(f"H_{n + 2}:", classes, blocks[0]["values"], mults_top)
     lines += _character_text(f"H_{n + 1}:", classes, blocks[1]["values"], mults_nxt)
@@ -193,7 +193,7 @@ def _cmd_characters(config, stages):
 
 
 def _cmd_decompose(config, stages):
-    from .symmetric_group import ClassFunction, decompose, partitions_of
+    from .symmetric_group import decompose, partitions_of
 
     n = config.n
     parts = partitions_of(n)
@@ -205,9 +205,12 @@ def _cmd_decompose(config, stages):
         raise ConfigError(
             f"need {len(parts)} values (one per class of S_{n}), got {len(raw)}"
         )
-    f = ClassFunction.from_row(n, raw)
+    if any(v.denominator != 1 for v in raw):
+        # S_n characters are integer-valued
+        raise ConfigError("input is not a character: its values are not all integers")
+    f = [int(v) for v in raw]
     try:
-        mults = stages.run("decompose", lambda: decompose(f))
+        mults = stages.run("decompose", lambda: decompose(n, f))
     except NotACharacterError as exc:
         raise ConfigError(f"input is not a character: {exc}")
     payload = {
@@ -228,7 +231,7 @@ def _cmd_verify(config, stages):
     agree = None
     if n <= 6:
         oracle = stages.run("kernel_trace", lambda: kernel_character_oracle(n))
-        agree = oracle.as_ints() == top.as_ints()
+        agree = oracle.tolist() == top.tolist()
     ok = all(entry.ok for entry in report) and agree is not False
     payload = {
         "n": n,

@@ -21,9 +21,10 @@ from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matr
 from .equivariant_homology import act
 from .linalg import _kernel_coordinates, clear_denominators, kernel_exact, rank_exact
 from .symmetric_group import (
+    character_table,
     cycle_type,
     hook_dimension,
-    irreducible_character,
+    partitions_of,
     specht_matrices,
 )
 
@@ -53,11 +54,12 @@ def _act_tables(pi):
 
 def _character_sum(lam, x):
     """sum_pi chi_lam(pi) A_pi x, exactly, in Python ints."""
-    chi = irreducible_character(lam)
+    parts = partitions_of(N)
+    chi = dict(zip(parts, character_table(N)[parts.index(lam)].tolist()))
     x = np.asarray(x, dtype=object)
     acc = np.zeros(x.shape, dtype=object)
     for pi in permutations(range(N)):
-        c = int(chi.at(cycle_type(pi)))
+        c = chi[cycle_type(pi)]
         if not c:
             continue
         gidx, gsgn = _act_tables(pi)

@@ -11,12 +11,13 @@ gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
 H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  No global boundary, drawn
 vector or group action enters, and every run checks d_{n+1} d_{n+2} = 0 and
-d_{n+1} onto on each block, and sum_lam d_lam m_lam(C_p) = dim C_p.
+d_{n+1} onto on each block, and sum_lam m_lam(C_p) chi_lam = chi(C_p) on
+every class.  Characters are int64 rows, one value per class in
+partitions_of(n) order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from typing import NamedTuple
@@ -41,7 +42,6 @@ from .linalg import (
     rank_exact,
 )
 from .symmetric_group import (
-    ClassFunction,
     NotACharacterError,
     WordTree,
     assemble_character,
@@ -87,17 +87,30 @@ def act(sigma, p):
 
 
 @cache
-def chain_character(n, p) -> ClassFunction:
-    """Character of C_p by the induced-character formula:
-    chi(mu) = sum_o |C(mu)| / |H_o| * sum of eps_o(h) over h in H_o of type mu,
-    where |C(mu)| = n! / |class mu| is the centralizer order."""
-    values = dict.fromkeys(partitions_of(n), Fraction(0))
+def chain_character(n, p) -> np.ndarray:
+    """Character of C_p by the induced-character formula, as a read-only
+    int64 row: chi(mu) = sum_o |C(mu)| / |H_o| * sum of eps_o(h) over h in
+    H_o of type mu, where |C(mu)| = n! / |class mu| is the centralizer order.
+    Each orbit's term is the character of Ind_{H_o} eps_o, an integer; a
+    remainder (a wrong stabilizer) raises InternalConsistencyError."""
+    column = {mu: j for j, mu in enumerate(partitions_of(n))}
+    values = [0] * len(column)
     for rep in chain_orbits(n, p):
         stab = signed_stabilizer(rep)
+        sums = {}
         for h, eps in stab:
             mu = cycle_type(h)
-            values[mu] += Fraction(factorial(n), class_size(mu) * len(stab)) * eps
-    return ClassFunction.from_dict(n, values)
+            sums[mu] = sums.get(mu, 0) + eps
+        for mu, total in sums.items():
+            term, rest = divmod(factorial(n) * total, class_size(mu) * len(stab))
+            if rest:
+                raise InternalConsistencyError(
+                    f"stabilizer of {rep} induces a non-integral value on class {mu}"
+                )
+            values[column[mu]] += term
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _fixed_columns(rep, signs, mats) -> np.ndarray:
@@ -246,7 +259,7 @@ def isotypic_ranks(n) -> dict:
     out = {lam: isotypic_block_ranks(lam, n) for lam in partitions_of(n)}
     for i, p in enumerate((n, n + 1, n + 2)):
         assembled = assemble_character(n, {lam: r.mults[i] for lam, r in out.items()})
-        if assembled != chain_character(n, p):
+        if not np.array_equal(assembled, chain_character(n, p)):
             raise InternalConsistencyError(
                 f"isotypic multiplicities of C_{p} do not give its character at n={n}"
             )
@@ -259,7 +272,7 @@ def kernel_multiplicity(lam, n) -> int:
     return r.mults[2] - r.ranks[1]
 
 
-def homology_character_top(n) -> ClassFunction:
+def homology_character_top(n) -> np.ndarray:
     """Character of H_{n+2} = ker d_{n+2} from the per-irreducible multiplicities."""
     mults = {}
     for lam in partitions_of(n):
@@ -269,7 +282,7 @@ def homology_character_top(n) -> ClassFunction:
     return assemble_character(n, mults)
 
 
-def homology_character_next(n, top: ClassFunction) -> ClassFunction:
+def homology_character_next(n, top) -> np.ndarray:
     """Character of H_{n+1} from the equivariant Euler-characteristic identity.
 
     ``top`` is the character of H_{n+2} the caller already computed; the
@@ -279,13 +292,13 @@ def homology_character_next(n, top: ClassFunction) -> ClassFunction:
     """
     nxt = chain_character(n, n + 1) - chain_character(n, n) - chain_character(n, n + 2) + top
     try:
-        decompose(nxt)
+        decompose(n, nxt)
     except NotACharacterError as exc:
         raise InternalConsistencyError(f"H_{n+1} character is not a character: {exc}")
     return nxt
 
 
-def kernel_character_oracle(n) -> ClassFunction:
+def kernel_character_oracle(n) -> np.ndarray:
     """Character of ker d_{n+2} by exact change of basis, no projections.
 
     For each class representative sigma, solves K X = A_sigma K for the
@@ -294,7 +307,7 @@ def kernel_character_oracle(n) -> ClassFunction:
     """
     _, kern, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
     lk, scale = clear_denominators(kern)
-    values = {}
+    values = []
     for mu in partitions_of(n):
         gidx, gsgn = act(class_representative(mu), n + 2)
         lx = _kernel_coordinates(lk, scale, pivots, free, gsgn[:, None] * lk[gidx])
@@ -305,5 +318,5 @@ def kernel_character_oracle(n) -> ClassFunction:
         tr, rest = divmod(int(np.trace(lx)), scale)
         if rest:
             raise InternalConsistencyError(f"non-integral kernel trace at {mu}")
-        values[mu] = tr
-    return ClassFunction.from_dict(n, values)
+        values.append(tr)
+    return np.array(values, dtype=np.int64)

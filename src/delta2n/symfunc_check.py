@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .symmetric_group import ClassFunction, class_size, partitions_of
+from .symmetric_group import class_size, partitions_of
 
 # z2 = sum of c * prod_i (1 + p_i)^k_i over these (c, {i: k_i}) terms
 Z2_TERMS = (
@@ -49,8 +49,9 @@ class EulerClassCheck(NamedTuple):
     ok: bool
 
 
-def check_euler(n, top: ClassFunction, nxt: ClassFunction):
-    """Per-class comparison of the two Euler-characteristic computations.
+def check_euler(n, top, nxt):
+    """Per-class comparison of the two Euler-characteristic computations,
+    for the integer character rows ``top`` of H_{n+2} and ``nxt`` of H_{n+1}.
 
     For each cycle type mu of S_n the coefficient of p_mu in z2 must
     equal |C(mu)|/n! * ((-1)^n * nxt(mu) + (-1)^(n+1) * top(mu)). Failures
@@ -63,9 +64,9 @@ def check_euler(n, top: ClassFunction, nxt: ClassFunction):
     sign_next = Fraction((-1) ** n)
     order = factorial(n)
     report = []
-    for mu in partitions_of(n):
+    for mu, t, x in zip(partitions_of(n), top, nxt, strict=True):
         lhs = z2_coefficient(mu)
-        bracket = sign_next * (nxt.at(mu) - top.at(mu))
+        bracket = sign_next * (int(x) - int(t))
         rhs = Fraction(class_size(mu), order) * bracket
         report.append(EulerClassCheck(mu, lhs, rhs, lhs == rhs))
     return report

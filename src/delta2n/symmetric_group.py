@@ -8,7 +8,8 @@ character (``SpechtRep``).
 Partitions are weakly decreasing tuples of positive ints.  Conjugacy classes
 and irreducibles are both indexed by partitions, listed in ascending
 lexicographic order of the tuple, so e.g. for n=4 the class order is
-(1,1,1,1), (2,1,1), (2,2), (3,1), (4).
+(1,1,1,1), (2,1,1), (2,2), (3,1), (4).  A class function is a row of
+integers, one value per class in this order: the columns of the table.
 
 Permutations are one-line tuples on 0..n-1, composed as (p*q)(i) = p[q[i]].
 """
@@ -16,15 +17,14 @@ Permutations are one-line tuples on 0..n-1, composed as (p*q)(i) = p[q[i]].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InternalConsistencyError, NotACharacterError, clear_denominators, int_matmul
+from .linalg import InternalConsistencyError, NotACharacterError, int_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -112,84 +112,39 @@ def character_table(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# class functions
+# class functions: one integer value per class, in partitions_of(n) order
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Rational-valued function on the conjugacy classes of S_n."""
-
-    n: int
-    values: tuple  # aligned with partitions_of(n)
-
-    @classmethod
-    def from_dict(cls, n, mapping):
-        return cls(n, tuple(Fraction(mapping[mu]) for mu in partitions_of(n)))
-
-    @classmethod
-    def from_row(cls, n, row):
-        parts = partitions_of(n)
-        if len(row) != len(parts):
-            raise ValueError("expected %d class values" % len(parts))
-        return cls(n, tuple(Fraction(v) for v in row))
-
-    def at(self, mu) -> Fraction:
-        return self.values[partitions_of(self.n).index(mu)]
-
-    def as_ints(self):
-        if any(v.denominator != 1 for v in self.values):
-            raise ValueError("non-integral class function")
-        return tuple(int(v) for v in self.values)
-
-    def __add__(self, other):
-        self._check(other)
-        return ClassFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched symmetric groups")
-
-
-def irreducible_character(lam) -> ClassFunction:
-    """chi_lam, read off its row of the character table."""
-    n = sum(lam)
-    return ClassFunction.from_row(n, character_table(n)[partitions_of(n).index(lam)].tolist())
-
-
-def decompose(f: ClassFunction) -> dict:
-    """Multiplicities <f, chi_lam> = (1/n!) sum_mu |class mu| f(mu) chi_lam(mu),
-    summed in integers over the common denominator L of f's values, one
-    product with the character table; raises unless they are non-negative
-    ints."""
-    n = f.n
+def decompose(n, f) -> dict:
+    """Multiplicities <f, chi_lam> = (1/n!) sum_mu |class mu| f(mu) chi_lam(mu)
+    of an integer class function f, one value per class in partitions_of(n)
+    order: one product of the character table with the class-size-weighted
+    values, then divmod by n!; raises unless they are non-negative ints."""
     parts = partitions_of(n)
-    scaled, scale = clear_denominators(f.values)
-    weighted = np.array([[class_size(mu) * v] for mu, v in zip(parts, scaled)], dtype=object)
+    weighted = np.array(
+        [[class_size(mu) * index(v)] for mu, v in zip(parts, f, strict=True)], dtype=object
+    )
     sums = int_matmul(character_table(n), weighted)[:, 0].tolist()
     out = {}
     for lam, total in zip(parts, sums):
-        mult = Fraction(total, scale * factorial(n))
-        if mult.denominator != 1:
-            raise NotACharacterError("non-integral multiplicity %s for %s" % (mult, lam))
+        mult, rest = divmod(total, factorial(n))
+        if rest:
+            raise NotACharacterError(f"non-integral multiplicity {total}/{factorial(n)} for {lam}")
         if mult < 0:
-            raise NotACharacterError("negative multiplicity %s for %s" % (mult, lam))
+            raise NotACharacterError(f"negative multiplicity {mult} for {lam}")
         if mult:
-            out[lam] = int(mult)
+            out[lam] = mult
     return out
 
 
-def assemble_character(n, mults) -> ClassFunction:
+def assemble_character(n, mults) -> np.ndarray:
     """sum_lam mults[lam] chi_lam: the multiplicity vector, in partitions_of(n)
     order, times the character table."""
     parts = partitions_of(n)
     vec = [0] * len(parts)
     for lam, m in mults.items():
         vec[parts.index(lam)] = m
-    return ClassFunction.from_row(n, int_matmul(np.array([vec]), character_table(n))[0].tolist())
+    return int_matmul(np.array([vec]), character_table(n))[0]
 
 
 # ---------------------------------------------------------------------------

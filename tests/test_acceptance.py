@@ -181,10 +181,10 @@ def test_02_character_tables():
     for n in (4, 5, 6):
         top = homology_character_top(n)
         nxt = homology_character_next(n, top)
-        if top.as_ints() != GOLDEN_TOP[n]:
-            bad.append(f"top n={n}: {top.as_ints()}")
-        if nxt.as_ints() != GOLDEN_NEXT[n]:
-            bad.append(f"next n={n}: {nxt.as_ints()}")
+        if tuple(top.tolist()) != GOLDEN_TOP[n]:
+            bad.append(f"top n={n}: {top.tolist()}")
+        if tuple(nxt.tolist()) != GOLDEN_NEXT[n]:
+            bad.append(f"next n={n}: {nxt.tolist()}")
     dt = time.perf_counter() - t0
     ok = not bad and dt < 1800.0
     _report(2, "character rows n=4,5,6", ok, "; ".join(bad) or f"{dt:.1f}s")
@@ -194,8 +194,8 @@ def test_03_decompositions():
     bad = []
     for n in (4, 5, 6):
         top = homology_character_top(n)
-        dec_top = decompose(top)
-        dec_nxt = decompose(homology_character_next(n, top))
+        dec_top = decompose(n, top)
+        dec_nxt = decompose(n, homology_character_next(n, top))
         if dec_top != GOLDEN_MULTS_TOP[n]:
             bad.append(f"top n={n}: {dec_top}")
         if dec_nxt != GOLDEN_MULTS_NEXT[n]:
@@ -209,13 +209,13 @@ def test_04_n7_characters():
     nxt = homology_character_next(7, top)
     dt = time.perf_counter() - t0
     bad = []
-    if top.as_ints() != GOLDEN_TOP[7]:
-        bad.append(f"top: {top.as_ints()}")
-    if nxt.as_ints() != GOLDEN_NEXT[7]:
-        bad.append(f"next: {nxt.as_ints()}")
-    if decompose(top) != GOLDEN_MULTS_TOP[7]:
+    if tuple(top.tolist()) != GOLDEN_TOP[7]:
+        bad.append(f"top: {top.tolist()}")
+    if tuple(nxt.tolist()) != GOLDEN_NEXT[7]:
+        bad.append(f"next: {nxt.tolist()}")
+    if decompose(7, top) != GOLDEN_MULTS_TOP[7]:
         bad.append("top decomposition mismatch")
-    if decompose(nxt) != GOLDEN_MULTS_NEXT[7]:
+    if decompose(7, nxt) != GOLDEN_MULTS_NEXT[7]:
         bad.append("next decomposition mismatch")
     ok = not bad and dt < 60.0
     _report(4, "n=7 characters", ok, "; ".join(bad) or f"{dt:.0f}s")
@@ -224,8 +224,8 @@ def test_04_n7_characters():
 def test_05_method_agreement():
     bad = []
     for n in (4, 5):
-        oracle = kernel_character_oracle(n).as_ints()
-        proj = homology_character_top(n).as_ints()
+        oracle = kernel_character_oracle(n).tolist()
+        proj = homology_character_top(n).tolist()
         if oracle != proj:
             bad.append(f"n={n}: oracle {oracle} vs blocks {proj}")
     _report(5, "kernel-trace oracle vs block method n=4,5", not bad, "; ".join(bad))
@@ -406,13 +406,13 @@ def test_11_n8_characters():
     nxt = homology_character_next(8, top)
     dt = time.perf_counter() - t0
     bad = []
-    if top.as_ints() != GOLDEN_TOP[8]:
-        bad.append(f"top: {top.as_ints()}")
-    if nxt.as_ints() != GOLDEN_NEXT[8]:
-        bad.append(f"next: {nxt.as_ints()}")
-    if decompose(top) != GOLDEN_MULTS_TOP[8]:
+    if tuple(top.tolist()) != GOLDEN_TOP[8]:
+        bad.append(f"top: {top.tolist()}")
+    if tuple(nxt.tolist()) != GOLDEN_NEXT[8]:
+        bad.append(f"next: {nxt.tolist()}")
+    if decompose(8, top) != GOLDEN_MULTS_TOP[8]:
         bad.append("top decomposition mismatch")
-    if decompose(nxt) != GOLDEN_MULTS_NEXT[8]:
+    if decompose(8, nxt) != GOLDEN_MULTS_NEXT[8]:
         bad.append("next decomposition mismatch")
     ok = not bad and dt < 120.0
     _report(11, "n=8 characters", ok, "; ".join(bad) or f"{dt:.0f}s")

@@ -1,6 +1,7 @@
 """Smoke test of benchmarks/bench.py: its library stages still run against
 the package, so a renamed function breaks this test, not a later benchmark."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 from delta2n.chain_complex import basis_arrays
+from delta2n.equivariant_homology import chain_character
 from delta2n.symmetric_group import hook_dimension, partitions_of
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +32,22 @@ def test_bases_child():
 
 def test_specht_child():
     assert _child_result("specht", 5) == [hook_dimension(lam) for lam in partitions_of(5)]
+
+
+def test_chain_characters_child():
+    want = [chain_character(5, p).tolist() for p in (5, 6, 7)]
+    assert _child_result("chain_characters", 5) == want
+
+
+def test_top_child():
+    assert _child_result("top", 5) == [15, 3, -1, 0, 0, -1, 0]
+
+
+def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "benchmarks" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    env = bench.child_env(ROOT, tmp_path / "after")
+    assert env["PYTHONPATH"] == str(ROOT / "src")
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "after")
+    assert "PYTHONDONTWRITEBYTECODE" not in env

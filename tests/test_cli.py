@@ -24,7 +24,7 @@ from delta2n import (
 from delta2n.chain_complex import CACHE_ENV, build_basis
 from delta2n.cli import DEFAULT_SEED
 from delta2n.symfunc_check import EulerClassCheck
-from delta2n.symmetric_group import ClassFunction, NotACharacterError, partitions_of
+from delta2n.symmetric_group import NotACharacterError
 
 
 def _run(capsys, *argv):
@@ -405,6 +405,12 @@ def test_decompose_rejects_non_character(capsys):
     assert "not a character" in err
 
 
+def test_decompose_rejects_non_integer_values(capsys):
+    status, out, err = _run(capsys, "decompose", "--n", "4", "--values", "1/2,0,0,0,0")
+    assert status == 1 and out == ""
+    assert "not a character" in err
+
+
 def test_decompose_wrong_length(capsys):
     status, _, err = _run(capsys, "decompose", "--n", "3", "--values", "1,1")
     assert status == 1
@@ -577,7 +583,7 @@ def _failed_verify_payload(err):
 
 
 def _plus_trivial(f):
-    return f + ClassFunction.from_row(f.n, [1] * len(partitions_of(f.n)))
+    return f + np.ones_like(f)
 
 
 def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delta2n.symfunc_check import check_euler, z2_coefficient
-from delta2n.symmetric_group import ClassFunction, partitions_of
+from delta2n.symmetric_group import partitions_of
 
 TOP = {
     4: (3, -1, -1, 0, 1),
@@ -74,9 +75,7 @@ def test_z2_identity_coefficient_n4():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_check_euler_golden(n):
-    top = ClassFunction.from_row(n, TOP[n])
-    nxt = ClassFunction.from_row(n, NEXT[n])
-    report = check_euler(n, top, nxt)
+    report = check_euler(n, np.array(TOP[n]), np.array(NEXT[n]))
     assert len(report) == len(partitions_of(n))
     assert all(entry.ok for entry in report)
     for entry in report:
@@ -88,7 +87,5 @@ def test_check_euler_golden(n):
 def test_check_euler_detects_corruption():
     top = list(TOP[5])
     top[0] += 1
-    report = check_euler(
-        5, ClassFunction.from_row(5, tuple(top)), ClassFunction.from_row(5, NEXT[5])
-    )
+    report = check_euler(5, np.array(top), np.array(NEXT[5]))
     assert not all(entry.ok for entry in report)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from delta2n import symmetric_group
 from delta2n.linalg import InternalConsistencyError
 from delta2n.symmetric_group import (
-    ClassFunction,
     NotACharacterError,
     SpechtRep,
     assemble_character,
@@ -20,7 +18,6 @@ from delta2n.symmetric_group import (
     cycle_type,
     decompose,
     hook_dimension,
-    irreducible_character,
     mn_character,
     partitions_of,
     sjt_swaps,
@@ -339,7 +336,7 @@ def test_specht_trace_equals_mn_exhaustive():
 def test_specht_character_classfunction():
     classes = [class_representative(mu) for mu in partitions_of(5)]
     traces = [int(np.trace(m)) for m in specht_matrices((3, 2)).matrices(classes)]
-    assert ClassFunction.from_row(5, traces) == irreducible_character((3, 2))
+    assert traces == character_table(5)[partitions_of(5).index((3, 2))].tolist()
 
 
 def test_decompose_roundtrip():
@@ -349,29 +346,28 @@ def test_decompose_roundtrip():
         mults = {lam: rng.randrange(0, 4) for lam in rng.sample(parts, 3)}
         mults = {k: v for k, v in mults.items() if v}
         f = assemble_character(n, mults)
-        assert decompose(f) == mults
+        assert decompose(n, f) == mults
 
 
 def test_decompose_roundtrip_every_irreducible_of_8():
     parts = partitions_of(8)
     for lam in parts:
-        assert decompose(assemble_character(8, {lam: 1})) == {lam: 1}
+        assert decompose(8, assemble_character(8, {lam: 1})) == {lam: 1}
     every = dict.fromkeys(parts, 1)
-    assert decompose(assemble_character(8, every)) == every
+    assert decompose(8, assemble_character(8, every)) == every
 
 
 def test_decompose_rejects_non_characters():
+    # a non-integer value is the CLI's to reject: see test_cli
     n = 4
-    f = ClassFunction.from_row(n, [Fraction(1, 2)] + [0] * 4)
     with pytest.raises(NotACharacterError):
-        decompose(f)
-    g = irreducible_character((2, 2))
-    h = irreducible_character((4,))
+        decompose(n, [1] + [0] * 4)
+    g, h = (character_table(n)[partitions_of(n).index(lam)] for lam in ((2, 2), (4,)))
     diff = g - h - h
     with pytest.raises(NotACharacterError):
-        decompose(diff)
+        decompose(n, diff)
 
 
 def test_known_decomposition_example():
-    f = ClassFunction.from_row(5, (15, 3, -1, 0, 0, -1, 0))
-    assert decompose(f) == {(3, 1, 1): 1, (3, 2): 1, (4, 1): 1}
+    f = (15, 3, -1, 0, 0, -1, 0)
+    assert decompose(5, f) == {(3, 1, 1): 1, (3, 2): 1, (4, 1): 1}
