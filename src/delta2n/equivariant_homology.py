@@ -44,6 +44,7 @@ from .linalg import (
 from .symmetric_group import (
     NotACharacterError,
     WordTree,
+    _sweep,
     assemble_character,
     class_representative,
     class_size,
@@ -113,33 +114,43 @@ def chain_character(n, p) -> np.ndarray:
     return out
 
 
-def _fixed_columns(rep, signs, mats) -> np.ndarray:
-    """Integer columns spanning W = {v in S^lam : rho(h) v = eps(h) v on the
-    stabilizer of rep}, from the signs eps(h) and the matrices rho(h) of
-    rep's signed stabilizer: independent columns of P = sum_h eps(h) rho(h).
-
-    P^2 = |H| P is checked, so P / |H| is the projection onto W, and
-    dim W = rank P = tr P / |H| exactly; no kernel is lifted.
-    """
+def _fixed_columns(reps, stabilizers, mats) -> np.ndarray:
+    """Block-diagonal int64 matrix of one degree's multiplicity spaces W_o =
+    {v in S^lam : rho(h) v = eps(h) v on H_o}, from the plan's stabilizers
+    and the stack of rho of its slots.  One product, eps as an orbits x slots
+    matrix times the stacked rho(h), gives every P_o = sum_h eps(h) rho(h);
+    P_o^2 = |H_o| P_o, checked in one stacked product, makes P_o / |H_o| the
+    projection onto W_o, so tr P_o / |H_o| columns of P_o span it."""
     d = mats[0].shape[0]
-    proj = int_matmul(np.array([signs]), np.stack([m.ravel() for m in mats])).reshape(d, d)
+    used = sorted({k for stab in stabilizers for k, _ in stab})
+    weights = np.array([[eps.get(k, 0) for k in used] for eps in map(dict, stabilizers)])
+    rho = mats[used].reshape(len(used), d * d)
+    proj = int_matmul(weights.reshape(len(reps), len(used)), rho).reshape(len(reps), d, d)
+    del rho  # the largest array here: free it before the square
+    sizes = np.array([len(stab) for stab in stabilizers], dtype=np.int64)
     square = int_matmul(proj, proj)
-    # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well
-    if not np.array_equal(square, len(signs) * proj.astype(square.dtype)):
-        raise InternalConsistencyError(f"stabilizer of {rep} does not give a projection")
-    rank, rest = divmod(int(np.trace(proj)), len(signs))
-    if rest:
-        raise InternalConsistencyError(f"projection of the stabilizer of {rep} has trace not in |H| Z")
-    return proj[:, independent_columns(proj, rank)]
+    # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well;
+    # and P = 0 = |H| passes, but no stabilizer is empty
+    scaled = sizes[:, None, None] * proj.astype(square.dtype)
+    bad = np.flatnonzero((square != scaled).any(axis=(1, 2)) | (sizes == 0))
+    if bad.size:
+        raise InternalConsistencyError(f"stabilizer of {reps[bad[0]]} does not give a projection")
+    ranks, rest = np.divmod(np.trace(proj, axis1=1, axis2=2), sizes)
+    bad = np.flatnonzero(rest)
+    if bad.size:
+        raise InternalConsistencyError(
+            f"projection of the stabilizer of {reps[bad[0]]} has trace not in |H| Z"
+        )
+    col = np.cumsum([0, *ranks.tolist()])
+    out = np.zeros((d * len(reps), col[-1]), dtype=np.int64)
+    for o, (p, r) in enumerate(zip(proj, ranks.tolist())):
+        out[o * d : (o + 1) * d, col[o] : col[o + 1]] = p[:, independent_columns(p, r)]
+    return out
 
 
-# perfbench/tracer.py times the multiplicity spaces under this older name
-# (equivariant_homology.isotypic_seed_basis.s); the tracer rebinds every
-# reference to the function, so the blocks' calls of _fixed_columns are the
-# ones it times.  The tracer itself only reports a missing name as absent,
-# but test_tracer_survives_missing_and_private_targets in
-# perfbench/test_gate.py requires the absent list to be exactly the names it
-# injects, so every name the tracer traces has to exist
+# perfbench/tracer.py times the multiplicity spaces under this older name,
+# rebinding every reference to the function, and perfbench/test_gate.py
+# requires every name the tracer traces to exist
 isotypic_seed_basis = _fixed_columns
 
 
@@ -197,29 +208,14 @@ def _precompose_block(terms, mats, lower):
     orbits.  OverflowError before assembly unless sum |c_j| max|rho(tau_j)|,
     a bound on every entry, is below 2**62."""
     d = mats[0].shape[0]
-    bound = sum(abs(coef) * _max_abs(mats[k]) for upper in terms for _, coef, k in upper)
+    peak = {k: _max_abs(mats[k]) for k in {k for upper in terms for _, _, k in upper}}
+    bound = sum(abs(coef) * peak[k] for upper in terms for _, coef, k in upper)
     if bound >= _INT64_SAFE:
         raise OverflowError(f"a block entry may reach {bound}, beyond int64")
     out = np.zeros((d * len(terms), d * lower), dtype=np.int64)
     for i, upper in enumerate(terms):
         for j, coef, k in upper:
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * mats[k]
-    return out
-
-
-def _stacked_spaces(reps, stabilizers, mats):
-    """Block-diagonal int64 matrix of the multiplicity spaces of the given
-    orbits, from the plan's stabilizers and the rho of its slots."""
-    d = mats[0].shape[0]
-    spaces = [
-        _fixed_columns(rep, [eps for _, eps in stab], [mats[k] for k, _ in stab])
-        for rep, stab in zip(reps, stabilizers)
-    ]
-    out = np.zeros((d * len(reps), sum(w.shape[1] for w in spaces)), dtype=np.int64)
-    col = 0
-    for i, w in enumerate(spaces):
-        out[i * d : (i + 1) * d, col : col + w.shape[1]] = w
-        col += w.shape[1]
     return out
 
 
@@ -236,8 +232,9 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
     if reps is None:
         reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
     plan = _block_plan(reps)
-    mats = specht_matrices(lam).matrices(plan.tree)
-    spaces = [_stacked_spaces(r, s, mats) for r, s in zip(reps, plan.stabilizers)]
+    specht = specht_matrices(lam)
+    mats = _sweep(specht.generators, plan.tree, specht.dim)
+    spaces = [_fixed_columns(r, s, mats) for r, s in zip(reps, plan.stabilizers)]
     mults = tuple(w.shape[1] for w in spaces)
     full_next = _precompose_block(plan.terms[0], mats, len(reps[0]))
     full_top = _precompose_block(plan.terms[1], mats, len(reps[1]))
@@ -246,6 +243,7 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
     block_top = int_matmul(full_top, spaces[1])
     if np.any(int_matmul(full_top, block_next)):
         raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 on the {lam} block at n={n}")
+    del full_next, full_top, spaces  # the ranks read the two blocks alone
     ranks = (rank_exact(block_next), rank_exact(block_top))
     if ranks[0] != mults[0]:
         raise InternalConsistencyError(f"d_{n+1} is not onto on the {lam} block at n={n}")

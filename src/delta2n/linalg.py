@@ -267,8 +267,8 @@ def _product_dtype(a, b):
     max|a| * max|b| * (inner dimension) on every partial sum is below 2**53,
     so each product and each partial sum is an integer that float64 holds
     exactly whatever order BLAS adds in; int64 when it is below 2**62; Python
-    ints (object) otherwise."""
-    bound = max(a.shape[1], 1)
+    ints (object) otherwise.  One choice holds for every slice of a stack."""
+    bound = max(a.shape[-1], 1)
     for m in (a, b):
         bound *= max(_max_abs(m) if m.size else 0, 1)
     if bound < _FLOAT64_EXACT:
@@ -279,10 +279,10 @@ def _product_dtype(a, b):
 
 
 def int_matmul(a, b) -> np.ndarray:
-    """Exact product of integer matrices, in the narrowest of float64 (on
-    BLAS), int64 and Python ints that ``_product_dtype`` proves exact before
-    anything is multiplied.  The result is int64 unless it was taken in
-    Python ints."""
+    """Exact product of integer matrices (or stacks), in the narrowest of
+    float64 (on BLAS), int64 and Python ints that ``_product_dtype`` proves
+    exact before anything is multiplied.  The result is int64 unless it was
+    taken in Python ints."""
     a, b = np.asarray(a), np.asarray(b)
     dtype = _product_dtype(a, b)
     out = a.astype(dtype) @ b.astype(dtype)

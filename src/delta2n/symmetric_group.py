@@ -319,11 +319,11 @@ class WordTree(NamedTuple):
     """The prefix tree of the transposition words of a batch of permutations,
     held level by level.  The node of a prefix w[:k] stands for rho(t[w[k-1]]
     o ... o t[w[0]]) = G[w[k-1]] rho(parent), so each level follows from the
-    one before.  ``levels[k - 1]`` describes level k, its nodes sorted by last
-    letter: the index in level k - 1 of each node's parent, and one (letter,
-    start, stop) per run of nodes with that last letter.  ``ends[k]`` holds
-    (slot, node) for each distinct permutation whose word has length k (the
-    root, level 0, is the identity), and ``slots[i]`` is the slot of the i-th
+    one before.  ``levels[k - 1]`` describes level k as two index arrays with
+    one entry per node: its last letter, and the index in level k - 1 of its
+    parent.  ``ends[k]`` holds two index arrays: the slots of the distinct
+    permutations whose word has length k (the root, level 0, is the
+    identity), and their nodes.  ``slots[i]`` is the slot of the i-th
     permutation asked for."""
 
     levels: tuple
@@ -340,63 +340,63 @@ def word_tree(perms) -> WordTree:
     levels, ends = [], []
     for k in range(max(map(len, words), default=0) + 1):
         if k:
-            prefixes = sorted(
-                {w[:k] for w in words if len(w) >= k}, key=lambda q: (q[-1], index[q[:-1]])
-            )
-            parents = np.array([index[q[:-1]] for q in prefixes], dtype=np.intp)
-            runs, start = [], 0
-            for letter, group in itertools.groupby(q[-1] for q in prefixes):
-                stop = start + sum(1 for _ in group)
-                runs.append((letter, start, stop))
-                start = stop
-            levels.append((parents, tuple(runs)))
+            prefixes = sorted({w[:k] for w in words if len(w) >= k})
+            levels.append(np.array([(q[-1], index[q[:-1]]) for q in prefixes], dtype=np.intp).T)
             index = {q: i for i, q in enumerate(prefixes)}
-        ends.append(tuple((slot, index[w]) for slot, w in enumerate(words) if len(w) == k))
+        done = [(slot, index[w]) for slot, w in enumerate(words) if len(w) == k]
+        ends.append(np.array(done, dtype=np.intp).reshape(-1, 2).T)
     return WordTree(tuple(levels), tuple(ends), slots)
 
 
-def _sweep(generators, tree: WordTree, dim):
-    """rho of every permutation of the tree, from the generators: level by
-    level, each run of nodes with one last letter j is G_j times its parents
-    side by side, one ``int_matmul``.  Only the live level is held, and each
-    requested matrix is copied out of it, so no output keeps a level alive;
-    a permutation asked for twice gets the same array twice.  The levels are
-    int64: an entry beyond it raises OverflowError as it is stored."""
-    out = [None] * sum(map(len, tree.ends))
-    live = np.eye(dim, dtype=np.int64)[:, None, :]  # live[:, i, :] is node i
-    for k, ends in enumerate(tree.ends):
+# entries per stacked sweep product (64 KB), whole levels up to n = 6: each
+# product holds about six scratch arrays this size (whole levels: +9 MB at n = 8)
+_SWEEP_CHUNK = 1 << 13
+
+
+def _sweep(generators, tree: WordTree, dim) -> np.ndarray:
+    """rho of the tree's distinct permutations, as one (slots, dim, dim)
+    int64 stack indexed by slot: level by level, each node is the generator
+    of its last letter times its parent, one stacked ``int_matmul`` per
+    _SWEEP_CHUNK entries of the level.  Only the live level is held.  The
+    bound max|G| * max|level| * dim is taken once per product, and a product
+    it does not keep below 2**62 raises OverflowError, so no entry wraps."""
+    step = max(_SWEEP_CHUNK // dim**2, 1)
+    out = np.empty((sum(e.shape[1] for e in tree.ends), dim, dim), dtype=np.int64)
+    live = np.eye(dim, dtype=np.int64)[None]  # live[i] is node i
+    for k, (slots, nodes) in enumerate(tree.ends):
         if k:
-            parents, runs = tree.levels[k - 1]
-            nxt = np.empty((dim, parents.size, dim), dtype=np.int64)
-            for letter, start, stop in runs:
-                side_by_side = live[:, parents[start:stop], :].reshape(dim, -1)
-                product = int_matmul(generators[letter], side_by_side)
-                nxt[:, start:stop, :] = product.reshape(dim, stop - start, dim)
+            letters, parents = tree.levels[k - 1]
+            nxt = np.empty((parents.size, dim, dim), dtype=np.int64)
+            for part in (slice(i, i + step) for i in range(0, parents.size, step)):
+                gens = np.stack([generators[j] for j in letters[part]])
+                product = int_matmul(gens, live[parents[part]])
+                if product.dtype == object:
+                    raise OverflowError(f"level {k} of the sweep may leave int64")
+                nxt[part] = product
             live = nxt
-        for slot, node in ends:
-            out[slot] = live[:, node, :].copy()
-    return [out[slot] for slot in tree.slots]
+        out[slots] = live[nodes]
+    return out
 
 
 def _check_coxeter(lam, generators):
     """Raise unless s_i^2 = 1, s_i s_j = s_j s_i for j - i >= 2 and
     (s_i s_{i+1})^2 = s_{i+1} s_i: given the involutions, the last two are
     (s_i s_j)^2 = 1 and (s_i s_{i+1})^3 = 1, the Coxeter presentation of S_n,
-    so s_j -> generators[j] extends to a homomorphism.  One pair at a time."""
-    for i, s in enumerate(generators):
-        for j in range(i, len(generators)):
-            t = generators[j]
-            if j == i:
-                lhs, rhs, m = int_matmul(s, s), np.eye(s.shape[0], dtype=np.int64), 1
-            elif j == i + 1:
-                st = int_matmul(s, t)
-                lhs, rhs, m = int_matmul(st, st), int_matmul(t, s), 3
-            else:
-                lhs, rhs, m = int_matmul(s, t), int_matmul(t, s), 2
-            if not np.array_equal(lhs, rhs):
-                raise InternalConsistencyError(
-                    f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
-                )
+    so s_j -> generators[j] extends to a homomorphism.  Per generator, two
+    stacked products s_i [G_i ...] and [G_i; ...] s_i and one braid product."""
+    gens = np.asarray(generators)
+    for i, s in enumerate(gens):
+        left, right = int_matmul(s, gens[i:]), int_matmul(gens[i:], s)
+        holds = [np.array_equal(left[0], np.eye(s.shape[0], dtype=np.int64))]
+        if len(left) > 1:
+            holds.append(np.array_equal(int_matmul(left[1], left[1]), right[1]))
+        holds.extend((left[2:] == right[2:]).all(axis=(1, 2)).tolist())
+        if not all(holds):
+            j = i + holds.index(False)
+            m = 1 if j == i else 3 if j == i + 1 else 2
+            raise InternalConsistencyError(
+                f"Coxeter relation (s_{i} s_{j})^{m} = 1 fails on the Specht matrices of {lam}"
+            )
 
 
 @cache
@@ -411,8 +411,8 @@ def _check_character(lam, generators):
     n = sum(lam)
     parts = partitions_of(n)
     row = character_table(n)[parts.index(lam)].tolist()
-    for mu, chi, mat in zip(parts, row, _sweep(generators, _class_tree(n), hook_dimension(lam))):
-        trace = int(np.trace(mat))
+    traces = np.trace(_sweep(generators, _class_tree(n), hook_dimension(lam)), axis1=1, axis2=2)
+    for mu, chi, trace in zip(parts, row, traces.tolist()):
         if trace != chi:
             raise InternalConsistencyError(
                 f"Specht matrices of {lam} have trace {trace} on class {mu}, not {chi}"
@@ -423,14 +423,15 @@ class SpechtRep:
     """Young's natural representation of S_n on standard polytabloids.
 
     Matrices are integral; ``matrices(perms)`` returns rho(p) for a batch of
-    permutations with rho(p o q) = rho(p) @ rho(q), the one way to get rho.
-    Column j of rho(p) expands p . e_{t_j} in the polytabloid basis
+    permutations with rho(p o q) = rho(p) @ rho(q), copied out of the stack
+    of ``_sweep``, the one way to compute rho (the lambda blocks read that
+    stack directly).  Column j of rho(p) expands p . e_{t_j} in the polytabloid basis
     e_{t_1}, ..., e_{t_d}.  A batch is evaluated in one sweep over the prefix
-    tree of the permutations' transposition words (``WordTree``), level by
-    level, with one product per run of nodes that share a last letter, so
-    shared prefixes are multiplied once.  Nothing is memoized per
-    permutation: a caller that needs the same batch for many lambda builds
-    its WordTree once and passes it in place of the permutations.
+    tree of the permutations' transposition words (``WordTree``), with one
+    stacked product per level, so shared prefixes are multiplied once.
+    Nothing is memoized per permutation: a caller that needs the same batch
+    for many lambda builds its WordTree once and passes it in place of the
+    permutations.
 
     Construction certifies, exactly in integers, that E X = B on the
     standard-tabloid rows, that the generators satisfy the Coxeter relations
@@ -460,7 +461,8 @@ class SpechtRep:
         """rho(p) for each permutation of ``perms``, or of the batch a
         WordTree was built from, in order, as fresh int64 arrays."""
         tree = perms if isinstance(perms, WordTree) else word_tree(perms)
-        return _sweep(self.generators, tree, self.dim)
+        stack = _sweep(self.generators, tree, self.dim)
+        return [stack[slot].copy() for slot in tree.slots]
 
 
 @cache

@@ -23,6 +23,7 @@ from delta2n import (
 )
 from delta2n.chain_complex import CACHE_ENV, build_basis
 from delta2n.cli import DEFAULT_SEED
+from delta2n.linalg import InternalConsistencyError
 from delta2n.symfunc_check import EulerClassCheck
 from delta2n.symmetric_group import NotACharacterError
 
@@ -459,6 +460,34 @@ def test_swapped_multiplicities_of_equal_dimension_exit_2(capsys, monkeypatch, f
     status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
     assert "internal consistency failure: isotypic multiplicities of C_6" in err
+
+
+def _flip_last_sign(stab):
+    *rest, (h, eps) = stab
+    return (*rest, (h, -eps))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_flip_last_sign, lambda stab: stab[:-1]], ids=["flip_one_sign", "drop_one_element"]
+)
+def test_corrupted_stabilizer_fails_the_projection_check(capsys, monkeypatch, fresh_caches, mutate):
+    # flipping one eps, or dropping one element, of a signed stabilizer of
+    # order >= 3 leaves no signed subgroup (a subset of |H| - 1 elements is
+    # one only when |H| = 2), so some P_o = sum_h eps(h) rho(h) is no multiple
+    # of a projection: the multiplicity spaces stop the run
+    real = equivariant_homology.signed_stabilizer
+
+    def corrupt(rep):
+        stab = real(rep)
+        return mutate(stab) if len(stab) >= 3 else stab
+
+    monkeypatch.setattr(equivariant_homology, "signed_stabilizer", corrupt)
+    with pytest.raises(InternalConsistencyError, match="does not give a projection"):
+        equivariant_homology.isotypic_ranks(5)
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: stabilizer of" in err
+    assert "does not give a projection" in err
 
 
 def test_malformed_graph_inside_a_run_exits_2(capsys, monkeypatch, fresh_caches):

@@ -69,10 +69,12 @@ def action_matrix(sigma, p):
 
 def multiplicity_space(lam, rep):
     """W_o for the orbit of rep, as the blocks build it: ``_fixed_columns``
-    of the rho(h) and eps(h) over rep's signed stabilizer."""
+    of a degree holding rep's orbit alone, with slot i the i-th element h of
+    rep's signed stabilizer."""
     stab = signed_stabilizer(rep)
-    mats = specht_matrices(lam).matrices([h for h, _ in stab])
-    return equivariant_homology._fixed_columns(rep, [eps for _, eps in stab], mats)
+    mats = np.array(specht_matrices(lam).matrices([h for h, _ in stab]))
+    slots = tuple((i, eps) for i, (_, eps) in enumerate(stab))
+    return equivariant_homology._fixed_columns((rep,), (slots,), mats)
 
 
 def test_act_identity():
@@ -284,6 +286,14 @@ def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", (2,))
     with pytest.raises(RankCertificateError):
         multiplicity_space(lam, rep)
+
+
+def test_empty_stabilizer_gives_no_projection():
+    # P = 0 and |H| = 0 pass P^2 = |H| P, but a stabilizer holds the identity
+    rep = chain_orbits(5, 5)[0]
+    mats = np.array(specht_matrices((3, 2)).matrices([tuple(range(5))]))
+    with pytest.raises(InternalConsistencyError, match="does not give a projection"):
+        equivariant_homology._fixed_columns((rep,), ((),), mats)
 
 
 def test_block_assembly_refuses_entries_beyond_int64():

@@ -446,6 +446,35 @@ def test_int_matmul_leaves_int64_before_it_could_overflow():
 
 
 
+def test_stacked_int_matmul_equals_its_slices():
+    # float64, int64 and Python-int stacks, and a matrix broadcast over a stack
+    rng = np.random.default_rng(5)
+    for scale in (1 << 10, 1 << 29, 1 << 40):
+        a = rng.integers(-scale, scale, size=(3, 2, 4))
+        b = rng.integers(-scale, scale, size=(3, 4, 5))
+        got = int_matmul(a, b)
+        assert got.shape == (3, 2, 5)
+        for i in range(3):
+            assert got[i].tolist() == int_matmul(a[i], b[i]).tolist()
+            assert int_matmul(a[0], b)[i].tolist() == int_matmul(a[0], b[i]).tolist()
+            assert int_matmul(a, b[0])[i].tolist() == int_matmul(a[i], b[0]).tolist()
+
+
+def test_stacked_int_matmul_bounds_by_the_inner_dimension():
+    # one row against three terms of about 2**52 each: the partial sums pass
+    # 2**53 and the product is odd, so float64 would round it; a bound read
+    # from a.shape[1] (the one row) instead of the inner dimension takes it
+    big = (1 << 26) + 1
+    a = np.array([[[big, big, big, 1]]] * 2)
+    b = np.array([[[big], [big], [big], [2]]] * 2)
+    assert a.shape[1] < a.shape[-1]
+    assert _product_dtype(a, b) is np.int64
+    want = 3 * big * big + 2
+    assert want > 1 << 53 and want % 2
+    assert int_matmul(a, b).tolist() == [[[want]]] * 2
+    assert int(np.float64(want)) != want
+
+
 def test_int_matmul_takes_float64_only_below_2_53():
     # 2**53 - 1 = 441650591 * 20394401; odd entries near 2**27 have 54-bit
     # products, which float64 rounds, so only an exact path gets them right

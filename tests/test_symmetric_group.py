@@ -325,6 +325,20 @@ def test_specht_matrices_match_the_word_product(n):
     assert specht_matrices(partitions_of(n)[0]).matrices([]) == []
 
 
+def test_sweep_refuses_levels_beyond_int64():
+    # one-by-one generators g: rho(t_1 t_0) = g * g is at depth 2, and the
+    # level bound g * g * 1 reaching 2**62 raises there, even where the entry
+    # would still fit int64 (g = 2**31 + 1) and where it would wrap (2**32)
+    tree = word_tree([(1, 2, 0)])
+    assert len(tree.levels) == 2
+    for g in ((1 << 31) + 1, 1 << 32):
+        with pytest.raises(OverflowError):
+            symmetric_group._sweep(np.full((2, 1, 1), g, dtype=np.int64), tree, 1)
+    g = (1 << 31) - 1
+    (got,) = symmetric_group._sweep(np.full((2, 1, 1), g, dtype=np.int64), tree, 1)
+    assert got.dtype == np.int64 and got.tolist() == [[g * g]]
+
+
 def test_specht_trace_equals_mn_exhaustive():
     for n in range(2, 6):
         for lam in partitions_of(n):
