@@ -113,10 +113,8 @@ GROUPS = {
 
 def _trace(action):
     """Trace of the action from its gather tables (gidx, gsgn), the sum of
-    gsgn over the fixed points of gidx.  A scatter form (degree, image,
-    sign), as --before checkouts may return, ends in two arrays with the
-    same fixed points and the same signs there, so it gives the same trace."""
-    idx, sgn = action[-2:]
+    gsgn over the fixed points of gidx."""
+    idx, sgn = action
     return int(sgn[idx == range(len(idx))].sum())
 
 
@@ -151,12 +149,9 @@ def run_stage(stage, n):
     elif stage == "specht":
         result = [specht_matrices(lam).dim for lam in partitions_of(n)]
     elif stage == "chain_characters":
-        # an int64 row here; older checkouts return Fractions in a .values tuple
-        chars = [eh.chain_character(n, p) for p in degrees]
-        result = [[int(v) for v in getattr(f, "values", f)] for f in chars]
+        result = [eh.chain_character(n, p).tolist() for p in degrees]
     elif stage == "top":
-        f = eh.homology_character_top(n)
-        result = [int(v) for v in getattr(f, "values", f)]
+        result = eh.homology_character_top(n).tolist()
     elif stage == "blocks":
         result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
     else:

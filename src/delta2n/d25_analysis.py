@@ -13,13 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import _kernel_coordinates, clear_denominators, kernel_exact, rank_exact
+from .linalg import _kernel_coordinates, kernel_exact, rank_exact
 from .symmetric_group import (
     character_table,
     cycle_type,
@@ -40,11 +40,19 @@ class WrongIsotypeError(InternalConsistencyError):
     """The averaged intertwiner vanished, so the source isotype was wrong."""
 
 
+def clear_denominators(m):
+    """(L m, L) for an array m of integers and Fractions, with L the lcm of
+    the entries' denominators: L m holds Python ints, in m's shape."""
+    m = np.asarray(m, dtype=object)
+    scale = lcm(*(v.denominator for v in m.flat))
+    cleared = [v.numerator * (scale // v.denominator) for v in m.flat]
+    return np.array(cleared, dtype=object).reshape(m.shape), scale
+
+
 @cache
 def _kernel():
     """The top kernel K as (L K, L, pivots, free), L the lcm of K's denominators."""
-    _, kern, pivots, free = kernel_exact(boundary_matrix(N, TOP_DEGREE))
-    return (*clear_denominators(kern), pivots, free)
+    return kernel_exact(boundary_matrix(N, TOP_DEGREE))[1:]
 
 
 @cache
@@ -173,21 +181,20 @@ def orbit_basis(v):
 def representation_on_span(vb):
     """rho1: group element -> 6x6 exact matrix of its action on span(vb).
     rho1(pi) is the top block X of the verified kernel [X; I] of
-    [vb | -pi vb], denominators cleared, so vb X = pi vb holds on every row;
-    the kernel has that shape exactly when its pivots are the columns of vb."""
+    [L vb | -pi (L vb)], L the lcm of vb's denominators, so vb X = pi vb
+    holds on every row; the kernel has that shape exactly when its pivots
+    are the columns of vb."""
     base, _ = clear_denominators(vb)
     width = vb.shape[1]
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
-        avb = gsgn.astype(object)[:, None] * vb[gidx]
-        # avb holds the entries of vb up to sign, so both get the same scale
-        _, kern, pivots, _ = kernel_exact(np.hstack([base, -clear_denominators(avb)[0]]))
+        _, lk, scale, pivots, _ = kernel_exact(np.hstack([base, -gsgn[:, None] * base[gidx]]))
         if not np.array_equal(pivots, np.arange(width)):
             raise DegenerateVectorError(
                 f"the {width} vectors are dependent or their span is not invariant under {pi}"
             )
-        reps[pi] = kern[:width]
+        reps[pi] = lk[:width] if scale == 1 else lk[:width] * Fraction(1, scale)
     return reps
 
 

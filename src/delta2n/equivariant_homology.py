@@ -35,7 +35,6 @@ from .linalg import (
     _INT64_SAFE,
     _kernel_coordinates,
     _max_abs,
-    clear_denominators,
     independent_columns,
     int_matmul,
     kernel_exact,
@@ -303,8 +302,7 @@ def kernel_character_oracle(n) -> np.ndarray:
     kernel basis K through ``_kernel_coordinates``, in integers, and returns
     trace(X).
     """
-    _, kern, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
-    lk, scale = clear_denominators(kern)
+    _, lk, scale, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
     values = []
     for mu in partitions_of(n):
         gidx, gsgn = act(class_representative(mu), n + 2)
@@ -313,7 +311,7 @@ def kernel_character_oracle(n) -> np.ndarray:
             raise InternalConsistencyError(
                 f"kernel is not invariant under class {mu}: sign/action bug"
             )
-        tr, rest = divmod(int(np.trace(lx)), scale)
+        tr, rest = divmod(sum(np.diagonal(lx).tolist()), scale)
         if rest:
             raise InternalConsistencyError(f"non-integral kernel trace at {mu}")
         values.append(tr)

@@ -4,9 +4,10 @@ the boundaries, and one certified elimination core.
 Every exact result rests on ``kernels.rref_modp``, row reduction modulo
 word-sized primes, whose rank is a lower bound on the rank over Q.
 ``kernel_exact`` glues the kernel residues with CRT, lifts them to rationals
-and verifies the lifted kernel exactly in integers, which gives the matching
-upper bound.  ``rank_exact`` is a thin layer over it (one prime certifies full
-rank).
+cleared of their least common denominator L, and verifies that integer
+matrix L K exactly, which gives the matching upper bound; callers take L K
+and L as they come.  ``rank_exact`` is a thin layer over it (one prime
+certifies full rank).
 ``independent_columns`` needs no kernel: its caller supplies the exact rank.
 Inputs must be integer matrices: a non-integer entry raises ValueError.
 """
@@ -14,7 +15,6 @@ Inputs must be integer matrices: a non-integer entry raises ValueError.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -240,20 +240,6 @@ def _integer_array(mat) -> np.ndarray:
     return np.array([_as_int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
 
 
-def clear_denominators(m):
-    """(L m, L) for an array m of integers and Fractions, with L the lcm of
-    the entries' denominators: L m holds Python ints, in m's shape."""
-    m = np.asarray(m, dtype=object)
-    scale = lcm(*(v.denominator for v in m.flat))
-    cleared = [v.numerator * (scale // v.denominator) for v in m.flat]
-    return np.array(cleared, dtype=object).reshape(m.shape), scale
-
-
-def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """An integer array reduced mod p, as a fresh int64 array."""
-    return np.mod(a, p).astype(np.int64)
-
-
 # |entries| and partial sums below this fit int64 with room for a sign
 _INT64_SAFE = 1 << 62
 # terms of a sparse product formed and summed at a time
@@ -290,12 +276,12 @@ def int_matmul(a, b) -> np.ndarray:
 
 
 def rank_modp(mat, p: int) -> int:
-    r, _ = rref_modp(_residues(_integer_array(mat), p), p)
-    return r
+    return _reduce(_integer_array(mat), p)[2]
 
 
 def rational_reconstruction(a: int, m: int):
-    """Wang's half-gcd lift of a residue to n/d with |n|, d <= sqrt(m/2)."""
+    """Wang's half-gcd lift of a residue to n/d with |n|, d <= sqrt(m/2): the
+    pair (n, d) in lowest terms with d > 0, or None when there is none."""
     bound = isqrt(m // 2)
     r0, r1 = m, a % m
     s0, s1 = 0, 1
@@ -309,26 +295,30 @@ def rational_reconstruction(a: int, m: int):
     den = abs(s1)
     if gcd(num, den) != 1 or (num - a * den) % m:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def _reduce(a: np.ndarray, p: int):
-    """(p, the RREF of a mod p, its rank, its pivot columns)."""
-    red = _residues(a, p)
+    """(p, the RREF of a mod p, its rank, its pivot columns): the one entry
+    to the mod-p elimination."""
+    red = np.mod(a, p).astype(np.int64)
     return (p, red, *rref_modp(red, p))
 
 
 def kernel_exact(mat):
     """Certified exact right kernel of an integer matrix.
 
-    Returns (rank, kernel, pivots, free) where kernel is a cols x nullity
-    rational array (Python ints and Fractions) in reduced echelon shape:
-    kernel[free[j], i] is 1 when i == j and 0 otherwise, so rows at the free
-    columns form an identity.  The rank is exact: mod-p rank is a lower
-    bound, and the verified kernel certifies the nullity from above.  The
-    pivots are exact too: they are independent mod p, hence over Q, and the
-    verified kernel writes each free column as a combination of earlier pivot
-    columns.  ValueError for any non-integer entry.
+    Returns (rank, lk, scale, pivots, free).  The kernel K is a cols x
+    nullity rational matrix in reduced echelon shape: K[free[j], i] is 1 when
+    i == j and 0 otherwise, so rows at the free columns form an identity.  It
+    comes as the integer matrix lk = L K with scale = L, the least common
+    denominator of K's entries, so lk[free] = L I; lk is int64 when its
+    entries fit, Python ints (object) otherwise.  The rank is exact: mod-p
+    rank is a lower bound, and a @ lk == 0, checked in integers, certifies
+    the nullity from above.  The pivots are exact too: they are independent
+    mod p, hence over Q, and the verified kernel writes each free column as a
+    combination of earlier pivot columns.  ValueError for any non-integer
+    entry.
     """
     a = _integer_array(mat)
     return _lift_kernel(a, (_reduce(a, p) for p in PRIMES))
@@ -340,8 +330,10 @@ def _kernel_coordinates(lk, scale, pivots, free, y):
     integer matrix; None unless Y lies in the column space of K.  K[free] =
     I, so the free rows pin L X = y[free], and the pivot rows (L K)[pivots]
     (L X) = L y[pivots] are checked exactly, in integers."""
-    lx = y[free]
-    if not np.array_equal(int_matmul(lk[pivots], lx), scale * y[pivots]):
+    lx, rhs = y[free], y[pivots]
+    if rhs.dtype != object and scale * max(_max_abs(rhs) if rhs.size else 0, 1) >= _INT64_SAFE:
+        rhs = rhs.astype(object)
+    if not np.array_equal(int_matmul(lk[pivots], lx), rhs * scale):
         return None
     return lx
 
@@ -352,11 +344,7 @@ def _lift_kernel(a, reductions):
     lifted kernel verifies."""
     nrows, ncols = a.shape
     if ncols == 0 or nrows == 0:
-        free = np.arange(ncols)
-        kern = np.zeros((ncols, ncols), dtype=object)
-        for j in range(ncols):
-            kern[j, j] = Fraction(1)
-        return 0, kern, np.empty(0, dtype=np.int64), free
+        return 0, np.eye(ncols, dtype=np.int64), 1, np.empty(0, dtype=np.int64), np.arange(ncols)
 
     best = None  # (rank, pivots)
     residue = None
@@ -369,9 +357,9 @@ def _lift_kernel(a, reductions):
             residue, modulus = None, 1  # restart accumulation at the better prime
         if rank < best[0] or not np.array_equal(pivots, best[1]):
             continue  # unlucky prime, skip it
-        if rank == ncols:
-            return rank, np.zeros((ncols, 0), dtype=object), pivots, np.empty(0, dtype=np.int64)
         free = np.delete(np.arange(ncols), pivots)
+        if rank == ncols:
+            return rank, np.zeros((ncols, 0), dtype=np.int64), 1, pivots, free
         # kernel residues mod p from the reduced rows
         kp = np.zeros((ncols, free.size), dtype=np.int64)
         kp[free, np.arange(free.size)] = 1
@@ -386,37 +374,37 @@ def _lift_kernel(a, reductions):
             residue = residue + modulus * t
             modulus *= p
         lifted = _lift_matrix(residue, modulus)
-        if lifted is None:
-            continue
-        if _verify_kernel(a, lifted):
-            return best[0], lifted, pivots, free
+        if lifted is not None and not int_matmul(a, lifted[0]).any():
+            return best[0], *lifted, pivots, free
     raise RankCertificateError("kernel reconstruction did not converge")
 
 
 def _lift_matrix(residue, modulus):
-    """Rational lifts of a matrix of residues mod m, or None when an entry has
-    none.  A residue whose centered value c has |c| <= sqrt(m/2) lifts to c
-    itself (the lift within those bounds is unique, so Wang's algorithm
+    """(L K, L) for the rational lift K of a matrix of residues mod m, with L
+    the least common denominator of K's entries, or None when an entry has
+    no lift.  A residue whose centered value c has |c| <= sqrt(m/2) lifts to
+    c itself (the lift within those bounds is unique, so Wang's algorithm
     returns c too); those are taken in one pass, and only the rest go through
-    ``rational_reconstruction``.  Entries are Python ints or Fractions."""
+    ``rational_reconstruction``, up to the first with no lift.  Every
+    numerator is at most sqrt(m/2) in size, so L K is int64 when L sqrt(m/2)
+    is below 2**62, and Python ints otherwise."""
     half = modulus // 2
-    centered = np.where(residue > half, residue - modulus, residue)
-    out = centered.astype(object)
-    for idx in zip(*np.nonzero(np.abs(centered) > isqrt(half))):
-        v = rational_reconstruction(int(residue[idx]), modulus)
-        if v is None:
+    bound = isqrt(half)
+    lk = np.where(residue > half, residue - modulus, residue)
+    far = np.nonzero(np.abs(lk) > bound)
+    dens = np.empty(far[0].size, dtype=np.int64 if bound < _INT64_SAFE else object)
+    scale = 1
+    for k, idx in enumerate(zip(*far)):
+        lift = rational_reconstruction(int(residue[idx]), modulus)
+        if lift is None:
             return None
-        out[idx] = v
-    return out
-
-
-def _verify_kernel(a, kern) -> bool:
-    """Whether a @ kern == 0 exactly: each column of kern is scaled by the lcm
-    of its denominators, and the product is taken in integers."""
-    scaled = np.empty(kern.shape, dtype=object)
-    for j in range(kern.shape[1]):
-        scaled[:, j], _ = clear_denominators(kern[:, j])
-    return not int_matmul(a, scaled).any()
+        lk[idx], dens[k] = lift
+        scale = lcm(scale, lift[1])
+    lk = lk.astype(np.int64 if scale * bound < _INT64_SAFE else object, copy=False)
+    if scale > 1:
+        lk *= scale
+        lk[far] //= dens  # exact: each denominator divides L
+    return lk, scale
 
 
 def independent_columns(mat, rank: int) -> np.ndarray:
@@ -428,7 +416,7 @@ def independent_columns(mat, rank: int) -> np.ndarray:
     not the rank, or when every prime falls short of it."""
     a = _integer_array(mat)
     for p in PRIMES:
-        r, pivots = rref_modp(_residues(a, p), p)
+        _, _, r, pivots = _reduce(a, p)
         if r > rank:
             raise RankCertificateError(f"rank mod {p} is {r}, above the claimed rank {rank}")
         if r == rank:

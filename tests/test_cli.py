@@ -583,6 +583,15 @@ def test_projection_failure_exits_2(capsys, monkeypatch, fresh_caches):
     assert "internal consistency failure: d_6 is not onto on the" in err
 
 
+def test_a_bad_kernel_lift_exits_2(capsys, shifted_lifts, fresh_caches):
+    # the blocks of n = 5 take three kernel lifts; each shifted lift fails
+    # its check a @ (L K) == 0, so no rank is certified
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: kernel reconstruction did not converge" in err
+    assert shifted_lifts
+
+
 def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
     # blocks built without one of the two degree-7 orbits miss half of the
     # isotypic multiplicities of C_7, which the character of C_7 shows

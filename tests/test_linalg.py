@@ -1,6 +1,6 @@
 import io
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -236,16 +236,38 @@ def test_kernel_exact_pivots_random():
         cols = int(rng.integers(1, 9))
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = _random_rank(rng, rows, cols, r) if r else np.zeros((rows, cols), np.int64)
-        pivots = kernel_exact(a)[2]
+        rank, lk, scale, pivots, free = kernel_exact(a)
         assert len(pivots) == _sympy_rank(a)
         want, want_pivots = sympy.Matrix(a.tolist()).rref()
         assert tuple(pivots) == want_pivots
         # the kernel is read off the reduced rows: -R[i, f] at pivot i
-        rank, kern, _, free = kernel_exact(a)
         for i in range(rank):
             for j, f in enumerate(free):
                 v = want[i, int(f)]
-                assert kern[pivots[i], j] == -Fraction(int(v.p), int(v.q))
+                assert Fraction(int(lk[pivots[i], j]), scale) == -Fraction(int(v.p), int(v.q))
+
+
+def test_kernel_exact_returns_the_kernel_cleared_of_its_denominators():
+    # K = [[-3/2, 0], [1, 0], [0, 1]] has least common denominator 2
+    rank, lk, scale, pivots, free = kernel_exact([[2, 3, 0]])
+    assert (rank, scale, pivots.tolist(), free.tolist()) == (1, 2, [0], [1, 2])
+    assert lk.tolist() == [[-3, 0], [2, 0], [0, 2]]
+    # a kernel that lifts from one prime with L = 1 comes back as int64
+    rank, lk, scale, _, _ = kernel_exact([[1, -2, 0], [0, 0, 1]])
+    assert (rank, scale, lk.dtype) == (2, 1, np.int64)
+    assert lk.tolist() == [[2], [1], [0]]
+
+
+def test_a_bad_lift_is_never_returned(shifted_lifts):
+    # rank 1: the shifted kernel fails a @ (L K) == 0 at every prime
+    a = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
+    with pytest.raises(RankCertificateError):
+        kernel_exact(a)
+    assert len(shifted_lifts) == len(PRIMES)
+    with pytest.raises(RankCertificateError):
+        rank_exact(a)
+    # full column rank needs no lift, so nothing there is shifted
+    assert kernel_exact(np.eye(2, dtype=np.int64))[0] == 2
 
 
 def test_rank_exact_rejects_non_integer_entries():
@@ -268,11 +290,11 @@ def test_rank_exact_single_prime_path_survives_an_unlucky_prime():
     # rank 1 mod PRIMES[0]: the one-prime shortcut fails, kernel_exact's
     # verification rejects the mod-p kernel, and the next prime gives rank 2
     assert rank_exact([[PRIMES[0], 0], [0, 1]]) == 2
-    rank, kern, _, _ = kernel_exact([[PRIMES[0], 0], [0, 1]])
-    assert rank == 2 and kern.shape == (2, 0)
+    rank, lk, _, _, _ = kernel_exact([[PRIMES[0], 0], [0, 1]])
+    assert rank == 2 and lk.shape == (2, 0)
     # the right rank mod PRIMES[0] but the wrong pivot (1, not 0): a later
     # prime with the lesser pivot must replace it
-    assert list(kernel_exact([[PRIMES[0], 1, 1]])[2]) == [0]
+    assert list(kernel_exact([[PRIMES[0], 1, 1]])[3]) == [0]
 
 
 def test_independent_columns_needs_the_exact_rank():
@@ -298,7 +320,7 @@ def test_rational_reconstruction_roundtrip():
     for num, den in [(3, 7), (-22, 5), (10**12 + 7, 10**10 + 19), (0, 1)]:
         f = Fraction(num, den)
         residue = f.numerator * pow(f.denominator, -1, m) % m
-        assert rational_reconstruction(residue, m) == f
+        assert rational_reconstruction(residue, m) == (f.numerator, f.denominator)
 
 
 def test_rational_reconstruction_failure():
@@ -307,20 +329,28 @@ def test_rational_reconstruction_failure():
 
 
 def _lift_entrywise(residue, modulus):
-    """Reference for _lift_matrix: rational_reconstruction on every entry."""
+    """Reference for _lift_matrix: rational_reconstruction on every entry,
+    as an array of Fractions."""
     out = np.empty(residue.shape, dtype=object)
     for idx in np.ndindex(residue.shape):
         v = rational_reconstruction(int(residue[idx]), modulus)
         if v is None:
             return None
-        out[idx] = v
+        out[idx] = Fraction(*v)
     return out
 
 
 def _same_lift(got, want):
+    """Whether got = (L K, L) is the entrywise lift want, with L its least
+    common denominator."""
     if want is None:
         return got is None
-    return got is not None and all(Fraction(g) == w for g, w in zip(got.flat, want.flat))
+    if got is None:
+        return False
+    lk, scale = got
+    return scale == lcm(*(w.denominator for w in want.flat)) and all(
+        Fraction(int(g), scale) == w for g, w in zip(lk.flat, want.flat)
+    )
 
 
 @pytest.mark.parametrize("moduli", [(101,), (PRIMES[0],), PRIMES[:3]])
@@ -365,16 +395,16 @@ def test_lift_matrix_matches_entrywise_reconstruction(moduli):
 def test_kernel_exact_basic():
     rng = np.random.default_rng(5)
     a = _random_rank(rng, 8, 12, 5)
-    rank, kern, pivots, free = kernel_exact(a)
+    rank, lk, scale, pivots, free = kernel_exact(a)
     assert rank == _sympy_rank(a)
-    assert kern.shape == (12, 12 - rank)
+    assert lk.shape == (12, 12 - rank)
     assert sorted(list(pivots) + list(free)) == list(range(12))
-    # echelon shape: free rows form the identity
-    eye = kern[free]
+    # echelon shape: free rows form L times the identity
+    eye = lk[free]
     for i in range(len(free)):
         for j in range(len(free)):
-            assert eye[i, j] == (1 if i == j else 0)
-    prod = a.astype(object) @ kern
+            assert eye[i, j] == (scale if i == j else 0)
+    prod = a.astype(object) @ lk
     assert not prod.any()
 
 
@@ -383,29 +413,30 @@ def test_kernel_exact_large_entries_force_crt():
     u = rng.integers(-10**9, 10**9, size=(6, 4)).astype(object)
     v = rng.integers(-10**9, 10**9, size=(4, 9)).astype(object)
     a = u @ v
-    rank, kern, _, free = kernel_exact(a)
+    rank, lk, _, _, free = kernel_exact(a)
     assert rank == _sympy_rank(a)
-    assert not (a @ kern).any()
+    assert not (a @ lk).any()
 
 
 def test_kernel_exact_full_rank():
     a = np.diag([1, 2, 3]).astype(np.int64)
-    rank, kern, pivots, free = kernel_exact(a)
-    assert rank == 3 and kern.shape == (3, 0) and free.size == 0
+    rank, lk, scale, pivots, free = kernel_exact(a)
+    assert rank == 3 and lk.shape == (3, 0) and scale == 1 and free.size == 0
 
 
 def test_kernel_exact_zero_matrix():
     a = np.zeros((4, 3), dtype=np.int64)
-    rank, kern, pivots, free = kernel_exact(a)
-    assert rank == 0 and kern.shape == (3, 3)
+    rank, lk, scale, pivots, free = kernel_exact(a)
+    assert rank == 0 and lk.shape == (3, 3)
+    assert scale == 1 and np.array_equal(lk, np.eye(3, dtype=np.int64))
     assert np.array_equal(free, np.arange(3))
 
 
 def test_kernel_exact_sparse_input():
     m = _matrix(3, 4, {(0, 0): 1, (0, 3): -2, (1, 1): 1, (1, 3): 5})
-    rank, kern, _, free = kernel_exact(m)
-    assert rank == 2 and kern.shape == (4, 2)
-    assert m.to_int64().astype(object).dot(kern).tolist() == [[0, 0], [0, 0], [0, 0]]
+    rank, lk, _, _, free = kernel_exact(m)
+    assert rank == 2 and lk.shape == (4, 2)
+    assert m.to_int64().astype(object).dot(lk).tolist() == [[0, 0], [0, 0], [0, 0]]
 
 
 def test_rank_exact_small_and_large():
