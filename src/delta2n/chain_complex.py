@@ -66,21 +66,13 @@ def build_basis(n: int, p: int) -> ChainBasis:
 
 @cache
 def chain_orbits(n: int, p: int) -> tuple:
-    """One canonical representative per S_n-orbit of the degree-p basis: n+2-p
-    marked branch vertices, p-2 interior labels on three nonempty paths, and
-    no odd automorphism (which an orbit has or lacks as a whole)."""
+    """One canonical representative per S_n-orbit of the degree-p basis: one
+    per marking shape of the slot shapes (``_slot_shapes``), those with an
+    odd automorphism (which an orbit has or lacks as a whole) left out."""
     if n < 2:
         raise ValueError(f"n={n} is out of range")
-    marks, interior = n + 2 - p, p - 2
-    if marks not in (0, 1, 2):
-        return ()
-    reps = []
-    for a in range(1, interior + 1):
-        for b in range(a, (interior - a) // 2 + 1):
-            rep = orbit_representative((marks, (a, b, interior - a - b)))
-            if not has_odd_automorphism(rep):
-                reps.append(rep)
-    return tuple(reps)
+    orbits = sorted({(ma + mb, tuple(sorted(lens))) for ma, mb, lens in _slot_shapes(n, p)})
+    return tuple(rep for rep in map(orbit_representative, orbits) if not has_odd_automorphism(rep))
 
 
 @cache

@@ -17,14 +17,6 @@ paths times the flip that swaps u and v and reverses every path.  Canonical
 form is the lexicographic minimum of the encoded tuple over these symmetries.
 Every symmetry induces a permutation of edge labels whose parity is the sign
 tracked throughout.
-
-The minimum is found without building all 12 images.  For a fixed flip the
-branch labels are fixed, so the least image lists the paths in sorted order;
-a stable sort picks the first such path permutation in SYMMETRIES order (only
-empty paths can tie, since paths hold disjoint labels).  The canonical form is
-the smaller of the two sorted images, flip 0 on a tie.  Enumeration uses the
-same rule backwards: a graph with sorted paths is canonical iff it is no
-larger than its flipped-and-sorted image.
 """
 
 from __future__ import annotations
@@ -94,16 +86,6 @@ def is_full_theta(g: ThetaGraph) -> bool:
     return all(len(p) > 0 for p in g.paths)
 
 
-def _apply_symmetry(g: ThetaGraph, flip: int, perm) -> ThetaGraph:
-    if flip:
-        a, b = g.branch_b, g.branch_a
-        base = tuple(p[::-1] for p in g.paths)
-    else:
-        a, b = g.branch_a, g.branch_b
-        base = g.paths
-    return ThetaGraph(a, b, (base[perm[0]], base[perm[1]], base[perm[2]]))
-
-
 def _edge_source_map(lens, flip: int, perm) -> list[int]:
     """Reference label, in a graph with these path lengths, of the edge landing
     at each reference slot of its image.
@@ -121,10 +103,6 @@ def _edge_source_map(lens, flip: int, perm) -> list[int]:
         else:
             src.extend(off[q] + j for j in range(m + 1))
     return src
-
-
-def _lens(g: ThetaGraph) -> tuple:
-    return tuple(len(p) for p in g.paths)
 
 
 def perm_parity(arr) -> int:
@@ -145,6 +123,24 @@ def perm_parity(arr) -> int:
     return sign
 
 
+@cache
+def _parities(lens) -> tuple:
+    """Edge parity of each symmetry, in SYMMETRIES order, for a graph with
+    these path lengths."""
+    return tuple(perm_parity(_edge_source_map(lens, flip, perm)) for flip, perm in SYMMETRIES)
+
+
+def _images(g: ThetaGraph) -> list:
+    """g's 12 symmetry images, each with its edge parity, in SYMMETRIES order."""
+    unflipped = g.branch_a, g.branch_b, g.paths
+    flipped = g.branch_b, g.branch_a, tuple(p[::-1] for p in g.paths)
+    out = []
+    for (flip, perm), sign in zip(SYMMETRIES, _parities(tuple(len(p) for p in g.paths))):
+        a, b, base = flipped if flip else unflipped
+        out.append((ThetaGraph(a, b, (base[perm[0]], base[perm[1]], base[perm[2]])), sign))
+    return out
+
+
 def canonicalize(g: ThetaGraph) -> SignedIso:
     """Canonical form with the sign of the induced edge permutation.
 
@@ -153,56 +149,17 @@ def canonicalize(g: ThetaGraph) -> SignedIso:
     attains the minimum.
     """
     validate(g)
-    return _canonicalize_fast(g)
-
-
-def _sorted_images(g: ThetaGraph):
-    """The least image for each flip, as (image, flip, path permutation) pairs."""
-    out = []
-    for flip in (0, 1):
-        if flip:
-            a, b = g.branch_b, g.branch_a
-            base = tuple(p[::-1] for p in g.paths)
-        else:
-            a, b = g.branch_a, g.branch_b
-            base = g.paths
-        perm = sorted(range(3), key=base.__getitem__)
-        out.append((ThetaGraph(a, b, (base[perm[0]], base[perm[1]], base[perm[2]])), flip, perm))
-    return out
-
-
-def _canonicalize_fast(g: ThetaGraph) -> SignedIso:
-    unflipped, flipped = _sorted_images(g)
-    best, flip, perm = flipped if flipped[0] < unflipped[0] else unflipped
-    return SignedIso(best, perm_parity(_edge_source_map(_lens(g), flip, perm)))
+    return SignedIso(*min(_images(g), key=lambda image: image[0]))
 
 
 def automorphisms(g: ThetaGraph):
     """All symmetries fixing g, as ((flip, path_perm), edge_parity) pairs."""
-    out = []
-    for flip, perm in SYMMETRIES:
-        if _apply_symmetry(g, flip, perm) == g:
-            out.append(((flip, perm), perm_parity(_edge_source_map(_lens(g), flip, perm))))
-    return out
+    return [(s, sign) for s, (img, sign) in zip(SYMMETRIES, _images(g)) if img == g]
 
 
 def has_odd_automorphism(g: ThetaGraph) -> bool:
-    """Whether some symmetry fixes g with odd edge parity.
-
-    Two empty paths are two parallel u-v edges, and swapping them is odd.
-    Otherwise the paths are distinct, each flip has exactly one symmetry onto
-    its sorted image, and the nontrivial automorphism (if any) is the second
-    symmetry undone after the first: it exists iff both sorted images agree,
-    and it is odd iff their signs differ.
-    """
-    if g.paths.count(()) >= 2:
-        return True
-    if g.branch_a != g.branch_b:
-        return False  # the flip swaps the branch labels, so the images differ
-    (img0, _, perm0), (img1, _, perm1) = _sorted_images(g)
-    return img0 == img1 and perm_parity(_edge_source_map(_lens(g), 0, perm0)) != perm_parity(
-        _edge_source_map(_lens(g), 1, perm1)
-    )
+    """Whether some symmetry fixes g with odd edge parity."""
+    return any(img == g and sign < 0 for img, sign in _images(g))
 
 
 # Integer keys, for whole arrays of graphs at once.  A graph on the labels
@@ -228,7 +185,6 @@ def symmetry_table(shape, base: int):
         raise OverflowError(f"keys of {digits} base-{base} digits overflow int64")
     off = (2, 2 + lens[0], 2 + lens[0] + lens[1])
     weights = np.zeros((len(SYMMETRIES), width), dtype=np.int64)
-    parity = np.empty(len(SYMMETRIES), dtype=np.int64)
     for s, (flip, perm) in enumerate(SYMMETRIES):
         cols = [1, 0] if flip else [0, 1]
         for q in perm:
@@ -238,7 +194,7 @@ def symmetry_table(shape, base: int):
         for pos, col in enumerate(cols):
             if col is not None:
                 weights[s, col] = base ** (digits - 1 - pos)
-        parity[s] = perm_parity(_edge_source_map(lens, flip, perm))
+    parity = np.array(_parities(lens), dtype=np.int64)
     weights.setflags(write=False)  # cached and shared
     parity.setflags(write=False)
     return weights, parity
@@ -256,7 +212,7 @@ _SORTING_PERM[[_order_code(*np.argsort(perm)) for perm in _PATH_PERMS]] = range(
 
 def canonical_keys(rows: np.ndarray, shape, base: int):
     """Canonical keys of the graphs given as label rows of one slot shape
-    (every path nonempty), with each one's sign, as ``_canonicalize_fast``
+    (every path nonempty), with each one's sign, as ``canonicalize``
     gives them, and whether it has an odd automorphism: (keys, signs, odd).
 
     Within one flip the least image lists the paths by their first label
@@ -303,7 +259,7 @@ def orbit_representative(orbit) -> ThetaGraph:
     branch = (UNMARKED, UNMARKED, 0, 1)[marks : marks + 2]
     labels = iter(range(marks, marks + sum(lens)))
     paths = tuple(tuple(next(labels) for _ in range(m)) for m in lens)
-    return _canonicalize_fast(ThetaGraph(branch[0], branch[1], paths)).target
+    return canonicalize(ThetaGraph(branch[0], branch[1], paths)).target
 
 
 def _slots(g: ThetaGraph):
@@ -312,10 +268,9 @@ def _slots(g: ThetaGraph):
 
 def _moves_into(g: ThetaGraph, slots):
     """(image, edge parity) for each symmetry that puts g into these slots."""
-    for flip, perm in SYMMETRIES:
-        img = _apply_symmetry(g, flip, perm)
+    for img, sign in _images(g):
         if _slots(img) == slots:
-            yield img, perm_parity(_edge_source_map(_lens(g), flip, perm))
+            yield img, sign
 
 
 def _carry(src: ThetaGraph, dst: ThetaGraph):
@@ -475,7 +430,7 @@ def contract(g: ThetaGraph, edge_index: int):
     # The gap-closing relabeling of the surviving edges coincides with the
     # shortened graph's own reference labeling, so only canonicalization
     # contributes a sign.
-    return _canonicalize_fast(ThetaGraph(new_a, new_b, tuple(paths)))
+    return canonicalize(ThetaGraph(new_a, new_b, tuple(paths)))
 
 
 def to_line(g: ThetaGraph) -> str:

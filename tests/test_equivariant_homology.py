@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delta2n import equivariant_homology, linalg
+from delta2n import clear_caches, equivariant_homology, linalg, theta_graphs
 from delta2n.chain_complex import betti, boundary_matrix, build_basis, chain_orbits
 from delta2n.equivariant_homology import (
     act,
@@ -263,6 +263,17 @@ def test_specht_and_multiplicity_spaces_lift_no_kernel(monkeypatch):
             for lam in partitions_of(7):
                 multiplicity_space(lam, rep)
     assert calls == []
+
+
+def test_single_graph_forms_go_through_canonicalize(monkeypatch):
+    # perfbench's theta_graphs.canonicalize.calls counts this name, so the
+    # orbit representatives and boundary terms the blocks need must reach it
+    calls = []
+    real = theta_graphs.canonicalize
+    monkeypatch.setattr(theta_graphs, "canonicalize", lambda g: calls.append(g) or real(g))
+    clear_caches()
+    equivariant_homology.isotypic_ranks(5)
+    assert len(calls) > 0
 
 
 def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
