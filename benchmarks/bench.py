@@ -23,18 +23,26 @@ more; default all):
 
 A graph or homology stage runs as `bench.py --child STAGE N`: the child builds
 what the stage needs (bases, boundaries, orbit representatives, Specht
-modules), then times the stage alone and prints {"stage_s", "result"}.  A cli
-stage's result is a digest of its JSON payload without the metadata.
+modules), then times the stage alone and prints {"stage_s", "result"}, and
+the boundaries and d2 stages also the MiB the two boundaries keep in their
+coordinate arrays ("coords_mb").  A cli stage's result is a digest of its
+JSON payload without the metadata.
 
 Every child is reaped with os.wait4, so its wall time, CPU time (user +
 system) and peak RSS are its own, and is killed at --timeout seconds; a stage
 that times out on a side is recorded so and not retried there.  The driver
 pins itself, and with it every child, to one CPU, and the children run with
 one OpenMP/OpenBLAS/MKL thread and without DELTA2N_CACHE_DIR, so timings do
-not depend on how many cores are idle.  Each side's children write and read
-bytecode only in that side's own PYTHONPYCACHEPREFIX, under a temporary
-directory the driver makes, fills with two untimed imports per side and
-removes, so a stale __pycache__ in one checkout cannot make it look faster.
+not depend on how many cores are idle.  They also run with glibc's mmap
+threshold fixed at its default, 128 KiB (MALLOC_MMAP_THRESHOLD_): left
+dynamic, it rises to the size of each large block freed, so whether a later
+numpy temporary is mapped afresh or carved from a heap that keeps the pages
+depends on the order of earlier allocations, and that moved n = 8 peaks by
+0.3-0.8 MB, either way, between two checkouts holding the same memory.
+Each side's children write and read bytecode only in that side's own
+PYTHONPYCACHEPREFIX, under a temporary directory the driver makes, fills
+with two untimed imports per side and removes, so a stale __pycache__ in
+one checkout cannot make it look faster.
 `--src DIR` measures the checkout at DIR (default: the one holding this
 script).  `--before DIR` measures a
 second checkout, such as a clone of the parent commit, alternating with the
@@ -72,7 +80,9 @@ EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per
 # run once per side before timing, so the timed children read bytecode
 # rather than compile it: a stage child and the CLI with its lazy imports
 WARM_UP = ((SCRIPT, "--child", "specht", "2"), ("-c", "import delta2n.cli, delta2n.symfunc_check"))
-METRICS = ("stage_s", "wall_s", "cpu_s", "peak_rss_mb")
+METRICS = ("stage_s", "wall_s", "cpu_s", "peak_rss_mb", "coords_mb")
+# glibc's default mmap threshold, fixed: see the module docstring
+MMAP_THRESHOLD = 128 * 1024
 
 
 def _child(stage, ns):
@@ -156,7 +166,11 @@ def run_stage(stage, n):
         result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    return {"stage_s": time.perf_counter() - t0, "result": result}
+    record = {"stage_s": time.perf_counter() - t0, "result": result}
+    if stage in ("boundaries", "d2"):
+        kept = sum(boundary_matrix(n, p).coords.nbytes for p in (n + 1, n + 2))
+        record["coords_mb"] = kept / 2**20
+    return record
 
 
 def child_env(src, pycache):
@@ -165,6 +179,7 @@ def child_env(src, pycache):
     env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONDONTWRITEBYTECODE")}
     env.update(
         dict.fromkeys(THREAD_VARS, "1"),
+        MALLOC_MMAP_THRESHOLD_=str(MMAP_THRESHOLD),
         PYTHONPATH=str(Path(src).resolve() / "src"),
         PYTHONPYCACHEPREFIX=str(pycache),
     )

@@ -271,8 +271,8 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
     """Matrix of d_p : C_p -> C_{p-1}; columns follow the degree-p basis.
 
     With ``cache_dir`` the matrix is read from, or written to, a file there:
-    one int64 array in numpy's ``.npy`` format, a header column
-    (rows, cols, 0) followed by the matrix's ``coords``.  Either way it is
+    one array in numpy's ``.npy`` format, a header column (rows, cols, 0)
+    followed by the matrix's ``coords``, in their dtype.  Either way it is
     built at most once per (n, p, cache_dir) per process.
     """
     # one positional key per matrix: the cache tells f(n, p) from f(n, p, None)
@@ -281,7 +281,8 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
 
 def _read_cached(path, shape):
     """The matrix stored at path, or None when it is missing, malformed, or
-    stored with another shape (a stale or foreign file)."""
+    stored with another shape or another dtype than ``coords`` would have
+    (a stale or foreign file, such as an int64 file of earlier versions)."""
     rows, cols = shape
     try:
         with open(path, "rb") as fh:
@@ -307,7 +308,7 @@ def _write_cached(path, mat) -> None:
                       "shape": (3, mat.nnz + 1)}
             fmt.write_array_header_1_0(fh, header)
             for head, row in zip((mat.rows, mat.cols, 0), mat.coords):
-                fh.write(np.int64(head).tobytes())
+                fh.write(mat.coords.dtype.type(head).tobytes())
                 fh.write(np.ascontiguousarray(row).data)
         os.replace(tmp, path)
     except BaseException:

@@ -365,8 +365,8 @@ def run(config: RunConfig) -> str:
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 0.32 s and 42 MB for characters, betti or verify; about "
-            "0.18 s and 56 MB for complex)",
+            "VM: about 0.8 s and 42 MB for characters, betti or verify; about "
+            "0.5 s and 51 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()

@@ -143,7 +143,12 @@ def _fixed_columns(reps, stabilizers, mats) -> np.ndarray:
     col = np.cumsum([0, *ranks.tolist()])
     out = np.zeros((d * len(reps), col[-1]), dtype=np.int64)
     for o, (p, r) in enumerate(zip(proj, ranks.tolist())):
-        out[o * d : (o + 1) * d, col[o] : col[o + 1]] = p[:, independent_columns(p, r)]
+        # the trace decides r = 0 (P = 0: no column) and r = d (P = |H| I:
+        # every column) without an elimination
+        if 0 < r < d:
+            p = p[:, independent_columns(p, r)]
+        if r:
+            out[o * d : (o + 1) * d, col[o] : col[o + 1]] = p
     return out
 
 

@@ -55,14 +55,17 @@ class NotACharacterError(ValueError):
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix held as one read-only int64 array ``coords`` of
-    shape (3, nnz): the row, column and value of each nonzero entry, sorted
-    row-major, each cell at most once."""
+    """Sparse integer matrix held as one read-only array ``coords`` of shape
+    (3, nnz): the row, column and value of each nonzero entry, sorted
+    row-major, each cell at most once.  Its dtype is the narrowest of int16,
+    int32 and int64 that holds rows, cols and every |value|
+    (``_coord_dtype``), so one matrix has one form, and ``entries`` and
+    ``to_int64`` read the same values whatever the width."""
 
     def __init__(self, rows: int, cols: int):
         """The zero matrix of this shape; ``from_terms`` and ``from_coords``
         build the others."""
-        self._set(rows, cols, np.zeros((3, 0), dtype=np.int64))
+        self._set(rows, cols, np.zeros((3, 0), dtype=_coord_dtype(rows, cols)))
 
     def _set(self, rows, cols, coords):
         self.rows, self.cols = rows, cols
@@ -82,15 +85,20 @@ class SparseIntMatrix:
     @classmethod
     def from_coords(cls, rows: int, cols: int, coords) -> "SparseIntMatrix":
         """From an array already in the layout of ``coords``; ValueError for
-        anything else (another dtype, rank or shape, a cell out of range,
-        out of order or repeated, a zero value): a foreign or damaged array
-        is rejected, never repaired."""
+        anything else (a dtype other than the one ``_coord_dtype`` gives for
+        this shape and these values, another rank or shape, a cell out of
+        range, out of order or repeated, a zero value): a foreign or damaged
+        array is rejected, never repaired."""
         coords = np.asarray(coords)
-        if coords.dtype != np.int64 or coords.ndim != 2 or coords.shape[0] != 3:
-            raise ValueError(f"not an int64 array of shape (3, nnz): {coords.dtype} {coords.shape}")
+        if coords.dtype not in _COORD_DTYPES or coords.ndim != 2 or coords.shape[0] != 3:
+            raise ValueError(f"not a (3, nnz) int16/32/64 array: {coords.dtype} {coords.shape}")
         r, c, v = coords
+        want = _coord_dtype(rows, cols, _max_abs(v) if v.size else 0)
+        if coords.dtype != want:
+            raise ValueError(f"{coords.dtype} coordinates where the rule gives {want}")
         _check_range(rows, cols, r, c)
-        if np.any(r[1:] * cols + c[1:] <= r[:-1] * cols + c[:-1]):
+        # compared lexicographically: r * cols + c could wrap in a narrow dtype
+        if np.any((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))):
             raise ValueError("entries are not in strictly increasing row-major order")
         if not v.all():
             raise ValueError("a stored value is zero")
@@ -121,41 +129,49 @@ class SparseIntMatrix:
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         """The exact product, with no dense array: entry (i, j, a) of self
-        meets other's row j, a contiguous run of other's entries, and the
-        terms of each cell are summed in int64.  A cell gets at most as many
-        terms as self's row and other's column have entries, so the product
-        runs only when max|a| * max|b| times the fewer of those is below
-        2**62; OverflowError otherwise, before any product is formed.
+        meets other's row j, a contiguous run of other's entries.  A cell
+        gets at most as many terms as self's row and other's column have
+        entries, so the product runs only when max|a| * max|b| times the
+        fewer of those is below 2**62; OverflowError otherwise, before any
+        product is formed.  Each term a * b is formed in the narrowest dtype
+        that holds max|a| * max|b|, and ``_cell_sums`` sums them.
 
         Every term of cell (i, j) comes from row i of self, so the terms are
         formed and summed over whole rows of self, at most ``_PRODUCT_CHUNK``
         at a time (a row with more in one piece), and the row-major sums of
-        successive pieces concatenate into the product's ``coords``."""
+        successive pieces concatenate into the product's ``coords``, in the
+        widest dtype a piece needed."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         (ar, ac, av), (br, bc, bv) = self.coords, other.coords
         if not (av.size and bv.size):
             return SparseIntMatrix(self.rows, other.cols)
         terms = min(np.bincount(ar).max(), np.bincount(bc).max())
-        bound = _max_abs(av) * _max_abs(bv) * int(terms)
+        top = _max_abs(av) * _max_abs(bv)
+        bound = top * int(terms)
         if bound >= _INT64_SAFE:
             raise OverflowError(f"a sum of products may reach {bound}, beyond int64")
-        length = np.bincount(br, minlength=other.rows)  # entries in each row of other
-        first = np.cumsum(length) - length  # where each row of other starts
+        term_dtype = _coord_dtype(top)
+        # a piece has at most the larger of _PRODUCT_CHUNK and other's nnz
+        # terms, so its positions and offsets fit the dtype that holds those
+        index_dtype = _coord_dtype(av.size, bv.size, _PRODUCT_CHUNK)
+        # entries in each row of other
+        length = np.bincount(br, minlength=other.rows).astype(index_dtype)
+        first = np.cumsum(length, dtype=index_dtype) - length  # where each row of other starts
         row_end = np.flatnonzero(np.r_[ar[1:] != ar[:-1], True]) + 1  # past each row of self
-        through = np.cumsum(length[ac])[row_end - 1]  # terms up to the end of each row
+        through = np.cumsum(length[ac], dtype=np.int64)[row_end - 1]  # terms up to each row's end
         parts, k = [], 0
         while k < row_end.size:
             lo, done = (row_end[k - 1], through[k - 1]) if k else (0, 0)
             k = max(int(np.searchsorted(through, done + _PRODUCT_CHUNK, side="right")), k + 1)
             hi = row_end[k - 1]
             run, begin = length[ac[lo:hi]], first[ac[lo:hi]]
-            left = np.repeat(np.arange(lo, hi), run)
+            left = np.repeat(np.arange(lo, hi, dtype=index_dtype), run)
             # index into other of each term: its run's start plus its place in the run
-            right = np.repeat(begin - (np.cumsum(run) - run), run)
-            right += np.arange(right.size)
-            r, c, v = ar[left], bc[right], av[left]
-            v *= bv[right]
+            right = np.repeat(begin - (np.cumsum(run, dtype=index_dtype) - run), run)
+            right += np.arange(right.size, dtype=index_dtype)
+            r, c = ar[left], bc[right]
+            v = np.multiply(av[left], bv[right], dtype=term_dtype)
             del left, right
             parts.append(_cell_sums(self.rows, other.cols, r, c, v))
         mat = SparseIntMatrix.__new__(SparseIntMatrix)
@@ -178,37 +194,52 @@ def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     """The nonzero sums of the terms v at the cells (r, c), in the layout of
     ``SparseIntMatrix.coords``; ValueError for a cell outside the shape or an
     array whose dtype does not cast to int64 exactly (floats, objects and
-    uint64 do not), an empty array excepted.  Narrower integer terms are not
-    widened: the cells are sorted and summed in int64 in the rows of the
-    result, and each full-length temporary is freed before the next."""
+    uint64 do not), an empty array excepted.  Narrow terms are not widened:
+    each cell is keyed r * cols + c in int64, the keys are sorted and the
+    terms reordered in their own dtype, the terms of a cell are summed in
+    int32 or int64 (never int16), as max|v| times the number of terms
+    requires, and the sums are written out in the dtype ``_coord_dtype``
+    gives.  Each full-length temporary is dropped once the next is made."""
     r, c, v = (np.asarray(x) for x in (r, c, v))
     for x in (r, c, v):
         if x.size and not np.can_cast(x.dtype, np.int64):
             raise ValueError(f"not an integer array: {x.dtype}")
     _check_range(rows, cols, r, c)
-    out = np.empty((3, v.size), dtype=np.int64)
     if not v.size:
-        return out
-    cell = np.multiply(r, cols, out=out[0], dtype=np.int64)
+        return np.empty((3, 0), dtype=_coord_dtype(rows, cols))
+    cell = np.multiply(r, cols, dtype=np.int64)
     cell += c
     order = np.argsort(cell)
-    # order is a permutation, so clipping never acts; take's default mode
-    # would copy out[1] once more before writing to it
-    cell = np.take(cell, order, out=out[1], mode="clip")
-    out[2] = v[order]
+    cell = cell[order]
+    v = v[order]
     del order
     step = cell[1:] != cell[:-1]
-    if not step.all():  # some cell has several terms: sum them into its first
+    if not step.all():  # some cell has several terms: sum them
         heads = np.flatnonzero(np.r_[True, step])
         del step
-        out[2, : heads.size] = np.add.reduceat(out[2], heads)
-        out[1, : heads.size] = cell[heads]
-        out = out[:, : heads.size]
-    np.divmod(out[1], cols, out=(out[0], out[1]))
-    keep = out[2] != 0
-    if out.shape[1] < v.size or not keep.all():
-        out = out[:, keep]  # a fresh array, without the cancelled cells
+        v = np.add.reduceat(v, heads, dtype=_coord_dtype(_max_abs(v) * v.size, 1 << 15))
+        cell = cell[heads]
+        del heads
+    keep = v != 0
+    if not keep.all():
+        cell, v = cell[keep], v[keep]
+    del keep
+    out = np.empty((3, v.size), dtype=_coord_dtype(rows, cols, _max_abs(v) if v.size else 0))
+    np.divmod(cell, cols, out=(out[0], out[1]))
+    out[2] = v
     return out
+
+
+# the dtypes of SparseIntMatrix.coords, narrowest first
+_COORD_DTYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
+
+
+def _coord_dtype(*bounds) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every bound (the
+    last when none does).  For a sparse matrix the bounds are its rows, cols
+    and largest |value|: its stored dtype follows from its data alone."""
+    top = max(bounds)
+    return next((t for t in _COORD_DTYPES if top <= np.iinfo(t).max), _COORD_DTYPES[-1])
 
 
 def _max_abs(a) -> int:

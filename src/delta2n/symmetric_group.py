@@ -300,18 +300,22 @@ def _standard_coefficients(tableaux, n):
 def _substitute(e, b):
     """The integer X with E X = B, for E unit lower triangular, as it is in
     tableau order: {t_k} dominates {t_i} only when t_k comes first.  Forward
-    substitution solves each row of X from the rows before it in its
-    support.  int_matmul keeps every step exact, and a row too large for
-    int64 raises OverflowError as it is stored."""
+    substitution solves a level of rows at a time, in one product: every row
+    whose support lies in the rows solved so far.  int_matmul keeps every
+    step exact, and a row too large for int64 raises OverflowError as it is
+    stored."""
     off = e - np.eye(e.shape[0], dtype=e.dtype)
     if np.triu(off).any():
         raise InternalConsistencyError(
             "standard-tabloid coefficients are not unit lower triangular in tableau order"
         )
     x = np.zeros(b.shape, dtype=np.int64)
-    for i, row in enumerate(off):
-        s = np.flatnonzero(row)
-        x[i] = b[i] - int_matmul(row[None, s], x[s])[0]
+    solved = np.zeros(e.shape[0], dtype=bool)
+    # off is strictly lower triangular, so the first unsolved row is ready
+    while not solved.all():
+        ready = ~solved & ~off[:, ~solved].any(axis=1)
+        x[ready] = b[ready] - int_matmul(off[np.ix_(ready, solved)], x[solved])
+        solved |= ready
     return x
 
 

@@ -15,7 +15,7 @@ from delta2n.symmetric_group import hook_dimension, partitions_of
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _child_result(stage, n):
+def _child_record(stage, n):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench.py"), "--child", stage, str(n)],
@@ -23,11 +23,21 @@ def _child_result(stage, n):
     )
     record = json.loads(child.stdout.splitlines()[-1])
     assert record["stage_s"] >= 0
-    return record["result"]
+    return record
+
+
+def _child_result(stage, n):
+    return _child_record(stage, n)["result"]
 
 
 def test_bases_child():
     assert _child_result("bases", 6) == [basis_arrays(6, p).dim for p in (6, 7, 8)]
+
+
+def test_boundaries_child_reports_the_kept_coords():
+    record = _child_record("boundaries", 5)
+    assert record["result"] == [60, 180]
+    assert record["coords_mb"] == 3 * (60 + 180) * 2 / 2**20  # int16 coords
 
 
 def test_specht_child():
@@ -51,3 +61,11 @@ def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
     assert env["PYTHONPATH"] == str(ROOT / "src")
     assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "after")
     assert "PYTHONDONTWRITEBYTECODE" not in env
+
+
+def test_child_env_fixes_the_mmap_threshold(tmp_path):
+    # a dynamic threshold makes peak RSS depend on earlier allocations' order
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "benchmarks" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.child_env(ROOT, tmp_path)["MALLOC_MMAP_THRESHOLD_"] == "131072"

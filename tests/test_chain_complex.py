@@ -126,13 +126,13 @@ def test_disk_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_format(tmp_path):
-    # one int64 array of shape (3, nnz + 1): a header column (rows, cols, 0),
-    # then the rows, cols and values of the entries, row-major
+    # one array of shape (3, nnz + 1), int16 at this size: a header column
+    # (rows, cols, 0), then the rows, cols and values of the entries, row-major
     clear_caches()
     mat = cc.boundary_matrix(4, 6, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.npy")
     stored = np.load(path, allow_pickle=False)
-    assert stored.dtype == np.int64 and stored.shape == (3, mat.nnz + 1)
+    assert stored.dtype == np.int16 and stored.shape == (3, mat.nnz + 1)
     assert stored[:, 0].tolist() == [4, 6, 0]
     assert np.array_equal(stored[:, 1:], mat.coords)
     assert [((r, c), v) for r, c, v in stored[:, 1:].T.tolist()] == mat.entries()

@@ -315,6 +315,26 @@ def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
     assert CACHE_ENV not in os.environ
 
 
+def test_old_int64_cache_file_is_rebuilt(capsys, monkeypatch, tmp_path, fresh_caches):
+    # files in the int64 format of earlier versions, under the current cache
+    # names: foreign at this size, so complex rebuilds and rewrites them in int16
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    _, want, _ = _run(capsys, "complex", "--n", "5", "--format", "json")
+    paths = []
+    for p in (6, 7):
+        mat = chain_complex.boundary_matrix(5, p)
+        paths.append(chain_complex._cache_path(tmp_path, 5, p))
+        old = np.hstack([np.array([[mat.rows], [mat.cols], [0]]), mat.coords])
+        np.save(paths[-1], old.astype(np.int64))
+    clear_caches()
+    status, out, _ = _run(
+        capsys, "complex", "--n", "5", "--format", "json", "--cache", str(tmp_path)
+    )
+    assert status == 0 and _payload(out) == _payload(want)
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert all(np.load(path).dtype == np.int16 for path in paths)
+
+
 @pytest.mark.parametrize("below", [[], ["sub"]], ids=["file", "below_file"])
 def test_unusable_cache_dir_is_config_error(capsys, tmp_path, below):
     (tmp_path / "file").write_text("not a directory\n")

@@ -277,17 +277,13 @@ def test_single_graph_forms_go_through_canonicalize(monkeypatch):
 
 
 def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
-    # eps is trivial on this order-2 stabilizer, so on the trivial module
-    # P = (2): rank 1 over Q but 0 mod 2, and the prime 2 must be passed over
-    n, lam = 5, (5,)
-    rep = next(
-        r
-        for p in (n, n + 1, n + 2)
-        for r in chain_orbits(n, p)
-        if len(signed_stabilizer(r)) == 2 and all(eps == 1 for _, eps in signed_stabilizer(r))
-    )
+    # the degree-6 orbit of n = 4 with |H| = 4 on S^(3,1): P has rank 1 of
+    # d = 3 over Q but 0 mod 2, so only an elimination finds its column, and
+    # the prime 2 must be passed over
+    n, lam = 4, (3, 1)
+    rep = next(r for r in chain_orbits(n, n + 2) if len(signed_stabilizer(r)) == 4)
     want = multiplicity_space(lam, rep)
-    assert want.shape == (1, 1)
+    assert want.shape == (3, 1)
     tried = []
     real = linalg.rref_modp
     monkeypatch.setattr(linalg, "rref_modp", lambda a, p: tried.append(p) or real(a, p))
@@ -297,6 +293,30 @@ def test_multiplicity_space_moves_past_a_rank_deficient_prime(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", (2,))
     with pytest.raises(RankCertificateError):
         multiplicity_space(lam, rep)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_multiplicity_spaces_the_trace_decides_run_no_elimination(n, monkeypatch):
+    # tr P / |H| = 0 gives P = 0 and no column, and tr P / |H| = d gives
+    # P = |H| I and every column of P, with no rref_modp; both occur here
+    tried = []
+    real = linalg.rref_modp
+    monkeypatch.setattr(linalg, "rref_modp", lambda a, p: tried.append(p) or real(a, p))
+    seen = set()
+    for lam in partitions_of(n):
+        d = hook_dimension(lam)
+        for p in (n, n + 1, n + 2):
+            for rep in chain_orbits(n, p):
+                stab = signed_stabilizer(rep)
+                mats = np.array(specht_matrices(lam).matrices([h for h, _ in stab]))
+                proj = sum(eps * m for (_, eps), m in zip(stab, mats))
+                r = int(np.trace(proj)) // len(stab)
+                if r not in (0, d):
+                    continue
+                seen.add(r == d)
+                space = multiplicity_space(lam, rep)
+                assert np.array_equal(space, proj if r else np.zeros((d, 0), dtype=np.int64))
+    assert seen == {False, True} and tried == []
 
 
 def test_empty_stabilizer_gives_no_projection():

@@ -58,7 +58,7 @@ def test_sparse_roundtrip():
 
 def test_sparse_coords_layout():
     m = _matrix(2, 2, {(1, 1): -2, (0, 0): 1})
-    assert m.coords.dtype == np.int64 and m.coords.shape == (3, 2)
+    assert m.coords.dtype == np.int16 and m.coords.shape == (3, 2)
     assert m.coords.tolist() == [[0, 1], [0, 1], [1, -2]]  # rows, cols, values
     assert m.entries() == [((0, 0), 1), ((1, 1), -2)]
     with pytest.raises(ValueError):
@@ -98,6 +98,69 @@ def test_sparse_from_terms_sums_repeated_cells():
 def test_sparse_from_coords_rejects_foreign_arrays(coords):
     with pytest.raises(ValueError):
         SparseIntMatrix.from_coords(2, 2, coords)
+
+
+@pytest.mark.parametrize(
+    "top,dtype",
+    [(32767, np.int16), (32768, np.int32), ((1 << 31) - 1, np.int32), (1 << 31, np.int64)],
+)
+def test_sparse_dtype_is_the_narrowest_that_holds_dims_and_values(top, dtype):
+    # the bound as a dimension, as a value and as a negative value; the same
+    # data in any other width is foreign
+    for rows, cols, value in ((top, 1, 1), (1, top, 1), (1, 1, top), (1, 1, -top)):
+        m = SparseIntMatrix.from_terms(rows, cols, [rows - 1], [cols - 1], [value])
+        assert m.coords.dtype == dtype
+        assert m.entries() == [((rows - 1, cols - 1), value)]
+        assert SparseIntMatrix.from_coords(rows, cols, m.coords) == m
+        for other in {np.int16, np.int32, np.int64} - {dtype}:
+            if np.array_equal(m.coords.astype(other), m.coords):
+                with pytest.raises(ValueError, match="the rule gives"):
+                    SparseIntMatrix.from_coords(rows, cols, m.coords.astype(other))
+        zero = dtype if max(rows, cols) == top else np.int16
+        assert SparseIntMatrix(rows, cols).coords.dtype == zero
+
+
+def test_sparse_sums_leaving_int16_are_not_wrapped():
+    # int16 terms whose sums leave int16, and cancel to 0 in one cell
+    big = np.array([20000, 20000, 30000, -30000], dtype=np.int16)
+    m = SparseIntMatrix.from_terms(2, 2, [0, 0, 1, 1], [0, 0, 1, 1], big)
+    assert m.entries() == [((0, 0), 40000)] and m.coords.dtype == np.int32
+
+
+def test_sparse_keys_and_order_beyond_2_31_cells():
+    # 50000 x 50000 has 2.5e9 cells: the key r * cols + c of the last ones
+    # wraps in int32, and so would row-major order compared by key
+    n = 50000
+    r, c = [n - 1, 0, 1, 0, n - 1], [n - 1, n - 1, 0, 5, 0]
+    m = SparseIntMatrix.from_terms(n, n, r, c, [1, 2, 3, 4, 5])
+    assert m.coords.dtype == np.int32
+    cells = [(0, 5), (0, n - 1), (1, 0), (n - 1, 0), (n - 1, n - 1)]
+    assert m.entries() == list(zip(cells, [4, 2, 3, 5, 1]))
+    assert SparseIntMatrix.from_coords(n, n, m.coords) == m
+    swapped = m.coords[:, [0, 1, 3, 2, 4]]
+    with pytest.raises(ValueError, match="row-major"):
+        SparseIntMatrix.from_coords(n, n, swapped)
+    prod = m.matmul(m)  # keys of the product's cells beyond 2**31 as well
+    dense = {}
+    for (i, j), a in m.entries():
+        for (k, l), b in m.entries():
+            if j == k:
+                dense[i, l] = dense.get((i, l), 0) + a * b
+    assert prod.entries() == sorted((cell, v) for cell, v in dense.items() if v)
+
+
+def test_sparse_matmul_products_leaving_int16():
+    # int16 coords whose pairwise products (up to 200 * 200) and sums leave
+    # int16, checked against the dense product
+    rng = np.random.default_rng(7)
+    a = rng.integers(-200, 201, size=(200, 200)) * (rng.random((200, 200)) < 0.5)
+    b = rng.integers(-200, 201, size=(200, 200)) * (rng.random((200, 200)) < 0.5)
+    a[0, 0] = b[0, 0] = 200
+    sa, sb = _sparse(a), _sparse(b)
+    assert sa.coords.dtype == sb.coords.dtype == np.int16
+    prod = sa.matmul(sb)
+    assert prod.coords.dtype == np.int32
+    assert np.array_equal(prod.to_int64(), a @ b)
 
 
 def _dense_product(a, b):
