@@ -12,7 +12,11 @@ more; default all):
               chain_characters  chain_character, three degrees      (n = 5, 6, 7)
               top          homology_character_top(n)                (n = 5..8)
               blocks       isotypic_block_ranks(BLOCK_LAMBDA, 9), the lambda
-                           of n = 9 with the largest block          (n = 9)
+                           of n = 9 with the largest block, its own
+                           and its conjugate's Specht modules built
+                           untimed                                  (n = 9)
+              blocks_all   isotypic_ranks(9), all 30 lambda with their
+                           Specht modules                           (n = 9)
     cli       python_pass  `python -c pass`: interpreter start and exit
               import_cli   `python -c "import delta2n.cli"`
               characters, verify   `delta2n.cli ... --n N --format json`
@@ -108,6 +112,7 @@ GROUPS = {
         **_child("chain_characters", (5, 6, 7)),
         **_child("top", (5, 6, 7, 8)),
         **_child("blocks", (9,)),
+        **_child("blocks_all", (9,)),
     },
     "cli": {
         "python_pass": ("-c", "pass"),
@@ -132,7 +137,12 @@ def run_stage(stage, n):
     """Child side: build what the stage needs, then time the stage alone."""
     from delta2n import equivariant_homology as eh
     from delta2n.chain_complex import basis_arrays, boundary_matrix, chain_orbits
-    from delta2n.symmetric_group import class_representative, partitions_of, specht_matrices
+    from delta2n.symmetric_group import (
+        class_representative,
+        conjugate_partition,
+        partitions_of,
+        specht_matrices,
+    )
 
     degrees = (n, n + 1, n + 2)
     if stage in ("boundaries", "d2", "act"):
@@ -140,10 +150,16 @@ def run_stage(stage, n):
             basis_arrays(n, p)
     if stage == "d2":
         d_next, d_top = (boundary_matrix(n, p) for p in (n + 1, n + 2))
-    if stage in ("chain_characters", "top", "blocks"):
+    if stage in ("chain_characters", "top", "blocks", "blocks_all"):
         for p in degrees:
             chain_orbits(n, p)
-        for lam in (BLOCK_LAMBDA,) if stage == "blocks" else partitions_of(n):
+    if stage == "blocks":
+        # the block reads the module of one member of its conjugate pair:
+        # build both, so that neither side times a construction
+        for lam in (BLOCK_LAMBDA, conjugate_partition(BLOCK_LAMBDA)):
+            specht_matrices(lam)
+    elif stage in ("chain_characters", "top"):
+        for lam in partitions_of(n):
             specht_matrices(lam)
     t0 = time.perf_counter()
     if stage == "bases":
@@ -164,6 +180,8 @@ def run_stage(stage, n):
         result = eh.homology_character_top(n).tolist()
     elif stage == "blocks":
         result = [list(r) for r in eh.isotypic_block_ranks(BLOCK_LAMBDA, n)]
+    elif stage == "blocks_all":
+        result = [[list(x) for x in r] for r in eh.isotypic_ranks(n).values()]
     else:
         raise ValueError(f"unknown stage {stage!r}")
     record = {"stage_s": time.perf_counter() - t0, "result": result}

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -193,6 +192,8 @@ def _cmd_characters(config, stages):
 
 
 def _cmd_decompose(config, stages):
+    from fractions import Fraction  # only --values is parsed as rationals
+
     from .symmetric_group import decompose, partitions_of
 
     n = config.n
@@ -365,8 +366,8 @@ def run(config: RunConfig) -> str:
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
             "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 0.8 s and 42 MB for characters, betti or verify; about "
-            "0.5 s and 51 MB for complex)",
+            "VM: about 0.9 s and 41 MB for characters, betti or verify; about "
+            "0.5 s and 50 MB for complex)",
             file=sys.stderr,
         )
     stages = _Stages()

@@ -355,6 +355,7 @@ def test_clear_caches_empties_every_memo():
         cc.chain_dim,
         equivariant_homology.chain_character,
         equivariant_homology._block_plan,
+        equivariant_homology._twisted_plan,
         equivariant_homology.isotypic_ranks,
         d25_analysis._kernel,
         d25_analysis._act_tables,

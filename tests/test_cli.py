@@ -241,15 +241,17 @@ def test_console_script_and_main_block_call_one_entry_function():
 
 
 def test_complex_and_enumerate_load_only_the_graph_layer(tmp_path):
-    # neither command runs the homology layer, and naming a cache file needs
-    # no hashlib, whose _hashlib maps OpenSSL's libcrypto
+    # neither command runs the homology layer, naming a cache file needs no
+    # hashlib, whose _hashlib maps OpenSSL's libcrypto, and only decompose
+    # parses rationals, so fractions and the decimal it imports stay unloaded
     script = f"""
 import contextlib, io, sys
 from delta2n import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["complex", "--n", "5", "--cache", {str(tmp_path)!r}]) == 0
     assert cli.main(["enumerate", "--n", "4"]) == 0
-print(*sorted(m for m in sys.modules if m.startswith(("delta2n", "_hashlib"))))
+prefixes = ("delta2n", "_hashlib", "fractions", "decimal", "_decimal")
+print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
@@ -465,21 +467,39 @@ def test_swapped_multiplicities_of_equal_dimension_exit_2(capsys, monkeypatch, f
     # (4,1) and (2,1,1,1) both have dimension 4, so swapping their
     # multiplicities in C_6 (3 and 1) keeps sum_lam d_lam m_lam = dim C_6;
     # the character of C_6 on the other classes tells them apart
-    real = equivariant_homology.isotypic_block_ranks
+    real = equivariant_homology._pair_ranks
     swap = {(4, 1): (2, 1, 1, 1), (2, 1, 1, 1): (4, 1)}
 
-    def swapped(lam, n, reps=None):
-        ranks = real(lam, n, reps)
-        if lam not in swap:
-            return ranks
-        mults = list(ranks.mults)
-        mults[1] = real(swap[lam], n, reps).mults[1]
-        return ranks._replace(mults=tuple(mults))
+    def swapped(members, n, reps=None):
+        out = real(members, n, reps)
+        for lam in set(swap) & set(out):
+            mults = list(out[lam].mults)
+            mults[1] = real((swap[lam],), n, reps)[swap[lam]].mults[1]
+            out[lam] = out[lam]._replace(mults=tuple(mults))
+        return out
 
-    monkeypatch.setattr(equivariant_homology, "isotypic_block_ranks", swapped)
+    monkeypatch.setattr(equivariant_homology, "_pair_ranks", swapped)
     status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
     assert "internal consistency failure: isotypic multiplicities of C_6" in err
+
+
+def test_flipped_twist_sign_exits_2(capsys, monkeypatch, fresh_caches):
+    # one slot's sign flipped on its way into the twisted plan: the check
+    # against the slot permutation's cycle type stops the first twist, of
+    # (3,3) to (2,2,2)
+    real = equivariant_homology._slot_signs
+
+    def flipped(tree):
+        signs = real(tree)
+        signs[-1] = -signs[-1]
+        return signs
+
+    monkeypatch.setattr(equivariant_homology, "_slot_signs", flipped)
+    status, out, err = _run(capsys, "characters", "--n", "6")
+    assert status == 2 and out == ""
+    assert err.startswith("internal consistency failure: sign twist of (3, 3) to (2, 2, 2): ")
+    assert "not its cycle-type sign" in err
 
 
 def _flip_last_sign(stab):
@@ -615,13 +635,13 @@ def test_a_bad_kernel_lift_exits_2(capsys, shifted_lifts, fresh_caches):
 def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
     # blocks built without one of the two degree-7 orbits miss half of the
     # isotypic multiplicities of C_7, which the character of C_7 shows
-    real = equivariant_homology.isotypic_block_ranks
+    real = equivariant_homology._pair_ranks
 
-    def ranks(lam, n, reps=None):
+    def ranks(members, n, reps=None):
         reps = tuple(chain_complex.chain_orbits(n, p) for p in (n, n + 1, n + 2))
-        return real(lam, n, reps[:2] + (reps[2][:1],))
+        return real(members, n, reps[:2] + (reps[2][:1],))
 
-    monkeypatch.setattr(equivariant_homology, "isotypic_block_ranks", ranks)
+    monkeypatch.setattr(equivariant_homology, "_pair_ranks", ranks)
     status, out, err = _run(capsys, "characters", "--n", "5")
     assert status == 2 and out == ""
     assert "isotypic multiplicities of C_7 do not give its character at n=5" in err

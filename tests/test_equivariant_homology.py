@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delta2n import clear_caches, equivariant_homology, linalg, theta_graphs
+from delta2n import clear_caches, equivariant_homology, linalg, symmetric_group, theta_graphs
 from delta2n.chain_complex import betti, boundary_matrix, build_basis, chain_orbits
 from delta2n.equivariant_homology import (
     act,
@@ -17,6 +17,7 @@ from delta2n.equivariant_homology import (
 from delta2n.linalg import InternalConsistencyError, RankCertificateError, rank_exact
 from delta2n.symmetric_group import (
     class_representative,
+    cycle_type,
     decompose,
     hook_dimension,
     partitions_of,
@@ -367,6 +368,71 @@ def test_block_ranks_independent_of_representatives():
             )
             assert moved != tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
             assert isotypic_block_ranks(lam, n, moved) == isotypic_block_ranks(lam, n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_twist_signs_are_the_slot_parities(n):
+    # each slot's sign, from its word length, is the sign of its permutation
+    # by cycle type, and the twisted plan scales every stabilizer weight and
+    # boundary coefficient of that slot by it
+    reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
+    plan = equivariant_homology._block_plan(reps)
+    twisted = equivariant_homology._twisted_plan(reps)
+    assert plan.tree.slots == tuple(range(len(plan.perms)))
+    sgn = [(-1) ** (n - len(cycle_type(perm))) for perm in plan.perms]
+    assert equivariant_homology._slot_signs(plan.tree) == sgn
+    assert twisted.tree is plan.tree
+    for degree, twisted_degree in zip(plan.stabilizers, twisted.stabilizers):
+        for stab, twisted_stab in zip(degree, twisted_degree, strict=True):
+            assert twisted_stab == tuple((k, eps * sgn[k]) for k, eps in stab)
+    for degree, twisted_degree in zip(plan.terms, twisted.terms):
+        for upper, twisted_upper in zip(degree, twisted_degree, strict=True):
+            assert twisted_upper == tuple((j, coef * sgn[k], k) for j, coef, k in upper)
+
+
+def test_isotypic_ranks_build_one_specht_module_and_sweep_per_conjugate_pair(monkeypatch):
+    # the 11 partitions of 6 form 6 conjugate pairs; the later member of each
+    # is built, and the plan is swept once for it
+    built, swept = [], []
+    rep, sweep = symmetric_group.SpechtRep, equivariant_homology._sweep
+    monkeypatch.setattr(symmetric_group, "SpechtRep", lambda lam: built.append(lam) or rep(lam))
+    monkeypatch.setattr(equivariant_homology, "_sweep", lambda *a: swept.append(1) or sweep(*a))
+    clear_caches()
+    equivariant_homology.isotypic_ranks(6)
+    assert built == [(3, 2, 1), (3, 3), (4, 1, 1), (4, 2), (5, 1), (6,)]
+    assert len(swept) == 6
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_paired_ranks_match_each_lambda_built_alone(n, monkeypatch):
+    # a conjugate pair shares one sweep, and a single lambda twists the
+    # module of its conjugate when that comes later; with no conjugates,
+    # every lambda reads Young's natural representation of itself
+    paired = equivariant_homology.isotypic_ranks(n)
+    assert list(paired) == list(partitions_of(n))
+    single = {lam: isotypic_block_ranks(lam, n) for lam in partitions_of(n)}
+    monkeypatch.setattr(equivariant_homology, "conjugate_partition", lambda lam: lam)
+    alone = {lam: isotypic_block_ranks(lam, n) for lam in partitions_of(n)}
+    assert paired == single == alone
+
+
+def test_corrupted_conjugate_row_fails_the_twist_check(monkeypatch):
+    # (2,1,1,1) reads the Specht module of (4,1) through the sign twist, so a
+    # wrong value in its row of the character table stops it; (4,1) itself
+    # does not read that row
+    real = equivariant_homology.character_table
+
+    def corrupt(n):
+        table = real(n).copy()
+        table[partitions_of(n).index((2, 1, 1, 1)), -1] += 1
+        return table
+
+    want = isotypic_block_ranks((4, 1), 5)
+    monkeypatch.setattr(equivariant_homology, "character_table", corrupt)
+    named = r"twist of \(4, 1\) does not give \(2, 1, 1, 1\)"
+    with pytest.raises(InternalConsistencyError, match=named):
+        isotypic_block_ranks((2, 1, 1, 1), 5)
+    assert isotypic_block_ranks((4, 1), 5) == want
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
