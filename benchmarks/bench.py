@@ -19,6 +19,9 @@ more; default all):
                            Specht modules                           (n = 9)
     cli       python_pass  `python -c pass`: interpreter start and exit
               import_cli   `python -c "import delta2n.cli"`
+              import_cli_src, characters_src   the same import, and
+                           characters at n = 6, compiling the package
+                           from source (see below)
               characters, verify   `delta2n.cli ... --n N --format json`
                                                                     (n = 5..8)
               complex      the same with no cache; complex_cache on a new
@@ -46,7 +49,12 @@ depends on the order of earlier allocations, and that moved n = 8 peaks by
 Each side's children write and read bytecode only in that side's own
 PYTHONPYCACHEPREFIX, under a temporary directory the driver makes, fills
 with two untimed imports per side and removes, so a stale __pycache__ in
-one checkout cannot make it look faster.
+one checkout cannot make it look faster.  The *_src stages measure the
+other condition, the one perfbench children run under where
+PYTHONDONTWRITEBYTECODE is set: their children read a copy of the side's
+src/ without any __pycache__, with PYTHONDONTWRITEBYTECODE=1 and no
+PYTHONPYCACHEPREFIX, so every delta2n module they import is compiled from
+source on every run, while the standard library's own bytecode is read.
 `--src DIR` measures the checkout at DIR (default: the one holding this
 script).  `--before DIR` measures a
 second checkout, such as a clone of the parent commit, alternating with the
@@ -68,6 +76,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -117,13 +126,19 @@ GROUPS = {
     "cli": {
         "python_pass": ("-c", "pass"),
         "import_cli": ("-c", "import delta2n.cli"),
+        "import_cli_src": ("-c", "import delta2n.cli"),
         **_cli("characters", "characters", (5, 6, 7, 8)),
+        **_cli("characters_src", "characters", (6,)),
         **_cli("verify", "verify", (5, 6, 7, 8)),
         **_cli("complex", "complex", (7, 8)),
         **_cli("complex_cache", "complex", (7, 8), "--cache", EMPTY_CACHE),
         **_cli("complex_warm", "complex", (7, 8), "--cache", WARM_CACHE),
     },
 }
+
+
+# stages whose children compile the package from source (source_env)
+FROM_SOURCE = ("import_cli_src", "characters_src_n6")
 
 
 def _trace(action):
@@ -136,7 +151,7 @@ def _trace(action):
 def run_stage(stage, n):
     """Child side: build what the stage needs, then time the stage alone."""
     from delta2n import equivariant_homology as eh
-    from delta2n.chain_complex import basis_arrays, boundary_matrix, chain_orbits
+    from delta2n.chain_complex import basis_arrays, boundary_matrix
     from delta2n.symmetric_group import (
         class_representative,
         conjugate_partition,
@@ -152,7 +167,7 @@ def run_stage(stage, n):
         d_next, d_top = (boundary_matrix(n, p) for p in (n + 1, n + 2))
     if stage in ("chain_characters", "top", "blocks", "blocks_all"):
         for p in degrees:
-            chain_orbits(n, p)
+            eh.chain_orbits(n, p)  # the name the blocks read, wherever it is defined
     if stage == "blocks":
         # the block reads the module of one member of its conjugate pair:
         # build both, so that neither side times a construction
@@ -201,6 +216,17 @@ def child_env(src, pycache):
         PYTHONPATH=str(Path(src).resolve() / "src"),
         PYTHONPYCACHEPREFIX=str(pycache),
     )
+    return env
+
+
+def source_env(src, copy, env):
+    """The environment env of a child measuring the checkout src, changed so
+    that the child compiles every delta2n module from source: src/ is copied
+    to copy without any __pycache__, and the child runs on that copy with
+    PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX."""
+    shutil.copytree(Path(src) / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(Path(copy).resolve()))
     return env
 
 
@@ -317,6 +343,10 @@ def main():
     for env in envs.values():
         for cmd in WARM_UP:
             subprocess.run([sys.executable, *cmd], env=env, check=True, stdout=subprocess.DEVNULL)
+    source_envs = {
+        side: source_env(src, Path(pycache.name) / f"{side}-src", envs[side])
+        for side, src in sides.items()
+    }
     runs = {side: {key: [] for key in stages} for side in sides}
     timed_out = {side: set() for side in sides}
     results = {}
@@ -325,7 +355,8 @@ def main():
             for side in list(sides)[:: -1 if rep % 2 else 1]:
                 if key in timed_out[side]:
                     continue
-                rec = measure(cmd, envs[side], args.timeout)
+                env = source_envs[side] if key in FROM_SOURCE else envs[side]
+                rec = measure(cmd, env, args.timeout)
                 if rec is None:
                     timed_out[side].add(key)
                     continue

@@ -1,11 +1,14 @@
-"""The three-term relative cellular chain complex on full-theta bases.
+"""The three-term relative cellular chain complex as labeled integer arrays.
 
 Chain degree p is spanned by the canonical full-theta graphs with p+1 edges
 that have no odd automorphism; the boundary sends a graph to the alternating
 sum of its edge contractions, with degenerate and non-full targets dropping
-out.  Supplies the global boundary matrices (for ``complex`` and the exact
-oracles), the S_n-orbits of each basis, and Betti numbers from the exact
-per-irreducible boundary ranks of ``equivariant_homology``.
+out.  Defines the integer key of a label row, and from it the labeled bases
+and the global boundary matrices (for ``complex``, ``enumerate``, the exact
+oracles and ``analyze-d25``) with their disk cache.  Also supplies Betti
+numbers, from the exact per-irreducible boundary ranks of
+``equivariant_homology``.  The same complex by S_n-orbits, which the block
+method reads, is in ``theta_graphs``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import tempfile
 import zlib
 from functools import cache
 from itertools import chain, permutations
-from math import factorial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,19 +26,90 @@ import numpy as np
 from . import linalg, theta_graphs
 from .linalg import InternalConsistencyError, SparseIntMatrix
 from .theta_graphs import (
+    _PATH_PERMS,
+    SYMMETRIES,
     UNMARKED,
-    Degenerate,
     ThetaGraph,
-    canonical_keys,
-    contract,
-    has_odd_automorphism,
-    orbit_representative,
-    signed_stabilizer,
-    symmetry_table,
+    _parities,
+    _slot_shapes,
+    chain_dim,
 )
 
-# default of the CLI's --cache; the library does not read it
-CACHE_ENV = "DELTA2N_CACHE_DIR"
+
+# Integer keys, for whole arrays of graphs at once.  A graph on the labels
+# 0..n-1 is held as a label row [a, b, interior labels path-major] (-1 when a
+# branch is unmarked) under its slot shape (theta_graphs._slots), and encoded
+# as one base-(n+1) integer with the digits a+1, b+1, then each path's labels
+# +1 followed by a 0 terminator.  The graphs of one degree p have p+3 digits,
+# so their keys compare as the graphs do.
+
+
+@cache
+def symmetry_table(shape, base: int):
+    """Digit weights and edge parities of the 12 symmetry images of a graph
+    with these slots, in SYMMETRIES order: the key of image s of a label row
+    x is (x + 1) @ weights[s], and its sign is parity[s].  Every path must be
+    nonempty (ValueError otherwise)."""
+    _, _, lens = shape
+    if not all(lens):
+        raise ValueError(f"slot shape {shape} has an empty path")
+    width = 2 + sum(lens)
+    digits = width + 3
+    if base ** digits > 2**63:
+        raise OverflowError(f"keys of {digits} base-{base} digits overflow int64")
+    off = (2, 2 + lens[0], 2 + lens[0] + lens[1])
+    weights = np.zeros((len(SYMMETRIES), width), dtype=np.int64)
+    for s, (flip, perm) in enumerate(SYMMETRIES):
+        cols = [1, 0] if flip else [0, 1]
+        for q in perm:
+            path = list(range(off[q], off[q] + lens[q]))
+            cols.extend(path[::-1] if flip else path)
+            cols.append(None)  # the terminator digit is 0
+        for pos, col in enumerate(cols):
+            if col is not None:
+                weights[s, col] = base ** (digits - 1 - pos)
+    parity = np.array(_parities(lens), dtype=np.int64)
+    weights.setflags(write=False)  # cached and shared
+    parity.setflags(write=False)
+    return weights, parity
+
+
+def _order_code(x0, x1, x2):
+    return 4 * (x0 > x1) + 2 * (x0 > x2) + (x1 > x2)
+
+
+# _PATH_PERMS index of the path permutation that sorts three distinct values,
+# looked up by their _order_code (two of the eight codes cannot occur)
+_SORTING_PERM = np.zeros(8, dtype=np.intp)
+_SORTING_PERM[[_order_code(*np.argsort(perm)) for perm in _PATH_PERMS]] = range(len(_PATH_PERMS))
+
+
+def canonical_keys(rows: np.ndarray, shape, base: int):
+    """Canonical keys of the graphs given as label rows of one slot shape
+    (every path nonempty), with each one's sign, as
+    ``theta_graphs.canonicalize`` gives them, and whether it has an odd
+    automorphism: (keys, signs, odd).
+
+    Within one flip the least image lists the paths by their first label
+    (their last label when flipped), which are distinct, so only those two
+    images are keyed.  The key is the lesser, the unflipped one on a tie, and
+    a tie with different parities is an odd automorphism.
+    """
+    weights, parity = symmetry_table(shape, base)
+    lens = shape[2]
+    first = np.cumsum((2, *lens[:2]))
+    digits = rows.astype(np.int64) + 1  # one cast, shared by both images
+    keys = []
+    for flip, ends in ((0, first), (1, first + lens - 1)):
+        s = flip * len(_PATH_PERMS) + _SORTING_PERM[_order_code(*(digits[:, c] for c in ends))]
+        keys.append((np.einsum("ij,ij->i", digits, weights[s]), parity[s]))
+    (key0, par0), (key1, par1) = keys
+    flipped = key1 < key0
+    return (
+        np.where(flipped, key1, key0),
+        np.where(flipped, par1, par0),
+        (key0 == key1) & (par0 != par1),
+    )
 
 
 class ChainBasis(NamedTuple):
@@ -62,38 +135,6 @@ def build_basis(n: int, p: int) -> ChainBasis:
             paths = tuple(row[2:c1]), tuple(row[c1:c2]), tuple(row[c2:])
             graphs[i] = ThetaGraph(row[0], row[1], paths)
     return ChainBasis(n, p, tuple(graphs))
-
-
-@cache
-def chain_orbits(n: int, p: int) -> tuple:
-    """One canonical representative per S_n-orbit of the degree-p basis: one
-    per marking shape of the slot shapes (``_slot_shapes``), those with an
-    odd automorphism (which an orbit has or lacks as a whole) left out."""
-    if n < 2:
-        raise ValueError(f"n={n} is out of range")
-    orbits = sorted({(ma + mb, tuple(sorted(lens))) for ma, mb, lens in _slot_shapes(n, p)})
-    return tuple(rep for rep in map(orbit_representative, orbits) if not has_odd_automorphism(rep))
-
-
-@cache
-def chain_dim(n: int, p: int) -> int:
-    """dim C_p by orbit-stabilizer, without enumerating the basis: the sum of
-    n!/|H_o| over the orbits, H_o the signed stabilizer of the representative."""
-    return sum(factorial(n) // len(signed_stabilizer(rep)) for rep in chain_orbits(n, p))
-
-
-def boundary_terms(g: ThetaGraph):
-    """The terms of d(g) as (canonical target, coefficient) pairs; a target
-    may still vanish in the relative complex.  Contracting an interior edge
-    merges two marked vertices, so only the two end edges of each path
-    contribute; edge i carries the sign (-1)^i."""
-    start = 0
-    for path in g.paths:
-        for i in (start, start + len(path)):
-            res = contract(g, i)
-            if not isinstance(res, Degenerate):
-                yield res.target, (res.sign if i % 2 == 0 else -res.sign)
-        start += len(path) + 1
 
 
 class ShapeBlock(NamedTuple):
@@ -124,20 +165,6 @@ class BasisArrays(NamedTuple):
         found = pos < len(self.keys)
         found[found] = self.keys[pos[found]] == keys[found]
         return pos, found
-
-
-def _slot_shapes(n: int, p: int) -> tuple:
-    """The slot shapes of the canonical graphs of degree p: n+2-p marked
-    branch vertices, an unmarked one first (it sorts lowest), and p-2
-    interior labels on three nonempty paths."""
-    marks, interior = n + 2 - p, p - 2
-    if marks not in (0, 1, 2):
-        return ()
-    return tuple(
-        (marks == 2, marks >= 1, (l0, l1, interior - l0 - l1))
-        for l0 in range(1, interior - 1)
-        for l1 in range(1, interior - l0)
-    )
 
 
 @cache
@@ -173,7 +200,7 @@ def _shape_rows(n: int, shape):
 
 @cache
 def basis_arrays(n: int, p: int) -> BasisArrays:
-    """The degree-p basis as label rows (see ``theta_graphs.canonical_keys``),
+    """The degree-p basis as label rows (see ``canonical_keys``),
     enumerated one slot shape at a time; its keys, merged and sorted, must be
     strictly increasing, as distinct graphs have distinct keys."""
     if n < 2:

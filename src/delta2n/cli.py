@@ -16,23 +16,18 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .chain_complex import (
-    CACHE_ENV,
-    InternalConsistencyError,
-    basis_arrays,
-    betti,
-    boundary_matrix,
-    build_basis,
-    build_complex,
-)
-from .linalg import NotACharacterError, RankCertificateError
+from .linalg import InternalConsistencyError, NotACharacterError, RankCertificateError
 from .theta_graphs import MalformedGraphError, to_line
 
-# the homology layer (equivariant_homology, symfunc_check, symmetric_group) is
-# imported inside the handlers that run it: complex and enumerate never load it
+# the labeled complex (chain_complex) and the homology layer
+# (equivariant_homology, symfunc_check, symmetric_group) are imported inside
+# the handlers that run them: complex and enumerate never load the homology
+# layer, and characters never loads chain_complex
 
 # accepted and echoed in metadata only: no result depends on it
 DEFAULT_SEED = 271828
+# default of --cache; the library does not read it
+CACHE_ENV = "DELTA2N_CACHE_DIR"
 
 
 class RunConfig(NamedTuple):
@@ -94,6 +89,8 @@ def _character_text(title, classes, values, mults):
 
 
 def _cmd_enumerate(config, stages):
+    from .chain_complex import basis_arrays, build_basis
+
     n = config.n
     degrees = [config.degree] if config.degree is not None else list(range(n, n + 3))
     bases = [stages.run(f"enumerate_p{p}", lambda p=p: basis_arrays(n, p)) for p in degrees]
@@ -126,6 +123,8 @@ def _cmd_enumerate(config, stages):
 
 
 def _cmd_complex(config, stages):
+    from .chain_complex import basis_arrays, boundary_matrix, build_complex
+
     n = config.n
     # build_complex reuses the memoized bases and boundaries of the first two
     # stages, and adds the dimension and d^2 = 0 checks
@@ -153,6 +152,8 @@ def _cmd_complex(config, stages):
 
 
 def _cmd_betti(config, stages):
+    from .chain_complex import betti
+
     n = config.n
     top, nxt = stages.run("betti", lambda: betti(n))
     payload = {"n": n, "betti": {f"H_{n + 2}": top, f"H_{n + 1}": nxt}}
@@ -224,11 +225,20 @@ def _cmd_decompose(config, stages):
 
 def _cmd_verify(config, stages):
     from .equivariant_homology import kernel_character_oracle
-    from .symfunc_check import check_euler
+    from .symfunc_check import check_euler, ratio_str
 
     n = config.n
     top, nxt = _homology_characters(n, stages)
     report = stages.run("euler_check", lambda: check_euler(n, top, nxt))
+    entries = [
+        {
+            "class": _part_str(e.cycle_type),
+            "coefficient": ratio_str(e.coefficient, e.denominator),
+            "bracket": ratio_str(e.bracket, e.denominator),
+            "ok": e.ok,
+        }
+        for e in report
+    ]
     agree = None
     if n <= 6:
         oracle = stages.run("kernel_trace", lambda: kernel_character_oracle(n))
@@ -236,15 +246,7 @@ def _cmd_verify(config, stages):
     ok = all(entry.ok for entry in report) and agree is not False
     payload = {
         "n": n,
-        "euler_check": [
-            {
-                "class": _part_str(e.cycle_type),
-                "coefficient": str(e.coefficient),
-                "bracket": str(e.bracket),
-                "ok": e.ok,
-            }
-            for e in report
-        ],
+        "euler_check": entries,
         "method_agreement": agree,
         "ok": ok,
     }
@@ -253,10 +255,10 @@ def _cmd_verify(config, stages):
         f"(H_{n + 2} cancels, so only method agreement checks it)",
         f"{'class':>16}  {'coefficient':>14}  {'bracket':>14}  ok",
     ]
-    for e in report:
+    for entry in entries:
         lines.append(
-            f"{_part_str(e.cycle_type):>16}  {str(e.coefficient):>14}  "
-            f"{str(e.bracket):>14}  {'pass' if e.ok else 'FAIL'}"
+            f"{entry['class']:>16}  {entry['coefficient']:>14}  "
+            f"{entry['bracket']:>14}  {'pass' if entry['ok'] else 'FAIL'}"
         )
     if agree is None:
         lines.append("method agreement: skipped (kernel trace beyond budget)")
@@ -284,6 +286,7 @@ def _cmd_chartable(config, stages):
 
 
 def _cmd_analyze_d25(config, stages):
+    from .chain_complex import build_basis
     from .d25_analysis import (
         equivariant_isomorphism,
         find_isotypic_cycle,

@@ -26,15 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain_complex import (
-    InternalConsistencyError,
-    basis_arrays,
-    boundary_matrix,
-    boundary_terms,
-    chain_orbits,
-)
 from .linalg import (
     _INT64_SAFE,
+    InternalConsistencyError,
     _kernel_coordinates,
     _max_abs,
     independent_columns,
@@ -60,12 +54,16 @@ from .symmetric_group import (
 from .theta_graphs import (
     UNMARKED,
     MalformedGraphError,
-    canonical_keys,
+    boundary_terms,
+    chain_orbits,
     orbit_normal_form,
     orbit_of,
     perm_parity,
     signed_stabilizer,
 )
+
+# the blocks read orbits alone: only act and kernel_character_oracle import
+# chain_complex, the labeled bases and global boundaries
 
 
 def act(sigma, p):
@@ -78,6 +76,8 @@ def act(sigma, p):
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise MalformedGraphError(f"{sigma!r} is not a permutation of 0..{n - 1}")
+    from .chain_complex import basis_arrays, canonical_keys
+
     basis = basis_arrays(n, p)
     # sigma^-1 by lookup; an unmarked branch stays unmarked
     lookup = np.array([*np.argsort(sigma), UNMARKED], dtype=np.int8)
@@ -400,6 +400,8 @@ def kernel_character_oracle(n) -> np.ndarray:
     kernel basis K through ``_kernel_coordinates``, in integers, and returns
     trace(X).
     """
+    from .chain_complex import boundary_matrix
+
     _, lk, scale, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
     values = []
     for mu in partitions_of(n):

@@ -12,19 +12,20 @@ generalized binomial coefficient (k may be negative); no series is expanded.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from typing import NamedTuple
 
 from .symmetric_group import class_size, partitions_of
 
-# z2 = sum of c * prod_i (1 + p_i)^k_i over these (c, {i: k_i}) terms
+# z2 = sum of c/12 * prod_i (1 + p_i)^k_i over these (c, {i: k_i}) terms: the
+# coefficients -1/12, 1/2, -1/6, -1/12, -1/6 as integer numerators over 12
+Z2_DENOMINATOR = 12
 Z2_TERMS = (
-    (Fraction(-1, 12), {1: -1}),
-    (Fraction(1, 2), {1: 1, 2: -1}),
-    (Fraction(-1, 6), {1: 2, 3: -1}),
-    (Fraction(-1, 12), {1: 3, 2: -2}),
-    (Fraction(-1, 6), {2: 1, 3: 1, 6: -1}),
+    (-1, {1: -1}),
+    (6, {1: 1, 2: -1}),
+    (-2, {1: 2, 3: -1}),
+    (-1, {1: 3, 2: -2}),
+    (-2, {2: 1, 3: 1, 6: -1}),
 )
 
 
@@ -33,19 +34,29 @@ def _binom(k: int, m: int) -> int:
     return comb(k, m) if k >= 0 else (-1) ** m * comb(m - k - 1, m)
 
 
-def z2_coefficient(mu) -> Fraction:
-    """The coefficient of p_mu in z2, for a cycle type mu (a partition)."""
+def z2_numerator(mu) -> int:
+    """12 times the coefficient of p_mu in z2, for a cycle type mu (a
+    partition): an integer, as every term is."""
     counts = Counter(mu)
-    return sum(
-        (c * prod(_binom(k.get(i, 0), m) for i, m in counts.items()) for c, k in Z2_TERMS),
-        Fraction(0),
-    )
+    return sum(c * prod(_binom(k.get(i, 0), m) for i, m in counts.items()) for c, k in Z2_TERMS)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, written as ``str(Fraction(num,
+    den))`` writes it: "-3/4", or "2" when the denominator reduces to 1."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class EulerClassCheck(NamedTuple):
+    """Both sides of the check on one class, as integer numerators over one
+    positive denominator."""
+
     cycle_type: tuple
-    coefficient: Fraction  # degree-n generating function side
-    bracket: Fraction  # homology-character side
+    coefficient: int  # degree-n generating function side
+    bracket: int  # homology-character side
+    denominator: int
     ok: bool
 
 
@@ -54,19 +65,19 @@ def check_euler(n, top, nxt):
     for the integer character rows ``top`` of H_{n+2} and ``nxt`` of H_{n+1}.
 
     For each cycle type mu of S_n the coefficient of p_mu in z2 must
-    equal |C(mu)|/n! * ((-1)^n * nxt(mu) + (-1)^(n+1) * top(mu)). Failures
-    are reported, not raised.
+    equal |C(mu)|/n! * ((-1)^n * nxt(mu) + (-1)^(n+1) * top(mu)).  Both
+    sides are compared as integers over 12 * n!.  Failures are reported, not
+    raised.
 
     When ``nxt`` comes from ``homology_character_next(n, top)``, ``top``
     cancels in ``nxt - top``: the check then tests z2 against the chain
     characters of C_n, C_{n+1}, C_{n+2}, not the homology characters.
     """
-    sign_next = Fraction((-1) ** n)
     order = factorial(n)
+    denominator = Z2_DENOMINATOR * order
     report = []
     for mu, t, x in zip(partitions_of(n), top, nxt, strict=True):
-        lhs = z2_coefficient(mu)
-        bracket = sign_next * (int(x) - int(t))
-        rhs = Fraction(class_size(mu), order) * bracket
-        report.append(EulerClassCheck(mu, lhs, rhs, lhs == rhs))
+        lhs = z2_numerator(mu) * order
+        rhs = Z2_DENOMINATOR * class_size(mu) * (-1) ** n * (int(x) - int(t))
+        report.append(EulerClassCheck(mu, lhs, rhs, denominator, lhs == rhs))
     return report

@@ -11,13 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delta2n.chain_complex import (
-    betti,
-    boundary_matrix,
-    build_basis,
-    build_complex,
-    chain_orbits,
-)
+from delta2n.chain_complex import betti, boundary_matrix, build_basis, build_complex
 from delta2n.equivariant_homology import (
     homology_character_next,
     homology_character_top,
@@ -37,6 +31,7 @@ from delta2n.symmetric_group import (
 )
 from delta2n.theta_graphs import (
     canonicalize,
+    chain_orbits,
     enumerate_theta,
     has_odd_automorphism,
     relabel,
@@ -240,7 +235,10 @@ def test_06_euler_generating_function():
             bad.append(f"n={n}: classes missing from report")
         for e in report:
             if not e.ok:
-                bad.append(f"n={n} class {e.cycle_type}: {e.coefficient} != {e.bracket}")
+                bad.append(
+                    f"n={n} class {e.cycle_type}: {e.coefficient} != {e.bracket}"
+                    f" (over {e.denominator})"
+                )
             if any(part not in (1, 2, 3, 6) for part in e.cycle_type):
                 forced += 1
                 if e.coefficient != 0:

@@ -4,6 +4,7 @@ the package, so a renamed function breaks this test, not a later benchmark."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,10 +54,15 @@ def test_top_child():
     assert _child_result("top", 5) == [15, 3, -1, 0, 0, -1, 0]
 
 
-def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
+def _bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "benchmarks" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
+    bench = _bench()
     env = bench.child_env(ROOT, tmp_path / "after")
     assert env["PYTHONPATH"] == str(ROOT / "src")
     assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "after")
@@ -65,7 +71,26 @@ def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
 
 def test_child_env_fixes_the_mmap_threshold(tmp_path):
     # a dynamic threshold makes peak RSS depend on earlier allocations' order
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "benchmarks" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench()
     assert bench.child_env(ROOT, tmp_path)["MALLOC_MMAP_THRESHOLD_"] == "131072"
+
+
+def test_source_stages_compile_the_package_from_source(tmp_path):
+    # the children of import_cli_src and characters_src run on a copy of src/
+    # with no bytecode to read and none written, as perfbench children do
+    # under PYTHONDONTWRITEBYTECODE
+    bench = _bench()
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", checkout / "src")
+    (checkout / "src" / "delta2n" / "__pycache__").mkdir(exist_ok=True)  # stale: not copied
+    env = bench.source_env(checkout, tmp_path / "src", bench.child_env(checkout, tmp_path / "pyc"))
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in env
+    assert env["PYTHONPATH"] == str(tmp_path / "src")
+    assert sorted(bench.FROM_SOURCE) == ["characters_src_n6", "import_cli_src"]
+    for key in bench.FROM_SOURCE:
+        record = bench.measure(bench.GROUPS["cli"][key], env, 60)
+        assert record["wall_s"] > 0
+    assert record["result"] is not None  # characters printed its JSON payload
+    assert (tmp_path / "src" / "delta2n" / "cli.py").is_file()
+    assert not list((tmp_path / "src").rglob("__pycache__"))

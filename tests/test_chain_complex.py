@@ -189,7 +189,7 @@ def _per_graph_boundary(n, p):
     columns = []
     for g in cc.build_basis(n, p).graphs:
         col = {}
-        for target, coef in cc.boundary_terms(g):
+        for target, coef in theta_graphs.boundary_terms(g):
             col[row_of[target]] = col.get(row_of[target], 0) + coef
         columns.append({r: v for r, v in col.items() if v})
     return columns
@@ -211,13 +211,15 @@ def test_batched_boundary_matches_per_graph_terms(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_orbit_stabilizer_dimension_matches_enumeration(n):
     for p in (n, n + 1, n + 2):
-        assert cc.chain_dim(n, p) == cc.build_basis(n, p).dim
+        assert theta_graphs.chain_dim(n, p) == cc.build_basis(n, p).dim
 
 
 def test_build_complex_checks_the_orbit_stabilizer_dimension(monkeypatch):
     # dropping one of the two degree-7 orbits halves dim C_7 by orbit-stabilizer
-    real = cc.chain_orbits
-    monkeypatch.setattr(cc, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None])
+    real = theta_graphs.chain_orbits
+    monkeypatch.setattr(
+        theta_graphs, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None]
+    )
     clear_caches()
     try:
         with pytest.raises(InternalConsistencyError, match="dim C_7 = 60, orbit-stabilizer 30"):
@@ -260,7 +262,7 @@ def test_build_complex_memory_tracks_its_output():
     clear_caches()
     for p in (7, 8, 9):
         cc.basis_arrays(7, p)
-        cc.chain_dim(7, p)
+        theta_graphs.chain_dim(7, p)
     tracemalloc.start()
     try:
         cc.build_complex(7)
@@ -331,7 +333,7 @@ def test_array_enumerator_counts_the_odd_graphs_it_drops(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_chain_orbits_cover_the_basis(n):
     for p in (n, n + 1, n + 2):
-        reps = cc.chain_orbits(n, p)
+        reps = theta_graphs.chain_orbits(n, p)
         orbits = [orbit_of(r) for r in reps]
         assert orbits == sorted(set(orbits))
         assert set(reps) <= set(cc.build_basis(n, p).graphs)
@@ -347,12 +349,12 @@ def test_clear_caches_empties_every_memo():
     d25_analysis._kernel()
     d25_analysis._act_tables((1, 0, 2, 3, 4))
     owners = [
-        theta_graphs.symmetry_table,
+        cc.symmetry_table,
         cc.build_basis,
-        cc.chain_orbits,
+        theta_graphs.chain_orbits,
         cc._boundary_matrix,
         cc.basis_arrays,
-        cc.chain_dim,
+        theta_graphs.chain_dim,
         equivariant_homology.chain_character,
         equivariant_homology._block_plan,
         equivariant_homology._twisted_plan,

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,8 @@ from delta2n import (
     symmetric_group,
     theta_graphs,
 )
-from delta2n.chain_complex import CACHE_ENV, build_basis
-from delta2n.cli import DEFAULT_SEED
+from delta2n.chain_complex import build_basis
+from delta2n.cli import CACHE_ENV, DEFAULT_SEED
 from delta2n.linalg import InternalConsistencyError
 from delta2n.symfunc_check import EulerClassCheck
 from delta2n.symmetric_group import NotACharacterError
@@ -147,6 +146,50 @@ def test_verify_passes(capsys):
     assert all(entry["ok"] for entry in payload["euler_check"])
 
 
+# the euler_check entries of verify --format json, (class, coefficient,
+# bracket, ok), as str(Fraction) wrote them when both sides were Fractions
+EULER_ENTRIES = {
+    4: [
+        ("1,1,1,1", "-1/12", "-1/12", True),
+        ("2,1,1", "1/2", "1/2", True),
+        ("2,2", "1/4", "1/4", True),
+        ("3,1", "1/3", "1/3", True),
+        ("4", "0", "0", True),
+    ],
+    5: [
+        ("1,1,1,1,1", "1/12", "1/12", True),
+        ("2,1,1,1", "1/6", "1/6", True),
+        ("2,2,1", "-1/4", "-1/4", True),
+        ("3,1,1", "1/6", "1/6", True),
+        ("3,2", "-1/6", "-1/6", True),
+        ("4,1", "0", "0", True),
+        ("5", "0", "0", True),
+    ],
+    6: [
+        ("1,1,1,1,1,1", "-1/12", "-1/12", True),
+        ("2,1,1,1,1", "0", "0", True),
+        ("2,2,1,1", "-3/4", "-3/4", True),
+        ("2,2,2", "-1/6", "-1/6", True),
+        ("3,1,1,1", "0", "0", True),
+        ("3,2,1", "0", "0", True),
+        ("3,3", "-1/6", "-1/6", True),
+        ("4,1,1", "0", "0", True),
+        ("4,2", "0", "0", True),
+        ("5,1", "0", "0", True),
+        ("6", "1/6", "1/6", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(EULER_ENTRIES))
+def test_verify_euler_entries_pinned(capsys, n):
+    status, out, _ = _run(capsys, "verify", "--n", str(n), "--format", "json")
+    assert status == 0
+    entries = json.loads(out)["euler_check"]
+    got = [(e["class"], e["coefficient"], e["bracket"], e["ok"]) for e in entries]
+    assert got == EULER_ENTRIES[n]
+
+
 def test_chartable_json(capsys):
     status, out, _ = _run(capsys, "chartable", "--n", "3", "--format", "json")
     assert status == 0
@@ -268,6 +311,38 @@ print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
     assert len(list(tmp_path.iterdir())) == 2
 
 
+def test_characters_and_verify_load_only_the_orbit_layer():
+    # the blocks read orbit representatives alone and the Euler check compares
+    # integers, so neither the labeled complex nor fractions (with the decimal
+    # it imports) is loaded; verify's kernel-trace oracle, which reads the
+    # global boundary, runs only up to n = 6
+    script = """
+import contextlib, io, sys
+prefixes = ("delta2n", "fractions", "decimal", "_decimal")
+print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
+from delta2n import cli
+print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["characters", "--n", "6"]) == 0
+    assert cli.main(["verify", "--n", "7"]) == 0
+print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, imported, ran = (line.split() for line in proc.stdout.splitlines())
+    assert before == []
+    assert imported == [
+        "delta2n",
+        "delta2n.cli",
+        "delta2n.kernels",
+        "delta2n.linalg",
+        "delta2n.theta_graphs",
+    ]
+    assert not {"delta2n.chain_complex", "fractions", "decimal", "_decimal"} & set(ran)
+
+
 # ---------------------------------------------------------------------------
 # determinism and caching
 
@@ -356,7 +431,6 @@ def test_characters_builds_no_global_boundary(capsys, monkeypatch, fresh_caches)
     for owner, name in [
         (chain_complex, "_build_matrix"),
         (chain_complex, "betti"),
-        (cli, "betti"),
         (equivariant_homology, "act"),
         (equivariant_homology, "kernel_exact"),
     ]:
@@ -544,13 +618,13 @@ def test_malformed_graph_inside_a_run_exits_2(capsys, monkeypatch, fresh_caches)
 def test_corrupted_parity_table_exits_2(capsys, monkeypatch, fresh_caches):
     # one symmetry's edge parity flipped gives wrong boundary signs
     monkeypatch.delenv(CACHE_ENV, raising=False)
-    real = theta_graphs.symmetry_table
+    real = chain_complex.symmetry_table
 
     def table(shape, base):
         weights, parity = real(shape, base)
         return weights, parity * np.where(np.arange(len(parity)) == 1, -1, 1)
 
-    monkeypatch.setattr(theta_graphs, "symmetry_table", table)
+    monkeypatch.setattr(chain_complex, "symmetry_table", table)
     status, out, err = _run(capsys, "complex", "--n", "5")
     assert status == 2 and out == ""
     assert "internal consistency failure: d_6 . d_7 != 0 at n=5" in err
@@ -582,7 +656,7 @@ def test_n8_cost_warning(capsys, monkeypatch):
 
 
 def test_consistency_failure_exits_2(capsys, monkeypatch):
-    bad = EulerClassCheck((4,), Fraction(1), Fraction(0), False)
+    bad = EulerClassCheck((4,), 1, 0, 1, False)
     monkeypatch.setattr(symfunc_check, "check_euler", lambda n, top, nxt: [bad])
     status, _, err = _run(capsys, "verify", "--n", "4")
     assert status == 2
@@ -638,7 +712,7 @@ def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
     real = equivariant_homology._pair_ranks
 
     def ranks(members, n, reps=None):
-        reps = tuple(chain_complex.chain_orbits(n, p) for p in (n, n + 1, n + 2))
+        reps = tuple(theta_graphs.chain_orbits(n, p) for p in (n, n + 1, n + 2))
         return real(members, n, reps[:2] + (reps[2][:1],))
 
     monkeypatch.setattr(equivariant_homology, "_pair_ranks", ranks)

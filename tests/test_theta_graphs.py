@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from delta2n.chain_complex import canonical_keys
 from delta2n.theta_graphs import (
     UNMARKED,
     Degenerate,
@@ -11,7 +12,6 @@ from delta2n.theta_graphs import (
     SignedIso,
     ThetaGraph,
     automorphisms,
-    canonical_keys,
     canonicalize,
     contract,
     enumerate_theta,
