@@ -11,11 +11,11 @@ gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
 H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  As S^lam' = sgn (x) S^lam,
 a conjugate pair shares one Specht module and one sweep of rho: the other
-member's blocks read the same rho, each weight and coefficient times the
-sign of its permutation.  No global boundary, drawn vector or group action
-enters, and every run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each
-block, and sum_lam m_lam(C_p) chi_lam = chi(C_p) on every class.  Characters
-are int64 rows, one value per class in partitions_of(n) order.
+member's blocks read the same stack, each odd permutation's rho negated in
+place.  No global boundary, drawn vector or group action enters, and every
+run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, and sum_lam
+m_lam(C_p) chi_lam = chi(C_p) on every class.  Characters are int64 rows,
+one value per class in partitions_of(n) order.
 """
 
 from __future__ import annotations
@@ -211,42 +211,6 @@ def _block_plan(reps) -> _BlockPlan:
     return _BlockPlan(stabilizers, terms, word_tree(perms), tuple(perms))
 
 
-def _slot_signs(tree: WordTree) -> list:
-    """(-1)^(word length) of each slot of ``tree``: the sign by which the
-    product of the negated generators along its word differs from rho."""
-    signs = [0] * sum(e.shape[1] for e in tree.ends)
-    for k, (slots, _) in enumerate(tree.ends):
-        for slot in slots.tolist():
-            signs[slot] = -1 if k % 2 else 1
-    return signs
-
-
-@cache
-def _twisted_plan(reps) -> _BlockPlan:
-    """_block_plan(reps) for rho' = sgn (x) rho: the generators -rho(s_i)
-    satisfy every Coxeter relation rho does (each has even length), and
-    rho'(sigma) = sgn(sigma) rho(sigma).  So the stabilizer weights become
-    eps(h) sgn(h) and the boundary coefficients c_j s_j sgn(tau_j), and the
-    plan reads the same stack of rho.  Each slot's sign is taken from its
-    word length and checked against its permutation's cycle type."""
-    plan = _block_plan(reps)
-    signs = _slot_signs(plan.tree)
-    for perm, sign in zip(plan.perms, signs, strict=True):
-        if sign != perm_parity(perm):
-            raise InternalConsistencyError(
-                f"slot permutation {perm} has word sign {sign}, not its cycle-type sign"
-            )
-    stabilizers = tuple(
-        tuple(tuple((k, eps * signs[k]) for k, eps in stab) for stab in degree)
-        for degree in plan.stabilizers
-    )
-    terms = tuple(
-        tuple(tuple((j, coef * signs[k], k) for j, coef, k in upper) for upper in degree)
-        for degree in plan.terms
-    )
-    return plan._replace(stabilizers=stabilizers, terms=terms)
-
-
 def _precompose_block(terms, mats, lower):
     """The map (v_o') -> (sum_j c_j s_j rho(tau_j) v_o')_o over the upper
     orbits, in S^lam coordinates, in int64: ``terms`` are the plan's for one
@@ -270,44 +234,38 @@ class IsotypicRanks(NamedTuple):
     ranks: tuple  # ranks of d_{n+1}, d_{n+2} on the lam blocks
 
 
-def _certified_twist(built, lam, reps) -> _BlockPlan:
-    """_twisted_plan(reps), once sgn(mu) chi_built(mu) = chi_lam(mu) holds
-    on every class mu: the character of rho_built is chi_built, certified at
-    its construction, so sgn (x) rho_built is then S^lam.  Raises
-    InternalConsistencyError naming both partitions otherwise, or when a
-    slot's sign fails its check."""
-    n = sum(lam)
-    parts = partitions_of(n)
-    table = character_table(n)
-    sgn = np.array([(-1) ** (n - len(mu)) for mu in parts], dtype=np.int64)
-    if not np.array_equal(sgn * table[parts.index(built)], table[parts.index(lam)]):
-        raise InternalConsistencyError(
-            f"sign twist of {built} does not give {lam}: sgn chi_{built} != chi_{lam}"
-        )
-    try:
-        return _twisted_plan(reps)
-    except InternalConsistencyError as exc:
-        raise InternalConsistencyError(f"sign twist of {built} to {lam}: {exc}") from None
-
-
 def _pair_ranks(members, n, reps=None) -> dict:
     """IsotypicRanks of each partition in ``members``, one or both of a
     conjugate pair {lam, lam'}, from one Specht module and one sweep: rho is
     built for the later of the pair in partitions_of order, and the other
-    member reads the same stack through _twisted_plan, as S^lam' = sgn (x)
-    S^lam.  Every member's multiplicity spaces and S^lam-coordinate blocks
-    are assembled before the stack is freed; then one member at a time is
-    multiplied, checked and ranked.  InternalConsistencyError unless
-    d_{n+1} d_{n+2} = 0 and d_{n+1} is onto on each member's blocks.
-    ``reps`` as for isotypic_block_ranks."""
+    member reads the same stack with every odd slot negated in place, as
+    S^lam' = sgn (x) S^lam gives rho'(sigma) = sgn(sigma) rho(sigma).  Every
+    member's multiplicity spaces and S^lam-coordinate blocks are assembled
+    before the stack is freed; then one member at a time is multiplied,
+    checked and ranked.  InternalConsistencyError unless sgn chi_built =
+    chi_lam for the twisted member (the character of rho is certified at its
+    construction, so sgn (x) rho is then S^lam), d_{n+1} d_{n+2} = 0 and
+    d_{n+1} is onto on each member's blocks.  ``reps`` as for
+    isotypic_block_ranks."""
     if reps is None:
         reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
     built = max(members[0], conjugate_partition(members[0]))
+    plan = _block_plan(reps)
     specht = specht_matrices(built)
-    mats = _sweep(specht.generators, _block_plan(reps).tree, specht.dim)
+    mats = _sweep(specht.generators, plan.tree, specht.dim)
     assembled = []
-    for lam in members:
-        plan = _block_plan(reps) if lam == built else _certified_twist(built, lam, reps)
+    # the built member, the later, first: the twist negates the stack
+    for lam in sorted(members, reverse=True):
+        if lam != built:
+            parts, table = partitions_of(n), character_table(n)
+            sgn = np.array([(-1) ** (n - len(mu)) for mu in parts], dtype=np.int64)
+            if not np.array_equal(sgn * table[parts.index(built)], table[parts.index(lam)]):
+                raise InternalConsistencyError(
+                    f"sign twist of {built} does not give {lam}: sgn chi_{built} != chi_{lam}"
+                )
+            for k, perm in enumerate(plan.perms):
+                if perm_parity(perm) < 0:
+                    np.negative(mats[k], out=mats[k])
         spaces = [_fixed_columns(r, s, mats) for r, s in zip(reps, plan.stabilizers)]
         full_next = _precompose_block(plan.terms[0], mats, len(reps[0]))
         full_top = _precompose_block(plan.terms[1], mats, len(reps[1]))
@@ -315,8 +273,10 @@ def _pair_ranks(members, n, reps=None) -> dict:
     del mats, spaces, full_next, full_top  # every rho(sigma) is now inside the blocks
     out = {}
     while assembled:
-        # popped, so this member's arrays go with its last local name
-        lam, spaces, full_next, full_top = assembled.pop(0)
+        # popped, so this member's arrays go with its last local name; the
+        # earlier member first: at n = 9 that ranks (4,2,2,1), the largest
+        # block, while the smaller (4,3,1,1) waits, 2 MB below the reverse
+        lam, spaces, full_next, full_top = assembled.pop()
         mults = tuple(w.shape[1] for w in spaces)
         block_next = int_matmul(full_next, spaces[0])
         block_top = int_matmul(full_top, spaces[1])
@@ -337,7 +297,8 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
     them.  ``reps`` holds representatives of the orbits of degrees n, n+1, n+2
     (default ``chain_orbits``); any canonical graphs of those orbits will do.
     rho is the Specht module of the later of lam and its conjugate in
-    partitions_of order, sign-twisted when that is not lam (_pair_ranks)."""
+    partitions_of order, its odd slots negated when that is not lam
+    (_pair_ranks)."""
     return _pair_ranks((lam,), n, reps)[lam]
 
 

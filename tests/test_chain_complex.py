@@ -357,7 +357,6 @@ def test_clear_caches_empties_every_memo():
         theta_graphs.chain_dim,
         equivariant_homology.chain_character,
         equivariant_homology._block_plan,
-        equivariant_homology._twisted_plan,
         equivariant_homology.isotypic_ranks,
         d25_analysis._kernel,
         d25_analysis._act_tables,
@@ -366,7 +365,7 @@ def test_clear_caches_empties_every_memo():
     ]
     assert all(f.cache_info().currsize > 0 for f in owners)
     clear_caches()
-    modules = (cc, equivariant_homology, d25_analysis, symmetric_group, theta_graphs)
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("delta2n.")]
     caches = [obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert {id(f) for f in owners} <= {id(c) for c in caches}
     assert all(c.cache_info().currsize == 0 for c in caches)

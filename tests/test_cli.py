@@ -343,6 +343,27 @@ print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
     assert not {"delta2n.chain_complex", "fractions", "decimal", "_decimal"} & set(ran)
 
 
+def test_clear_caches_loads_no_module():
+    # a module not yet imported holds no memo, so emptying them all, in a
+    # fresh process or after a top character, imports nothing
+    script = """
+import sys
+import delta2n
+names = ("delta2n.chain_complex", "delta2n.d25_analysis", "fractions", "decimal")
+delta2n.clear_caches()
+print(*sorted(m for m in names if m in sys.modules))
+from delta2n.equivariant_homology import homology_character_top
+homology_character_top(5)
+delta2n.clear_caches()
+print(*sorted(m for m in names if m in sys.modules))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", ""]
+
+
 # ---------------------------------------------------------------------------
 # determinism and caching
 
@@ -558,22 +579,24 @@ def test_swapped_multiplicities_of_equal_dimension_exit_2(capsys, monkeypatch, f
     assert "internal consistency failure: isotypic multiplicities of C_6" in err
 
 
-def test_flipped_twist_sign_exits_2(capsys, monkeypatch, fresh_caches):
-    # one slot's sign flipped on its way into the twisted plan: the check
-    # against the slot permutation's cycle type stops the first twist, of
-    # (3,3) to (2,2,2)
-    real = equivariant_homology._slot_signs
+@pytest.mark.parametrize(
+    "slot, failure",
+    [((0, 1, 3, 2, 4, 5), "does not give a projection"), ((0, 3, 1, 2, 5, 4), "d_7 . d_8 != 0")],
+    ids=["stabilizer_slot", "boundary_slot"],
+)
+def test_flipped_twist_sign_of_one_slot_exits_2(capsys, monkeypatch, fresh_caches, slot, failure):
+    # the conjugate member negates rho of each odd slot: leaving one slot
+    # unnegated breaks P_o^2 = |H_o| P_o where a stabilizer names it, and
+    # d_{n+1} d_{n+2} = 0 where only a boundary term does
+    real = equivariant_homology.perm_parity
 
-    def flipped(tree):
-        signs = real(tree)
-        signs[-1] = -signs[-1]
-        return signs
+    def flipped(perm):
+        return -real(perm) if tuple(perm) == slot else real(perm)
 
-    monkeypatch.setattr(equivariant_homology, "_slot_signs", flipped)
+    monkeypatch.setattr(equivariant_homology, "perm_parity", flipped)
     status, out, err = _run(capsys, "characters", "--n", "6")
     assert status == 2 and out == ""
-    assert err.startswith("internal consistency failure: sign twist of (3, 3) to (2, 2, 2): ")
-    assert "not its cycle-type sign" in err
+    assert err.startswith("internal consistency failure: ") and failure in err
 
 
 def _flip_last_sign(stab):

@@ -24,7 +24,6 @@ from delta2n.equivariant_homology import (
 from delta2n.linalg import InternalConsistencyError, RankCertificateError, rank_exact
 from delta2n.symmetric_group import (
     class_representative,
-    cycle_type,
     decompose,
     hook_dimension,
     partitions_of,
@@ -376,26 +375,6 @@ def test_block_ranks_independent_of_representatives():
             )
             assert moved != tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
             assert isotypic_block_ranks(lam, n, moved) == isotypic_block_ranks(lam, n)
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_twist_signs_are_the_slot_parities(n):
-    # each slot's sign, from its word length, is the sign of its permutation
-    # by cycle type, and the twisted plan scales every stabilizer weight and
-    # boundary coefficient of that slot by it
-    reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
-    plan = equivariant_homology._block_plan(reps)
-    twisted = equivariant_homology._twisted_plan(reps)
-    assert plan.tree.slots == tuple(range(len(plan.perms)))
-    sgn = [(-1) ** (n - len(cycle_type(perm))) for perm in plan.perms]
-    assert equivariant_homology._slot_signs(plan.tree) == sgn
-    assert twisted.tree is plan.tree
-    for degree, twisted_degree in zip(plan.stabilizers, twisted.stabilizers):
-        for stab, twisted_stab in zip(degree, twisted_degree, strict=True):
-            assert twisted_stab == tuple((k, eps * sgn[k]) for k, eps in stab)
-    for degree, twisted_degree in zip(plan.terms, twisted.terms):
-        for upper, twisted_upper in zip(degree, twisted_degree, strict=True):
-            assert twisted_upper == tuple((j, coef * sgn[k], k) for j, coef, k in upper)
 
 
 def test_isotypic_ranks_build_one_specht_module_and_sweep_per_conjugate_pair(monkeypatch):
