@@ -27,6 +27,8 @@ more; default all):
               complex      the same with no cache; complex_cache on a new
                            empty --cache dir; complex_warm on a dir filled
                            by an untimed run first                  (n = 7, 8)
+              characters_shell, verify_shell   characters (n = 6, 8) and
+                           verify (n = 6) as a shell starts them (see below)
 
 A graph or homology stage runs as `bench.py --child STAGE N`: the child builds
 what the stage needs (bases, boundaries, orbit representatives, Specht
@@ -36,16 +38,29 @@ coordinate arrays ("coords_mb").  A cli stage's result is a digest of its
 JSON payload without the metadata.
 
 Every child is reaped with os.wait4, so its wall time, CPU time (user +
-system) and peak RSS are its own, and is killed at --timeout seconds; a stage
-that times out on a side is recorded so and not retried there.  The driver
-pins itself, and with it every child, to one CPU, and the children run with
-one OpenMP/OpenBLAS/MKL thread and without DELTA2N_CACHE_DIR, so timings do
-not depend on how many cores are idle.  They also run with glibc's mmap
-threshold fixed at its default, 128 KiB (MALLOC_MMAP_THRESHOLD_): left
-dynamic, it rises to the size of each large block freed, so whether a later
+system), system time and peak RSS are its own, and is killed at --timeout
+seconds; a stage that times out on a side is recorded so and not retried
+there.  bench.py pins itself, and with it every child, to one CPU, and the
+children run with one OpenMP/OpenBLAS/MKL thread and without
+DELTA2N_CACHE_DIR, so timings do not depend on how many cores are idle.
+The *_shell stages are the exception: their children run on every CPU
+bench.py was started on and with none of those thread variables set, as a
+command typed in a shell runs, so they show what the CLI's own thread
+default does, which a pinned child cannot (on one CPU OpenBLAS starts one
+thread whatever the variables say).
+
+Each run of a stage is two children, one for time and one for memory.  The
+timed child runs under glibc's default malloc, as a user's run does; its
+wall, CPU, system and stage times are recorded.  The memory child runs with
+the mmap threshold fixed at its default, 128 KiB (MALLOC_MMAP_THRESHOLD_),
+and only its peak RSS (and coords_mb) is recorded: left dynamic, the
+threshold rises to the size of each large block freed, so whether a later
 numpy temporary is mapped afresh or carved from a heap that keeps the pages
 depends on the order of earlier allocations, and that moved n = 8 peaks by
-0.3-0.8 MB, either way, between two checkouts holding the same memory.
+0.3-0.8 MB, either way, between two checkouts holding the same memory.  But
+fixed, it maps every temporary over 128 KiB afresh and faults it in page by
+page, which doubled the time of elimination-heavy stages, so it is kept out
+of the timed children.  --repeat counts runs of each kind.
 Each side's children write and read bytecode only in that side's own
 PYTHONPYCACHEPREFIX, under a temporary directory the driver makes, fills
 with two untimed imports per side and removes, so a stale __pycache__ in
@@ -93,8 +108,12 @@ EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per
 # run once per side before timing, so the timed children read bytecode
 # rather than compile it: a stage child and the CLI with its lazy imports
 WARM_UP = ((SCRIPT, "--child", "specht", "2"), ("-c", "import delta2n.cli, delta2n.symfunc_check"))
-METRICS = ("stage_s", "wall_s", "cpu_s", "peak_rss_mb", "coords_mb")
-# glibc's default mmap threshold, fixed: see the module docstring
+# what the timed child and the memory child of a run each contribute
+TIME_METRICS = ("stage_s", "wall_s", "cpu_s", "sys_s")
+MEMORY_METRICS = ("peak_rss_mb", "coords_mb")
+METRICS = TIME_METRICS + MEMORY_METRICS
+# glibc's default mmap threshold, fixed in the memory children only: see the
+# module docstring
 MMAP_THRESHOLD = 128 * 1024
 
 
@@ -133,12 +152,16 @@ GROUPS = {
         **_cli("complex", "complex", (7, 8)),
         **_cli("complex_cache", "complex", (7, 8), "--cache", EMPTY_CACHE),
         **_cli("complex_warm", "complex", (7, 8), "--cache", WARM_CACHE),
+        **_cli("characters_shell", "characters", (6, 8)),
+        **_cli("verify_shell", "verify", (6,)),
     },
 }
 
 
 # stages whose children compile the package from source (source_env)
 FROM_SOURCE = ("import_cli_src", "characters_src_n6")
+# stages whose children run as a shell starts them (shell_env, on every CPU)
+SHELL = ("characters_shell_n6", "characters_shell_n8", "verify_shell_n6")
 
 
 def _trace(action):
@@ -207,16 +230,31 @@ def run_stage(stage, n):
 
 
 def child_env(src, pycache):
-    """The environment of a child measuring the checkout src, its bytecode
-    written to and read from pycache alone."""
-    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONDONTWRITEBYTECODE")}
+    """The environment of a timed child measuring the checkout src, its
+    bytecode written to and read from pycache alone."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in (CACHE_ENV, "PYTHONDONTWRITEBYTECODE", "MALLOC_MMAP_THRESHOLD_")
+    }
     env.update(
         dict.fromkeys(THREAD_VARS, "1"),
-        MALLOC_MMAP_THRESHOLD_=str(MMAP_THRESHOLD),
         PYTHONPATH=str(Path(src).resolve() / "src"),
         PYTHONPYCACHEPREFIX=str(pycache),
     )
     return env
+
+
+def memory_env(env):
+    """The environment env of a timed child, for the memory child of the
+    same run: glibc's mmap threshold fixed."""
+    return dict(env, MALLOC_MMAP_THRESHOLD_=str(MMAP_THRESHOLD))
+
+
+def shell_env(env):
+    """The environment env without any thread variable, as a shell passes
+    it to a command."""
+    return {k: v for k, v in env.items() if k not in THREAD_VARS}
 
 
 def source_env(src, copy, env):
@@ -239,18 +277,25 @@ def result_digest(stdout):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def measure(args, env, timeout):
-    """One fresh interpreter; None when it runs past the timeout."""
+def measure(args, env, timeout, cpus=None):
+    """One fresh interpreter, on the CPUs cpus when given (else on the
+    caller's); None when it runs past the timeout."""
     if EMPTY_CACHE in args or WARM_CACHE in args:
         with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
             filled = [cache if a in (EMPTY_CACHE, WARM_CACHE) else a for a in args]
             if WARM_CACHE in args:
                 subprocess.run([sys.executable, *filled], env=env, check=True,
                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            return measure(filled, env, timeout)
+            return measure(filled, env, timeout, cpus)
+    pinned = os.sched_getaffinity(0)
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err, env=env)
+        os.sched_setaffinity(0, cpus or pinned)  # the child inherits it
+        try:
+            proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err,
+                                    env=env)
+        finally:
+            os.sched_setaffinity(0, pinned)
         killer = threading.Timer(timeout, proc.kill)
         killer.start()
         try:
@@ -270,6 +315,7 @@ def measure(args, env, timeout):
     rec = {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
+        "sys_s": usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux reports KiB
     }
     if args[0] == SCRIPT:
@@ -295,15 +341,23 @@ def summarize(runs, timed_out):
     return out
 
 
+def change(after, before):
+    """after/before - 1, rounded; None where before is 0, as a short child's
+    system time can be."""
+    return round(after / before - 1, 4) if before else None
+
+
 def paired_change(before, after):
     """Per metric, the median over repeats of after/before - 1 within each
-    repeat, and in how many repeats the after side came out lower."""
+    repeat (None if no repeat has a nonzero before), and in how many repeats
+    the after side came out lower."""
     out = {}
     for metric in METRICS:
         if metric in after[0]:
             pairs = [(b[metric], a[metric]) for b, a in zip(before, after)]
+            ratios = [a / b - 1 for b, a in pairs if b]
             out[metric] = {
-                "median": round(statistics.median(a / b - 1 for b, a in pairs), 4),
+                "median": round(statistics.median(ratios), 4) if ratios else None,
                 "after_won": sum(a < b for b, a in pairs),
                 "pairs": len(pairs),
             }
@@ -333,8 +387,9 @@ def main():
         ap.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
     stages = {key: cmd for g in groups for key, cmd in GROUPS[g].items()}
 
-    cpu = max(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})  # inherited by every child
+    cpus = os.sched_getaffinity(0)  # the *_shell stages' children run on these
+    cpu = max(cpus)
+    os.sched_setaffinity(0, {cpu})  # inherited by every other child
     sides = {"after": args.src}
     if args.before:
         sides = {"before": args.before, "after": args.src}
@@ -347,23 +402,38 @@ def main():
         side: source_env(src, Path(pycache.name) / f"{side}-src", envs[side])
         for side, src in sides.items()
     }
+
+    def stage_env(side, key):
+        env = source_envs[side] if key in FROM_SOURCE else envs[side]
+        return shell_env(env) if key in SHELL else env
+
     runs = {side: {key: [] for key in stages} for side in sides}
     timed_out = {side: set() for side in sides}
     results = {}
     for rep in range(args.repeat):
         for key, cmd in stages.items():
-            for side in list(sides)[:: -1 if rep % 2 else 1]:
-                if key in timed_out[side]:
-                    continue
-                env = source_envs[side] if key in FROM_SOURCE else envs[side]
-                rec = measure(cmd, env, args.timeout)
-                if rec is None:
+            where = cpus if key in SHELL else None
+            order = [side for side in list(sides)[:: -1 if rep % 2 else 1]
+                     if key not in timed_out[side]]
+            # the timed children of both sides first, adjacent, then the memory children
+            timed = {side: measure(cmd, stage_env(side, key), args.timeout, where)
+                     for side in order}
+            for side in order:
+                memory = None
+                if timed[side] is not None:
+                    memory = measure(cmd, memory_env(stage_env(side, key)), args.timeout, where)
+                if memory is None:
                     timed_out[side].add(key)
                     continue
-                first = results.setdefault(key, rec["result"])
-                if rec["result"] != first:
-                    raise SystemExit(f"{key}: {side} gave {rec['result']}, an earlier run {first}")
-                runs[side][key].append(rec)
+                for rec in (timed[side], memory):
+                    first = results.setdefault(key, rec["result"])
+                    if rec["result"] != first:
+                        raise SystemExit(f"{key}: {side} gave {rec['result']}, an earlier run {first}")
+                runs[side][key].append({
+                    **{m: timed[side][m] for m in TIME_METRICS if m in timed[side]},
+                    **{m: memory[m] for m in MEMORY_METRICS if m in memory},
+                    "result": first,
+                })
     pycache.cleanup()
 
     record = {
@@ -371,6 +441,14 @@ def main():
         "groups": groups,
         "repeat": args.repeat,
         "timeout_s": args.timeout,
+        "conditions": {
+            "time": f"{', '.join(TIME_METRICS)} from children under glibc's default malloc",
+            "memory": f"{', '.join(MEMORY_METRICS)} from separate children with "
+                      f"MALLOC_MMAP_THRESHOLD_={MMAP_THRESHOLD}",
+            "repeat": "each stage ran --repeat timed and --repeat memory children per side",
+            "threads": f"children on CPU {cpu} with {', '.join(THREAD_VARS)} = 1, except "
+                       f"{', '.join(SHELL)}: on CPUs {sorted(cpus)} with none of them set",
+        },
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
@@ -383,20 +461,20 @@ def main():
             key: summarize(rs, key in timed_out[side]) for key, rs in runs[side].items()
         }
     if args.before:
-        change = {}
+        medians = {}
         for key, after in record["after"].items():
             before = record["before"][key]
             if before.get("timed_out") or after.get("timed_out"):
-                change[key] = None
+                medians[key] = None
                 continue
-            change[key] = {
-                metric: round(after[metric]["median"] / before[metric]["median"] - 1, 4)
+            medians[key] = {
+                metric: change(after[metric]["median"], before[metric]["median"])
                 for metric in METRICS if metric in after
             }
-        record["median_change"] = change
+        record["median_change"] = medians
         record["paired_change"] = {
             key: paired_change(runs["before"][key], runs["after"][key])
-            for key in stages if change[key] is not None
+            for key in stages if medians[key] is not None
         }
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

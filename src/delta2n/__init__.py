@@ -3,6 +3,26 @@
 __version__ = "0.1.0"
 
 
+# The failures every layer raises and the CLI maps to exit status 2.  They
+# live here, with no import, so that naming them loads no computing layer.
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural identity failed: points at an enumeration or sign bug."""
+
+
+class RankCertificateError(RuntimeError):
+    """Raised when the modular/exact certification loop cannot close."""
+
+
+class NotACharacterError(ValueError):
+    """A class function is not a nonnegative integer combination of irreducibles."""
+
+
+class MalformedGraphError(ValueError):
+    """A marked theta graph, or a permutation acting on one, is not well formed."""
+
+
 def clear_caches():
     """Empty every in-process memo (each is a ``functools.cache``) of the
     delta2n modules loaded so far, so the next call recomputes; a module not

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, theta_graphs
-from .linalg import InternalConsistencyError, SparseIntMatrix
+from . import InternalConsistencyError, linalg, theta_graphs
+from .linalg import SparseIntMatrix
 from .theta_graphs import (
     _PATH_PERMS,
     SYMMETRIES,

@@ -15,19 +15,26 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional
 
-from . import __version__
-from .linalg import InternalConsistencyError, NotACharacterError, RankCertificateError
-from .theta_graphs import MalformedGraphError, to_line
+from . import (
+    InternalConsistencyError,
+    MalformedGraphError,
+    NotACharacterError,
+    RankCertificateError,
+    __version__,
+)
 
-# the labeled complex (chain_complex) and the homology layer
-# (equivariant_homology, symfunc_check, symmetric_group) are imported inside
-# the handlers that run them: complex and enumerate never load the homology
-# layer, and characters never loads chain_complex
+# every computing layer, and with it numpy, is imported inside the handlers
+# that run it: importing this module, parsing the arguments and rejecting a
+# bad configuration load none.  complex and enumerate never load the homology
+# layer (equivariant_homology, symfunc_check, symmetric_group), and
+# characters never loads the labeled complex (chain_complex)
 
 # accepted and echoed in metadata only: no result depends on it
 DEFAULT_SEED = 271828
 # default of --cache; the library does not read it
 CACHE_ENV = "DELTA2N_CACHE_DIR"
+# the BLAS thread counts entry() sets to 1 when none of them is set
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class RunConfig(NamedTuple):
@@ -90,6 +97,7 @@ def _character_text(title, classes, values, mults):
 
 def _cmd_enumerate(config, stages):
     from .chain_complex import basis_arrays, build_basis
+    from .theta_graphs import to_line
 
     n = config.n
     degrees = [config.degree] if config.degree is not None else list(range(n, n + 3))
@@ -293,6 +301,7 @@ def _cmd_analyze_d25(config, stages):
         orbit_basis,
         projection_on_kernel,
     )
+    from .theta_graphs import to_line
 
     basis = build_basis(5, 7)
     v = stages.run("cycle_search", find_isotypic_cycle)
@@ -408,8 +417,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 1
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return 0 if exc.code == 0 else 1
     try:
         output = run(RunConfig(**vars(args)))
     except ConfigError as exc:
@@ -429,7 +438,15 @@ def main(argv=None):
 
 
 def entry():
-    """Process entry point: run ``main`` on sys.argv and exit with its status."""
+    """Process entry point: run ``main`` on sys.argv and exit with its status.
+
+    Unless the environment sets one of THREAD_VARS, numpy's BLAS runs one
+    thread: a pool of one per CPU costs every run start-up and CPU time,
+    and no product up to n = 9 gains clear wall time from it.  Every
+    float64 product is exact (``int_matmul``), so no result depends on the
+    thread count."""
+    if not any(var in os.environ for var in THREAD_VARS):
+        os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # read when numpy loads
     status = main()
     # nothing is collected after this point, so the final collection would only walk the heap
     gc.freeze()

@@ -17,7 +17,8 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .chain_complex import InternalConsistencyError, basis_arrays, boundary_matrix
+from . import InternalConsistencyError
+from .chain_complex import basis_arrays, boundary_matrix
 from .equivariant_homology import act
 from .linalg import _kernel_coordinates, kernel_exact, rank_exact
 from .symmetric_group import (

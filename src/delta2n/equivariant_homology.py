@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import InternalConsistencyError, MalformedGraphError, NotACharacterError
 from .linalg import (
     _INT64_SAFE,
-    InternalConsistencyError,
     _kernel_coordinates,
     _max_abs,
     independent_columns,
@@ -37,7 +37,6 @@ from .linalg import (
     rank_exact,
 )
 from .symmetric_group import (
-    NotACharacterError,
     WordTree,
     _sweep,
     assemble_character,
@@ -53,7 +52,6 @@ from .symmetric_group import (
 )
 from .theta_graphs import (
     UNMARKED,
-    MalformedGraphError,
     boundary_terms,
     chain_orbits,
     orbit_normal_form,

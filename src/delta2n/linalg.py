@@ -19,6 +19,8 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
+# the package's errors, also importable from here as they always were
+from . import InternalConsistencyError, NotACharacterError, RankCertificateError  # noqa: F401
 from .kernels import rref_modp
 
 # primes just under 2**31 so mod-p products fit comfortably in int64
@@ -40,18 +42,6 @@ PRIMES = (
     2147483269,
     2147483249,
 )
-
-
-class RankCertificateError(RuntimeError):
-    """Raised when the modular/exact certification loop cannot close."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural identity failed: points at an enumeration or sign bug."""
-
-
-class NotACharacterError(ValueError):
-    """A class function is not a nonnegative integer combination of irreducibles."""
 
 
 class SparseIntMatrix:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InternalConsistencyError, NotACharacterError, int_matmul
+from . import InternalConsistencyError, NotACharacterError
+from .linalg import int_matmul
 
 
 # ---------------------------------------------------------------------------

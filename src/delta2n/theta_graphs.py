@@ -31,15 +31,13 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
+from . import MalformedGraphError
+
 UNMARKED = -1
 
 _PATH_PERMS = tuple(itertools.permutations(range(3)))
 # (flip, path permutation) pairs in a fixed order; identity first.
 SYMMETRIES = tuple((flip, perm) for flip in (0, 1) for perm in _PATH_PERMS)
-
-
-class MalformedGraphError(ValueError):
-    pass
 
 
 class ThetaGraph(NamedTuple):

@@ -69,10 +69,40 @@ def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
     assert "PYTHONDONTWRITEBYTECODE" not in env
 
 
-def test_child_env_fixes_the_mmap_threshold(tmp_path):
-    # a dynamic threshold makes peak RSS depend on earlier allocations' order
+def test_only_memory_runs_fix_the_mmap_threshold(tmp_path, monkeypatch):
+    # a dynamic threshold makes peak RSS depend on earlier allocations' order,
+    # a fixed one maps and faults in every large temporary: the timed child
+    # runs under default malloc, even when bench.py's own environment fixes it
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "65536")
     bench = _bench()
-    assert bench.child_env(ROOT, tmp_path)["MALLOC_MMAP_THRESHOLD_"] == "131072"
+    timed = bench.child_env(ROOT, tmp_path)
+    assert "MALLOC_MMAP_THRESHOLD_" not in timed
+    assert "MALLOC_MMAP_THRESHOLD_" not in bench.shell_env(timed)
+    memory = bench.memory_env(timed)
+    assert memory == dict(timed, MALLOC_MMAP_THRESHOLD_="131072")
+    assert set(bench.TIME_METRICS).isdisjoint(bench.MEMORY_METRICS)
+    assert "peak_rss_mb" in bench.MEMORY_METRICS and "sys_s" in bench.TIME_METRICS
+
+
+def test_shell_stages_run_on_every_cpu_with_no_thread_variable(tmp_path):
+    # the *_shell stages run the CLI as a shell starts it, so that its own
+    # thread default shows: no thread variable, and not on bench.py's one CPU
+    bench = _bench()
+    assert sorted(bench.SHELL) == sorted(k for k in bench.GROUPS["cli"] if "_shell_" in k)
+    for key in bench.SHELL:
+        assert bench.GROUPS["cli"][key] == bench.GROUPS["cli"][key.replace("_shell", "")]
+    env = bench.shell_env(bench.child_env(ROOT, tmp_path))
+    assert not set(bench.THREAD_VARS) & set(env)
+    cpus = os.sched_getaffinity(0)
+    probe = "import json, os; print(json.dumps({'metadata': {}, 'cpus': sorted(os.sched_getaffinity(0))}))"
+    digest = bench.result_digest(json.dumps({"metadata": {}, "cpus": sorted(cpus)}))
+    os.sched_setaffinity(0, {min(cpus)})  # as bench.py pins itself
+    try:
+        record = bench.measure(["-c", probe], env, 60, cpus)
+        assert os.sched_getaffinity(0) == {min(cpus)}
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert record["result"] == digest and record["sys_s"] <= record["cpu_s"]
 
 
 def test_source_stages_compile_the_package_from_source(tmp_path):
@@ -94,3 +124,15 @@ def test_source_stages_compile_the_package_from_source(tmp_path):
     assert record["result"] is not None  # characters printed its JSON payload
     assert (tmp_path / "src" / "delta2n" / "cli.py").is_file()
     assert not list((tmp_path / "src").rglob("__pycache__"))
+
+
+def test_paired_change_skips_a_zero_base():
+    # a short child's system time can read 0: no ratio is taken over it
+    bench = _bench()
+    before = [{"wall_s": 1.0, "sys_s": 0.0}, {"wall_s": 2.0, "sys_s": 0.0}]
+    after = [{"wall_s": 0.5, "sys_s": 0.01}, {"wall_s": 1.0, "sys_s": 0.0}]
+    assert bench.paired_change(before, after) == {
+        "wall_s": {"median": -0.5, "after_won": 2, "pairs": 2},
+        "sys_s": {"median": None, "after_won": 0, "pairs": 2},
+    }
+    assert bench.change(0.02, 0.0) is None and bench.change(0.02, 0.01) == 1.0

@@ -266,6 +266,49 @@ def test_entry_point_rejects_an_unknown_option():
     assert proc.returncode == 1 and proc.stdout == ""
 
 
+def test_help_exits_0_with_the_usage_on_stdout():
+    for argv in (["--help"], ["characters", "--help"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "delta2n.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: delta2n") and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "preset, added",
+    [({}, dict.fromkeys(cli.THREAD_VARS, "1")), ({"OMP_NUM_THREADS": "2"}, {})],
+    ids=["none-set", "omp-set"],
+)
+def test_entry_sets_one_blas_thread_unless_a_thread_count_is_set(preset, added):
+    # the variables must be in place before numpy loads, which happens only
+    # inside a handler, and a thread count the user chose is left alone
+    script = """
+import json, os, sys
+from delta2n import cli
+before = dict(os.environ)
+def main():
+    after = dict(os.environ)
+    print(json.dumps({
+        "numpy": "numpy" in sys.modules,
+        "changed": {k: v for k, v in after.items() if before.get(k) != v},
+        "removed": sorted(before.keys() - after.keys()),
+    }))
+    return 0
+cli.main = main
+cli.entry()
+"""
+    env = {k: v for k, v in _child_env().items() if k not in cli.THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**env, **preset}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"numpy": False, "changed": added, "removed": []}
+
+
 def test_main_leaves_the_heap_unfrozen(capsys):
     # only the process entry point freezes; tests and tracers call main in-process
     before = gc.get_freeze_count()
@@ -333,14 +376,59 @@ print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
     assert proc.returncode == 0, proc.stderr
     before, imported, ran = (line.split() for line in proc.stdout.splitlines())
     assert before == []
-    assert imported == [
-        "delta2n",
-        "delta2n.cli",
-        "delta2n.kernels",
-        "delta2n.linalg",
-        "delta2n.theta_graphs",
-    ]
+    assert imported == ["delta2n", "delta2n.cli"]
     assert not {"delta2n.chain_complex", "fractions", "decimal", "_decimal"} & set(ran)
+
+
+def test_cli_loads_no_numpy_until_a_handler_computes():
+    # importing the CLI, printing its help and rejecting a bad --n compute
+    # nothing, so they load neither numpy nor any computing layer
+    script = """
+import contextlib, io, sys
+from delta2n import cli
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(("numpy", "delta2n")))
+print(*loaded())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["characters", "--n", "99"]) == 1
+print(*loaded())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["delta2n delta2n.cli"] * 2
+
+
+def test_only_entry_writes_the_environment():
+    # importing every module of the package and running a command in-process
+    # leave os.environ as they found it
+    script = """
+import contextlib, importlib, io, os, pkgutil
+import delta2n
+before = dict(os.environ)
+for info in pkgutil.iter_modules(delta2n.__path__):
+    importlib.import_module(f"delta2n.{info.name}")
+from delta2n import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["characters", "--n", "4"]) == 0
+print(dict(os.environ) == before)
+"""
+    env = {k: v for k, v in _child_env().items() if k not in cli.THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
+def test_package_errors_keep_their_layer_names():
+    # the errors live in the package root; the layers' names are the same classes
+    import delta2n
+    from delta2n import linalg
+
+    for name in ("InternalConsistencyError", "RankCertificateError", "NotACharacterError"):
+        assert getattr(linalg, name) is getattr(delta2n, name)
+    assert theta_graphs.MalformedGraphError is delta2n.MalformedGraphError
+    assert symmetric_group.NotACharacterError is delta2n.NotACharacterError
 
 
 def test_clear_caches_loads_no_module():
