@@ -201,14 +201,20 @@ def _shape_rows(n: int, shape):
 @cache
 def basis_arrays(n: int, p: int) -> BasisArrays:
     """The degree-p basis as label rows (see ``canonical_keys``),
-    enumerated one slot shape at a time; its keys, merged and sorted, must be
-    strictly increasing, as distinct graphs have distinct keys."""
+    enumerated one slot shape at a time.  It must have as many graphs as
+    orbit-stabilizer says (``chain_dim``), and its keys, merged and sorted,
+    must be strictly increasing, as distinct graphs have distinct keys."""
     if n < 2:
         raise ValueError(f"n={n} is out of range")
     found = [(shape, *_shape_rows(n, shape)) for shape in _slot_shapes(n, p)]
     odd = sum(dropped for *_, dropped in found)
     found = [(shape, rows, keys) for shape, rows, keys, _ in found if len(rows)]
     keys = np.concatenate([keys for _, _, keys in found]) if found else np.empty(0, np.int64)
+    if len(keys) != chain_dim(n, p):
+        raise InternalConsistencyError(
+            f"enumeration gives dim C_{p} = {len(keys)}, orbit-stabilizer "
+            f"{chain_dim(n, p)} at n={n}"
+        )
     order = np.argsort(keys)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
@@ -348,7 +354,8 @@ def _boundary_matrix(n, p, cache_dir):
     path = _cache_path(cache_dir, n, p) if cache_dir else None
     mat = None
     if path is not None:
-        mat = _read_cached(path, (basis_arrays(n, p - 1).dim, basis_arrays(n, p).dim))
+        # the shape by orbit-stabilizer, so a warm read enumerates no basis
+        mat = _read_cached(path, (chain_dim(n, p - 1), chain_dim(n, p)))
     if mat is None:
         mat = _build_matrix(n, p)
         if path is not None:
@@ -358,30 +365,23 @@ def _boundary_matrix(n, p, cache_dir):
 
 class RelativeComplex(NamedTuple):
     n: int
-    bases: dict
+    dims: dict
     matrices: dict
-
-    def basis(self, p):
-        return self.bases[p]
 
     def d(self, p):
         return self.matrices[p]
 
 
 def build_complex(n: int, cache_dir=None) -> RelativeComplex:
-    """Bases for degrees n..n+2 plus d_{n+1}, d_{n+2}, with d.d = 0 checked
-    and each enumerated basis as large as orbit-stabilizer says."""
-    bases = {p: basis_arrays(n, p) for p in (n, n + 1, n + 2)}
-    for p, basis in bases.items():
-        if basis.dim != chain_dim(n, p):
-            raise InternalConsistencyError(
-                f"enumeration gives dim C_{p} = {basis.dim}, orbit-stabilizer "
-                f"{chain_dim(n, p)} at n={n}"
-            )
+    """dim C_p for degrees n..n+2 by orbit-stabilizer plus d_{n+1}, d_{n+2},
+    with d.d = 0 checked.  A boundary read from the cache has the shape
+    those dims give; one built enumerates its bases, which ``basis_arrays``
+    checks against the same dims."""
+    dims = {p: chain_dim(n, p) for p in (n, n + 1, n + 2)}
     mats = {p: boundary_matrix(n, p, cache_dir) for p in (n + 1, n + 2)}
     if not mats[n + 1].matmul(mats[n + 2]).is_zero():
         raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 at n={n}")
-    return RelativeComplex(n, bases, mats)
+    return RelativeComplex(n, dims, mats)
 
 
 def betti(n: int):

@@ -35,6 +35,10 @@ DEFAULT_SEED = 271828
 CACHE_ENV = "DELTA2N_CACHE_DIR"
 # the BLAS thread counts entry() sets to 1 when none of them is set
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the youngest generation's collection threshold entry() sets (default 700):
+# at 700, importing numpy alone runs about 50 collections, which find a few
+# hundred cyclic objects, five times as many as a whole characters --n 8 after it
+GC_THRESHOLD = 20_000
 
 
 class RunConfig(NamedTuple):
@@ -131,12 +135,12 @@ def _cmd_enumerate(config, stages):
 
 
 def _cmd_complex(config, stages):
-    from .chain_complex import basis_arrays, boundary_matrix, build_complex
+    from .chain_complex import boundary_matrix, build_complex
 
     n = config.n
-    # build_complex reuses the memoized bases and boundaries of the first two
-    # stages, and adds the dimension and d^2 = 0 checks
-    stages.run("bases", lambda: [basis_arrays(n, p) for p in range(n, n + 3)])
+    # the boundaries stage enumerates the bases, unless it reads both
+    # matrices from a warm --cache; build_complex reuses the memoized
+    # boundaries and adds the d^2 = 0 check
     try:
         stages.run(
             "boundaries", lambda: [boundary_matrix(n, p, config.cache) for p in (n + 1, n + 2)]
@@ -146,7 +150,7 @@ def _cmd_complex(config, stages):
     cx = stages.run("d_squared", lambda: build_complex(n, config.cache))
     payload = {
         "n": n,
-        "dims": {str(p): cx.basis(p).dim for p in range(n, n + 3)},
+        "dims": {str(p): cx.dims[p] for p in range(n, n + 3)},
         "boundary_nnz": {str(p): cx.d(p).nnz for p in (n + 1, n + 2)},
         "d_squared_zero": True,  # enforced during construction
     }
@@ -444,9 +448,11 @@ def entry():
     thread: a pool of one per CPU costs every run start-up and CPU time,
     and no product up to n = 9 gains clear wall time from it.  Every
     float64 product is exact (``int_matmul``), so no result depends on the
-    thread count."""
+    thread count.  From before numpy loads, the cyclic collector runs its
+    youngest generation after GC_THRESHOLD net allocations instead of 700."""
     if not any(var in os.environ for var in THREAD_VARS):
         os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # read when numpy loads
+    gc.set_threshold(GC_THRESHOLD, *gc.get_threshold()[1:])
     status = main()
     # nothing is collected after this point, so the final collection would only walk the heap
     gc.freeze()

@@ -134,7 +134,7 @@ def test_complex_reports_dims(capsys):
     payload = json.loads(out)
     assert payload["dims"] == {"4": 0, "5": 4, "6": 6}
     assert payload["d_squared_zero"] is True
-    assert list(payload["metadata"]["timings"]) == ["bases", "boundaries", "d_squared"]
+    assert list(payload["metadata"]["timings"]) == ["boundaries", "d_squared"]
 
 
 def test_verify_passes(capsys):
@@ -420,6 +420,34 @@ print(dict(os.environ) == before)
     assert proc.stdout.split() == ["True"]
 
 
+def test_only_entry_raises_the_collection_threshold():
+    # importing every module and running a command in-process leave the
+    # collector's thresholds alone; entry() raises only the youngest one's
+    script = """
+import contextlib, gc, importlib, io, json, pkgutil
+import delta2n
+before = gc.get_threshold()
+for info in pkgutil.iter_modules(delta2n.__path__):
+    importlib.import_module(f"delta2n.{info.name}")
+from delta2n import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["characters", "--n", "4"]) == 0
+untouched = gc.get_threshold()
+def main():
+    print(json.dumps([before, untouched, gc.get_threshold()]))
+    return 0
+cli.main = main
+cli.entry()
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, untouched, during = json.loads(proc.stdout)
+    assert untouched == before
+    assert during == [cli.GC_THRESHOLD, *before[1:]] != before
+
+
 def test_package_errors_keep_their_layer_names():
     # the errors live in the package root; the layers' names are the same classes
     import delta2n
@@ -499,6 +527,48 @@ def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
     assert sorted(built) == [6, 7]
     assert len(list(tmp_path.iterdir())) == 2
     assert CACHE_ENV not in os.environ
+
+
+def test_warm_cache_enumerates_no_basis(capsys, monkeypatch, tmp_path, fresh_caches):
+    # a warm run checks the cached files against dim C_p by orbit-stabilizer,
+    # so it reads both boundaries and builds no basis
+    argv = ["complex", "--n", "5", "--format", "json", "--cache", str(tmp_path)]
+    status, cold, _ = _run(capsys, *argv)
+    assert status == 0
+    clear_caches()
+
+    def enumerated(n, shape):
+        raise AssertionError(f"a warm run enumerated slot shape {shape} at n={n}")
+
+    monkeypatch.setattr(chain_complex, "_shape_rows", enumerated)
+    status, warm, _ = _run(capsys, *argv)
+    assert status == 0
+    assert _payload(warm) == _payload(cold)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "cols"])
+def test_cache_file_off_the_orbit_stabilizer_shape_is_rebuilt(
+    capsys, monkeypatch, tmp_path, fresh_caches, axis
+):
+    # d_7's file with one header dimension off by one, its entries still in
+    # range: the warm run rebuilds d_7 alone and rewrites its file
+    argv = ["complex", "--n", "5", "--format", "json", "--cache", str(tmp_path)]
+    _, cold, _ = _run(capsys, *argv)
+    path = chain_complex._cache_path(tmp_path, 5, 7)
+    good = np.load(path)
+    bad = good.copy()
+    bad[axis, 0] += 1
+    np.save(path, bad)
+    clear_caches()
+    built = []
+    real = chain_complex._build_matrix
+    monkeypatch.setattr(
+        chain_complex, "_build_matrix", lambda n, p: built.append(p) or real(n, p)
+    )
+    status, warm, _ = _run(capsys, *argv)
+    assert status == 0 and _payload(warm) == _payload(cold)
+    assert built == [7]
+    assert np.array_equal(np.load(path), good)
 
 
 def test_old_int64_cache_file_is_rebuilt(capsys, monkeypatch, tmp_path, fresh_caches):
@@ -739,6 +809,18 @@ def test_corrupted_parity_table_exits_2(capsys, monkeypatch, fresh_caches):
     status, out, err = _run(capsys, "complex", "--n", "5")
     assert status == 2 and out == ""
     assert "internal consistency failure: d_6 . d_7 != 0 at n=5" in err
+
+
+def test_enumerate_checks_the_orbit_stabilizer_dimension(capsys, monkeypatch, fresh_caches):
+    # dropping one of the two degree-7 orbits halves dim C_7 by
+    # orbit-stabilizer, against the 60 graphs enumerated
+    real = theta_graphs.chain_orbits
+    monkeypatch.setattr(
+        theta_graphs, "chain_orbits", lambda n, p: real(n, p)[: 1 if p == 7 else None]
+    )
+    status, out, err = _run(capsys, "enumerate", "--n", "5")
+    assert status == 2 and out == ""
+    assert "internal consistency failure: enumeration gives dim C_7 = 60, orbit-stabilizer 30" in err
 
 
 def test_missing_basis_key_exits_2(capsys, monkeypatch, fresh_caches):
