@@ -381,9 +381,9 @@ def run(config: RunConfig) -> str:
         raise ConfigError("--seed must be non-negative")
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
-            "warning: n=8 is a large computation (measured on a 2-core x86_64 "
-            "VM: about 0.9 s and 41 MB for characters, betti or verify; about "
-            "0.5 s and 50 MB for complex)",
+            "warning: n=8 is a large computation (README timings, 2-core x86_64 "
+            "VM: about 1 s and 40 MB for characters or verify; 0.5 s and 50 MB "
+            "for complex, 0.19 s and 40 MB from a warm --cache)",
             file=sys.stderr,
         )
     stages = _Stages()

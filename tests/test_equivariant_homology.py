@@ -337,12 +337,52 @@ def test_empty_stabilizer_gives_no_projection():
 
 def test_block_assembly_refuses_entries_beyond_int64():
     # two terms of 2**61 in one cell would reach 2**62: refused before any
-    # entry is written; one less in each and the sum is assembled exactly
+    # product is formed; one less in each and the sum is taken exactly
     terms = (((0, 1, 0), (0, 1, 0)),)
     big = np.full((1, 1), 1 << 61, dtype=np.int64)
+    x = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(OverflowError):
-        equivariant_homology._precompose_block(terms, [big], 1)
-    assert equivariant_homology._precompose_block(terms, [big - 1], 1).tolist() == [[(1 << 62) - 2]]
+        equivariant_homology._precompose(terms, [big], x)
+    assert equivariant_homology._precompose(terms, [big - 1], x).tolist() == [[(1 << 62) - 2]]
+
+
+def _orbit_boundary(terms, mats, lower):
+    """The orbit boundary F of one degree in S^lam coordinates, (d * upper
+    orbits) x (d * lower orbits), its block (o, j) summing c_j s_j rho(tau_j)."""
+    d = mats[0].shape[0]
+    out = np.zeros((d * len(terms), d * lower), dtype=np.int64)
+    for i, upper in enumerate(terms):
+        for j, coef, k in upper:
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * mats[k]
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_precompose_is_the_assembled_boundary_times_x(n):
+    # F x without F equals F, built from the plan, times x for the
+    # multiplicity spaces of both lower degrees and for the next block
+    precompose = equivariant_homology._precompose
+    rng = np.random.default_rng(n)
+    reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
+    plan = equivariant_homology._block_plan(reps)
+    for lam in partitions_of(n):
+        specht = specht_matrices(lam)
+        mats = symmetric_group._sweep(specht.generators, plan.tree, specht.dim)
+        spaces = [
+            equivariant_homology._fixed_columns(r, s, mats) for r, s in zip(reps, plan.stabilizers)
+        ]
+        f_next, f_top = (_orbit_boundary(plan.terms[i], mats, len(reps[i])) for i in (0, 1))
+        block_next = precompose(plan.terms[0], mats, spaces[0])
+        assert np.array_equal(block_next, linalg.int_matmul(f_next, spaces[0]))
+        assert np.array_equal(
+            precompose(plan.terms[1], mats, spaces[1]), linalg.int_matmul(f_top, spaces[1])
+        )
+        assert np.array_equal(
+            precompose(plan.terms[1], mats, block_next), linalg.int_matmul(f_top, block_next)
+        )
+        # F_top block_next is 0 by d^2 = 0: a dense x checks a nonzero product too
+        x = rng.integers(-3, 4, size=(f_top.shape[1], 3))
+        assert np.array_equal(precompose(plan.terms[1], mats, x), linalg.int_matmul(f_top, x))
 
 
 @pytest.mark.parametrize("n", [4, 5])
