@@ -31,8 +31,6 @@ from . import (
 
 # accepted and echoed in metadata only: no result depends on it
 DEFAULT_SEED = 271828
-# default of --cache; the library does not read it
-CACHE_ENV = "DELTA2N_CACHE_DIR"
 # the BLAS thread counts entry() sets to 1 when none of them is set
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # the youngest generation's collection threshold entry() sets (default 700):
@@ -305,27 +303,29 @@ def _cmd_analyze_d25(config, stages):
         orbit_basis,
         projection_on_kernel,
     )
+    from .symfunc_check import ratio_str
     from .theta_graphs import to_line
 
     basis = build_basis(5, 7)
     v = stages.run("cycle_search", find_isotypic_cycle)
     support = [(to_line(basis.graphs[i]), int(v[i])) for i in range(basis.dim) if v[i]]
-    p311 = stages.run("projection", lambda: projection_on_kernel((3, 1, 1)))
+    p311, p_scale = stages.run("projection", lambda: projection_on_kernel((3, 1, 1)))
     vb = stages.run("orbit_basis", lambda: orbit_basis(v))
-    h0 = stages.run("intertwiner", lambda: equivariant_isomorphism(vb))
+    mh0, scale = stages.run("intertwiner", lambda: equivariant_isomorphism(vb))
+    h0 = [[ratio_str(x, scale) for x in row] for row in mh0.tolist()]
     payload = {
         "n": 5,
         "cycle_support": [{"graph": g, "coefficient": c} for g, c in support],
-        "projection_trace": str(sum(p311[i, i] for i in range(p311.shape[0]))),
+        "projection_trace": ratio_str(sum(p311.diagonal().tolist()), p_scale),
         "orbit_rank": 6,
-        "h0": [[str(x) for x in row] for row in h0],
+        "h0": h0,
     }
     lines = ["isotypic cycle support (graph, coefficient):"]
     lines.extend(f"  {g}  {c:+d}" for g, c in support)
     lines.append(f"projection trace on kernel: {payload['projection_trace']}")
     lines.append("orbit basis rank: 6 (exact)")
     lines.append("h0:")
-    lines.extend("  " + "  ".join(str(x).rjust(4) for x in row) for row in h0)
+    lines.extend("  " + "  ".join(x.rjust(4) for x in row) for row in h0)
     return Result(payload, lines)
 
 
@@ -381,9 +381,9 @@ def run(config: RunConfig) -> str:
         raise ConfigError("--seed must be non-negative")
     if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
         print(
-            "warning: n=8 is a large computation (README timings, 2-core x86_64 "
-            "VM: about 1 s and 40 MB for characters or verify; 0.5 s and 50 MB "
-            "for complex, 0.19 s and 40 MB from a warm --cache)",
+            "warning: n=8 is a large computation (BENCH_exact_form.json, 2-core "
+            "x86_64 VM: about 0.6 s and 36 MB for characters or verify; 0.5 s and "
+            "50 MB for complex, 0.2 s and 40 MB from a warm --cache)",
             file=sys.stderr,
         )
     stages = _Stages()
@@ -402,7 +402,7 @@ def _build_parser():
     )
     options = {
         "--degree": {"type": int},
-        "--cache": {"default": os.environ.get(CACHE_ENV)},
+        "--cache": {},
         "--values": {},
     }
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,13 +4,13 @@ the isotypic subspace in kernel coordinates, an orbit basis under the
 permutations of the first three markings, and an explicit equivariant
 isomorphism onto the Specht module.
 
-Chain vectors are plain numpy arrays (length 60, integer or Fraction entries)
-indexed by the n=5, degree-7 chain basis.
+Chain vectors are int64 numpy arrays indexed by the n=5, degree-7 chain
+basis (length 60).  A rational matrix comes as the pair (M, s) of an int64
+matrix and a positive scale, read as M / s: the form ``kernel_exact`` returns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial, lcm
@@ -20,7 +20,14 @@ import numpy as np
 from . import InternalConsistencyError
 from .chain_complex import basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import _kernel_coordinates, kernel_exact, rank_exact
+from .linalg import (
+    _INT64_SAFE,
+    _kernel_coordinates,
+    _max_abs,
+    int_matmul,
+    kernel_exact,
+    rank_exact,
+)
 from .symmetric_group import (
     character_table,
     cycle_type,
@@ -41,15 +48,6 @@ class WrongIsotypeError(InternalConsistencyError):
     """The averaged intertwiner vanished, so the source isotype was wrong."""
 
 
-def clear_denominators(m):
-    """(L m, L) for an array m of integers and Fractions, with L the lcm of
-    the entries' denominators: L m holds Python ints, in m's shape."""
-    m = np.asarray(m, dtype=object)
-    scale = lcm(*(v.denominator for v in m.flat))
-    cleared = [v.numerator * (scale // v.denominator) for v in m.flat]
-    return np.array(cleared, dtype=object).reshape(m.shape), scale
-
-
 @cache
 def _kernel():
     """The top kernel K as (L K, L, pivots, free), L the lcm of K's denominators."""
@@ -61,35 +59,36 @@ def _act_tables(pi):
     return act(pi, TOP_DEGREE)
 
 
-def _character_sum(lam, x):
-    """sum_pi chi_lam(pi) A_pi x, exactly, in Python ints."""
+def scaled_projection(lam, x):
+    """S_lam x = sum_pi chi_lam(pi) A_pi x = (120 / d_lam) P_lam x, the
+    lam-isotypic projection of an int64 vector or matrix x scaled to stay
+    integral, summed in int64.  OverflowError before any sum unless
+    sum_pi |chi_lam(pi)| max|x|, a bound on every entry, is below 2**62."""
     parts = partitions_of(N)
     chi = dict(zip(parts, character_table(N)[parts.index(lam)].tolist()))
-    x = np.asarray(x, dtype=object)
-    acc = np.zeros(x.shape, dtype=object)
-    for pi in permutations(range(N)):
-        c = chi[cycle_type(pi)]
-        if not c:
-            continue
-        gidx, gsgn = _act_tables(pi)
-        acc = acc + c * (gsgn if x.ndim == 1 else gsgn[:, None]) * x[gidx]
+    terms = [(chi[cycle_type(pi)], pi) for pi in permutations(range(N))]
+    x = np.asarray(x, dtype=np.int64)
+    bound = sum(abs(c) for c, _ in terms) * (_max_abs(x) if x.size else 0)
+    if bound >= _INT64_SAFE:
+        raise OverflowError(f"a projection entry may reach {bound}, beyond int64")
+    acc = np.zeros(x.shape, dtype=np.int64)
+    for c, pi in terms:
+        if c:
+            gidx, gsgn = _act_tables(pi)
+            acc += c * (gsgn if x.ndim == 1 else gsgn[:, None]) * x[gidx]
     return acc
 
 
-def apply_projector(lam, x):
-    """(d_lam/120) * sum_pi chi_lam(pi) A_pi x, exactly."""
-    return _character_sum(lam, x) * Fraction(hook_dimension(lam), factorial(N))
-
-
 def projection_on_kernel(lam):
-    """Matrix of the lam-isotypic projector in kernel-basis coordinates: with
-    S = sum_pi chi_lam(pi) A_pi (L K) summed in integers, ``_kernel_coordinates``
-    gives L X with K X = S / L, and the matrix is d_lam (L X) / (120 L)."""
+    """Matrix of the lam-isotypic projector in kernel-basis coordinates, as
+    (L X, 120 L / d_lam): with S = ``scaled_projection`` of L K,
+    ``_kernel_coordinates`` gives L X with K X = S / L, and the projector is
+    d_lam X / 120."""
     lk, scale, pivots, free = _kernel()
-    lx = _kernel_coordinates(lk, scale, pivots, free, _character_sum(lam, lk))
+    lx = _kernel_coordinates(lk, scale, pivots, free, scaled_projection(lam, lk))
     if lx is None:
         raise InternalConsistencyError("projector does not preserve the kernel")
-    return lx * Fraction(hook_dimension(lam), factorial(N) * scale)
+    return lx, factorial(N) * scale // hook_dimension(lam)
 
 
 def _orbit_sum(gidx, gsgn, signed_e):
@@ -108,14 +107,17 @@ def find_isotypic_cycle():
 
     Looks for v = sum_i pi^i u, pi the 5-cycle, u a 4-term +-1 combination of
     basis graphs using both path shapes (two of each), with d v = 0 and
-    P_(3,1,1) v = v.  There is no fallback: InternalConsistencyError when no
-    such v exists.
+    P_(3,1,1) v = v, tested in integers as S v = (120 / d) v
+    (``scaled_projection``).  There is no fallback: InternalConsistencyError
+    when no such v exists.
     """
     basis = basis_arrays(N, TOP_DEGREE)
     d = boundary_matrix(N, TOP_DEGREE).to_int64()
     pi = tuple(list(range(1, N)) + [0])
     gidx, gsgn = act(pi, TOP_DEGREE)
     dim = basis.dim
+    lam = (3, 1, 1)
+    scale = factorial(N) // hook_dimension(lam)
 
     orbits = []
     for g in range(dim):
@@ -154,8 +156,8 @@ def find_isotypic_cycle():
                 v = orbits[g1] + s2 * orbits[g2] + flip * orbits[g3] + flip * s4 * orbits[g4]
                 if not v.any() or (d @ v).any():
                     continue
-                if np.array_equal(apply_projector((3, 1, 1), v), v.astype(object)):
-                    return v.astype(object)
+                if np.array_equal(scaled_projection(lam, v), scale * v):
+                    return v
     raise InternalConsistencyError("no (3,1,1)-isotypic cycle of orbit form")
 
 
@@ -169,57 +171,56 @@ def marked_triple_perms():
 
 def orbit_basis(v):
     """{sigma v} over the six marked-triple permutations, rank-certified."""
-    cols = []
-    for sigma in marked_triple_perms():
-        gidx, gsgn = _act_tables(sigma)
-        cols.append(gsgn.astype(object) * np.asarray(v, dtype=object)[gidx])
-    vb = np.stack(cols, axis=1)
-    if rank_exact(clear_denominators(vb)[0]) != 6:
+    v = np.asarray(v, dtype=np.int64)
+    tables = map(_act_tables, marked_triple_perms())
+    vb = np.stack([gsgn * v[gidx] for gidx, gsgn in tables], axis=1)
+    if rank_exact(vb) != 6:
         raise DegenerateVectorError("orbit of the vector has rank < 6")
     return vb
 
 
 def representation_on_span(vb):
-    """rho1: group element -> 6x6 exact matrix of its action on span(vb).
-    rho1(pi) is the top block X of the verified kernel [X; I] of
-    [L vb | -pi (L vb)], L the lcm of vb's denominators, so vb X = pi vb
-    holds on every row; the kernel has that shape exactly when its pivots
-    are the columns of vb."""
-    base, _ = clear_denominators(vb)
+    """rho1: group element -> its action on span(vb), a 6x6 rational matrix
+    X as (L X, L).  X is the top block of the verified kernel [X; I] of
+    [vb | -pi vb], so vb X = pi vb holds on every row; the kernel has that
+    shape exactly when its pivots are the columns of vb."""
     width = vb.shape[1]
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
-        _, lk, scale, pivots, _ = kernel_exact(np.hstack([base, -gsgn[:, None] * base[gidx]]))
+        _, lk, scale, pivots, _ = kernel_exact(np.hstack([vb, -gsgn[:, None] * vb[gidx]]))
         if not np.array_equal(pivots, np.arange(width)):
             raise DegenerateVectorError(
                 f"the {width} vectors are dependent or their span is not invariant under {pi}"
             )
-        reps[pi] = lk[:width] if scale == 1 else lk[:width] * Fraction(1, scale)
+        reps[pi] = lk[:width], scale
     return reps
 
 
 def equivariant_isomorphism(vb, specht=None):
-    """h0 = sum_pi rho2(pi^{-1}) . h . rho1(pi): an explicit intertwiner.
+    """h0 = sum_pi rho2(pi^{-1}) . h . rho1(pi): an explicit intertwiner, as
+    (M h0, M) with M the lcm of the rho1 scales.
 
     h is the identity-shaped seed map; averaging makes h0 equivariant, so by
-    Schur it is zero (wrong isotype) or an isomorphism.
+    Schur it is zero (wrong isotype) or an isomorphism.  The sum is one exact
+    product of rho2(pi^{-1}) h, side by side, with (M / L) (L X) stacked.
     """
     rep = specht if specht is not None else specht_matrices((3, 1, 1))
     rho1 = representation_on_span(vb)
     width = vb.shape[1]
-    seed = np.eye(rep.dim, width, dtype=np.int64).astype(object)
-    perms = list(permutations(range(N)))
-    rho2 = dict(zip(perms, (m.astype(object) for m in rep.matrices(perms))))
-    h0 = np.zeros((rep.dim, width), dtype=object)
-    for pi in perms:
-        inv = tuple(np.argsort(pi).tolist())
-        h0 = h0 + rho2[inv].dot(seed).dot(rho1[pi])
+    scale = lcm(*(s for _, s in rho1.values()))
+    seed = np.eye(rep.dim, width, dtype=np.int64)
+    perms = list(rho1)
+    rho2 = dict(zip(perms, rep.matrices(perms)))
+    left = np.hstack([int_matmul(rho2[tuple(np.argsort(pi).tolist())], seed) for pi in perms])
+    right = np.vstack([lx * (scale // s) for lx, s in rho1.values()])
+    h0 = int_matmul(left, right)
     if not h0.any():
         raise WrongIsotypeError("averaged intertwiner is zero")
-    for pi, r1 in rho1.items():
-        if not np.array_equal(h0.dot(r1), rho2[pi].dot(h0)):
+    # h0 rho1(pi) = rho2(pi) h0, times M L
+    for pi, (lx, s) in rho1.items():
+        if not np.array_equal(int_matmul(h0, lx), int_matmul(s * rho2[pi], h0)):
             raise InternalConsistencyError("intertwining identity failed")
-    if rep.dim != width or rank_exact(clear_denominators(h0)[0]) != rep.dim:
+    if rep.dim != width or rank_exact(h0) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")
-    return h0
+    return h0, scale

@@ -123,7 +123,7 @@ def _fixed_columns(reps, stabilizers, mats) -> np.ndarray:
     matrix times the stacked rho(h), gives every P_o = sum_h eps(h) rho(h);
     P_o^2 = |H_o| P_o, checked in one stacked product, makes P_o / |H_o| the
     projection onto W_o, so tr P_o / |H_o| columns of P_o span it."""
-    d = mats[0].shape[0]
+    d = mats.shape[1]  # the stack has no slot when the complex is empty
     used = sorted({k for stab in stabilizers for k, _ in stab})
     weights = np.array([[eps.get(k, 0) for k in used] for eps in map(dict, stabilizers)])
     rho = mats[used].reshape(len(used), d * d)
@@ -213,10 +213,10 @@ def _precompose(terms, mats, x):
     """F x for the orbit boundary F of one degree, never forming F: row block
     o is sum_j c_j s_j rho(tau_j) x_j over the terms of d(r_o), x_j the d
     rows of x of lower orbit j.  ``terms`` are the plan's for the degree and
-    ``mats`` the rho of its slots; each product is one int_matmul, summed in
-    int64.  OverflowError before any product unless sum |c_j| max|rho(tau_j)|
+    ``mats`` the rho stack of its slots; each product is one int_matmul, summed
+    in int64.  OverflowError before any product unless sum |c_j| max|rho(tau_j)|
     d max|x|, a bound on every entry, is below 2**62."""
-    d = mats[0].shape[0]
+    d = mats.shape[1]
     peak = {k: _max_abs(mats[k]) for k in {k for upper in terms for _, _, k in upper}}
     bound = sum(abs(coef) * peak[k] for upper in terms for _, coef, k in upper)
     bound *= d * (_max_abs(x) if x.size else 0)

@@ -9,7 +9,8 @@ matrix L K exactly, which gives the matching upper bound; callers take L K
 and L as they come.  ``rank_exact`` is a thin layer over it (one prime
 certifies full rank).
 ``independent_columns`` needs no kernel: its caller supplies the exact rank.
-Inputs must be integer matrices: a non-integer entry raises ValueError.
+Their inputs are SparseIntMatrix or signed-integer arrays, taken as int64;
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -236,29 +237,18 @@ def _max_abs(a) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _as_int(v) -> int:
-    """v as a Python int; ValueError unless its value is an integer."""
-    try:
-        out = int(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{v!r} is not an integer") from exc
-    if out != v:
-        raise ValueError(f"{v!r} is not an integer")
-    return out
-
-
 def _integer_array(mat) -> np.ndarray:
-    """mat as a dense 2-D integer array: int64, or object holding Python ints.
-    ValueError for any entry whose value is not an integer, so no certificate
-    is ever checked against a truncated copy of the input."""
+    """mat as a dense 2-D int64 array, from a SparseIntMatrix or a 2-D array
+    or list of a signed integer dtype.  ValueError for anything else (object
+    arrays, rationals, floats, Python ints beyond int64), before any
+    elimination runs, so no certificate is ever checked against a truncated
+    copy of the input."""
     if isinstance(mat, SparseIntMatrix):
         return mat.to_int64()
     arr = np.asarray(mat)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if np.issubdtype(arr.dtype, np.signedinteger):
-        return arr.astype(np.int64, copy=False)
-    return np.array([_as_int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
+    if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.signedinteger):
+        raise ValueError(f"not a 2-D signed integer matrix: {arr.dtype} {arr.shape}")
+    return arr.astype(np.int64, copy=False)
 
 
 # |entries| and partial sums below this fit int64 with room for a sign
@@ -338,8 +328,8 @@ def kernel_exact(mat):
     rank is a lower bound, and a @ lk == 0, checked in integers, certifies
     the nullity from above.  The pivots are exact too: they are independent
     mod p, hence over Q, and the verified kernel writes each free column as a
-    combination of earlier pivot columns.  ValueError for any non-integer
-    entry.
+    combination of earlier pivot columns.  ValueError unless the input is
+    an integer matrix (``_integer_array``).
     """
     a = _integer_array(mat)
     return _lift_kernel(a, (_reduce(a, p) for p in PRIMES))
@@ -449,7 +439,7 @@ def rank_exact(mat) -> int:
     """Exact rank.  One prime certifies full rank, as the rank mod p is a
     lower bound; otherwise the verified kernel of ``kernel_exact`` certifies
     it, starting from the same reduction mod the first prime.  ValueError
-    for any non-integer entry."""
+    unless the input is an integer matrix (``_integer_array``)."""
     a = _integer_array(mat)
     if 0 in a.shape:
         return 0

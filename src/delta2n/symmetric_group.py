@@ -434,9 +434,7 @@ class SpechtRep:
     e_{t_1}, ..., e_{t_d}.  A batch is evaluated in one sweep over the prefix
     tree of the permutations' transposition words (``WordTree``), with one
     stacked product per level, so shared prefixes are multiplied once.
-    Nothing is memoized per permutation: a caller that needs the same batch
-    for many lambda builds its WordTree once and passes it in place of the
-    permutations.
+    Nothing is memoized per permutation.
 
     Construction certifies, exactly in integers, that E X = B on the
     standard-tabloid rows, that the generators satisfy the Coxeter relations
@@ -463,9 +461,9 @@ class SpechtRep:
         _check_character(self.lam, self.generators)
 
     def matrices(self, perms) -> list:
-        """rho(p) for each permutation of ``perms``, or of the batch a
-        WordTree was built from, in order, as fresh int64 arrays."""
-        tree = perms if isinstance(perms, WordTree) else word_tree(perms)
+        """rho(p) for each permutation of ``perms``, in order, as fresh int64
+        arrays."""
+        tree = word_tree(perms)
         stack = _sweep(self.generators, tree, self.dim)
         return [stack[slot].copy() for slot in tree.slots]
 

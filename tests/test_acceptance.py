@@ -355,17 +355,17 @@ def test_09_structural_properties():
 
 def test_10_n5_kernel_cycle_suite():
     from delta2n.d25_analysis import (
-        apply_projector,
         equivariant_isomorphism,
         find_isotypic_cycle,
         orbit_basis,
         projection_on_kernel,
+        scaled_projection,
     )
 
     t0 = time.perf_counter()
     bad = []
-    p311 = projection_on_kernel((3, 1, 1))
-    if sum(p311[i, i] for i in range(15)) != 6:
+    p311, scale = projection_on_kernel((3, 1, 1))
+    if np.trace(p311) != 6 * scale:
         bad.append("isotypic dimension inside the kernel != 6")
     v = find_isotypic_cycle()
     dmat = np.zeros((60, 60), dtype=np.int64)
@@ -373,15 +373,15 @@ def test_10_n5_kernel_cycle_suite():
         dmat[r, c] = int(val)
     if np.any(dmat @ v):
         bad.append("found vector is not a cycle")
-    if not np.array_equal(apply_projector((3, 1, 1), v), v.astype(object)):
+    if not np.array_equal(scaled_projection((3, 1, 1), v), 20 * v):  # 120 / d_(3,1,1)
         bad.append("found vector is not isotypic")
     vb = orbit_basis(v)  # raises unless rank is exactly 6
     if vb.shape != (60, 6):
         bad.append(f"orbit basis shape {vb.shape}")
-    h0 = equivariant_isomorphism(vb)  # verifies intertwining for all 120
+    h0, _ = equivariant_isomorphism(vb)  # verifies intertwining for all 120
     if h0.shape != (6, 6):
         bad.append(f"intertwiner shape {h0.shape}")
-    if np.linalg.matrix_rank(np.array(h0, dtype=float)) != 6:
+    if np.linalg.matrix_rank(h0.astype(float)) != 6:
         bad.append("intertwiner is singular")
     ref = np.loadtxt(DATA / "reference_projector_15x15.txt", dtype=np.int64)
     if not np.array_equal(ref @ ref, 20 * ref) or np.trace(ref) != 120:

@@ -21,7 +21,7 @@ from delta2n import (
     theta_graphs,
 )
 from delta2n.chain_complex import build_basis
-from delta2n.cli import CACHE_ENV, DEFAULT_SEED
+from delta2n.cli import DEFAULT_SEED
 from delta2n.linalg import InternalConsistencyError
 from delta2n.symfunc_check import EulerClassCheck
 from delta2n.symmetric_group import NotACharacterError
@@ -210,19 +210,19 @@ def test_decompose_sum_of_irreducibles(capsys):
 
 
 def test_analyze_d25(capsys):
+    # the whole payload, metadata removed, byte for byte: the cycle support,
+    # the projection trace and every entry of h0 as the CLI writes it
     status, out, _ = _run(capsys, "analyze-d25", "--format", "json")
     assert status == 0
     payload = json.loads(out)
-    assert payload["projection_trace"] == "6"
-    assert payload["orbit_rank"] == 6
-    assert len(payload["h0"]) == 6
-    assert all(len(row) == 6 for row in payload["h0"])
-    coeffs = {entry["coefficient"] for entry in payload["cycle_support"]}
-    assert payload["cycle_support"] and coeffs <= {1, -1}
+    payload.pop("metadata")
+    golden = (Path(__file__).parent / "data" / "analyze_d25.json").read_text()
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == golden
+    assert payload["projection_trace"] == "6" and payload["orbit_rank"] == 6
 
 
 def test_analyze_d25_fails_when_no_cycle_is_found(capsys, monkeypatch):
-    monkeypatch.setattr(d25_analysis, "apply_projector", lambda lam, x: 0 * x.astype(object))
+    monkeypatch.setattr(d25_analysis, "scaled_projection", lambda lam, x: 0 * x)
     status, out, err = _run(capsys, "analyze-d25", "--format", "json")
     assert status == 2 and out == ""
     assert "no (3,1,1)-isotypic cycle" in err
@@ -358,7 +358,9 @@ def test_characters_and_verify_load_only_the_orbit_layer():
     # the blocks read orbit representatives alone and the Euler check compares
     # integers, so neither the labeled complex nor fractions (with the decimal
     # it imports) is loaded; verify's kernel-trace oracle, which reads the
-    # global boundary, runs only up to n = 6
+    # global boundary, runs only up to n = 6.  analyze-d25 reads the labeled
+    # complex, but its rationals are integer matrices over a scale, so it
+    # loads no fractions either
     script = """
 import contextlib, io, sys
 prefixes = ("delta2n", "fractions", "decimal", "_decimal")
@@ -369,15 +371,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["characters", "--n", "6"]) == 0
     assert cli.main(["verify", "--n", "7"]) == 0
 print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze-d25", "--format", "json"]) == 0
+print(*sorted(m for m in sys.modules if m.startswith(prefixes[1:])))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    before, imported, ran = (line.split() for line in proc.stdout.splitlines())
+    before, imported, ran, analyzed = (line.split() for line in proc.stdout.splitlines())
     assert before == []
     assert imported == ["delta2n", "delta2n.cli"]
     assert not {"delta2n.chain_complex", "fractions", "decimal", "_decimal"} & set(ran)
+    assert analyzed == []
 
 
 def test_cli_loads_no_numpy_until_a_handler_computes():
@@ -499,16 +505,16 @@ def test_seed_changes_metadata_not_results(capsys):
         assert block_a["decomposition"] == block_b["decomposition"]
 
 
-def test_cache_env_default_and_warm_rerun(tmp_path):
+def test_cache_option_warm_rerun_in_fresh_processes(tmp_path):
     # fresh processes: the in-process matrix memo would otherwise shadow the
     # on-disk cache entirely
     cache = tmp_path / "cx"
-    env = _child_env(**{CACHE_ENV: str(cache)})
     cmd = [sys.executable, "-m", "delta2n.cli", "complex", "--n", "4", "--format", "json"]
-    cold = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    cmd += ["--cache", str(cache)]
+    cold = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
     assert cold.returncode == 0
     assert any(cache.iterdir())
-    warm = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    warm = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
     assert warm.returncode == 0
     assert _payload(cold.stdout) == _payload(warm.stdout)
 
@@ -516,7 +522,6 @@ def test_cache_env_default_and_warm_rerun(tmp_path):
 def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
     # complex reads d_6 and d_7 through the --cache dir in two stages: each is
     # built once and cached once
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     built = []
     real = chain_complex._build_matrix
     monkeypatch.setattr(
@@ -526,7 +531,6 @@ def test_cache_option_builds_each_boundary_once(capsys, monkeypatch, tmp_path):
     assert status == 0
     assert sorted(built) == [6, 7]
     assert len(list(tmp_path.iterdir())) == 2
-    assert CACHE_ENV not in os.environ
 
 
 def test_warm_cache_enumerates_no_basis(capsys, monkeypatch, tmp_path, fresh_caches):
@@ -574,7 +578,6 @@ def test_cache_file_off_the_orbit_stabilizer_shape_is_rebuilt(
 def test_old_int64_cache_file_is_rebuilt(capsys, monkeypatch, tmp_path, fresh_caches):
     # files in the int64 format of earlier versions, under the current cache
     # names: foreign at this size, so complex rebuilds and rewrites them in int16
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     _, want, _ = _run(capsys, "complex", "--n", "5", "--format", "json")
     paths = []
     for p in (6, 7):
@@ -798,7 +801,6 @@ def test_malformed_graph_inside_a_run_exits_2(capsys, monkeypatch, fresh_caches)
 
 def test_corrupted_parity_table_exits_2(capsys, monkeypatch, fresh_caches):
     # one symmetry's edge parity flipped gives wrong boundary signs
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     real = chain_complex.symmetry_table
 
     def table(shape, base):
@@ -826,7 +828,6 @@ def test_enumerate_checks_the_orbit_stabilizer_dimension(capsys, monkeypatch, fr
 def test_missing_basis_key_exits_2(capsys, monkeypatch, fresh_caches):
     # a contraction whose canonical key is not among the row keys, and that
     # has no odd automorphism, left the basis
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     real = chain_complex.basis_arrays
 
     def arrays(n, p):

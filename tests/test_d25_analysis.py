@@ -1,5 +1,5 @@
 import os
-from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,13 +9,13 @@ from delta2n.chain_complex import boundary_matrix
 from delta2n.d25_analysis import (
     DegenerateVectorError,
     WrongIsotypeError,
-    apply_projector,
     equivariant_isomorphism,
     find_isotypic_cycle,
     marked_triple_perms,
     orbit_basis,
     projection_on_kernel,
     representation_on_span,
+    scaled_projection,
 )
 from delta2n.linalg import rank_exact
 from delta2n.symmetric_group import partitions_of, specht_matrices
@@ -36,29 +36,43 @@ def _boundary_object():
 
 
 def test_projection_trace_and_idempotence():
-    p = projection_on_kernel((3, 1, 1))
-    assert p.shape == (15, 15)
-    assert sum(p[i, i] for i in range(15)) == 6
-    assert np.array_equal(p.dot(p), p)
+    # P = m / s: trace 6 and P^2 = P, in integers
+    m, s = projection_on_kernel((3, 1, 1))
+    assert m.shape == (15, 15) and m.dtype == np.int64
+    assert s == 120 // 6  # L = 1 at n = 5
+    assert np.trace(m) == 6 * s
+    assert np.array_equal(m @ m, s * m)
 
 
 def test_projections_resolve_identity():
-    total = np.zeros((15, 15), dtype=object)
-    for lam in partitions_of(5):
-        total = total + projection_on_kernel(lam)
-    for i in range(15):
-        for j in range(15):
-            assert total[i, j] == (1 if i == j else 0)
+    # sum_lam m_lam / s_lam = I, over the scales' lcm
+    pairs = [projection_on_kernel(lam) for lam in partitions_of(5)]
+    scale = lcm(*(s for _, s in pairs))
+    total = sum(m * (scale // s) for m, s in pairs)
+    assert np.array_equal(total, scale * np.eye(15, dtype=np.int64))
 
 
 def test_cycle_is_isotypic_and_closed():
     v = find_isotypic_cycle()
     assert v.any()
     assert not _boundary_object().dot(v).any()
-    assert np.array_equal(apply_projector((3, 1, 1), v), v)
+    assert v.dtype == np.int64
+    assert np.array_equal(scaled_projection((3, 1, 1), v), 20 * v)  # 120 / d_(3,1,1)
     # the structured search yields a +-1 orbit sum over 4 graph orbits
     assert set(int(t) for t in v) <= {-1, 0, 1}
     assert np.array_equal(v, find_isotypic_cycle())
+
+
+def test_scaled_projection_refuses_entries_beyond_int64():
+    # chi_(5) = 1 on all 120 permutations: 120 max|x| is the bound, checked
+    # before any sum; at 2**55 it stays below 2**62 and the sum is exact
+    with pytest.raises(OverflowError):
+        scaled_projection((5,), np.full(60, 1 << 56, dtype=np.int64))
+    x = np.zeros(60, dtype=np.int64)
+    x[0] = 1 << 55
+    got = scaled_projection((5,), x)
+    assert got.dtype == np.int64 and got.any()
+    assert got.tolist() == [v << 55 for v in scaled_projection((5,), x >> 55).tolist()]
 
 
 def test_orbit_basis_spans_isotypic_subspace():
@@ -75,7 +89,7 @@ def test_orbit_basis_from_random_isotypic_vectors():
     hits = 0
     for _ in range(10):
         x = rng.integers(-9, 10, size=60).astype(np.int64)
-        px = apply_projector((3, 1, 1), x)
+        px = scaled_projection((3, 1, 1), x)
         if not px.any():
             continue
         vb = orbit_basis(px)
@@ -88,7 +102,7 @@ def test_orbit_basis_rejects_small_isotype():
     # a (4,1)-isotypic vector spans at most 4 dimensions under any orbit
     rng = np.random.default_rng(23)
     x = rng.integers(-9, 10, size=60).astype(np.int64)
-    px = apply_projector((4, 1), x)
+    px = scaled_projection((4, 1), x)
     assert px.any()
     with pytest.raises(DegenerateVectorError):
         orbit_basis(px)
@@ -111,15 +125,16 @@ def test_span_that_is_not_invariant_is_degenerate():
 
 def test_representation_on_span_holds_on_every_row():
     vb = orbit_basis(find_isotypic_cycle())
-    for pi, rho in representation_on_span(vb).items():
+    for pi, (lx, s) in representation_on_span(vb).items():
         gidx, gsgn = d25_analysis._act_tables(pi)
-        assert np.array_equal(vb.dot(rho), gsgn[:, None] * vb[gidx])
+        assert lx.dtype == np.int64 and s > 0
+        assert np.array_equal(vb @ lx, s * gsgn[:, None] * vb[gidx])
 
 
 def test_equivariant_isomorphism():
     vb = orbit_basis(find_isotypic_cycle())
-    h0 = equivariant_isomorphism(vb)
-    assert h0.shape == (6, 6)
+    h0, scale = equivariant_isomorphism(vb)
+    assert h0.shape == (6, 6) and h0.dtype == np.int64 and scale > 0
     assert rank_exact(h0) == 6
     mags = {abs(int(t)) for row in h0 for t in row}
     assert len(mags) == 1  # constant-magnitude sign pattern

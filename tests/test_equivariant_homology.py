@@ -13,11 +13,13 @@ from delta2n import (
 )
 from delta2n.chain_complex import betti, boundary_matrix, build_basis
 from delta2n.equivariant_homology import (
+    IsotypicRanks,
     act,
     chain_character,
     homology_character_next,
     homology_character_top,
     isotypic_block_ranks,
+    isotypic_ranks,
     kernel_character_oracle,
     kernel_multiplicity,
 )
@@ -339,11 +341,11 @@ def test_block_assembly_refuses_entries_beyond_int64():
     # two terms of 2**61 in one cell would reach 2**62: refused before any
     # product is formed; one less in each and the sum is taken exactly
     terms = (((0, 1, 0), (0, 1, 0)),)
-    big = np.full((1, 1), 1 << 61, dtype=np.int64)
+    big = np.full((1, 1, 1), 1 << 61, dtype=np.int64)  # a stack of one slot
     x = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(OverflowError):
-        equivariant_homology._precompose(terms, [big], x)
-    assert equivariant_homology._precompose(terms, [big - 1], x).tolist() == [[(1 << 62) - 2]]
+        equivariant_homology._precompose(terms, big, x)
+    assert equivariant_homology._precompose(terms, big - 1, x).tolist() == [[(1 << 62) - 2]]
 
 
 def _orbit_boundary(terms, mats, lower):
@@ -493,3 +495,14 @@ def test_kernel_character_oracle_agrees(n):
     oracle = kernel_character_oracle(n)
     assert oracle.tolist() == homology_character_top(n).tolist()
     assert oracle[0] == betti(n)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isotypic_ranks_of_an_empty_theta_complex(n):
+    # no orbit in any degree: the rho stack has no slot, and every lambda
+    # gets zero multiplicities and ranks, so the top character is zero
+    assert not any(chain_orbits(n, p) for p in (n, n + 1, n + 2))
+    ranks = isotypic_ranks(n)
+    assert tuple(ranks) == partitions_of(n)
+    assert set(ranks.values()) == {IsotypicRanks((0, 0, 0), (0, 0))}
+    assert homology_character_top(n).tolist() == [0] * len(partitions_of(n))

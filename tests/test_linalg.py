@@ -333,20 +333,40 @@ def test_a_bad_lift_is_never_returned(shifted_lifts):
     assert kernel_exact(np.eye(2, dtype=np.int64))[0] == 2
 
 
-def test_rank_exact_rejects_non_integer_entries():
-    # a truncated copy would certify k = (1, 0) as a kernel of [[1/2, 1/2]]
-    half = [[Fraction(1, 2), Fraction(1, 2)]]
-    with pytest.raises(ValueError):
-        kernel_exact(half)
-    with pytest.raises(ValueError):
-        rank_modp(half, PRIMES[0])
-    # second row is three times the first
-    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    with pytest.raises(ValueError):
-        rank_exact(m)
-    with pytest.raises(ValueError):
-        rank_exact(np.array([[0.5, 1.0]]))
-    assert rank_exact([[Fraction(2, 1), 4], [1, 2]]) == 1
+def test_exact_layer_takes_integer_arrays_only():
+    # an object array, a Fraction list or a float array is refused before
+    # any elimination, integer-valued or not: a truncated copy would certify
+    # k = (1, 0) as a kernel of [[1/2, 1/2]]
+    calls = {
+        "kernel_exact": kernel_exact,
+        "rank_exact": rank_exact,
+        "rank_modp": lambda m: rank_modp(m, PRIMES[0]),
+        "independent_columns": lambda m: independent_columns(m, 1),
+    }
+    refused = [
+        np.array([[1, 2], [2, 4]], dtype=object),
+        [[Fraction(1, 2), Fraction(1, 2)]],
+        [[Fraction(2, 1), 4], [1, 2]],
+        np.array([[0.5, 1.0]]),
+        np.array([[2.0, 4.0], [1.0, 2.0]]),
+        [[1 << 63, 1]],
+        np.array([1, 2]),
+    ]
+    for name, call in calls.items():
+        for mat in refused:
+            with pytest.raises(ValueError):
+                call(mat)
+    # rank 1 in every accepted form: int8, int32 and int64 arrays, a list of
+    # small Python ints and a SparseIntMatrix
+    a = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    accepted = [a.astype(np.int8), a.astype(np.int32), a, a.tolist(), _sparse(a)]
+    for mat in accepted:
+        rank, lk, scale, pivots, free = kernel_exact(mat)
+        assert (rank, lk.tolist(), scale) == (1, [[-2], [1]], 1)
+        assert (pivots.tolist(), free.tolist()) == ([0], [1])
+        assert rank_exact(mat) == 1
+        assert rank_modp(mat, PRIMES[0]) == 1
+        assert independent_columns(mat, 1).tolist() == [0]
 
 
 def test_rank_exact_single_prime_path_survives_an_unlucky_prime():
@@ -475,10 +495,11 @@ def test_kernel_exact_large_entries_force_crt():
     rng = np.random.default_rng(6)
     u = rng.integers(-10**9, 10**9, size=(6, 4)).astype(object)
     v = rng.integers(-10**9, 10**9, size=(4, 9)).astype(object)
-    a = u @ v
+    # four products of at most 10**18 each: the entries fit int64
+    a = (u @ v).astype(np.int64)
     rank, lk, _, _, free = kernel_exact(a)
     assert rank == _sympy_rank(a)
-    assert not (a @ lk).any()
+    assert not (a.astype(object) @ lk).any()
 
 
 def test_kernel_exact_full_rank():

@@ -306,8 +306,8 @@ def _word_product(rep, perm):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_specht_matrices_match_the_word_product(n):
-    # every permutation in a shuffled batch with repeats, the same batch as a
-    # prebuilt WordTree, and single-permutation calls
+    # every permutation in a shuffled batch with repeats, and
+    # single-permutation calls
     rng = random.Random(n)
     perms = list(itertools.permutations(range(n)))
     for lam in partitions_of(n):
@@ -315,11 +315,11 @@ def test_specht_matrices_match_the_word_product(n):
         want = {p: _word_product(rep, p) for p in perms}
         batch = perms + rng.choices(perms, k=len(perms) // 2 + 1)
         rng.shuffle(batch)
-        for got in (rep.matrices(batch), rep.matrices(word_tree(batch))):
-            assert len(got) == len(batch)
-            for p, mat in zip(batch, got):
-                assert mat.dtype == np.int64 and mat.base is None  # no view of the sweep
-                assert np.array_equal(mat, want[p])
+        got = rep.matrices(batch)
+        assert len(got) == len(batch)
+        for p, mat in zip(batch, got):
+            assert mat.dtype == np.int64 and mat.base is None  # no view of the sweep
+            assert np.array_equal(mat, want[p])
         for p in rng.sample(perms, min(len(perms), 8)):
             assert np.array_equal(rep.matrices([p])[0], want[p])
     assert specht_matrices(partitions_of(n)[0]).matrices([]) == []
