@@ -68,7 +68,7 @@ def scaled_projection(lam, x):
     chi = dict(zip(parts, character_table(N)[parts.index(lam)].tolist()))
     terms = [(chi[cycle_type(pi)], pi) for pi in permutations(range(N))]
     x = np.asarray(x, dtype=np.int64)
-    bound = sum(abs(c) for c, _ in terms) * (_max_abs(x) if x.size else 0)
+    bound = sum(abs(c) for c, _ in terms) * _max_abs(x)
     if bound >= _INT64_SAFE:
         raise OverflowError(f"a projection entry may reach {bound}, beyond int64")
     acc = np.zeros(x.shape, dtype=np.int64)

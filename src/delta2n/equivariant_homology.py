@@ -11,9 +11,9 @@ gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
 H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  As S^lam' = sgn (x) S^lam,
 a conjugate pair shares one Specht module and one sweep of rho: the other
-member's blocks read the same stack, each odd permutation's rho negated in
-place.  No global boundary, drawn vector or group action enters, and every
-run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, and sum_lam
+member's blocks read the same stack, each rho(sigma) times sgn(sigma),
+never written.  No global boundary, drawn vector or group action enters, and
+every run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, and sum_lam
 m_lam(C_p) chi_lam = chi(C_p) on every class.  Characters are int64 rows,
 one value per class in partitions_of(n) order.
 """
@@ -116,20 +116,27 @@ def chain_character(n, p) -> np.ndarray:
     return out
 
 
-def _fixed_columns(reps, stabilizers, mats) -> np.ndarray:
+def _signed_sum(pairs, mats, signs) -> np.ndarray:
+    """sum of w signs[k] mats[k] over the (w, k) of ``pairs``: the stack is only read."""
+    out = np.zeros(mats.shape[1:], dtype=np.int64)
+    for w, k in pairs:
+        out += w * signs[k] * mats[k]
+    return out
+
+
+def _fixed_columns(reps, stabilizers, mats, signs) -> np.ndarray:
     """Block-diagonal int64 matrix of one degree's multiplicity spaces W_o =
     {v in S^lam : rho(h) v = eps(h) v on H_o}, from the plan's stabilizers
-    and the stack of rho of its slots.  One product, eps as an orbits x slots
-    matrix times the stacked rho(h), gives every P_o = sum_h eps(h) rho(h);
-    P_o^2 = |H_o| P_o, checked in one stacked product, makes P_o / |H_o| the
-    projection onto W_o, so tr P_o / |H_o| columns of P_o span it."""
+    and the stack of rho of its slots, each slot times its sign in ``signs``.
+    P_o = sum_h eps(h) rho(h), unless |H_o| max|rho| reaches 2**62
+    (OverflowError); P_o^2 = |H_o| P_o, checked in one stacked product, makes
+    P_o / |H_o| the projection onto W_o, so tr P_o / |H_o| columns span it."""
     d = mats.shape[1]  # the stack has no slot when the complex is empty
-    used = sorted({k for stab in stabilizers for k, _ in stab})
-    weights = np.array([[eps.get(k, 0) for k in used] for eps in map(dict, stabilizers)])
-    rho = mats[used].reshape(len(used), d * d)
-    proj = int_matmul(weights.reshape(len(reps), len(used)), rho).reshape(len(reps), d, d)
-    del rho  # the largest array here: free it before the square
     sizes = np.array([len(stab) for stab in stabilizers], dtype=np.int64)
+    if int(sizes.max(initial=0)) * _max_abs(mats) >= _INT64_SAFE:
+        raise OverflowError("a projector entry may leave int64")
+    proj = np.array([_signed_sum(stab, mats, signs) for stab in stabilizers], dtype=np.int64)
+    proj = proj.reshape(len(reps), d, d)  # also with no orbit
     square = int_matmul(proj, proj)
     # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well;
     # and P = 0 = |H| passes, but no stabilizer is empty
@@ -161,28 +168,29 @@ def _fixed_columns(reps, stabilizers, mats) -> np.ndarray:
 isotypic_seed_basis = _fixed_columns
 
 
-def _orbit_terms(rep, lower):
-    """d(rep) as (index into lower, c_j * s_j, tau_j) triples."""
+def _orbit_terms(rep, lower, slot):
+    """d(rep) by the lower orbits j it reaches, as (j, ((c s, slot(tau)), ...))."""
     index = {orbit_of(r): j for j, r in enumerate(lower)}
+    groups = {}
     for target, coef in boundary_terms(rep):
         j = index.get(orbit_of(target))
         if j is None:
             raise InternalConsistencyError(f"contraction of {rep} left the basis")
         form = orbit_normal_form(target, lower[j])
-        yield j, coef * form.sign, form.tau
+        groups.setdefault(j, []).append((coef * form.sign, slot(form.tau)))
+    return tuple((j, tuple(pairs)) for j, pairs in groups.items())
 
 
 class _BlockPlan(NamedTuple):
     """What every lambda block of one n reads.  Permutations are slots of
-    ``tree``: stabilizers[i][o] lists (slot of h, eps(h)) over the signed
-    stabilizer of orbit o of degree n + i, and terms[i][o] lists (lower
-    orbit j, c_j s_j, slot of tau_j) over the terms of d(r_o), r_o of degree
-    n + i + 1.  perms[k] is the permutation of slot k."""
+    ``tree``, and parity[k] is the sign of slot k's: stabilizers[i][o] lists
+    (eps(h), slot of h) over the signed stabilizer of orbit o of degree n + i,
+    and terms[i][o] is _orbit_terms of r_o, of degree n + i + 1."""
 
     stabilizers: tuple
     terms: tuple
     tree: WordTree
-    perms: tuple
+    parity: tuple
 
 
 @cache
@@ -196,36 +204,31 @@ def _block_plan(reps) -> _BlockPlan:
         return perms.setdefault(tuple(perm), len(perms))
 
     stabilizers = tuple(
-        tuple(tuple((slot(h), eps) for h, eps in signed_stabilizer(rep)) for rep in degree)
+        tuple(tuple((eps, slot(h)) for h, eps in signed_stabilizer(rep)) for rep in degree)
         for degree in reps
     )
     terms = tuple(
-        tuple(
-            tuple((j, coef, slot(tau)) for j, coef, tau in _orbit_terms(rep, lower))
-            for rep in upper
-        )
+        tuple(_orbit_terms(rep, lower, slot) for rep in upper)
         for lower, upper in zip(reps, reps[1:])
     )
-    return _BlockPlan(stabilizers, terms, word_tree(perms), tuple(perms))
+    return _BlockPlan(stabilizers, terms, word_tree(perms), tuple(map(perm_parity, perms)))
 
 
-def _precompose(terms, mats, x):
+def _precompose(terms, mats, signs, x):
     """F x for the orbit boundary F of one degree, never forming F: row block
-    o is sum_j c_j s_j rho(tau_j) x_j over the terms of d(r_o), x_j the d
-    rows of x of lower orbit j.  ``terms`` are the plan's for the degree and
-    ``mats`` the rho stack of its slots; each product is one int_matmul, summed
-    in int64.  OverflowError before any product unless sum |c_j| max|rho(tau_j)|
-    d max|x|, a bound on every entry, is below 2**62."""
+    o is sum_j G_oj x_j, G_oj = sum c s rho(tau) over the plan's ``terms`` of
+    d(r_o) that reach orbit j, each slot times its sign in ``signs``, and x_j
+    the d rows of x of orbit j: one int_matmul per (o, j).  OverflowError
+    before any sum unless (max_o sum |c|) max|rho| d max|x| is below 2**62."""
     d = mats.shape[1]
-    peak = {k: _max_abs(mats[k]) for k in {k for upper in terms for _, _, k in upper}}
-    bound = sum(abs(coef) * peak[k] for upper in terms for _, coef, k in upper)
-    bound *= d * (_max_abs(x) if x.size else 0)
-    if bound >= _INT64_SAFE:
-        raise OverflowError(f"a block entry may reach {bound}, beyond int64")
+    reach = max((sum(abs(c) for _, pairs in upper for c, _ in pairs) for upper in terms), default=0)
+    if reach * _max_abs(mats) * d * _max_abs(x) >= _INT64_SAFE:
+        raise OverflowError("a block entry may leave int64")
     out = np.zeros((d * len(terms), x.shape[1]), dtype=np.int64)
     for i, upper in enumerate(terms):
-        for j, coef, k in upper:
-            out[i * d : (i + 1) * d] += coef * int_matmul(mats[k], x[j * d : (j + 1) * d])
+        for j, pairs in upper:
+            g = _signed_sum(pairs, mats, signs)
+            out[i * d : (i + 1) * d] += int_matmul(g, x[j * d : (j + 1) * d])
     return out
 
 
@@ -238,7 +241,7 @@ def _pair_ranks(members, n, reps=None) -> dict:
     """IsotypicRanks of each partition in ``members``, one or both of a
     conjugate pair {lam, lam'}, from one Specht module and one sweep: rho is
     built for the later of the pair in partitions_of order, and the other
-    member reads the same stack with every odd slot negated in place, as
+    member reads the same stack, never written, with odd slots signed -1, as
     S^lam' = sgn (x) S^lam gives rho'(sigma) = sgn(sigma) rho(sigma).  While
     the stack lives, each member's boundary is applied to its multiplicity
     spaces (_precompose) and d_{n+1} d_{n+2} = 0 is checked on the result;
@@ -255,8 +258,10 @@ def _pair_ranks(members, n, reps=None) -> dict:
     specht = specht_matrices(built)
     mats = _sweep(specht.generators, plan.tree, specht.dim)
     assembled = []
-    # the built member, the later, first: the twist negates the stack
+    # the built member, the later, first: ranked first, it keeps the peak of
+    # all of n = 9 about 2 MB below that of the earlier member first
     for lam in sorted(members, reverse=True):
+        signs = plan.parity if lam != built else (1,) * len(plan.parity)
         if lam != built:
             parts, table = partitions_of(n), character_table(n)
             sgn = np.array([(-1) ** (n - len(mu)) for mu in parts], dtype=np.int64)
@@ -264,21 +269,16 @@ def _pair_ranks(members, n, reps=None) -> dict:
                 raise InternalConsistencyError(
                     f"sign twist of {built} does not give {lam}: sgn chi_{built} != chi_{lam}"
                 )
-            for k, perm in enumerate(plan.perms):
-                if perm_parity(perm) < 0:
-                    np.negative(mats[k], out=mats[k])
-        spaces = [_fixed_columns(r, s, mats) for r, s in zip(reps, plan.stabilizers)]
-        block_next = _precompose(plan.terms[0], mats, spaces[0])
-        block_top = _precompose(plan.terms[1], mats, spaces[1])
-        if np.any(_precompose(plan.terms[1], mats, block_next)):
+        spaces = [_fixed_columns(r, s, mats, signs) for r, s in zip(reps, plan.stabilizers)]
+        block_next = _precompose(plan.terms[0], mats, signs, spaces[0])
+        block_top = _precompose(plan.terms[1], mats, signs, spaces[1])
+        if np.any(_precompose(plan.terms[1], mats, signs, block_next)):
             raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 on the {lam} block at n={n}")
         assembled.append((lam, tuple(w.shape[1] for w in spaces), block_next, block_top))
     del mats, spaces, block_next, block_top  # the ranks read the kept blocks alone
     out = {}
     while assembled:
-        # popped, so this member's blocks go with its last local name; the
-        # built member first: all of n = 9 then peaks at 117.3 MB, against
-        # 118.1 to 119.1 MB for the earlier member first
+        # popped, so this member's blocks go with its last local name
         lam, mults, block_next, block_top = assembled.pop(0)
         ranks = (rank_exact(block_next), rank_exact(block_top))
         del block_next, block_top
@@ -293,9 +293,7 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
     InternalConsistencyError unless d_{n+1} d_{n+2} = 0 and d_{n+1} is onto on
     them.  ``reps`` holds representatives of the orbits of degrees n, n+1, n+2
     (default ``chain_orbits``); any canonical graphs of those orbits will do.
-    rho is the Specht module of the later of lam and its conjugate in
-    partitions_of order, its odd slots negated when that is not lam
-    (_pair_ranks)."""
+    rho is built as in _pair_ranks."""
     return _pair_ranks((lam,), n, reps)[lam]
 
 

@@ -84,7 +84,7 @@ class SparseIntMatrix:
         if coords.dtype not in _COORD_DTYPES or coords.ndim != 2 or coords.shape[0] != 3:
             raise ValueError(f"not a (3, nnz) int16/32/64 array: {coords.dtype} {coords.shape}")
         r, c, v = coords
-        want = _coord_dtype(rows, cols, _max_abs(v) if v.size else 0)
+        want = _coord_dtype(rows, cols, _max_abs(v))
         if coords.dtype != want:
             raise ValueError(f"{coords.dtype} coordinates where the rule gives {want}")
         _check_range(rows, cols, r, c)
@@ -215,7 +215,7 @@ def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     if not keep.all():
         cell, v = cell[keep], v[keep]
     del keep
-    out = np.empty((3, v.size), dtype=_coord_dtype(rows, cols, _max_abs(v) if v.size else 0))
+    out = np.empty((3, v.size), dtype=_coord_dtype(rows, cols, _max_abs(v)))
     np.divmod(cell, cols, out=(out[0], out[1]))
     out[2] = v
     return out
@@ -234,7 +234,7 @@ def _coord_dtype(*bounds) -> np.dtype:
 
 
 def _max_abs(a) -> int:
-    return max(int(a.max()), -int(a.min()))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _integer_array(mat) -> np.ndarray:
@@ -265,9 +265,7 @@ def _product_dtype(a, b):
     so each product and each partial sum is an integer that float64 holds
     exactly whatever order BLAS adds in; int64 when it is below 2**62; Python
     ints (object) otherwise.  One choice holds for every slice of a stack."""
-    bound = max(a.shape[-1], 1)
-    for m in (a, b):
-        bound *= max(_max_abs(m) if m.size else 0, 1)
+    bound = max(a.shape[-1], 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1)
     if bound < _FLOAT64_EXACT:
         return np.float64
     if bound < _INT64_SAFE:
@@ -275,15 +273,22 @@ def _product_dtype(a, b):
     return object
 
 
-def int_matmul(a, b) -> np.ndarray:
-    """Exact product of integer matrices (or stacks), in the narrowest of
-    float64 (on BLAS), int64 and Python ints that ``_product_dtype`` proves
-    exact before anything is multiplied.  The result is int64 unless it was
-    taken in Python ints."""
+def _int64_matmul(a, b) -> np.ndarray:
+    """Exact int64 product of integer matrices (or stacks), in the dtype that
+    ``_product_dtype`` proves exact; OverflowError first when that is object."""
     a, b = np.asarray(a), np.asarray(b)
     dtype = _product_dtype(a, b)
-    out = a.astype(dtype) @ b.astype(dtype)
-    return out if dtype is object else out.astype(np.int64, copy=False)
+    if dtype is object:
+        raise OverflowError(f"a {a.shape} by {b.shape} product may leave int64")
+    return (a.astype(dtype) @ b.astype(dtype)).astype(np.int64, copy=False)
+
+
+def int_matmul(a, b) -> np.ndarray:
+    """Exact product of integer matrices (or stacks): ``_int64_matmul``, else in Python ints."""
+    try:
+        return _int64_matmul(a, b)
+    except OverflowError:
+        return np.asarray(a).astype(object) @ np.asarray(b).astype(object)
 
 
 def rank_modp(mat, p: int) -> int:
@@ -342,7 +347,7 @@ def _kernel_coordinates(lk, scale, pivots, free, y):
     I, so the free rows pin L X = y[free], and the pivot rows (L K)[pivots]
     (L X) = L y[pivots] are checked exactly, in integers."""
     lx, rhs = y[free], y[pivots]
-    if rhs.dtype != object and scale * max(_max_abs(rhs) if rhs.size else 0, 1) >= _INT64_SAFE:
+    if rhs.dtype != object and scale * max(_max_abs(rhs), 1) >= _INT64_SAFE:
         rhs = rhs.astype(object)
     if not np.array_equal(int_matmul(lk[pivots], lx), rhs * scale):
         return None

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import InternalConsistencyError, NotACharacterError
-from .linalg import int_matmul
+from .linalg import _int64_matmul, int_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +302,8 @@ def _substitute(e, b):
     """The integer X with E X = B, for E unit lower triangular, as it is in
     tableau order: {t_k} dominates {t_i} only when t_k comes first.  Forward
     substitution solves a level of rows at a time, in one product: every row
-    whose support lies in the rows solved so far.  int_matmul keeps every
-    step exact, and a row too large for int64 raises OverflowError as it is
-    stored."""
+    whose support lies in the rows solved so far.  Each product is exact, and
+    one that may leave int64 raises OverflowError before it is formed."""
     off = e - np.eye(e.shape[0], dtype=e.dtype)
     if np.triu(off).any():
         raise InternalConsistencyError(
@@ -315,7 +314,7 @@ def _substitute(e, b):
     # off is strictly lower triangular, so the first unsolved row is ready
     while not solved.all():
         ready = ~solved & ~off[:, ~solved].any(axis=1)
-        x[ready] = b[ready] - int_matmul(off[np.ix_(ready, solved)], x[solved])
+        x[ready] = b[ready] - _int64_matmul(off[np.ix_(ready, solved)], x[solved])
         solved |= ready
     return x
 
@@ -361,10 +360,9 @@ _SWEEP_CHUNK = 1 << 13
 def _sweep(generators, tree: WordTree, dim) -> np.ndarray:
     """rho of the tree's distinct permutations, as one (slots, dim, dim)
     int64 stack indexed by slot: level by level, each node is the generator
-    of its last letter times its parent, one stacked ``int_matmul`` per
-    _SWEEP_CHUNK entries of the level.  Only the live level is held.  The
-    bound max|G| * max|level| * dim is taken once per product, and a product
-    it does not keep below 2**62 raises OverflowError, so no entry wraps."""
+    of its last letter times its parent, one stacked ``_int64_matmul`` per
+    _SWEEP_CHUNK entries of the level, so no entry wraps: OverflowError
+    instead.  Only the live level is held."""
     step = max(_SWEEP_CHUNK // dim**2, 1)
     out = np.empty((sum(e.shape[1] for e in tree.ends), dim, dim), dtype=np.int64)
     live = np.eye(dim, dtype=np.int64)[None]  # live[i] is node i
@@ -374,10 +372,7 @@ def _sweep(generators, tree: WordTree, dim) -> np.ndarray:
             nxt = np.empty((parents.size, dim, dim), dtype=np.int64)
             for part in (slice(i, i + step) for i in range(0, parents.size, step)):
                 gens = np.stack([generators[j] for j in letters[part]])
-                product = int_matmul(gens, live[parents[part]])
-                if product.dtype == object:
-                    raise OverflowError(f"level {k} of the sweep may leave int64")
-                nxt[part] = product
+                nxt[part] = _int64_matmul(gens, live[parents[part]])
             live = nxt
         out[slots] = live[nodes]
     return out
@@ -454,9 +449,9 @@ class SpechtRep:
         x = _substitute(e, b)
         if not np.array_equal(int_matmul(e, x), b):
             raise InternalConsistencyError(f"E X = B fails for the Specht matrices of {self.lam}")
-        self.generators = tuple(
-            np.ascontiguousarray(x[:, j * d : (j + 1) * d]) for j in range(self.n - 1)
-        )
+        gens = np.ascontiguousarray(x.reshape(d, self.n - 1, d).transpose(1, 0, 2))
+        gens.flags.writeable = False  # memoized and shared, as are its views
+        self.generators = tuple(gens)
         _check_coxeter(self.lam, self.generators)
         _check_character(self.lam, self.generators)
 

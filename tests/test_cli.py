@@ -746,9 +746,9 @@ def test_swapped_multiplicities_of_equal_dimension_exit_2(capsys, monkeypatch, f
     ids=["stabilizer_slot", "boundary_slot"],
 )
 def test_flipped_twist_sign_of_one_slot_exits_2(capsys, monkeypatch, fresh_caches, slot, failure):
-    # the conjugate member negates rho of each odd slot: leaving one slot
-    # unnegated breaks P_o^2 = |H_o| P_o where a stabilizer names it, and
-    # d_{n+1} d_{n+2} = 0 where only a boundary term does
+    # the conjugate member weights rho of each slot by the slot's parity in
+    # the plan: one slot of the wrong sign breaks P_o^2 = |H_o| P_o where a
+    # stabilizer names it, and d_{n+1} d_{n+2} = 0 where only a boundary term does
     real = equivariant_homology.perm_parity
 
     def flipped(perm):

@@ -80,11 +80,11 @@ def action_matrix(sigma, p):
 def multiplicity_space(lam, rep):
     """W_o for the orbit of rep, as the blocks build it: ``_fixed_columns``
     of a degree holding rep's orbit alone, with slot i the i-th element h of
-    rep's signed stabilizer."""
+    rep's signed stabilizer, each slot of sign 1."""
     stab = signed_stabilizer(rep)
     mats = np.array(specht_matrices(lam).matrices([h for h, _ in stab]))
-    slots = tuple((i, eps) for i, (_, eps) in enumerate(stab))
-    return equivariant_homology._fixed_columns((rep,), (slots,), mats)
+    slots = tuple((eps, i) for i, (_, eps) in enumerate(stab))
+    return equivariant_homology._fixed_columns((rep,), (slots,), mats, (1,) * len(stab))
 
 
 def test_act_identity():
@@ -334,35 +334,51 @@ def test_empty_stabilizer_gives_no_projection():
     rep = chain_orbits(5, 5)[0]
     mats = np.array(specht_matrices((3, 2)).matrices([tuple(range(5))]))
     with pytest.raises(InternalConsistencyError, match="does not give a projection"):
-        equivariant_homology._fixed_columns((rep,), ((),), mats)
+        equivariant_homology._fixed_columns((rep,), ((),), mats, (1,))
+
+
+def test_projectors_refuse_entries_beyond_int64():
+    # a stabilizer of two elements on rho = 2**61 could reach 2**62: refused
+    # before any sum; one less passes the bound, and P^2 = |H| P then fails
+    rep = chain_orbits(5, 5)[0]
+    stab = ((1, 0), (1, 0))
+    big = np.full((1, 1, 1), 1 << 61, dtype=np.int64)  # a stack of one slot
+    with pytest.raises(OverflowError):
+        equivariant_homology._fixed_columns((rep,), (stab,), big, (1,))
+    with pytest.raises(InternalConsistencyError, match="does not give a projection"):
+        equivariant_homology._fixed_columns((rep,), (stab,), big - 1, (1,))
 
 
 def test_block_assembly_refuses_entries_beyond_int64():
     # two terms of 2**61 in one cell would reach 2**62: refused before any
-    # product is formed; one less in each and the sum is taken exactly
-    terms = (((0, 1, 0), (0, 1, 0)),)
+    # sum or product is formed; one less in each and the sum is taken exactly
+    terms = (((0, ((1, 0), (1, 0))),),)  # one upper orbit, two terms to orbit 0
     big = np.full((1, 1, 1), 1 << 61, dtype=np.int64)  # a stack of one slot
     x = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(OverflowError):
-        equivariant_homology._precompose(terms, big, x)
-    assert equivariant_homology._precompose(terms, big - 1, x).tolist() == [[(1 << 62) - 2]]
+        equivariant_homology._precompose(terms, big, (1,), x)
+    got = equivariant_homology._precompose(terms, big - 1, (1,), x)
+    assert got.tolist() == [[(1 << 62) - 2]]
 
 
-def _orbit_boundary(terms, mats, lower):
+def _orbit_boundary(terms, mats, signs, lower):
     """The orbit boundary F of one degree in S^lam coordinates, (d * upper
-    orbits) x (d * lower orbits), its block (o, j) summing c_j s_j rho(tau_j)."""
+    orbits) x (d * lower orbits), its block (o, j) summing c s signs[k]
+    rho(tau) over the terms of d(r_o) that reach orbit j, term by term."""
     d = mats[0].shape[0]
     out = np.zeros((d * len(terms), d * lower), dtype=np.int64)
     for i, upper in enumerate(terms):
-        for j, coef, k in upper:
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * mats[k]
+        for j, pairs in upper:
+            for coef, k in pairs:
+                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coef * signs[k] * mats[k]
     return out
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_precompose_is_the_assembled_boundary_times_x(n):
     # F x without F equals F, built from the plan, times x for the
-    # multiplicity spaces of both lower degrees and for the next block
+    # multiplicity spaces of both lower degrees and for the next block, with
+    # every slot of sign 1 and with the twist's slot signs
     precompose = equivariant_homology._precompose
     rng = np.random.default_rng(n)
     reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
@@ -370,21 +386,72 @@ def test_precompose_is_the_assembled_boundary_times_x(n):
     for lam in partitions_of(n):
         specht = specht_matrices(lam)
         mats = symmetric_group._sweep(specht.generators, plan.tree, specht.dim)
-        spaces = [
-            equivariant_homology._fixed_columns(r, s, mats) for r, s in zip(reps, plan.stabilizers)
-        ]
-        f_next, f_top = (_orbit_boundary(plan.terms[i], mats, len(reps[i])) for i in (0, 1))
-        block_next = precompose(plan.terms[0], mats, spaces[0])
-        assert np.array_equal(block_next, linalg.int_matmul(f_next, spaces[0]))
-        assert np.array_equal(
-            precompose(plan.terms[1], mats, spaces[1]), linalg.int_matmul(f_top, spaces[1])
-        )
-        assert np.array_equal(
-            precompose(plan.terms[1], mats, block_next), linalg.int_matmul(f_top, block_next)
-        )
-        # F_top block_next is 0 by d^2 = 0: a dense x checks a nonzero product too
-        x = rng.integers(-3, 4, size=(f_top.shape[1], 3))
-        assert np.array_equal(precompose(plan.terms[1], mats, x), linalg.int_matmul(f_top, x))
+        for signs in ((1,) * len(plan.parity), plan.parity):
+            spaces = [
+                equivariant_homology._fixed_columns(r, s, mats, signs)
+                for r, s in zip(reps, plan.stabilizers)
+            ]
+            f_next, f_top = (
+                _orbit_boundary(plan.terms[i], mats, signs, len(reps[i])) for i in (0, 1)
+            )
+            block_next = precompose(plan.terms[0], mats, signs, spaces[0])
+            assert np.array_equal(block_next, linalg.int_matmul(f_next, spaces[0]))
+            assert np.array_equal(
+                precompose(plan.terms[1], mats, signs, spaces[1]),
+                linalg.int_matmul(f_top, spaces[1]),
+            )
+            assert np.array_equal(
+                precompose(plan.terms[1], mats, signs, block_next),
+                linalg.int_matmul(f_top, block_next),
+            )
+            # F_top block_next is 0 by d^2 = 0: a dense x checks a nonzero product too
+            x = rng.integers(-3, 4, size=(f_top.shape[1], 3))
+            assert np.array_equal(
+                precompose(plan.terms[1], mats, signs, x), linalg.int_matmul(f_top, x)
+            )
+
+
+def test_precompose_makes_one_product_per_orbit_pair(monkeypatch):
+    # the terms of each (upper, lower) orbit pair are summed before their one
+    # product: 10 products for one member at n = 6, where one per boundary
+    # term took 27
+    n = 6
+    plan = equivariant_homology._block_plan(tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2)))
+    products, counts = [], []
+    real_matmul, real_precompose = linalg.int_matmul, equivariant_homology._precompose
+
+    def precompose(*args):
+        before = len(products)
+        out = real_precompose(*args)
+        counts.append(len(products) - before)
+        return out
+
+    monkeypatch.setattr(
+        equivariant_homology, "int_matmul", lambda *a: products.append(1) or real_matmul(*a)
+    )
+    monkeypatch.setattr(equivariant_homology, "_precompose", precompose)
+    isotypic_block_ranks((6,), n)  # (6,) is built for itself: one member
+    pairs = [sum(len(upper) for upper in terms) for terms in plan.terms]
+    terms = [sum(len(group) for upper in degree for _, group in upper) for degree in plan.terms]
+    assert pairs == [2, 4] and terms == [3, 12]
+    assert counts == [2, 4, 4]  # d_{n+1} on W_n, then d_{n+2} on W_{n+1} and on block_next
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_blocks_read_a_read_only_rho_stack(n, monkeypatch):
+    # neither member of a conjugate pair writes the shared stack: with the
+    # sweep's result made read-only, every rank is unchanged
+    want = isotypic_ranks(n)
+    sweep = equivariant_homology._sweep
+
+    def frozen(*args):
+        stack = sweep(*args)
+        stack.setflags(write=False)
+        return stack
+
+    monkeypatch.setattr(equivariant_homology, "_sweep", frozen)
+    clear_caches()
+    assert isotypic_ranks(n) == want
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from delta2n import symmetric_group
+from delta2n import linalg, symmetric_group
 from delta2n.linalg import InternalConsistencyError
 from delta2n.symmetric_group import (
     NotACharacterError,
@@ -101,6 +101,17 @@ def test_character_table_is_read_only():
     with pytest.raises(ValueError):
         table[1] += 1
     assert character_table(5) is table and table[0, 0] == 1
+
+
+def test_specht_generators_are_read_only():
+    # specht_matrices memoizes the module, so every caller shares its arrays
+    gens = specht_matrices((3, 2)).generators
+    with pytest.raises(ValueError):
+        gens[0][0, 0] = 7
+    with pytest.raises(ValueError):
+        gens[1] += 1
+    assert specht_matrices((3, 2)).generators is gens
+    assert all(np.array_equal(g @ g, np.eye(5, dtype=np.int64)) for g in gens)
 
 
 def test_hook_dimensions():
@@ -337,6 +348,26 @@ def test_sweep_refuses_levels_beyond_int64():
     g = (1 << 31) - 1
     (got,) = symmetric_group._sweep(np.full((2, 1, 1), g, dtype=np.int64), tree, 1)
     assert got.dtype == np.int64 and got.tolist() == [[g * g]]
+
+
+def test_substitute_refuses_a_level_beyond_int64(monkeypatch):
+    # X = (1, -c) solves E X = B for E = [[1, 0], [c, 1]], B = (1, 0): its
+    # second level is the product c * 1, refused once the bound reaches 2**62
+    # even where the entry would fit int64 (c = 2**62), and before any
+    # product in Python ints is formed; one less is solved exactly
+    formed = []  # int_matmul is the one path to a product in Python ints
+    real = linalg.int_matmul
+    for owner in (linalg, symmetric_group):
+        monkeypatch.setattr(owner, "int_matmul", lambda a, b: formed.append(1) or real(a, b))
+    b = np.array([[1], [0]], dtype=np.int64)
+    for c in (1 << 62, (1 << 63) - 1):
+        e = np.array([[1, 0], [c, 1]], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            symmetric_group._substitute(e, b)
+    c = (1 << 62) - 1
+    x = symmetric_group._substitute(np.array([[1, 0], [c, 1]], dtype=np.int64), b)
+    assert x.dtype == np.int64 and x.tolist() == [[1], [-c]]
+    assert formed == []
 
 
 def test_specht_trace_equals_mn_exhaustive():
