@@ -1,6 +1,8 @@
 """Stage timings of the delta2n pipeline, one fresh interpreter per run.
 
-The stages come in three groups, chosen by name on the command line (one or
+Every invocation runs `python_pass` first, `python -c pass`: interpreter
+start and exit, the host-speed reference each record carries.  The other
+stages come in three groups, chosen by name on the command line (one or
 more; default all):
 
     graph     bases        basis_arrays for degrees n, n+1, n+2     (n = 6, 7, 8)
@@ -17,8 +19,7 @@ more; default all):
                            untimed                                  (n = 9)
               blocks_all   isotypic_ranks(9), all 30 lambda with their
                            Specht modules                           (n = 9)
-    cli       python_pass  `python -c pass`: interpreter start and exit
-              import_cli   `python -c "import delta2n.cli"`
+    cli       import_cli   `python -c "import delta2n.cli"`
               import_cli_src, characters_src   the same import, and
                            characters at n = 6, compiling the package
                            from source (see below)
@@ -143,7 +144,6 @@ GROUPS = {
         **_child("blocks_all", (9,)),
     },
     "cli": {
-        "python_pass": ("-c", "pass"),
         "import_cli": ("-c", "import delta2n.cli"),
         "import_cli_src": ("-c", "import delta2n.cli"),
         **_cli("characters", "characters", (5, 6, 7, 8)),
@@ -156,6 +156,15 @@ GROUPS = {
         **_cli("verify_shell", "verify", (6,)),
     },
 }
+
+
+# run in every invocation, whatever groups are named
+HOST_REFERENCE = {"python_pass": ("-c", "pass")}
+
+
+def stages_of(groups):
+    """The stages an invocation naming these groups runs, in order."""
+    return {**HOST_REFERENCE, **{key: cmd for g in groups for key, cmd in GROUPS[g].items()}}
 
 
 # stages whose children compile the package from source (source_env)
@@ -385,7 +394,7 @@ def main():
     unknown = [g for g in groups if g not in GROUPS]
     if unknown:
         ap.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
-    stages = {key: cmd for g in groups for key, cmd in GROUPS[g].items()}
+    stages = stages_of(groups)
 
     cpus = os.sched_getaffinity(0)  # the *_shell stages' children run on these
     cpu = max(cpus)

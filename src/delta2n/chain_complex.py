@@ -390,8 +390,6 @@ def betti(n: int):
     rank d_p = sum over lambda of d_lambda times the exact rank of d_p on the
     lambda block, for every n; the blocks also certify d_{n+1} onto.
     """
-    if not 4 <= n <= 8:
-        raise ValueError(f"betti supports 4 <= n <= 8, got n={n}")
     # the block ranks live one layer up, which imports this module
     from .equivariant_homology import isotypic_ranks
     from .symmetric_group import hook_dimension

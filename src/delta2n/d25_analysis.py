@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .linalg import (
     _INT64_SAFE,
     _kernel_coordinates,
     _max_abs,
+    independent_columns,
     int_matmul,
     kernel_exact,
     rank_exact,
@@ -119,11 +120,7 @@ def find_isotypic_cycle():
     lam = (3, 1, 1)
     scale = factorial(N) // hook_dimension(lam)
 
-    orbits = []
-    for g in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[g] = 1
-        orbits.append(_orbit_sum(gidx, gsgn, e))
+    orbits = [_orbit_sum(gidx, gsgn, e) for e in np.eye(dim, dtype=np.int64)]
     bvecs = [d @ o for o in orbits]
     shapes = [None] * dim  # the sorted path lengths of each basis graph
     for (_, _, lens), index, _ in basis.blocks:
@@ -163,10 +160,7 @@ def find_isotypic_cycle():
 
 def marked_triple_perms():
     """The six permutations of markings 0,1,2 fixing 3 and 4."""
-    out = []
-    for s in permutations(range(3)):
-        out.append(tuple(list(s) + [3, 4]))
-    return out
+    return [s + (3, 4) for s in permutations(range(3))]
 
 
 def orbit_basis(v):
@@ -180,46 +174,51 @@ def orbit_basis(v):
 
 
 def representation_on_span(vb):
-    """rho1: group element -> its action on span(vb), a 6x6 rational matrix
-    X as (L X, L).  X is the top block of the verified kernel [X; I] of
-    [vb | -pi vb], so vb X = pi vb holds on every row; the kernel has that
-    shape exactly when its pivots are the columns of vb."""
+    """rho1: group element -> its action on span(vb), a 6x6 rational matrix X
+    as (L X, L), one L for all.  With V_R a nonsingular set of rows of vb,
+    the verified kernel [Y; I] of [V_R | -I] gives L Y = L V_R^-1, so L X =
+    (L Y)(pi vb)_R; vb (L X) = L pi vb, checked on every row, certifies it."""
     width = vb.shape[1]
+    if rank_exact(vb) != width:
+        raise DegenerateVectorError(f"the {width} vectors are dependent")
+    rows = independent_columns(vb.T, width)
+    _, lk, scale, _, _ = kernel_exact(np.hstack([vb[rows], -np.eye(width, dtype=np.int64)]))
+    if scale * _max_abs(vb) >= _INT64_SAFE:
+        raise OverflowError(f"L pi vb may leave int64 at L = {scale}")
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
-        _, lk, scale, pivots, _ = kernel_exact(np.hstack([vb, -gsgn[:, None] * vb[gidx]]))
-        if not np.array_equal(pivots, np.arange(width)):
-            raise DegenerateVectorError(
-                f"the {width} vectors are dependent or their span is not invariant under {pi}"
-            )
-        reps[pi] = lk[:width], scale
+        image = gsgn[:, None] * vb[gidx]
+        lx = int_matmul(lk[:width], image[rows])
+        if not np.array_equal(int_matmul(vb, lx), scale * image):
+            raise DegenerateVectorError(f"the span is not invariant under {pi}")
+        reps[pi] = lx, scale
     return reps
 
 
 def equivariant_isomorphism(vb, specht=None):
     """h0 = sum_pi rho2(pi^{-1}) . h . rho1(pi): an explicit intertwiner, as
-    (M h0, M) with M the lcm of the rho1 scales.
+    (L h0, L) with L the scale every rho1 shares.
 
     h is the identity-shaped seed map; averaging makes h0 equivariant, so by
     Schur it is zero (wrong isotype) or an isomorphism.  The sum is one exact
-    product of rho2(pi^{-1}) h, side by side, with (M / L) (L X) stacked.
+    product of rho2(pi^{-1}) h, side by side, with the L X stacked.
     """
     rep = specht if specht is not None else specht_matrices((3, 1, 1))
     rho1 = representation_on_span(vb)
     width = vb.shape[1]
-    scale = lcm(*(s for _, s in rho1.values()))
+    scale = rho1[tuple(range(N))][1]
     seed = np.eye(rep.dim, width, dtype=np.int64)
     perms = list(rho1)
     rho2 = dict(zip(perms, rep.matrices(perms)))
     left = np.hstack([int_matmul(rho2[tuple(np.argsort(pi).tolist())], seed) for pi in perms])
-    right = np.vstack([lx * (scale // s) for lx, s in rho1.values()])
+    right = np.vstack([lx for lx, _ in rho1.values()])
     h0 = int_matmul(left, right)
     if not h0.any():
         raise WrongIsotypeError("averaged intertwiner is zero")
-    # h0 rho1(pi) = rho2(pi) h0, times M L
-    for pi, (lx, s) in rho1.items():
-        if not np.array_equal(int_matmul(h0, lx), int_matmul(s * rho2[pi], h0)):
+    # h0 rho1(pi) = rho2(pi) h0, times L^2
+    for pi, (lx, _) in rho1.items():
+        if not np.array_equal(int_matmul(h0, lx), int_matmul(scale * rho2[pi], h0)):
             raise InternalConsistencyError("intertwining identity failed")
     if rep.dim != width or rank_exact(h0) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")

@@ -1,50 +1,47 @@
-"""Row reduction of an integer matrix modulo a word-sized prime (numpy), the
-one elimination routine that every exact result in ``linalg`` rests on.
-
-``project_stream`` is left from the replaced projection algorithm: no command
-calls it, but perfbench/tracer.py still traces it by name, and the benchmark's
-self-test requires every traced name to exist.
+"""Names kept only because the benchmark's tracer (perfbench/tracer.py)
+traces them and its self-test requires each to exist; no module of the
+package imports this one.  ``rref_modp`` is linalg's own object, which the
+tracer wraps by identity, so linalg's elimination reports under this name;
+``project_stream`` and ``sjt_swaps`` are left from a replaced algorithm.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
 
+from .linalg import rref_modp  # noqa: F401
 
-def rref_modp(a: np.ndarray, p: int):
-    """RREF of an int64 matrix mod p (in place).  Returns (rank, pivot columns)."""
-    if a.dtype != np.int64:
-        raise TypeError("expected int64 matrix")
-    if not 1 < p < 1 << 31:
-        raise ValueError("prime out of range")
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    a %= p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = (a[hit] - col[hit, None] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return r, np.array(pivots, dtype=np.int64)
+
+@cache
+def sjt_swaps(n: int) -> tuple[int, ...]:
+    """Steinhaus-Johnson-Trotter position-swap sequence of length n!-1.
+
+    Walking the sequence from the identity with sigma <- sigma o t_j visits
+    every permutation of S_n exactly once.
+    """
+    perm = list(range(n))
+    pos = list(range(n))  # pos[v] = current index of value v
+    direction = [-1] * n
+    swaps = []
+    for _ in range(factorial(n) - 1):
+        mobile = -1
+        for v in range(n):
+            i = pos[v]
+            j = i + direction[v]
+            if 0 <= j < n and perm[j] < v and v > mobile:
+                mobile = v
+        i = pos[mobile]
+        j = i + direction[mobile]
+        swaps.append(min(i, j))
+        other = perm[j]
+        perm[i], perm[j] = perm[j], perm[i]
+        pos[mobile], pos[other] = j, i
+        for v in range(mobile + 1, n):
+            direction[v] = -direction[v]
+    return tuple(swaps)
 
 
 def project_stream(swaps, gidx, gsgn, rgen, x):

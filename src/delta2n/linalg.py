@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers: a sparse integer matrix type for
 the boundaries, and one certified elimination core.
 
-Every exact result rests on ``kernels.rref_modp``, row reduction modulo
-word-sized primes, whose rank is a lower bound on the rank over Q.
+Every exact result rests on ``rref_modp``, row reduction modulo word-sized
+primes, whose rank is a lower bound on the rank over Q.
 ``kernel_exact`` glues the kernel residues with CRT, lifts them to rationals
 cleared of their least common denominator L, and verifies that integer
 matrix L K exactly, which gives the matching upper bound; callers take L K
@@ -22,7 +22,6 @@ import numpy as np
 
 # the package's errors, also importable from here as they always were
 from . import InternalConsistencyError, NotACharacterError, RankCertificateError  # noqa: F401
-from .kernels import rref_modp
 
 # primes just under 2**31 so mod-p products fit comfortably in int64
 PRIMES = (
@@ -312,6 +311,40 @@ def rational_reconstruction(a: int, m: int):
     if gcd(num, den) != 1 or (num - a * den) % m:
         return None
     return num, den
+
+
+def rref_modp(a: np.ndarray, p: int):
+    """RREF of an int64 matrix mod p (in place).  Returns (rank, pivot columns)."""
+    if a.dtype != np.int64:
+        raise TypeError("expected int64 matrix")
+    if not 1 < p < 1 << 31:
+        raise ValueError("prime out of range")
+    if a.size == 0:
+        return 0, np.empty(0, dtype=np.int64)
+    a %= p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r] = a[r] * inv % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = (a[hit] - col[hit, None] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return r, np.array(pivots, dtype=np.int64)
 
 
 def _reduce(a: np.ndarray, p: int):

@@ -190,35 +190,6 @@ def transposition_word(p):
     return word
 
 
-@cache
-def sjt_swaps(n: int) -> tuple[int, ...]:
-    """Steinhaus-Johnson-Trotter position-swap sequence of length n!-1.
-
-    Walking the sequence from the identity with sigma <- sigma o t_j visits
-    every permutation of S_n exactly once.
-    """
-    perm = list(range(n))
-    pos = list(range(n))  # pos[v] = current index of value v
-    direction = [-1] * n
-    swaps = []
-    for _ in range(factorial(n) - 1):
-        mobile = -1
-        for v in range(n):
-            i = pos[v]
-            j = i + direction[v]
-            if 0 <= j < n and perm[j] < v and v > mobile:
-                mobile = v
-        i = pos[mobile]
-        j = i + direction[mobile]
-        swaps.append(min(i, j))
-        other = perm[j]
-        perm[i], perm[j] = perm[j], perm[i]
-        pos[mobile], pos[other] = j, i
-        for v in range(mobile + 1, n):
-            direction[v] = -direction[v]
-    return tuple(swaps)
-
-
 # ---------------------------------------------------------------------------
 # Specht modules in Young's natural (polytabloid) basis
 #

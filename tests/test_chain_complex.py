@@ -108,10 +108,10 @@ def test_betti_6():
 
 
 def test_betti_range():
-    with pytest.raises(ValueError):
-        cc.betti(3)
-    with pytest.raises(ValueError):
-        cc.betti(9)
+    # the library has no range of its own: below n = 4 every chain group is
+    # zero, and so is every block (n = 9 works too but takes about 28 s, so
+    # it is not pinned here); the CLI keeps 4..8
+    assert cc.betti(2) == cc.betti(3) == (0, 0)
 
 
 def test_disk_cache_roundtrip(tmp_path):

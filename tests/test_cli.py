@@ -347,7 +347,6 @@ print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
         "delta2n",
         "delta2n.chain_complex",
         "delta2n.cli",
-        "delta2n.kernels",
         "delta2n.linalg",
         "delta2n.theta_graphs",
     ]
@@ -374,16 +373,20 @@ print(*sorted(m for m in sys.modules if m.startswith(prefixes)))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["analyze-d25", "--format", "json"]) == 0
 print(*sorted(m for m in sys.modules if m.startswith(prefixes[1:])))
+print("delta2n.kernels" in sys.modules)
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    before, imported, ran, analyzed = (line.split() for line in proc.stdout.splitlines())
+    *lines, kernels = proc.stdout.splitlines()
+    before, imported, ran, analyzed = (line.split() for line in lines)
     assert before == []
     assert imported == ["delta2n", "delta2n.cli"]
     assert not {"delta2n.chain_complex", "fractions", "decimal", "_decimal"} & set(ran)
     assert analyzed == []
+    # no command loads the module kept only for the benchmark's tracer
+    assert kernels == "False"
 
 
 def test_cli_loads_no_numpy_until_a_handler_computes():
@@ -637,9 +640,10 @@ def test_missing_n_is_config_error(capsys):
 
 
 def test_n_out_of_range(capsys):
-    status, _, err = _run(capsys, "betti", "--n", "3")
-    assert status == 1
-    assert "must be in 4..8" in err
+    for n in ("3", "9"):
+        status, _, err = _run(capsys, "betti", "--n", n)
+        assert status == 1
+        assert "must be in 4..8" in err
 
 
 def test_unknown_command(capsys):

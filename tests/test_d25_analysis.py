@@ -131,6 +131,18 @@ def test_representation_on_span_holds_on_every_row():
         assert np.array_equal(vb @ lx, s * gsgn[:, None] * vb[gidx])
 
 
+def test_representation_on_span_solves_every_action_from_one_kernel(monkeypatch):
+    # one inverse of a nonsingular 6 x 6 block of rows serves all 120 actions
+    vb = orbit_basis(find_isotypic_cycle())
+    calls = []
+    real = d25_analysis.kernel_exact
+    monkeypatch.setattr(d25_analysis, "kernel_exact", lambda a: calls.append(a.shape) or real(a))
+    reps = representation_on_span(vb)
+    assert len(reps) == 120
+    assert calls == [(6, 12)]
+    assert len({s for _, s in reps.values()}) == 1
+
+
 def test_equivariant_isomorphism():
     vb = orbit_basis(find_isotypic_cycle())
     h0, scale = equivariant_isomorphism(vb)

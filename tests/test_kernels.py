@@ -4,8 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from delta2n.kernels import project_stream, rref_modp
-from delta2n.symmetric_group import sjt_swaps, specht_matrices
+from delta2n import linalg
+from delta2n.kernels import project_stream, rref_modp, sjt_swaps
+from delta2n.symmetric_group import specht_matrices
 
 
 def _pairs_basis(n):
@@ -69,6 +70,11 @@ def _run_stream(n, lam, x):
     return project_stream(swaps, gidx, gsgn, rgen, x)
 
 
+def test_rref_modp_is_the_linalg_core():
+    # the same object, so a tracer that wraps it by identity times linalg's elimination
+    assert rref_modp is linalg.rref_modp
+
+
 def test_rref_rank_matches_exact():
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(11)
@@ -93,6 +99,19 @@ def test_rref_reduced_form():
         col = a[:, c].copy()
         col[i] = 0
         assert not col.any()
+
+
+def test_sjt_covers_group():
+    for n in (2, 3, 4, 5, 6):
+        swaps = sjt_swaps(n)
+        assert len(swaps) == factorial(n) - 1
+        seen = set()
+        cur = list(range(n))
+        seen.add(tuple(cur))
+        for j in swaps:
+            cur[j], cur[j + 1] = cur[j + 1], cur[j]
+            seen.add(tuple(cur))
+        assert len(seen) == factorial(n)
 
 
 def test_matrix_unit_identity():

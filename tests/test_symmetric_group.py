@@ -20,7 +20,6 @@ from delta2n.symmetric_group import (
     hook_dimension,
     mn_character,
     partitions_of,
-    sjt_swaps,
     specht_matrices,
     standard_tableaux,
     transposition_word,
@@ -145,19 +144,6 @@ def test_transposition_word():
                 t[j], t[j + 1] = t[j + 1], t[j]
                 rebuilt = _compose(rebuilt, tuple(t))
             assert rebuilt == p
-
-
-def test_sjt_covers_group():
-    for n in (2, 3, 4, 5, 6):
-        swaps = sjt_swaps(n)
-        assert len(swaps) == factorial(n) - 1
-        seen = set()
-        cur = list(range(n))
-        seen.add(tuple(cur))
-        for j in swaps:
-            cur[j], cur[j + 1] = cur[j + 1], cur[j]
-            seen.add(tuple(cur))
-        assert len(seen) == factorial(n)
 
 
 def test_standard_tableaux_311_order():
