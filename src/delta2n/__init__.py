@@ -3,8 +3,9 @@
 __version__ = "0.1.0"
 
 
-# The failures every layer raises and the CLI maps to exit status 2.  They
-# live here, with no import, so that naming them loads no computing layer.
+# The failures the layers raise; the CLI maps each to exit status 2, except
+# NotACharacterError, which only decompose raises and its command maps to 1.
+# They live here, with no import, so that naming them loads no computing layer.
 
 
 class InternalConsistencyError(RuntimeError):

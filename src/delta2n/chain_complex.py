@@ -385,19 +385,14 @@ def build_complex(n: int, cache_dir=None) -> RelativeComplex:
 
 
 def betti(n: int):
-    """(dim H_{n+2}, dim H_{n+1}) of the relative complex.
-
-    rank d_p = sum over lambda of d_lambda times the exact rank of d_p on the
-    lambda block, for every n; the blocks also certify d_{n+1} onto.
-    """
+    """(dim H_{n+2}, dim H_{n+1}) of the relative complex, for every n: the
+    sums over lambda of d_lambda k_lambda and d_lambda k'_lambda, read from the
+    exact block ranks of ``isotypic_ranks``, which also certify d_{n+1} onto."""
     # the block ranks live one layer up, which imports this module
     from .equivariant_homology import isotypic_ranks
     from .symmetric_group import hook_dimension
 
     blocks = isotypic_ranks(n)
-    rank_next, rank_top = (
-        sum(hook_dimension(lam) * r.ranks[i] for lam, r in blocks.items()) for i in (0, 1)
-    )
-    b_top = chain_dim(n, n + 2) - rank_top
-    b_next = chain_dim(n, n + 1) - rank_next - rank_top
+    b_top = sum(hook_dimension(lam) * r.top for lam, r in blocks.items())
+    b_next = sum(hook_dimension(lam) * r.next for lam, r in blocks.items())
     return b_top, b_next

@@ -174,13 +174,14 @@ def _homology_characters(n, stages):
     from .equivariant_homology import homology_character_next, homology_character_top
 
     top = stages.run("blocks", lambda: homology_character_top(n))
-    nxt = stages.run("euler_next", lambda: homology_character_next(n, top))
+    nxt = stages.run("assemble_next", lambda: homology_character_next(n))
     return top, nxt
 
 
 def _cmd_characters(config, stages):
+    from .equivariant_homology import isotypic_ranks
     from .symfunc_check import check_euler
-    from .symmetric_group import decompose, partitions_of
+    from .symmetric_group import partitions_of
 
     n = config.n
     top, nxt = _homology_characters(n, stages)
@@ -190,7 +191,9 @@ def _cmd_characters(config, stages):
         raise InternalConsistencyError(
             "Euler characteristic cross-check failed on classes " + ", ".join(failed)
         )
-    mults_top, mults_nxt = decompose(n, top), decompose(n, nxt)
+    table = isotypic_ranks(n)  # memoized: the table both rows were read from
+    mults_top = {lam: r.top for lam, r in table.items() if r.top}
+    mults_nxt = {lam: r.next for lam, r in table.items() if r.next}
     classes = [_part_str(mu) for mu in partitions_of(n)]
     blocks = [
         _character_block(n, classes, n + 2, top.tolist(), mults_top, config.seed),
@@ -431,7 +434,6 @@ def main(argv=None):
     except (
         InternalConsistencyError,
         RankCertificateError,
-        NotACharacterError,
         MalformedGraphError,
         OverflowError,
     ) as exc:

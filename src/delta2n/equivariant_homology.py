@@ -9,13 +9,15 @@ the image of sum_h eps_o(h) rho(h); so m_lam(C_p) = sum_o dim W_o.  With the
 terms of d(r_o) written c_j g_j, g_j = s_j tau_j . r_o', precomposing with d_p
 gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
-H_{n+2} then has k_lam = m_lam(C_{n+2}) - rank.  As S^lam' = sgn (x) S^lam,
-a conjugate pair shares one Specht module and one sweep of rho: the other
-member's blocks read the same stack, each rho(sigma) times sgn(sigma),
-never written.  No global boundary, drawn vector or group action enters, and
-every run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, and sum_lam
-m_lam(C_p) chi_lam = chi(C_p) on every class.  Characters are int64 rows,
-one value per class in partitions_of(n) order.
+S^lam then occurs k_lam = m_lam(C_{n+2}) - rank d_{n+2} times in H_{n+2} and
+k'_lam = m_lam(C_{n+1}) - rank d_{n+1} - rank d_{n+2} times in H_{n+1}: one
+IsotypicRanks row per lambda gives every homology number.  As S^lam' =
+sgn (x) S^lam, a conjugate pair shares one Specht module and one sweep of
+rho: the other member's blocks read the same stack, each rho(sigma) times
+sgn(sigma), never written.  No global boundary, drawn vector or group action enters, and
+every run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, sum_lam
+m_lam(C_p) chi_lam = chi(C_p) on every class, and k_lam, k'_lam >= 0.
+Characters are int64 rows, one value per class in partitions_of(n) order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import InternalConsistencyError, MalformedGraphError, NotACharacterError
+from . import InternalConsistencyError, MalformedGraphError
 from .linalg import (
     _INT64_SAFE,
     _kernel_coordinates,
@@ -45,7 +47,6 @@ from .symmetric_group import (
     class_size,
     conjugate_partition,
     cycle_type,
-    decompose,
     partitions_of,
     specht_matrices,
     word_tree,
@@ -236,6 +237,14 @@ class IsotypicRanks(NamedTuple):
     mults: tuple  # m_lam(C_p) for p = n, n+1, n+2
     ranks: tuple  # ranks of d_{n+1}, d_{n+2} on the lam blocks
 
+    @property
+    def top(self) -> int:  # k_lam, the multiplicity of S^lam in H_{n+2}
+        return self.mults[2] - self.ranks[1]
+
+    @property
+    def next(self) -> int:  # k'_lam, the multiplicity of S^lam in H_{n+1}
+        return self.mults[1] - self.ranks[0] - self.ranks[1]
+
 
 def _pair_ranks(members, n, reps=None) -> dict:
     """IsotypicRanks of each partition in ``members``, one or both of a
@@ -300,8 +309,8 @@ def isotypic_block_ranks(lam, n, reps=None) -> IsotypicRanks:
 @cache
 def isotypic_ranks(n) -> dict:
     """isotypic_block_ranks for every lambda, one Specht module and one
-    sweep per conjugate pair, with sum_lam m_lam(C_p) chi_lam checked
-    against the character of C_p on every class, in each degree."""
+    sweep per conjugate pair, with sum_lam m_lam(C_p) chi_lam checked against
+    the character of C_p on every class, in each degree, and k, k' >= 0."""
     found = {}
     for lam in partitions_of(n):
         conj = conjugate_partition(lam)
@@ -314,39 +323,30 @@ def isotypic_ranks(n) -> dict:
             raise InternalConsistencyError(
                 f"isotypic multiplicities of C_{p} do not give its character at n={n}"
             )
+    # rank d_{n+2} <= m(C_{n+1}) - m(C_n) holds only for equivariant blocks,
+    # which nothing above checks
+    for lam, r in out.items():
+        for p, k in ((n + 2, r.top), (n + 1, r.next)):
+            if k < 0:
+                raise InternalConsistencyError(
+                    f"negative multiplicity {k} of S^{lam} in H_{p} at n={n}"
+                )
     return out
 
 
 def kernel_multiplicity(lam, n) -> int:
     """Multiplicity of S^lam in ker d_{n+2} = H_{n+2}."""
-    r = isotypic_ranks(n)[lam]
-    return r.mults[2] - r.ranks[1]
+    return isotypic_ranks(n)[lam].top
 
 
 def homology_character_top(n) -> np.ndarray:
     """Character of H_{n+2} = ker d_{n+2} from the per-irreducible multiplicities."""
-    mults = {}
-    for lam in partitions_of(n):
-        k = kernel_multiplicity(lam, n)
-        if k:
-            mults[lam] = k
-    return assemble_character(n, mults)
+    return assemble_character(n, {lam: kernel_multiplicity(lam, n) for lam in partitions_of(n)})
 
 
-def homology_character_next(n, top) -> np.ndarray:
-    """Character of H_{n+1} from the equivariant Euler-characteristic identity.
-
-    ``top`` is the character of H_{n+2} the caller already computed; the
-    result is chi(C_{n+1}) - chi(C_n) - chi(C_{n+2}) + top. So ``nxt - top``
-    depends on the chain characters alone, and ``check_euler`` on the pair
-    cannot see an error in ``top``.
-    """
-    nxt = chain_character(n, n + 1) - chain_character(n, n) - chain_character(n, n + 2) + top
-    try:
-        decompose(n, nxt)
-    except NotACharacterError as exc:
-        raise InternalConsistencyError(f"H_{n+1} character is not a character: {exc}")
-    return nxt
+def homology_character_next(n) -> np.ndarray:
+    """Character of H_{n+1} from the per-irreducible multiplicities k'_lam."""
+    return assemble_character(n, {lam: r.next for lam, r in isotypic_ranks(n).items()})
 
 
 def kernel_character_oracle(n) -> np.ndarray:

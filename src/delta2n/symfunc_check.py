@@ -69,9 +69,9 @@ def check_euler(n, top, nxt):
     sides are compared as integers over 12 * n!.  Failures are reported, not
     raised.
 
-    When ``nxt`` comes from ``homology_character_next(n, top)``, ``top``
-    cancels in ``nxt - top``: the check then tests z2 against the chain
-    characters of C_n, C_{n+1}, C_{n+2}, not the homology characters.
+    When both rows come from ``isotypic_ranks``, a wrong rank of d_{n+2}
+    moves k_lam and k'_lam equally and cancels in ``nxt - top``: the check
+    tests z2 against the multiplicities of the chain groups, not that rank.
     """
     order = factorial(n)
     denominator = Z2_DENOMINATOR * order

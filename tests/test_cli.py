@@ -24,7 +24,6 @@ from delta2n.chain_complex import build_basis
 from delta2n.cli import DEFAULT_SEED
 from delta2n.linalg import InternalConsistencyError
 from delta2n.symfunc_check import EulerClassCheck
-from delta2n.symmetric_group import NotACharacterError
 
 
 def _run(capsys, *argv):
@@ -107,6 +106,32 @@ def test_characters_text_decomposition_line(capsys):
     assert status == 0
     assert "decomposition: chi_2,1,1" in out
     assert "decomposition: chi_4" in out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_printed_numbers_agree_with_the_inner_product_reference(capsys, monkeypatch, n):
+    # characters, verify and betti read every number from the isotypic_ranks
+    # table and call no decompose; each printed decomposition is still the
+    # inner-product decomposition of its own row, and the Betti numbers are
+    # the dimensions the decompositions give
+    reference = symmetric_group.decompose
+    monkeypatch.setattr(symmetric_group, "decompose", _raise(AssertionError("decompose called")))
+    payloads = {}
+    for command in ("characters", "verify", "betti"):
+        status, out, err = _run(capsys, command, "--n", str(n), "--format", "json")
+        assert status == 0, err
+        payloads[command] = json.loads(out)
+    dims = {}
+    for block in payloads["characters"]["characters"]:
+        mults = {
+            tuple(map(int, lam.split(","))): k for lam, k in block["decomposition"].items()
+        }
+        assert mults == reference(n, block["values"])
+        dims[f"H_{block['degree']}"] = sum(
+            symmetric_group.hook_dimension(lam) * k for lam, k in mults.items()
+        )
+        assert dims[f"H_{block['degree']}"] == block["values"][0]  # the class 1^n
+    assert payloads["betti"]["betti"] == dims
 
 
 def test_enumerate_text_all_degrees(capsys):
@@ -919,11 +944,28 @@ def test_block_dimension_failure_exits_2(capsys, monkeypatch, fresh_caches):
     assert "isotypic multiplicities of C_7 do not give its character at n=5" in err
 
 
-def test_not_a_character_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(symmetric_group, "decompose", _raise(NotACharacterError("negative")))
+def _set_top_rank(monkeypatch, lam, rank):
+    """Make _pair_ranks give rank(r) as the rank of d_{n+2} on the ``lam`` block."""
+    real = equivariant_homology._pair_ranks
+
+    def patched(members, n, reps=None):
+        out = real(members, n, reps)
+        if lam in out:
+            r = out[lam]
+            out[lam] = r._replace(ranks=(r.ranks[0], rank(r)))
+        return out
+
+    monkeypatch.setattr(equivariant_homology, "_pair_ranks", patched)
+
+
+def test_not_a_character_exits_2(capsys, monkeypatch, fresh_caches):
+    # a rank of d_{n+2} above m_lam(C_{n+2}) leaves k_lam < 0, which no
+    # identity on the multiplicities sees: the non-negativity check does
+    _set_top_rank(monkeypatch, (3, 1), lambda r: r.mults[2] + 1)
     status, out, err = _run(capsys, "characters", "--n", "4")
     assert status == 2 and out == ""
-    assert "internal consistency failure: negative" in err
+    assert "internal consistency failure: negative multiplicity" in err
+    assert "(3, 1) in H_6 at n=4" in err
 
 
 def _failed_verify_payload(err):
@@ -936,34 +978,61 @@ def _plus_trivial(f):
     return f + np.ones_like(f)
 
 
-def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch):
-    # the block multiplicities are checked against the chain characters too:
-    # compute them first, so that only the Euler identity reads the corruption
-    equivariant_homology.isotypic_ranks(5)
-    real = equivariant_homology.chain_character
-    monkeypatch.setattr(
-        equivariant_homology,
-        "chain_character",
-        lambda n, p: _plus_trivial(real(n, p)) if p == n + 1 else real(n, p),
-    )
+def _repeat_first_orbit_of_c_next(monkeypatch):
+    """List the first orbit of C_{n+1} twice, for the blocks and the chain
+    character alike: the isotypic multiplicities still give the chain
+    characters, and the repeated orbit adds its multiplicities to k'_lam
+    alone (its copy's rows repeat, so no rank moves), so only the Euler
+    identity, against z2, sees the wrong C_{n+1}."""
+    real = equivariant_homology.chain_orbits
+
+    def repeated(n, p):
+        reps = real(n, p)
+        return reps + reps[:1] if p == n + 1 else reps
+
+    monkeypatch.setattr(equivariant_homology, "chain_orbits", repeated)
+
+
+def test_euler_check_catches_corrupt_chain_character(capsys, monkeypatch, fresh_caches):
+    _repeat_first_orbit_of_c_next(monkeypatch)
     status, _, err = _run(capsys, "verify", "--n", "5", "--format", "json")
     assert status == 2
     payload = _failed_verify_payload(err)
-    assert not any(entry["ok"] for entry in payload["euler_check"])
+    assert [e["class"] for e in payload["euler_check"] if not e["ok"]] == ["1,1,1,1,1", "2,1,1,1"]
     assert payload["method_agreement"] is True
 
 
-def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch):
-    equivariant_homology.isotypic_ranks(5)  # as above: only the Euler identity reads it
-    real = equivariant_homology.chain_character
-    monkeypatch.setattr(
-        equivariant_homology,
-        "chain_character",
-        lambda n, p: _plus_trivial(real(n, p)) if p == n + 1 else real(n, p),
-    )
+def test_characters_fails_on_corrupt_chain_character(capsys, monkeypatch, fresh_caches):
+    _repeat_first_orbit_of_c_next(monkeypatch)
     status, out, err = _run(capsys, "characters", "--n", "5", "--format", "json")
     assert status == 2 and out == ""
-    assert err.startswith("internal consistency failure: Euler characteristic cross-check failed")
+    assert err == (
+        "internal consistency failure: Euler characteristic cross-check failed "
+        "on classes 1,1,1,1,1, 2,1,1,1\n"
+    )
+
+
+@pytest.mark.parametrize("degree, named", [(1, "(2, 1, 1, 1) in H_7"), (2, "(4, 1) in H_7")])
+def test_sign_twisted_stabilizers_leave_a_negative_multiplicity(
+    capsys, monkeypatch, fresh_caches, degree, named
+):
+    # eps(h) sgn(h) on the stabilizers of one degree gives multiplicity
+    # spaces that the boundary does not respect: the multiplicities still
+    # give the (equally corrupted) chain characters, and the blocks pass
+    # d^2 = 0 and onto, but their ranks leave one k_lam below zero
+    real = equivariant_homology.signed_stabilizer
+    corrupt = set(theta_graphs.chain_orbits(5, 5 + degree))
+
+    def twisted(rep):
+        stab = real(rep)
+        if rep not in corrupt:
+            return stab
+        return tuple((h, eps * theta_graphs.perm_parity(h)) for h, eps in stab)
+
+    monkeypatch.setattr(equivariant_homology, "signed_stabilizer", twisted)
+    status, out, err = _run(capsys, "characters", "--n", "5")
+    assert status == 2 and out == ""
+    assert f"internal consistency failure: negative multiplicity -1 of S^{named} at n=5" in err
 
 
 def test_betti_fails_on_corrupt_chain_character(capsys, monkeypatch, fresh_caches):
@@ -979,15 +1048,13 @@ def test_betti_fails_on_corrupt_chain_character(capsys, monkeypatch, fresh_cache
     assert "isotypic multiplicities of C_6 do not give its character at n=5" in err
 
 
-def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch):
-    # top cancels in the Euler check, so only the kernel-trace oracle sees it;
-    # the oracle runs once
-    real_top = equivariant_homology.homology_character_top
-    monkeypatch.setattr(
-        equivariant_homology,
-        "homology_character_top",
-        lambda *args: _plus_trivial(real_top(*args)),
-    )
+def test_method_agreement_catches_corrupt_top_character(capsys, monkeypatch, fresh_caches):
+    # one rank of d_{n+2} too low raises k_lam and k'_lam by one each, so the
+    # error cancels in H_{n+1} - H_{n+2} and the Euler check passes on every
+    # class: only the kernel-trace oracle sees it, and it runs once.
+    # characters runs no oracle and exits 0 under this mutation, as verify
+    # does from n = 7, where the oracle is skipped (ROADMAP items 1 and 7)
+    _set_top_rank(monkeypatch, (3, 1, 1), lambda r: r.ranks[1] - 1)
     calls = []
     real_oracle = equivariant_homology.kernel_character_oracle
     monkeypatch.setattr(

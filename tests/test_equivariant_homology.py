@@ -551,10 +551,25 @@ def test_homology_character_top(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_homology_character_next(n):
-    ch = homology_character_next(n, homology_character_top(n))
+    ch = homology_character_next(n)
     assert tuple(ch.tolist()) == GOLDEN_NEXT[n]
     mults = decompose(n, ch)
     assert all(k > 0 for k in mults.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_next_row_satisfies_the_euler_identity(n):
+    # H_{n+1} is read from the block ranks; the equivariant Euler identity
+    # chi(H_{n+1}) - chi(H_{n+2}) = chi(C_{n+1}) - chi(C_n) - chi(C_{n+2})
+    # still holds of the two rows
+    euler = chain_character(n, n + 1) - chain_character(n, n) - chain_character(n, n + 2)
+    assert (homology_character_next(n) - homology_character_top(n)).tolist() == euler.tolist()
+
+
+def test_isotypic_ranks_derive_both_homology_multiplicities():
+    r = IsotypicRanks((1, 5, 7), (1, 3))
+    assert (r.top, r.next) == (7 - 3, 5 - 1 - 3)
+    assert tuple(r) == ((1, 5, 7), (1, 3))  # derived values, not fields
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
