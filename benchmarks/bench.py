@@ -1,7 +1,9 @@
 """Stage timings of the delta2n pipeline, one fresh interpreter per run.
 
 Every invocation runs `python_pass` first, `python -c pass`: interpreter
-start and exit, the host-speed reference each record carries.  The other
+start and exit, the host-speed reference each record carries.  Every timed
+child is also preceded by one such child on the same CPUs, whose wall time
+the run records as `host_s`.  The other
 stages come in three groups, chosen by name on the command line (one or
 more; default all):
 
@@ -79,7 +81,10 @@ host speed change hits both alike.  The two runs of one repeat are adjacent
 and share the host's speed state, so besides the change of the medians the
 record gives, per stage and metric, the median over repeats of the paired
 ratio after/before - 1 and how many repeats the after side won (came out
-lower).  The children put DIR/src on PYTHONPATH and run the stage code of
+lower), and the same for wall_s / host_s, each child's wall time over that
+of the `python -c pass` started right before it: the host-speed correction
+perfbench applies, which takes out a speed change between the two children
+of a pair.  The children put DIR/src on PYTHONPATH and run the stage code of
 this script, so DIR needs no copy of it.  The driver exits as soon as any
 two runs of a stage give different results.
 
@@ -110,7 +115,7 @@ EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per
 # rather than compile it: a stage child and the CLI with its lazy imports
 WARM_UP = ((SCRIPT, "--child", "specht", "2"), ("-c", "import delta2n.cli, delta2n.symfunc_check"))
 # what the timed child and the memory child of a run each contribute
-TIME_METRICS = ("stage_s", "wall_s", "cpu_s", "sys_s")
+TIME_METRICS = ("stage_s", "wall_s", "cpu_s", "sys_s", "host_s")
 MEMORY_METRICS = ("peak_rss_mb", "coords_mb")
 METRICS = TIME_METRICS + MEMORY_METRICS
 # glibc's default mmap threshold, fixed in the memory children only: see the
@@ -286,16 +291,19 @@ def result_digest(stdout):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def measure(args, env, timeout, cpus=None):
+def measure(args, env, timeout, cpus=None, probe=False):
     """One fresh interpreter, on the CPUs cpus when given (else on the
-    caller's); None when it runs past the timeout."""
+    caller's); None when it runs past the timeout.  With probe, a `python -c
+    pass` child runs right before it, in the same environment and on the same
+    CPUs, and its wall time is recorded as host_s."""
     if EMPTY_CACHE in args or WARM_CACHE in args:
         with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
             filled = [cache if a in (EMPTY_CACHE, WARM_CACHE) else a for a in args]
             if WARM_CACHE in args:
                 subprocess.run([sys.executable, *filled], env=env, check=True,
                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            return measure(filled, env, timeout, cpus)
+            return measure(filled, env, timeout, cpus, probe)
+    host = measure(HOST_REFERENCE["python_pass"], env, timeout, cpus) if probe else None
     pinned = os.sched_getaffinity(0)
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
@@ -327,6 +335,8 @@ def measure(args, env, timeout, cpus=None):
         "sys_s": usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux reports KiB
     }
+    if host is not None:
+        rec["host_s"] = host["wall_s"]
     if args[0] == SCRIPT:
         rec.update(json.loads(stdout.decode().splitlines()[-1]))
     else:
@@ -356,20 +366,28 @@ def change(after, before):
     return round(after / before - 1, 4) if before else None
 
 
+def _paired(pairs):
+    ratios = [a / b - 1 for b, a in pairs if b]
+    return {
+        "median": round(statistics.median(ratios), 4) if ratios else None,
+        "after_won": sum(a < b for b, a in pairs),
+        "pairs": len(pairs),
+    }
+
+
 def paired_change(before, after):
-    """Per metric, the median over repeats of after/before - 1 within each
-    repeat (None if no repeat has a nonzero before), and in how many repeats
-    the after side came out lower."""
-    out = {}
-    for metric in METRICS:
-        if metric in after[0]:
-            pairs = [(b[metric], a[metric]) for b, a in zip(before, after)]
-            ratios = [a / b - 1 for b, a in pairs if b]
-            out[metric] = {
-                "median": round(statistics.median(ratios), 4) if ratios else None,
-                "after_won": sum(a < b for b, a in pairs),
-                "pairs": len(pairs),
-            }
+    """Per metric, and for wall_s / host_s where the runs carry host_s, the
+    median over repeats of after/before - 1 within each repeat (None if no
+    repeat has a nonzero before), and in how many repeats the after side came
+    out lower."""
+    out = {
+        metric: _paired([(b[metric], a[metric]) for b, a in zip(before, after)])
+        for metric in METRICS if metric in after[0]
+    }
+    if "host_s" in after[0]:
+        out["wall_s/host_s"] = _paired(
+            [(b["wall_s"] / b["host_s"], a["wall_s"] / a["host_s"]) for b, a in zip(before, after)]
+        )
     return out
 
 
@@ -425,7 +443,7 @@ def main():
             order = [side for side in list(sides)[:: -1 if rep % 2 else 1]
                      if key not in timed_out[side]]
             # the timed children of both sides first, adjacent, then the memory children
-            timed = {side: measure(cmd, stage_env(side, key), args.timeout, where)
+            timed = {side: measure(cmd, stage_env(side, key), args.timeout, where, probe=True)
                      for side in order}
             for side in order:
                 memory = None
@@ -455,6 +473,8 @@ def main():
             "memory": f"{', '.join(MEMORY_METRICS)} from separate children with "
                       f"MALLOC_MMAP_THRESHOLD_={MMAP_THRESHOLD}",
             "repeat": "each stage ran --repeat timed and --repeat memory children per side",
+            "host": "host_s: wall time of a `python -c pass` child run right before each "
+                    "timed child, on its CPUs",
             "threads": f"children on CPU {cpu} with {', '.join(THREAD_VARS)} = 1, except "
                        f"{', '.join(SHELL)}: on CPUs {sorted(cpus)} with none of them set",
         },

@@ -382,13 +382,6 @@ def run(config: RunConfig) -> str:
             raise ConfigError(f"--n must be in {lo}..{hi} for {config.command}")
     if config.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    if config.n == 8 and config.command in ("complex", "betti", "characters", "verify"):
-        print(
-            "warning: n=8 is a large computation (BENCH_exact_form.json, 2-core "
-            "x86_64 VM: about 0.6 s and 36 MB for characters or verify; 0.5 s and "
-            "50 MB for complex, 0.2 s and 40 MB from a warm --cache)",
-            file=sys.stderr,
-        )
     stages = _Stages()
     result = command.handler(config, stages)
     out = _render(config, stages, result)

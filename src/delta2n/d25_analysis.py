@@ -20,15 +20,7 @@ import numpy as np
 from . import InternalConsistencyError
 from .chain_complex import basis_arrays, boundary_matrix
 from .equivariant_homology import act
-from .linalg import (
-    _INT64_SAFE,
-    _kernel_coordinates,
-    _max_abs,
-    independent_columns,
-    int_matmul,
-    kernel_exact,
-    rank_exact,
-)
+from .linalg import independent_columns, int_matmul, kernel_exact, rank_exact, signed_sum
 from .symmetric_group import (
     character_table,
     cycle_type,
@@ -51,8 +43,8 @@ class WrongIsotypeError(InternalConsistencyError):
 
 @cache
 def _kernel():
-    """The top kernel K as (L K, L, pivots, free), L the lcm of K's denominators."""
-    return kernel_exact(boundary_matrix(N, TOP_DEGREE))[1:]
+    """The top kernel K, as ``kernel_exact`` gives it."""
+    return kernel_exact(boundary_matrix(N, TOP_DEGREE))
 
 
 @cache
@@ -63,33 +55,27 @@ def _act_tables(pi):
 def scaled_projection(lam, x):
     """S_lam x = sum_pi chi_lam(pi) A_pi x = (120 / d_lam) P_lam x, the
     lam-isotypic projection of an int64 vector or matrix x scaled to stay
-    integral, summed in int64.  OverflowError before any sum unless
-    sum_pi |chi_lam(pi)| max|x|, a bound on every entry, is below 2**62."""
+    integral, summed in int64 by ``signed_sum`` (OverflowError before any
+    sum unless sum_pi |chi_lam(pi)| max|x| is below 2**62)."""
     parts = partitions_of(N)
     chi = dict(zip(parts, character_table(N)[parts.index(lam)].tolist()))
-    terms = [(chi[cycle_type(pi)], pi) for pi in permutations(range(N))]
+    perms = [pi for pi in permutations(range(N)) if chi[cycle_type(pi)]]
     x = np.asarray(x, dtype=np.int64)
-    bound = sum(abs(c) for c, _ in terms) * _max_abs(x)
-    if bound >= _INT64_SAFE:
-        raise OverflowError(f"a projection entry may reach {bound}, beyond int64")
-    acc = np.zeros(x.shape, dtype=np.int64)
-    for c, pi in terms:
-        if c:
-            gidx, gsgn = _act_tables(pi)
-            acc += c * (gsgn if x.ndim == 1 else gsgn[:, None]) * x[gidx]
-    return acc
+    images = [(gsgn if x.ndim == 1 else gsgn[:, None]) * x[gidx]
+              for gidx, gsgn in map(_act_tables, perms)]
+    return signed_sum([chi[cycle_type(pi)] for pi in perms], images)
 
 
 def projection_on_kernel(lam):
     """Matrix of the lam-isotypic projector in kernel-basis coordinates, as
     (L X, 120 L / d_lam): with S = ``scaled_projection`` of L K,
-    ``_kernel_coordinates`` gives L X with K X = S / L, and the projector is
+    ``Kernel.coordinates`` gives L X with K X = S / L, and the projector is
     d_lam X / 120."""
-    lk, scale, pivots, free = _kernel()
-    lx = _kernel_coordinates(lk, scale, pivots, free, scaled_projection(lam, lk))
+    kernel = _kernel()
+    lx = kernel.coordinates(scaled_projection(lam, kernel.lk))
     if lx is None:
         raise InternalConsistencyError("projector does not preserve the kernel")
-    return lx, factorial(N) * scale // hook_dimension(lam)
+    return lx, factorial(N) * kernel.scale // hook_dimension(lam)
 
 
 def _orbit_sum(gidx, gsgn, signed_e):
@@ -120,8 +106,8 @@ def find_isotypic_cycle():
     lam = (3, 1, 1)
     scale = factorial(N) // hook_dimension(lam)
 
-    orbits = [_orbit_sum(gidx, gsgn, e) for e in np.eye(dim, dtype=np.int64)]
-    bvecs = [d @ o for o in orbits]
+    orbits = np.array([_orbit_sum(gidx, gsgn, e) for e in np.eye(dim, dtype=np.int64)])
+    bvecs = int_matmul(orbits, d.T)  # row g is d applied to orbit g
     shapes = [None] * dim  # the sorted path lengths of each basis graph
     for (_, _, lens), index, _ in basis.blocks:
         for i in index.tolist():
@@ -150,10 +136,10 @@ def find_isotypic_cycle():
                 support = (g1, g2, g3, g4)
                 if len(set(support)) < 4 or sorted(shapes[g] for g in support) != wanted:
                     continue
-                v = orbits[g1] + s2 * orbits[g2] + flip * orbits[g3] + flip * s4 * orbits[g4]
-                if not v.any() or (d @ v).any():
+                v = signed_sum((1, s2, flip, flip * s4), orbits[list(support)])
+                if not v.any() or int_matmul(d, v).any():
                     continue
-                if np.array_equal(scaled_projection(lam, v), scale * v):
+                if np.array_equal(scaled_projection(lam, v), signed_sum([scale], [v])):
                     return v
     raise InternalConsistencyError("no (3,1,1)-isotypic cycle of orbit form")
 
@@ -183,14 +169,12 @@ def representation_on_span(vb):
         raise DegenerateVectorError(f"the {width} vectors are dependent")
     rows = independent_columns(vb.T, width)
     _, lk, scale, _, _ = kernel_exact(np.hstack([vb[rows], -np.eye(width, dtype=np.int64)]))
-    if scale * _max_abs(vb) >= _INT64_SAFE:
-        raise OverflowError(f"L pi vb may leave int64 at L = {scale}")
     reps = {}
     for pi in permutations(range(N)):
         gidx, gsgn = _act_tables(pi)
         image = gsgn[:, None] * vb[gidx]
         lx = int_matmul(lk[:width], image[rows])
-        if not np.array_equal(int_matmul(vb, lx), scale * image):
+        if not np.array_equal(int_matmul(vb, lx), signed_sum([scale], [image])):
             raise DegenerateVectorError(f"the span is not invariant under {pi}")
         reps[pi] = lx, scale
     return reps
@@ -218,7 +202,7 @@ def equivariant_isomorphism(vb, specht=None):
         raise WrongIsotypeError("averaged intertwiner is zero")
     # h0 rho1(pi) = rho2(pi) h0, times L^2
     for pi, (lx, _) in rho1.items():
-        if not np.array_equal(int_matmul(h0, lx), int_matmul(scale * rho2[pi], h0)):
+        if not np.array_equal(int_matmul(h0, lx), int_matmul(signed_sum([scale], [rho2[pi]]), h0)):
             raise InternalConsistencyError("intertwining identity failed")
     if rep.dim != width or rank_exact(h0) != rep.dim:
         raise WrongIsotypeError("intertwiner is singular")

@@ -30,13 +30,12 @@ import numpy as np
 
 from . import InternalConsistencyError, MalformedGraphError
 from .linalg import (
-    _INT64_SAFE,
-    _kernel_coordinates,
-    _max_abs,
+    _int64_matmul,
     independent_columns,
     int_matmul,
     kernel_exact,
     rank_exact,
+    signed_sum,
 )
 from .symmetric_group import (
     WordTree,
@@ -118,24 +117,20 @@ def chain_character(n, p) -> np.ndarray:
 
 
 def _signed_sum(pairs, mats, signs) -> np.ndarray:
-    """sum of w signs[k] mats[k] over the (w, k) of ``pairs``: the stack is only read."""
-    out = np.zeros(mats.shape[1:], dtype=np.int64)
-    for w, k in pairs:
-        out += w * signs[k] * mats[k]
-    return out
+    """sum of w signs[k] mats[k] over the (w, k) of ``pairs`` (``signed_sum``):
+    the stack is only read."""
+    return signed_sum([w * signs[k] for w, k in pairs], mats[[k for _, k in pairs]])
 
 
 def _fixed_columns(reps, stabilizers, mats, signs) -> np.ndarray:
     """Block-diagonal int64 matrix of one degree's multiplicity spaces W_o =
     {v in S^lam : rho(h) v = eps(h) v on H_o}, from the plan's stabilizers
     and the stack of rho of its slots, each slot times its sign in ``signs``.
-    P_o = sum_h eps(h) rho(h), unless |H_o| max|rho| reaches 2**62
-    (OverflowError); P_o^2 = |H_o| P_o, checked in one stacked product, makes
-    P_o / |H_o| the projection onto W_o, so tr P_o / |H_o| columns span it."""
+    P_o = sum_h eps(h) rho(h); P_o^2 = |H_o| P_o, checked in one stacked
+    product, makes P_o / |H_o| the projection onto W_o, so tr P_o / |H_o|
+    columns span it."""
     d = mats.shape[1]  # the stack has no slot when the complex is empty
     sizes = np.array([len(stab) for stab in stabilizers], dtype=np.int64)
-    if int(sizes.max(initial=0)) * _max_abs(mats) >= _INT64_SAFE:
-        raise OverflowError("a projector entry may leave int64")
     proj = np.array([_signed_sum(stab, mats, signs) for stab in stabilizers], dtype=np.int64)
     proj = proj.reshape(len(reps), d, d)  # also with no orbit
     square = int_matmul(proj, proj)
@@ -219,17 +214,16 @@ def _precompose(terms, mats, signs, x):
     """F x for the orbit boundary F of one degree, never forming F: row block
     o is sum_j G_oj x_j, G_oj = sum c s rho(tau) over the plan's ``terms`` of
     d(r_o) that reach orbit j, each slot times its sign in ``signs``, and x_j
-    the d rows of x of orbit j: one int_matmul per (o, j).  OverflowError
-    before any sum unless (max_o sum |c|) max|rho| d max|x| is below 2**62."""
+    the d rows of x of orbit j: one product per (o, j).  Each G_oj, each
+    product and each sum over j is checked to fit int64 before it is formed
+    (OverflowError)."""
     d = mats.shape[1]
-    reach = max((sum(abs(c) for _, pairs in upper for c, _ in pairs) for upper in terms), default=0)
-    if reach * _max_abs(mats) * d * _max_abs(x) >= _INT64_SAFE:
-        raise OverflowError("a block entry may leave int64")
     out = np.zeros((d * len(terms), x.shape[1]), dtype=np.int64)
     for i, upper in enumerate(terms):
-        for j, pairs in upper:
-            g = _signed_sum(pairs, mats, signs)
-            out[i * d : (i + 1) * d] += int_matmul(g, x[j * d : (j + 1) * d])
+        parts = [_int64_matmul(_signed_sum(p, mats, signs), x[j * d : (j + 1) * d])
+                 for j, p in upper]
+        if parts:  # a zero d(r_o) leaves its row block 0
+            out[i * d : (i + 1) * d] = signed_sum([1] * len(parts), parts)
     return out
 
 
@@ -353,21 +347,21 @@ def kernel_character_oracle(n) -> np.ndarray:
     """Character of ker d_{n+2} by exact change of basis, no projections.
 
     For each class representative sigma, solves K X = A_sigma K for the
-    kernel basis K through ``_kernel_coordinates``, in integers, and returns
+    kernel basis K through ``Kernel.coordinates``, in integers, and returns
     trace(X).
     """
     from .chain_complex import boundary_matrix
 
-    _, lk, scale, pivots, free = kernel_exact(boundary_matrix(n, n + 2))
+    kernel = kernel_exact(boundary_matrix(n, n + 2))
     values = []
     for mu in partitions_of(n):
         gidx, gsgn = act(class_representative(mu), n + 2)
-        lx = _kernel_coordinates(lk, scale, pivots, free, gsgn[:, None] * lk[gidx])
+        lx = kernel.coordinates(gsgn[:, None] * kernel.lk[gidx])
         if lx is None:
             raise InternalConsistencyError(
                 f"kernel is not invariant under class {mu}: sign/action bug"
             )
-        tr, rest = divmod(sum(np.diagonal(lx).tolist()), scale)
+        tr, rest = divmod(sum(np.diagonal(lx).tolist()), kernel.scale)
         if rest:
             raise InternalConsistencyError(f"non-integral kernel trace at {mu}")
         values.append(tr)

@@ -11,17 +11,19 @@ certifies full rank).
 ``independent_columns`` needs no kernel: its caller supplies the exact rank.
 Their inputs are SparseIntMatrix or signed-integer arrays, taken as int64;
 anything else raises ValueError.
+Whether an int64 result fits is decided here alone, before the arithmetic
+runs: ``signed_sum`` bounds a sum of multiples, ``int_matmul`` a product.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
-# the package's errors, also importable from here as they always were
-from . import InternalConsistencyError, NotACharacterError, RankCertificateError  # noqa: F401
+from . import RankCertificateError
 
 # primes just under 2**31 so mod-p products fit comfortably in int64
 PRIMES = (
@@ -272,6 +274,20 @@ def _product_dtype(a, b):
     return object
 
 
+def signed_sum(weights, arrays) -> np.ndarray:
+    """sum over k of weights[k] arrays[k] in int64, for integer weights and a
+    stack (or a sequence of one shape) of signed-integer arrays; OverflowError
+    before any sum unless sum_k |weights[k]| max|arrays[k]|, a bound on every
+    entry and partial sum, is below 2**62."""
+    arrays = np.asarray(arrays).astype(np.int64, copy=False)
+    flat = arrays.reshape(len(arrays), prod(arrays.shape[1:]))
+    hi, lo = flat.max(axis=1, initial=0).tolist(), flat.min(axis=1, initial=0).tolist()
+    bound = sum(abs(w) * max(h, -m) for w, h, m in zip(weights, hi, lo))
+    if bound >= _INT64_SAFE:
+        raise OverflowError(f"a sum of {len(arrays)} terms may reach {bound}, beyond int64")
+    return np.einsum("k,kj->j", np.array(weights, dtype=np.int64), flat).reshape(arrays.shape[1:])
+
+
 def _int64_matmul(a, b) -> np.ndarray:
     """Exact int64 product of integer matrices (or stacks), in the dtype that
     ``_product_dtype`` proves exact; OverflowError first when that is object."""
@@ -349,15 +365,38 @@ def rref_modp(a: np.ndarray, p: int):
 
 def _reduce(a: np.ndarray, p: int):
     """(p, the RREF of a mod p, its rank, its pivot columns): the one entry
-    to the mod-p elimination."""
-    red = np.mod(a, p).astype(np.int64)
+    to the mod-p elimination, on one copy of a, reduced in place."""
+    red = a.copy()
     return (p, red, *rref_modp(red, p))
 
 
-def kernel_exact(mat):
+class Kernel(NamedTuple):
+    """The certified kernel ``kernel_exact`` returns."""
+
+    rank: int
+    lk: np.ndarray
+    scale: int
+    pivots: np.ndarray
+    free: np.ndarray
+
+    def coordinates(self, y):
+        """L X for the X with K X = Y, given y = L Y an integer matrix;
+        None unless Y lies in the column space of K.  K[free] = I, so the
+        free rows pin L X = y[free], and the pivot rows (L K)[pivots] (L X)
+        = L y[pivots] are checked exactly, in integers."""
+        lx, rhs = y[self.free], y[self.pivots]
+        if rhs.dtype != object and self.scale * max(_max_abs(rhs), 1) >= _INT64_SAFE:
+            rhs = rhs.astype(object)
+        if not np.array_equal(int_matmul(self.lk[self.pivots], lx), rhs * self.scale):
+            return None
+        return lx
+
+
+def kernel_exact(mat) -> Kernel:
     """Certified exact right kernel of an integer matrix.
 
-    Returns (rank, lk, scale, pivots, free).  The kernel K is a cols x
+    Returns a ``Kernel`` (rank, lk, scale, pivots, free), whose
+    ``coordinates`` solves K X = Y.  The kernel K is a cols x
     nullity rational matrix in reduced echelon shape: K[free[j], i] is 1 when
     i == j and 0 otherwise, so rows at the free columns form an identity.  It
     comes as the integer matrix lk = L K with scale = L, the least common
@@ -373,27 +412,13 @@ def kernel_exact(mat):
     return _lift_kernel(a, (_reduce(a, p) for p in PRIMES))
 
 
-def _kernel_coordinates(lk, scale, pivots, free, y):
-    """L X for the X with K X = Y, given the kernel K of ``kernel_exact`` as
-    lk = L K and scale = L with its pivots and free rows, and y = L Y an
-    integer matrix; None unless Y lies in the column space of K.  K[free] =
-    I, so the free rows pin L X = y[free], and the pivot rows (L K)[pivots]
-    (L X) = L y[pivots] are checked exactly, in integers."""
-    lx, rhs = y[free], y[pivots]
-    if rhs.dtype != object and scale * max(_max_abs(rhs), 1) >= _INT64_SAFE:
-        rhs = rhs.astype(object)
-    if not np.array_equal(int_matmul(lk[pivots], lx), rhs * scale):
-        return None
-    return lx
-
-
 def _lift_kernel(a, reductions):
     """``kernel_exact`` of the integer array a, from its reductions
     ``_reduce(a, p)`` over the primes in order, taken one at a time until the
     lifted kernel verifies."""
     nrows, ncols = a.shape
     if ncols == 0 or nrows == 0:
-        return 0, np.eye(ncols, dtype=np.int64), 1, np.empty(0, dtype=np.int64), np.arange(ncols)
+        return Kernel(0, np.eye(ncols, dtype=np.int64), 1, np.arange(0), np.arange(ncols))
 
     best = None  # (rank, pivots)
     residue = None
@@ -408,7 +433,7 @@ def _lift_kernel(a, reductions):
             continue  # unlucky prime, skip it
         free = np.delete(np.arange(ncols), pivots)
         if rank == ncols:
-            return rank, np.zeros((ncols, 0), dtype=np.int64), 1, pivots, free
+            return Kernel(rank, np.zeros((ncols, 0), dtype=np.int64), 1, pivots, free)
         # kernel residues mod p from the reduced rows
         kp = np.zeros((ncols, free.size), dtype=np.int64)
         kp[free, np.arange(free.size)] = 1
@@ -424,7 +449,7 @@ def _lift_kernel(a, reductions):
             modulus *= p
         lifted = _lift_matrix(residue, modulus)
         if lifted is not None and not int_matmul(a, lifted[0]).any():
-            return best[0], *lifted, pivots, free
+            return Kernel(best[0], *lifted, pivots, free)
     raise RankCertificateError("kernel reconstruction did not converge")
 
 

@@ -135,6 +135,31 @@ def test_source_stages_compile_the_package_from_source(tmp_path):
     assert not list((tmp_path / "src").rglob("__pycache__"))
 
 
+def test_every_timed_run_carries_its_host_probe(tmp_path):
+    # a whole --before run of one short stage: each side's timed run of every
+    # stage records host_s, and the pairs are also compared as wall_s / host_s
+    out = tmp_path / "record.json"
+    bench_py = ROOT / "benchmarks" / "bench.py"
+    argv = ["bench.py", "tiny", "--repeat", "1", "--before", str(ROOT), "--out", str(out)]
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('bench', {str(bench_py)!r})\n"
+        "bench = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench)\n"
+        "bench.GROUPS = {'tiny': bench._child('specht', (2,))}\n"
+        f"sys.argv = {argv!r}\n"
+        "bench.main()\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True, capture_output=True, timeout=120)
+    record = json.loads(out.read_text())
+    for side in ("before", "after"):
+        assert set(record[side]) == {"python_pass", "specht_n2"}
+        for stage in record[side].values():
+            assert len(stage["host_s"]["runs"]) == 1 and stage["host_s"]["median"] > 0
+    for pair in record["paired_change"].values():
+        assert pair["wall_s/host_s"]["pairs"] == 1
+
+
 def test_paired_change_skips_a_zero_base():
     # a short child's system time can read 0: no ratio is taken over it
     bench = _bench()
@@ -143,5 +168,11 @@ def test_paired_change_skips_a_zero_base():
     assert bench.paired_change(before, after) == {
         "wall_s": {"median": -0.5, "after_won": 2, "pairs": 2},
         "sys_s": {"median": None, "after_won": 0, "pairs": 2},
+    }
+    # with host probes, the pair is also compared at the host's speed
+    before = [dict(r, host_s=0.1) for r in before]
+    after = [dict(r, host_s=h) for r, h in zip(after, (0.05, 0.05))]
+    assert bench.paired_change(before, after)["wall_s/host_s"] == {
+        "median": 0.0, "after_won": 0, "pairs": 2,
     }
     assert bench.change(0.02, 0.0) is None and bench.change(0.02, 0.01) == 1.0

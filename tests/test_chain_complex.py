@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from delta2n import chain_complex as cc
-from delta2n import clear_caches
+from delta2n import InternalConsistencyError, clear_caches
 from delta2n import d25_analysis, equivariant_homology, linalg, symmetric_group, theta_graphs
-from delta2n.linalg import InternalConsistencyError, SparseIntMatrix, kernel_exact, rank_exact
+from delta2n.linalg import SparseIntMatrix, kernel_exact, rank_exact
 from delta2n.theta_graphs import enumerate_theta, has_odd_automorphism, is_full_theta, orbit_of
 
 # (n, degree) -> dimension, all pinned by the brute-force enumeration oracle

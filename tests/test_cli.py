@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from delta2n import (
+    InternalConsistencyError,
     chain_complex,
     clear_caches,
     cli,
@@ -22,7 +23,6 @@ from delta2n import (
 )
 from delta2n.chain_complex import build_basis
 from delta2n.cli import DEFAULT_SEED
-from delta2n.linalg import InternalConsistencyError
 from delta2n.symfunc_check import EulerClassCheck
 
 
@@ -483,12 +483,13 @@ cli.entry()
 
 
 def test_package_errors_keep_their_layer_names():
-    # the errors live in the package root; the layers' names are the same classes
+    # the errors live in the package root; a layer's name for the error it
+    # raises is the same class, and linalg names only the one it raises
     import delta2n
     from delta2n import linalg
 
-    for name in ("InternalConsistencyError", "RankCertificateError", "NotACharacterError"):
-        assert getattr(linalg, name) is getattr(delta2n, name)
+    assert linalg.RankCertificateError is delta2n.RankCertificateError
+    assert not hasattr(linalg, "InternalConsistencyError")
     assert theta_graphs.MalformedGraphError is delta2n.MalformedGraphError
     assert symmetric_group.NotACharacterError is delta2n.NotACharacterError
 
@@ -867,15 +868,6 @@ def test_missing_basis_key_exits_2(capsys, monkeypatch, fresh_caches):
     status, out, err = _run(capsys, "complex", "--n", "5")
     assert status == 2 and out == ""
     assert "internal consistency failure: contraction left the basis at n=5, p=7" in err
-
-
-def test_n8_cost_warning(capsys, monkeypatch):
-    # stub the handler: only the warning plumbing is under test
-    stub = cli._COMMANDS["betti"]._replace(handler=lambda config, stages: cli.Result({}, ["stub"]))
-    monkeypatch.setitem(cli._COMMANDS, "betti", stub)
-    status, out, err = _run(capsys, "betti", "--n", "8")
-    assert status == 0
-    assert "warning" in err and "n=8" in err
 
 
 def test_consistency_failure_exits_2(capsys, monkeypatch):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from delta2n import (
+    InternalConsistencyError,
+    RankCertificateError,
     chain_complex,
     clear_caches,
     equivariant_homology,
@@ -23,7 +25,7 @@ from delta2n.equivariant_homology import (
     kernel_character_oracle,
     kernel_multiplicity,
 )
-from delta2n.linalg import InternalConsistencyError, RankCertificateError, rank_exact
+from delta2n.linalg import rank_exact
 from delta2n.symmetric_group import (
     class_representative,
     decompose,
@@ -418,7 +420,7 @@ def test_precompose_makes_one_product_per_orbit_pair(monkeypatch):
     n = 6
     plan = equivariant_homology._block_plan(tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2)))
     products, counts = [], []
-    real_matmul, real_precompose = linalg.int_matmul, equivariant_homology._precompose
+    real_matmul, real_precompose = linalg._int64_matmul, equivariant_homology._precompose
 
     def precompose(*args):
         before = len(products)
@@ -427,7 +429,7 @@ def test_precompose_makes_one_product_per_orbit_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(
-        equivariant_homology, "int_matmul", lambda *a: products.append(1) or real_matmul(*a)
+        equivariant_homology, "_int64_matmul", lambda *a: products.append(1) or real_matmul(*a)
     )
     monkeypatch.setattr(equivariant_homology, "_precompose", precompose)
     isotypic_block_ranks((6,), n)  # (6,) is built for itself: one member

@@ -19,6 +19,7 @@ from delta2n.linalg import (
     rank_exact,
     rank_modp,
     rational_reconstruction,
+    signed_sum,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -588,6 +589,34 @@ def test_stacked_int_matmul_bounds_by_the_inner_dimension():
     assert want > 1 << 53 and want % 2
     assert int_matmul(a, b).tolist() == [[[want]]] * 2
     assert int(np.float64(want)) != want
+
+
+def test_signed_sum_refuses_the_2_62_bound():
+    # sum |w| max|a| is the bound: two terms of 2**61 reach 2**62 and are
+    # refused, even where they would cancel, as is a sum that int64 would
+    # wrap to 0; one less in each and the sum is exact
+    big = np.full((2, 3), 1 << 61, dtype=np.int64)
+    for weights, arrays in (([1, 1], [big, big]), ([1, -1], [big, big]), ([2], [big]), ([4], [big])):
+        with pytest.raises(OverflowError):
+            signed_sum(weights, arrays)
+    got = signed_sum([1, 1], [big - 1, big - 1])
+    assert got.dtype == np.int64 and got.tolist() == [[(1 << 62) - 2] * 3] * 2
+    # weights and narrow terms are widened to int64 before they multiply
+    narrow = np.array([[100, -100]] * 2, dtype=np.int8)
+    assert signed_sum([1000, -3], narrow).tolist() == [99700, -99700]
+    assert signed_sum([], np.zeros((0, 2, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
+
+
+def test_kernel_coordinates_solve_inside_the_span_only():
+    # K = [[-3/2, 0], [1, 0], [0, 1]] with L = 2: Y = K X comes back as L X,
+    # a Y off the span of K as None; the kernel still unpacks as five values
+    kernel = kernel_exact([[2, 3, 0]])
+    rank, lk, scale, pivots, free = kernel
+    assert (rank, scale, lk is kernel.lk) == (1, 2, True)
+    x = np.array([[1, 0], [-4, 5]], dtype=np.int64)
+    y = int_matmul(lk, x)  # L Y
+    assert kernel.coordinates(y).tolist() == (scale * x).tolist()
+    assert kernel.coordinates(np.array([[1], [0], [0]], dtype=np.int64)) is None
 
 
 def test_int_matmul_takes_float64_only_below_2_53():

@@ -6,8 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from delta2n import linalg, symmetric_group
-from delta2n.linalg import InternalConsistencyError
+from delta2n import InternalConsistencyError, linalg, symmetric_group
 from delta2n.symmetric_group import (
     NotACharacterError,
     SpechtRep,
