@@ -90,11 +90,27 @@ two runs of a stage give different results.
 
     python3 benchmarks/bench.py --before ../parent --out BENCH_topic.json
     python3 benchmarks/bench.py homology cli --repeat 3
+
+Fresh children cannot resolve a change of a few percent on a host whose
+speed wanders.  `--paired KEY ...` compares graph or homology stages in
+process instead, each KEY a stage and its n as the records name them
+(blocks_all_n6 is isotypic_ranks(6)): one long-lived worker per side
+(`bench.py --serve`, the side's src/ on PYTHONPATH), both on bench.py's one
+CPU, is sent --rounds pairs of requests in ABBA order, one untimed request
+first; each request empties the package's caches (delta2n.clear_caches())
+and runs the stage as its child would.  The record's "paired" entry holds,
+per KEY, every pair of stage times, the median ratio after/before, how many
+pairs the after side won and the two-sided sign-test p-value of that count,
+and the pairs of stage CPU times with their median ratio.
+With --paired, no group runs unless named.
+
+    python3 benchmarks/bench.py --paired blocks_all_n6 --before ../parent --rounds 40
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -213,7 +229,7 @@ def run_stage(stage, n):
     elif stage in ("chain_characters", "top"):
         for lam in partitions_of(n):
             specht_matrices(lam)
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     if stage == "bases":
         result = [basis_arrays(n, p).dim for p in degrees]
     elif stage == "boundaries":
@@ -236,7 +252,8 @@ def run_stage(stage, n):
         result = [[list(x) for x in r] for r in eh.isotypic_ranks(n).values()]
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    record = {"stage_s": time.perf_counter() - t0, "result": result}
+    record = {"stage_s": time.perf_counter() - t0, "stage_cpu_s": time.process_time() - c0,
+              "result": result}
     if stage in ("boundaries", "d2"):
         kept = sum(boundary_matrix(n, p).coords.nbytes for p in (n + 1, n + 2))
         record["coords_mb"] = kept / 2**20
@@ -391,6 +408,80 @@ def paired_change(before, after):
     return out
 
 
+def serve():
+    """Worker side of --paired: for each line "STAGE N" read, empty the
+    package's caches, run the stage and write its record as one line."""
+    import delta2n
+
+    for line in sys.stdin:
+        stage, n = line.split()
+        delta2n.clear_caches()
+        print(json.dumps(run_stage(stage, int(n))), flush=True)
+
+
+def sign_test(wins, pairs):
+    """Two-sided exact sign-test p-value of `wins` wins in `pairs` untied pairs."""
+    k = min(wins, pairs - wins)
+    return min(1.0, 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs)
+
+
+def paired_record(times, cpu):
+    """The comparison of (before, after) stage times, one pair per round,
+    with the median ratio of the (before, after) CPU times cpu."""
+    ratios = [a / b for b, a in times]
+    wins, ties = sum(a < b for b, a in times), sum(a == b for b, a in times)
+    return {
+        "pairs": [{"before": b, "after": a} for b, a in times],
+        "cpu_pairs": [{"before": b, "after": a} for b, a in cpu],
+        "cpu_median_ratio": round(statistics.median(a / b for b, a in cpu if b), 4),
+        "median_before": round(statistics.median(b for b, _ in times), 6),
+        "median_after": round(statistics.median(a for _, a in times), 6),
+        "median_ratio": round(statistics.median(ratios), 4),
+        "after_won": wins,
+        "sign_test_p": sign_test(wins, len(times) - ties),
+    }
+
+
+def run_paired(keys, envs, rounds):
+    """--paired: per key, rounds pairs of in-process stage times from one
+    worker per side, asked in ABBA order after one untimed request each."""
+    workers = {
+        side: subprocess.Popen([sys.executable, SCRIPT, "--serve"], stdin=subprocess.PIPE,
+                               stdout=subprocess.PIPE, text=True, env=env)
+        for side, env in envs.items()
+    }
+
+    def ask(side, stage, n):
+        workers[side].stdin.write(f"{stage} {n}\n")
+        workers[side].stdin.flush()
+        line = workers[side].stdout.readline()
+        if not line:
+            raise SystemExit(f"the {side} worker exited on {stage} {n}")
+        return json.loads(line)
+
+    out = {}
+    try:
+        for key in keys:
+            stage, _, n = key.rpartition("_n")
+            first = {side: ask(side, stage, n)["result"] for side in envs}
+            if first["before"] != first["after"]:
+                raise SystemExit(f"{key}: before gave {first['before']}, after {first['after']}")
+            times, cpu = [], []
+            for r in range(rounds):  # ABBA: before first in even rounds, after first in odd
+                order = ("before", "after") if r % 2 == 0 else ("after", "before")
+                got = {side: ask(side, stage, n) for side in order}
+                if any(rec["result"] != first["after"] for rec in got.values()):
+                    raise SystemExit(f"{key}: a side's result changed between requests")
+                times.append((got["before"]["stage_s"], got["after"]["stage_s"]))
+                cpu.append((got["before"]["stage_cpu_s"], got["after"]["stage_cpu_s"]))
+            out[key] = {**paired_record(times, cpu), "result": first["after"]}
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("groups", nargs="*", metavar="GROUP",
@@ -402,13 +493,27 @@ def main():
     ap.add_argument("--timeout", type=float, default=120.0,
                     help="seconds before a child is stopped and recorded as timed out")
     ap.add_argument("--out", default=None, help="write the JSON record here")
+    ap.add_argument("--paired", nargs="+", default=[], metavar="KEY",
+                    help="compare these stages (e.g. blocks_all_n6) in process against --before")
+    ap.add_argument("--rounds", type=int, default=30, help="request pairs per --paired stage")
     ap.add_argument("--child", nargs=2, metavar=("STAGE", "N"), help=argparse.SUPPRESS)
+    ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.child:
         print(json.dumps(run_stage(args.child[0], int(args.child[1]))))
         return
-    groups = args.groups or list(GROUPS)
+    if args.serve:
+        serve()
+        return
+    if args.paired and not args.before:
+        ap.error("--paired needs --before")
+    in_process = {cmd[2] for group in GROUPS.values() for cmd in group.values() if cmd[0] == SCRIPT}
+    for key in args.paired:
+        stage, _, n = key.rpartition("_n")
+        if stage not in in_process or not n.isdigit():
+            ap.error(f"--paired {key}: not STAGE_nN for a stage of {', '.join(sorted(in_process))}")
+    groups = args.groups or ([] if args.paired else list(GROUPS))
     unknown = [g for g in groups if g not in GROUPS]
     if unknown:
         ap.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
@@ -434,6 +539,7 @@ def main():
         env = source_envs[side] if key in FROM_SOURCE else envs[side]
         return shell_env(env) if key in SHELL else env
 
+    paired = run_paired(args.paired, envs, args.rounds) if args.paired else None
     runs = {side: {key: [] for key in stages} for side in sides}
     timed_out = {side: set() for side in sides}
     results = {}
@@ -505,6 +611,12 @@ def main():
             key: paired_change(runs["before"][key], runs["after"][key])
             for key in stages if medians[key] is not None
         }
+    if paired:
+        record["paired"] = paired
+        record["conditions"]["paired"] = (
+            "one in-process worker per side on the pinned CPU, requests in ABBA order, "
+            "delta2n.clear_caches() before each; stage wall and CPU time"
+        )
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 
@@ -515,6 +627,10 @@ def main():
         return (f"{time_s:>8.4f}s {entry['cpu_s']['median']:>7.3f}s cpu"
                 f" {entry['peak_rss_mb']['median']:>6.1f}MB")
 
+    for key, entry in (paired or {}).items():
+        print(f"{key}: in process {entry['median_before']:.4f}s -> {entry['median_after']:.4f}s,"
+              f" median ratio {entry['median_ratio']}, after won {entry['after_won']} of"
+              f" {len(entry['pairs'])} (sign test p = {entry['sign_test_p']:.2g})")
     width = max(len(key) for key in stages)
     print("medians of the stage time (graph, homology) or wall time (cli), CPU time, peak RSS")
     for key, after in record["after"].items():

@@ -5,17 +5,16 @@ C_p is a sum, over the S_n-orbits o of its basis, of signed induced modules
 Ind_{H_o} eps_o, where H_o (at most 12 elements) fixes the representative r_o
 up to the sign eps_o.  By Frobenius reciprocity an equivariant map
 C_p -> S^lam is one w_o per orbit in W_o = {v : rho(h) v = eps_o(h) v on H_o},
-the image of sum_h eps_o(h) rho(h); so m_lam(C_p) = sum_o dim W_o.  With the
-terms of d(r_o) written c_j g_j, g_j = s_j tau_j . r_o', precomposing with d_p
-gives the value sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
+the image of P_o = sum_h eps_o(h) rho(h); so m_lam(C_p) = sum_o tr P_o / |H_o|.
+With the terms of d(r_o) written c_j g_j, g_j = s_j tau_j . r_o', precomposing
+with d_p gives sum_j c_j s_j rho(tau_j) w_o' at r_o: one small exact integer
 block per lambda, whose rank is the multiplicity of S^lam in the image of d_p.
 S^lam then occurs k_lam = m_lam(C_{n+2}) - rank d_{n+2} times in H_{n+2} and
-k'_lam = m_lam(C_{n+1}) - rank d_{n+1} - rank d_{n+2} times in H_{n+1}: one
-IsotypicRanks row per lambda gives every homology number.  As S^lam' =
-sgn (x) S^lam, a conjugate pair shares one Specht module and one sweep of
-rho: the other member's blocks read the same stack, each rho(sigma) times
-sgn(sigma), never written.  No global boundary, drawn vector or group action enters, and
-every run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, sum_lam
+k'_lam = m_lam(C_{n+1}) - rank d_{n+1} - rank d_{n+2} times in H_{n+1}.  A
+conjugate pair shares one sweep of rho (S^lam' = sgn (x) S^lam), only read.
+Each sum of rho is one checked call: all P_o of a member, or all terms of an
+upper orbit's boundary.  No global boundary or group action enters, and every
+run checks d_{n+1} d_{n+2} = 0 and d_{n+1} onto on each block, sum_lam
 m_lam(C_p) chi_lam = chi(C_p) on every class, and k_lam, k'_lam >= 0.
 Characters are int64 rows, one value per class in partitions_of(n) order.
 """
@@ -116,23 +115,26 @@ def chain_character(n, p) -> np.ndarray:
     return out
 
 
-def _signed_sum(pairs, mats, signs) -> np.ndarray:
-    """sum of w signs[k] mats[k] over the (w, k) of ``pairs`` (``signed_sum``):
-    the stack is only read."""
-    return signed_sum([w * signs[k] for w, k in pairs], mats[[k for _, k in pairs]])
+def _signed_sums(groups, mats, signs) -> np.ndarray:
+    """The stack of sums of w signs[k] mats[k] over the (w, k) of each group,
+    from one ``signed_sum`` with a weight row per group and a column per slot
+    named: only those slots are gathered, and the stack is only read."""
+    weights = np.zeros((len(groups), len(signs)), dtype=np.int64)
+    for i, pairs in enumerate(groups):
+        for w, k in pairs:
+            weights[i, k] += w * signs[k]
+    slots = sorted({k for pairs in groups for _, k in pairs})
+    return signed_sum(weights[:, slots], mats[slots])
 
 
-def _fixed_columns(reps, stabilizers, mats, signs) -> np.ndarray:
-    """Block-diagonal int64 matrix of one degree's multiplicity spaces W_o =
-    {v in S^lam : rho(h) v = eps(h) v on H_o}, from the plan's stabilizers
-    and the stack of rho of its slots, each slot times its sign in ``signs``.
-    P_o = sum_h eps(h) rho(h); P_o^2 = |H_o| P_o, checked in one stacked
-    product, makes P_o / |H_o| the projection onto W_o, so tr P_o / |H_o|
-    columns span it."""
-    d = mats.shape[1]  # the stack has no slot when the complex is empty
+def _projections(reps, stabilizers, mats, signs):
+    """(P, r) for the orbits ``reps``: the stack of P_o = sum_h eps(h) rho(h)
+    over their stabilizers, from one checked sum with each slot times its
+    sign in ``signs``, and the list of r_o = tr P_o / |H_o| = dim W_o, as
+    P_o^2 = |H_o| P_o, checked in one stacked product, makes P_o / |H_o| the
+    projection onto W_o = {v in S^lam : rho(h) v = eps(h) v on H_o}."""
     sizes = np.array([len(stab) for stab in stabilizers], dtype=np.int64)
-    proj = np.array([_signed_sum(stab, mats, signs) for stab in stabilizers], dtype=np.int64)
-    proj = proj.reshape(len(reps), d, d)  # also with no orbit
+    proj = _signed_sums(stabilizers, mats, signs)
     square = int_matmul(proj, proj)
     # an int64 square bounds |P| far below 2**62 / |H|, so |H| P fits as well;
     # and P = 0 = |H| passes, but no stabilizer is empty
@@ -146,9 +148,16 @@ def _fixed_columns(reps, stabilizers, mats, signs) -> np.ndarray:
         raise InternalConsistencyError(
             f"projection of the stabilizer of {reps[bad[0]]} has trace not in |H| Z"
         )
-    col = np.cumsum([0, *ranks.tolist()])
-    out = np.zeros((d * len(reps), col[-1]), dtype=np.int64)
-    for o, (p, r) in enumerate(zip(proj, ranks.tolist())):
+    return proj, ranks.tolist()
+
+
+def _fixed_columns(proj, ranks) -> np.ndarray:
+    """Block-diagonal int64 matrix of the spaces W_o of ``_projections``:
+    r_o independent columns of each P_o span W_o."""
+    d = proj.shape[-1]
+    col = np.cumsum([0, *ranks])
+    out = np.zeros((d * len(ranks), col[-1]), dtype=np.int64)
+    for o, (p, r) in enumerate(zip(proj, ranks)):
         # the trace decides r = 0 (P = 0: no column) and r = d (P = |H| I:
         # every column) without an elimination
         if 0 < r < d:
@@ -210,21 +219,30 @@ def _block_plan(reps) -> _BlockPlan:
     return _BlockPlan(stabilizers, terms, word_tree(perms), tuple(map(perm_parity, perms)))
 
 
-def _precompose(terms, mats, signs, x):
-    """F x for the orbit boundary F of one degree, never forming F: row block
-    o is sum_j G_oj x_j, G_oj = sum c s rho(tau) over the plan's ``terms`` of
-    d(r_o) that reach orbit j, each slot times its sign in ``signs``, and x_j
-    the d rows of x of orbit j: one product per (o, j).  Each G_oj, each
-    product and each sum over j is checked to fit int64 before it is formed
-    (OverflowError)."""
+def _stacked(a, lower, d):
+    """The d-row blocks a_j of a for the orbits j of ``lower``, stacked."""
+    return a.reshape(len(a) // d, d, a.shape[1])[list(lower)].reshape(len(lower) * d, a.shape[1])
+
+
+def _precompose(terms, mats, signs, x, y=None):
+    """(F x, whether F y = 0), never forming the orbit boundary F of one
+    degree: row block o is sum_j G_oj x_j, G_oj = sum c s rho(tau) over the
+    plan's ``terms`` of d(r_o) that reach orbit j, each slot signed by
+    ``signs``.  All G_oj of o come from one checked sum, and its row block
+    of x, or of y, from one product, [G_oj1 | G_oj2 | ...] times the x_j
+    stacked (OverflowError first); F y is tested a row block at a time and
+    never stored."""
     d = mats.shape[1]
     out = np.zeros((d * len(terms), x.shape[1]), dtype=np.int64)
+    vanishes = True
     for i, upper in enumerate(terms):
-        parts = [_int64_matmul(_signed_sum(p, mats, signs), x[j * d : (j + 1) * d])
-                 for j, p in upper]
-        if parts:  # a zero d(r_o) leaves its row block 0
-            out[i * d : (i + 1) * d] = signed_sum([1] * len(parts), parts)
-    return out
+        if upper:  # a zero d(r_o) leaves its row block 0
+            lower, groups = zip(*upper)
+            g = _signed_sums(groups, mats, signs).transpose(1, 0, 2).reshape(d, -1)
+            out[i * d : (i + 1) * d] = _int64_matmul(g, _stacked(x, lower, d))
+            if y is not None and _int64_matmul(g, _stacked(y, lower, d)).any():
+                vanishes = False
+    return out, vanishes
 
 
 class IsotypicRanks(NamedTuple):
@@ -242,18 +260,15 @@ class IsotypicRanks(NamedTuple):
 
 def _pair_ranks(members, n, reps=None) -> dict:
     """IsotypicRanks of each partition in ``members``, one or both of a
-    conjugate pair {lam, lam'}, from one Specht module and one sweep: rho is
-    built for the later of the pair in partitions_of order, and the other
-    member reads the same stack, never written, with odd slots signed -1, as
-    S^lam' = sgn (x) S^lam gives rho'(sigma) = sgn(sigma) rho(sigma).  While
-    the stack lives, each member's boundary is applied to its multiplicity
-    spaces (_precompose) and d_{n+1} d_{n+2} = 0 is checked on the result;
-    only the two blocks are kept, and after the stack is freed they are
-    ranked one member at a time.  InternalConsistencyError unless sgn
-    chi_built = chi_lam for the twisted member (the character of rho is
-    certified at its construction, so sgn (x) rho is then S^lam), d_{n+1}
-    d_{n+2} = 0 and d_{n+1} is onto on each member's blocks.  ``reps`` as
-    for isotypic_block_ranks."""
+    conjugate pair, from one sweep of rho for the later of the pair in
+    partitions_of order: the other member reads the same stack with odd
+    slots signed -1, as rho'(sigma) = sgn(sigma) rho(sigma).  Each member's
+    blocks are assembled while the stack lives (_precompose), and ranked one
+    member at a time after it is freed.  InternalConsistencyError unless sgn
+    chi_built = chi_lam for the twisted member (rho is certified at its
+    construction, so sgn (x) rho is then S^lam), d_{n+1} d_{n+2} = 0 and
+    d_{n+1} is onto on each member's blocks.  ``reps`` as for
+    isotypic_block_ranks."""
     if reps is None:
         reps = tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2))
     built = max(members[0], conjugate_partition(members[0]))
@@ -272,13 +287,20 @@ def _pair_ranks(members, n, reps=None) -> dict:
                 raise InternalConsistencyError(
                     f"sign twist of {built} does not give {lam}: sgn chi_{built} != chi_{lam}"
                 )
-        spaces = [_fixed_columns(r, s, mats, signs) for r, s in zip(reps, plan.stabilizers)]
-        block_next = _precompose(plan.terms[0], mats, signs, spaces[0])
-        block_top = _precompose(plan.terms[1], mats, signs, spaces[1])
-        if np.any(_precompose(plan.terms[1], mats, signs, block_next)):
+        # every P_o of the three degrees from one sum, but columns chosen only
+        # for C_n and C_{n+1}: C_{n+2} is read for its multiplicity alone
+        proj, dims = _projections(sum(reps, ()), sum(plan.stabilizers, ()), mats, signs)
+        a, b = len(reps[0]), len(reps[0]) + len(reps[1])
+        w_n, w_next = _fixed_columns(proj[:a], dims[:a]), _fixed_columns(proj[a:b], dims[a:b])
+        del proj
+        block_next, _ = _precompose(plan.terms[0], mats, signs, w_n)
+        # the top G_oj are summed once, for block_top and the d^2 check alike
+        block_top, vanishes = _precompose(plan.terms[1], mats, signs, w_next, block_next)
+        if not vanishes:
             raise InternalConsistencyError(f"d_{n+1} . d_{n+2} != 0 on the {lam} block at n={n}")
-        assembled.append((lam, tuple(w.shape[1] for w in spaces), block_next, block_top))
-    del mats, spaces, block_next, block_top  # the ranks read the kept blocks alone
+        mults = (w_n.shape[1], w_next.shape[1], sum(dims[b:]))
+        assembled.append((lam, mults, block_next, block_top))
+    del mats, w_n, w_next, block_next, block_top  # the ranks read the kept blocks alone
     out = {}
     while assembled:
         # popped, so this member's blocks go with its last local name

@@ -275,17 +275,17 @@ def _product_dtype(a, b):
 
 
 def signed_sum(weights, arrays) -> np.ndarray:
-    """sum over k of weights[k] arrays[k] in int64, for integer weights and a
-    stack (or a sequence of one shape) of signed-integer arrays; OverflowError
-    before any sum unless sum_k |weights[k]| max|arrays[k]|, a bound on every
-    entry and partial sum, is below 2**62."""
+    """sum_k weights[k] arrays[k] in int64 for a stack of signed-integer arrays, one per row of 2-D
+    weights; OverflowError before any sum unless each row's sum_k |w_k| max|arrays[k]| < 2**62."""
     arrays = np.asarray(arrays).astype(np.int64, copy=False)
     flat = arrays.reshape(len(arrays), prod(arrays.shape[1:]))
+    weights = np.asarray(weights, dtype=np.int64)
     hi, lo = flat.max(axis=1, initial=0).tolist(), flat.min(axis=1, initial=0).tolist()
-    bound = sum(abs(w) * max(h, -m) for w, h, m in zip(weights, hi, lo))
+    bound = max((sum(abs(w) * max(h, -m) for w, h, m in zip(row, hi, lo))
+                 for row in np.atleast_2d(weights).tolist()), default=0)
     if bound >= _INT64_SAFE:
         raise OverflowError(f"a sum of {len(arrays)} terms may reach {bound}, beyond int64")
-    return np.einsum("k,kj->j", np.array(weights, dtype=np.int64), flat).reshape(arrays.shape[1:])
+    return np.einsum("...k,kj->...j", weights, flat).reshape(weights.shape[:-1] + arrays.shape[1:])
 
 
 def _int64_matmul(a, b) -> np.ndarray:

@@ -335,6 +335,7 @@ def _sweep(generators, tree: WordTree, dim) -> np.ndarray:
     _SWEEP_CHUNK entries of the level, so no entry wraps: OverflowError
     instead.  Only the live level is held."""
     step = max(_SWEEP_CHUNK // dim**2, 1)
+    generators = np.asarray(generators)  # a Specht module's are one array already
     out = np.empty((sum(e.shape[1] for e in tree.ends), dim, dim), dtype=np.int64)
     live = np.eye(dim, dtype=np.int64)[None]  # live[i] is node i
     for k, (slots, nodes) in enumerate(tree.ends):
@@ -342,8 +343,7 @@ def _sweep(generators, tree: WordTree, dim) -> np.ndarray:
             letters, parents = tree.levels[k - 1]
             nxt = np.empty((parents.size, dim, dim), dtype=np.int64)
             for part in (slice(i, i + step) for i in range(0, parents.size, step)):
-                gens = np.stack([generators[j] for j in letters[part]])
-                nxt[part] = _int64_matmul(gens, live[parents[part]])
+                nxt[part] = _int64_matmul(generators[letters[part]], live[parents[part]])
             live = nxt
         out[slots] = live[nodes]
     return out
@@ -422,7 +422,7 @@ class SpechtRep:
             raise InternalConsistencyError(f"E X = B fails for the Specht matrices of {self.lam}")
         gens = np.ascontiguousarray(x.reshape(d, self.n - 1, d).transpose(1, 0, 2))
         gens.flags.writeable = False  # memoized and shared, as are its views
-        self.generators = tuple(gens)
+        self.generators = gens
         _check_coxeter(self.lam, self.generators)
         _check_character(self.lam, self.generators)
 

@@ -176,3 +176,32 @@ def test_paired_change_skips_a_zero_base():
         "median": 0.0, "after_won": 0, "pairs": 2,
     }
     assert bench.change(0.02, 0.0) is None and bench.change(0.02, 0.01) == 1.0
+
+
+def test_paired_mode_records_every_pair_and_its_sign_test(tmp_path):
+    # two in-process workers, one per side, answer ABBA-ordered requests for a
+    # short stage: every pair is kept with its median ratio, wins and p-value
+    out = tmp_path / "record.json"
+    argv = [str(ROOT / "benchmarks" / "bench.py"), "--paired", "specht_n3", "--rounds", "4",
+            "--before", str(ROOT), "--repeat", "1", "--out", str(out)]
+    subprocess.run([sys.executable, *argv], check=True, capture_output=True, timeout=120)
+    record = json.loads(out.read_text())
+    assert set(record["after"]) == {"python_pass"}  # no group runs unless named
+    entry = record["paired"]["specht_n3"]
+    assert entry["result"] == [1, 2, 1] and len(entry["pairs"]) == 4
+    ratios = sorted(p["after"] / p["before"] for p in entry["pairs"])
+    assert entry["median_ratio"] == round((ratios[1] + ratios[2]) / 2, 4)
+    assert entry["after_won"] == sum(p["after"] < p["before"] for p in entry["pairs"])
+    assert 0 < entry["sign_test_p"] <= 1
+    assert len(entry["cpu_pairs"]) == 4 and entry["cpu_median_ratio"] > 0
+    assert "paired" in record["conditions"]
+    # only a graph or homology stage, with its n, runs in a worker
+    argv[argv.index("specht_n3")] = "characters_n6"
+    assert subprocess.run([sys.executable, *argv], capture_output=True, timeout=60).returncode == 2
+
+
+def test_sign_test_is_the_two_sided_binomial_tail():
+    bench = _bench()
+    assert bench.sign_test(10, 10) == bench.sign_test(0, 10) == 2 / 2**10
+    assert bench.sign_test(5, 10) == 1.0
+    assert bench.sign_test(29, 30) == 2 * 31 / 2**30

@@ -81,12 +81,13 @@ def action_matrix(sigma, p):
 
 def multiplicity_space(lam, rep):
     """W_o for the orbit of rep, as the blocks build it: ``_fixed_columns``
-    of a degree holding rep's orbit alone, with slot i the i-th element h of
+    of the projection of rep's orbit alone, with slot i the i-th element h of
     rep's signed stabilizer, each slot of sign 1."""
     stab = signed_stabilizer(rep)
     mats = np.array(specht_matrices(lam).matrices([h for h, _ in stab]))
     slots = tuple((eps, i) for i, (_, eps) in enumerate(stab))
-    return equivariant_homology._fixed_columns((rep,), (slots,), mats, (1,) * len(stab))
+    projection = equivariant_homology._projections((rep,), (slots,), mats, (1,) * len(stab))
+    return equivariant_homology._fixed_columns(*projection)
 
 
 def test_act_identity():
@@ -336,7 +337,7 @@ def test_empty_stabilizer_gives_no_projection():
     rep = chain_orbits(5, 5)[0]
     mats = np.array(specht_matrices((3, 2)).matrices([tuple(range(5))]))
     with pytest.raises(InternalConsistencyError, match="does not give a projection"):
-        equivariant_homology._fixed_columns((rep,), ((),), mats, (1,))
+        equivariant_homology._projections((rep,), ((),), mats, (1,))
 
 
 def test_projectors_refuse_entries_beyond_int64():
@@ -346,9 +347,9 @@ def test_projectors_refuse_entries_beyond_int64():
     stab = ((1, 0), (1, 0))
     big = np.full((1, 1, 1), 1 << 61, dtype=np.int64)  # a stack of one slot
     with pytest.raises(OverflowError):
-        equivariant_homology._fixed_columns((rep,), (stab,), big, (1,))
+        equivariant_homology._projections((rep,), (stab,), big, (1,))
     with pytest.raises(InternalConsistencyError, match="does not give a projection"):
-        equivariant_homology._fixed_columns((rep,), (stab,), big - 1, (1,))
+        equivariant_homology._projections((rep,), (stab,), big - 1, (1,))
 
 
 def test_block_assembly_refuses_entries_beyond_int64():
@@ -359,7 +360,7 @@ def test_block_assembly_refuses_entries_beyond_int64():
     x = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(OverflowError):
         equivariant_homology._precompose(terms, big, (1,), x)
-    got = equivariant_homology._precompose(terms, big - 1, (1,), x)
+    got, _ = equivariant_homology._precompose(terms, big - 1, (1,), x)
     assert got.tolist() == [[(1 << 62) - 2]]
 
 
@@ -389,54 +390,59 @@ def test_precompose_is_the_assembled_boundary_times_x(n):
         specht = specht_matrices(lam)
         mats = symmetric_group._sweep(specht.generators, plan.tree, specht.dim)
         for signs in ((1,) * len(plan.parity), plan.parity):
-            spaces = [
-                equivariant_homology._fixed_columns(r, s, mats, signs)
-                for r, s in zip(reps, plan.stabilizers)
-            ]
+            proj, ranks = equivariant_homology._projections(
+                sum(reps, ()), sum(plan.stabilizers, ()), mats, signs
+            )
+            a, b = len(reps[0]), len(reps[0]) + len(reps[1])
+            spaces = [equivariant_homology._fixed_columns(proj[i:j], ranks[i:j])
+                      for i, j in ((0, a), (a, b))]
             f_next, f_top = (
                 _orbit_boundary(plan.terms[i], mats, signs, len(reps[i])) for i in (0, 1)
             )
-            block_next = precompose(plan.terms[0], mats, signs, spaces[0])
-            assert np.array_equal(block_next, linalg.int_matmul(f_next, spaces[0]))
-            assert np.array_equal(
-                precompose(plan.terms[1], mats, signs, spaces[1]),
-                linalg.int_matmul(f_top, spaces[1]),
-            )
-            assert np.array_equal(
-                precompose(plan.terms[1], mats, signs, block_next),
-                linalg.int_matmul(f_top, block_next),
-            )
+            block_next, vanishes = precompose(plan.terms[0], mats, signs, spaces[0])
+            assert vanishes and np.array_equal(block_next, linalg.int_matmul(f_next, spaces[0]))
             # F_top block_next is 0 by d^2 = 0: a dense x checks a nonzero product too
             x = rng.integers(-3, 4, size=(f_top.shape[1], 3))
-            assert np.array_equal(
-                precompose(plan.terms[1], mats, signs, x), linalg.int_matmul(f_top, x)
-            )
+            for a in (spaces[1], block_next, x):
+                got, vanishes = precompose(plan.terms[1], mats, signs, a, block_next)
+                assert vanishes and np.array_equal(got, linalg.int_matmul(f_top, a))
+            vanishes = precompose(plan.terms[1], mats, signs, block_next, x)[1]
+            assert vanishes == (not linalg.int_matmul(f_top, x).any())
 
 
-def test_precompose_makes_one_product_per_orbit_pair(monkeypatch):
-    # the terms of each (upper, lower) orbit pair are summed before their one
-    # product: 10 products for one member at n = 6, where one per boundary
-    # term took 27
+def test_precompose_makes_one_sum_and_one_product_per_upper_orbit(monkeypatch):
+    # all G_oj of an upper orbit o come from one checked sum and meet the x_j
+    # in one product, and the top degree's sums also serve the d^2 check, with
+    # one more product each: for one member at n = 6, 5 sums and 8 products,
+    # where one sum and one product per (o, j) pair, a sum per row block and
+    # a second pass for the check took 17 sums and 10 products
     n = 6
     plan = equivariant_homology._block_plan(tuple(chain_orbits(n, p) for p in (n, n + 1, n + 2)))
-    products, counts = [], []
-    real_matmul, real_precompose = linalg._int64_matmul, equivariant_homology._precompose
+    sums, products, counts = [], [], []
+    real_sums, real_matmul = equivariant_homology._signed_sums, linalg._int64_matmul
+    real_precompose = equivariant_homology._precompose
 
     def precompose(*args):
-        before = len(products)
+        before = len(sums), len(products)
         out = real_precompose(*args)
-        counts.append(len(products) - before)
+        counts.append((len(sums) - before[0], len(products) - before[1]))
         return out
 
+    monkeypatch.setattr(
+        equivariant_homology, "_signed_sums", lambda *a: sums.append(1) or real_sums(*a)
+    )
     monkeypatch.setattr(
         equivariant_homology, "_int64_matmul", lambda *a: products.append(1) or real_matmul(*a)
     )
     monkeypatch.setattr(equivariant_homology, "_precompose", precompose)
     isotypic_block_ranks((6,), n)  # (6,) is built for itself: one member
+    uppers = [sum(1 for upper in terms if upper) for terms in plan.terms]
     pairs = [sum(len(upper) for upper in terms) for terms in plan.terms]
-    terms = [sum(len(group) for upper in degree for _, group in upper) for degree in plan.terms]
-    assert pairs == [2, 4] and terms == [3, 12]
-    assert counts == [2, 4, 4]  # d_{n+1} on W_n, then d_{n+2} on W_{n+1} and on block_next
+    assert uppers == [2, 3] and pairs == [2, 4]
+    # d_{n+1} on W_n, then d_{n+2} on W_{n+1}, checked on block_next
+    assert counts == [(2, 2), (3, 6)]
+    # and one sum for every P_o of the three degrees
+    assert len(sums) == 5 + 1
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

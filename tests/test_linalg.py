@@ -607,6 +607,25 @@ def test_signed_sum_refuses_the_2_62_bound():
     assert signed_sum([], np.zeros((0, 2, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
 
 
+def test_signed_sum_bounds_each_row_of_a_weight_matrix():
+    # one sum per row, each row bounded on its own: a row reaching 2 * 2**61
+    # is refused before any sum even when every other row is small, and a
+    # row of 2 * (2**61 - 1) is summed exactly beside the others
+    big = np.full((2, 3), 1 << 61, dtype=np.int64)
+    small = np.ones((2, 3), dtype=np.int64)
+    for row in ([1, 1, 0], [1, -1, 5], [2, 0, 0], [0, 0, 1 << 62]):
+        with pytest.raises(OverflowError):
+            signed_sum([[0, 0, 1], row, [0, 0, -1]], [big, big, small])
+    got = signed_sum([[0, 0, 1], [1, 1, 0], [0, 0, -1]], [big - 1, big - 1, small])
+    assert got.dtype == np.int64 and got.shape == (3, 2, 3)
+    assert got.tolist() == [small.tolist(), [[(1 << 62) - 2] * 3] * 2, (-small).tolist()]
+    # each row equals the 1-D form with its weights, and no row gives no sums
+    arrays = np.arange(24, dtype=np.int8).reshape(4, 2, 3) - 12
+    weights = np.array([[1, -2, 0, 3], [0, 0, 7, -1]])
+    assert [signed_sum(w, arrays).tolist() for w in weights] == signed_sum(weights, arrays).tolist()
+    assert signed_sum(np.zeros((0, 4), dtype=np.int64), arrays).shape == (0, 2, 3)
+
+
 def test_kernel_coordinates_solve_inside_the_span_only():
     # K = [[-3/2, 0], [1, 0], [0, 1]] with L = 2: Y = K X comes back as L X,
     # a Y off the span of K as None; the kernel still unpacks as five values
