@@ -96,12 +96,15 @@ speed wanders.  `--paired KEY ...` compares graph or homology stages in
 process instead, each KEY a stage and its n as the records name them
 (blocks_all_n6 is isotypic_ranks(6)): one long-lived worker per side
 (`bench.py --serve`, the side's src/ on PYTHONPATH), both on bench.py's one
-CPU, is sent --rounds pairs of requests in ABBA order, one untimed request
-first; each request empties the package's caches (delta2n.clear_caches())
-and runs the stage as its child would.  The record's "paired" entry holds,
-per KEY, every pair of stage times, the median ratio after/before, how many
-pairs the after side won and the two-sided sign-test p-value of that count,
-and the pairs of stage CPU times with their median ratio.
+CPU, is sent --rounds pairs of requests in ABBA order; a fresh pair of
+workers takes over every ROUNDS_PER_WORKER rounds, each worker answering one
+untimed request first, and which side's worker starts first alternates from
+pair to pair.  Each request empties the package's caches
+(delta2n.clear_caches()) and runs the stage as its child would.  The
+record's "paired" entry holds, per KEY, every pair of stage times, the
+median ratio after/before, how many pairs the after side won and the
+two-sided sign-test p-value of that count, the pairs of stage CPU times
+with their median ratio, and how many worker pairs answered.
 With --paired, no group runs unless named.
 
     python3 benchmarks/bench.py --paired blocks_all_n6 --before ../parent --rounds 40
@@ -137,6 +140,11 @@ METRICS = TIME_METRICS + MEMORY_METRICS
 # glibc's default mmap threshold, fixed in the memory children only: see the
 # module docstring
 MMAP_THRESHOLD = 128 * 1024
+# --paired rounds one pair of workers answers before a fresh pair takes over:
+# a long-lived worker carries a bias of its own (two identical copies read
+# median ratios from 0.988 to 1.006 with one pair per run), which fresh
+# pairs average out
+ROUNDS_PER_WORKER = 10
 
 
 def _child(stage, ns):
@@ -442,9 +450,9 @@ def paired_record(times, cpu):
     }
 
 
-def run_paired(keys, envs, rounds):
-    """--paired: per key, rounds pairs of in-process stage times from one
-    worker per side, asked in ABBA order after one untimed request each."""
+def _workers(envs):
+    """One --serve worker per side, and the function that asks one of them to
+    run a stage and returns its record."""
     workers = {
         side: subprocess.Popen([sys.executable, SCRIPT, "--serve"], stdin=subprocess.PIPE,
                                stdout=subprocess.PIPE, text=True, env=env)
@@ -459,27 +467,79 @@ def run_paired(keys, envs, rounds):
             raise SystemExit(f"the {side} worker exited on {stage} {n}")
         return json.loads(line)
 
+    return workers, ask
+
+
+def run_paired(keys, envs, rounds):
+    """--paired: per key, rounds pairs of in-process stage times, asked in
+    ABBA order of one worker per side, a fresh pair every ROUNDS_PER_WORKER
+    rounds, each worker after one untimed request."""
     out = {}
-    try:
-        for key in keys:
-            stage, _, n = key.rpartition("_n")
-            first = {side: ask(side, stage, n)["result"] for side in envs}
-            if first["before"] != first["after"]:
-                raise SystemExit(f"{key}: before gave {first['before']}, after {first['after']}")
-            times, cpu = [], []
-            for r in range(rounds):  # ABBA: before first in even rounds, after first in odd
-                order = ("before", "after") if r % 2 == 0 else ("after", "before")
-                got = {side: ask(side, stage, n) for side in order}
-                if any(rec["result"] != first["after"] for rec in got.values()):
-                    raise SystemExit(f"{key}: a side's result changed between requests")
-                times.append((got["before"]["stage_s"], got["after"]["stage_s"]))
-                cpu.append((got["before"]["stage_cpu_s"], got["after"]["stage_cpu_s"]))
-            out[key] = {**paired_record(times, cpu), "result": first["after"]}
-    finally:
-        for worker in workers.values():
-            worker.stdin.close()
-            worker.wait()
+    for key in keys:
+        stage, _, n = key.rpartition("_n")
+        times, cpu, result = [], [], None
+        starts = range(0, rounds, ROUNDS_PER_WORKER)
+        for start in starts:
+            # the side started second read about 1 % faster when it was always
+            # the same one, so which side starts first flips every pair
+            sides = list(envs)[:: -1 if start // ROUNDS_PER_WORKER % 2 else 1]
+            workers, ask = _workers({side: envs[side] for side in sides})
+            try:
+                first = {side: ask(side, stage, n)["result"] for side in sides}
+                result = first["after"] if result is None else result
+                if not first["before"] == first["after"] == result:
+                    raise SystemExit(f"{key}: before gave {first['before']}, after"
+                                     f" {first['after']}, the first workers {result}")
+                # ABBA: before first in even rounds, after first in odd
+                for r in range(start, min(start + ROUNDS_PER_WORKER, rounds)):
+                    order = ("before", "after") if r % 2 == 0 else ("after", "before")
+                    got = {side: ask(side, stage, n) for side in order}
+                    if any(rec["result"] != result for rec in got.values()):
+                        raise SystemExit(f"{key}: a side's result changed between requests")
+                    times.append((got["before"]["stage_s"], got["after"]["stage_s"]))
+                    cpu.append((got["before"]["stage_cpu_s"], got["after"]["stage_cpu_s"]))
+            finally:
+                for worker in workers.values():
+                    worker.stdin.close()
+                    worker.wait()
+        out[key] = {**paired_record(times, cpu), "result": result, "worker_pairs": len(starts)}
     return out
+
+
+def table(record):
+    """The record's figures as a Markdown table, one row per stage: the
+    median time of the stage alone (graph, homology) or of the whole process
+    (cli, python_pass), and the median peak RSS, with the before side's
+    columns when the record has one, under a line naming the record's
+    `python -c pass` time, repeat count and host.  main prints it at the end
+    of every run, and README.md embeds it for the record its markers name;
+    from the repository root,
+
+        python3 -c 'import json, runpy; print(runpy.run_path("benchmarks/bench.py")["table"](json.load(open("BENCH_readme.json"))))'
+
+    prints the block for BENCH_readme.json."""
+    sides = [side for side in ("before", "after") if side in record]
+    host = record["host"]
+    reference = ", ".join(f"{record[side]['python_pass']['wall_s']['median']:.3g} s"
+                          for side in sides)
+    head = (["time", "peak RSS"] if len(sides) == 1 else
+            [f"{what} ({side})" for what in ("time", "peak RSS") for side in sides])
+    lines = [
+        f"`python -c pass` {reference}; medians of {record['repeat']} runs; "
+        f"{host['machine']}, {host['cpus']} CPUs, Python {host['python']}",
+        "",
+        "| stage | " + " | ".join(head) + " |",
+        "|---" * (1 + len(head)) + "|",
+    ]
+    for key in record["after"]:
+        entries = [record[side][key] for side in sides]
+        times = ["timed out" if e.get("timed_out") else
+                 f"{e['stage_s' if 'stage_s' in e else 'wall_s']['median']:.3g} s"
+                 for e in entries]
+        peaks = ["timed out" if e.get("timed_out") else
+                 f"{e['peak_rss_mb']['median']:.1f} MB" for e in entries]
+        lines.append(f"| `{key}` | " + " | ".join(times + peaks) + " |")
+    return "\n".join(lines)
 
 
 def main():
@@ -620,24 +680,12 @@ def main():
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 
-    def show(entry):
-        if entry.get("timed_out"):
-            return f"{'timed out':>30}"
-        time_s = entry["stage_s" if "stage_s" in entry else "wall_s"]["median"]
-        return (f"{time_s:>8.4f}s {entry['cpu_s']['median']:>7.3f}s cpu"
-                f" {entry['peak_rss_mb']['median']:>6.1f}MB")
-
     for key, entry in (paired or {}).items():
         print(f"{key}: in process {entry['median_before']:.4f}s -> {entry['median_after']:.4f}s,"
               f" median ratio {entry['median_ratio']}, after won {entry['after_won']} of"
-              f" {len(entry['pairs'])} (sign test p = {entry['sign_test_p']:.2g})")
-    width = max(len(key) for key in stages)
-    print("medians of the stage time (graph, homology) or wall time (cli), CPU time, peak RSS")
-    for key, after in record["after"].items():
-        line = f"{key:{width}}  {show(after)}"
-        if args.before:
-            line += f"  before {show(record['before'][key])}"
-        print(line)
+              f" {len(entry['pairs'])} (sign test p = {entry['sign_test_p']:.2g}),"
+              f" {entry['worker_pairs']} worker pairs")
+    print(table(record))
 
 
 if __name__ == "__main__":

@@ -289,7 +289,8 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
 def _code_version() -> str:
     """CRC-32 of the modules that build, write and read a cached matrix.  It
     only names a file stale after a code change; every read still checks
-    the shape header and rejects a malformed file."""
+    the shape header and rejects a malformed file.  zlib, which numpy loads
+    anyway, not hashlib, which would map OpenSSL's libcrypto into the run."""
     crc = 0
     for path in (theta_graphs.__file__, linalg.__file__, __file__):
         crc = zlib.crc32(Path(path).read_bytes(), crc)
@@ -305,8 +306,10 @@ def boundary_matrix(n: int, p: int, cache_dir=None) -> SparseIntMatrix:
 
     With ``cache_dir`` the matrix is read from, or written to, a file there:
     one array in numpy's ``.npy`` format, a header column (rows, cols, 0)
-    followed by the matrix's ``coords``, in their dtype.  Either way it is
-    built at most once per (n, p, cache_dir) per process.
+    followed by the matrix's ``coords``, in their dtype (int16 up to n = 7,
+    int32 at n = 8 and 9).  A missing, stale, foreign or damaged file is
+    built and written afresh.  Either way it is built at most once per
+    (n, p, cache_dir) per process.
     """
     # one positional key per matrix: the cache tells f(n, p) from f(n, p, None)
     return _boundary_matrix(n, p, os.fspath(cache_dir) if cache_dir else None)

@@ -444,7 +444,9 @@ def entry():
     and no product up to n = 9 gains clear wall time from it.  Every
     float64 product is exact (``int_matmul``), so no result depends on the
     thread count.  From before numpy loads, the cyclic collector runs its
-    youngest generation after GC_THRESHOLD net allocations instead of 700."""
+    youngest generation after GC_THRESHOLD net allocations instead of 700.
+    ``main`` itself sets no environment variable, freezes nothing and keeps
+    the collector's thresholds, so tests and tracers call it in-process."""
     if not any(var in os.environ for var in THREAD_VARS):
         os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # read when numpy loads
     gc.set_threshold(GC_THRESHOLD, *gc.get_threshold()[1:])

@@ -13,6 +13,8 @@ Their inputs are SparseIntMatrix or signed-integer arrays, taken as int64;
 anything else raises ValueError.
 Whether an int64 result fits is decided here alone, before the arithmetic
 runs: ``signed_sum`` bounds a sum of multiples, ``int_matmul`` a product.
+numpy wraps integer overflow without a warning, so every integer width here,
+narrow ones included, is chosen from a bound and never checked afterwards.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ the package, so a renamed function breaks this test, not a later benchmark."""
 import importlib.util
 import json
 import os
+import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -179,21 +181,24 @@ def test_paired_change_skips_a_zero_base():
 
 
 def test_paired_mode_records_every_pair_and_its_sign_test(tmp_path):
-    # two in-process workers, one per side, answer ABBA-ordered requests for a
-    # short stage: every pair is kept with its median ratio, wins and p-value
+    # in-process workers, one per side, answer ABBA-ordered requests for a
+    # short stage: every pair is kept with its median ratio, wins and p-value,
+    # and a fresh pair of workers takes over every ROUNDS_PER_WORKER rounds
     out = tmp_path / "record.json"
-    argv = [str(ROOT / "benchmarks" / "bench.py"), "--paired", "specht_n3", "--rounds", "4",
-            "--before", str(ROOT), "--repeat", "1", "--out", str(out)]
+    rounds = _bench().ROUNDS_PER_WORKER + 2
+    argv = [str(ROOT / "benchmarks" / "bench.py"), "--paired", "specht_n3", "--rounds",
+            str(rounds), "--before", str(ROOT), "--repeat", "1", "--out", str(out)]
     subprocess.run([sys.executable, *argv], check=True, capture_output=True, timeout=120)
     record = json.loads(out.read_text())
     assert set(record["after"]) == {"python_pass"}  # no group runs unless named
     entry = record["paired"]["specht_n3"]
-    assert entry["result"] == [1, 2, 1] and len(entry["pairs"]) == 4
-    ratios = sorted(p["after"] / p["before"] for p in entry["pairs"])
-    assert entry["median_ratio"] == round((ratios[1] + ratios[2]) / 2, 4)
+    assert entry["result"] == [1, 2, 1] and len(entry["pairs"]) == rounds
+    assert entry["worker_pairs"] == 2
+    ratios = [p["after"] / p["before"] for p in entry["pairs"]]
+    assert entry["median_ratio"] == round(statistics.median(ratios), 4)
     assert entry["after_won"] == sum(p["after"] < p["before"] for p in entry["pairs"])
     assert 0 < entry["sign_test_p"] <= 1
-    assert len(entry["cpu_pairs"]) == 4 and entry["cpu_median_ratio"] > 0
+    assert len(entry["cpu_pairs"]) == rounds and entry["cpu_median_ratio"] > 0
     assert "paired" in record["conditions"]
     # only a graph or homology stage, with its n, runs in a worker
     argv[argv.index("specht_n3")] = "characters_n6"
@@ -205,3 +210,33 @@ def test_sign_test_is_the_two_sided_binomial_tail():
     assert bench.sign_test(10, 10) == bench.sign_test(0, 10) == 2 / 2**10
     assert bench.sign_test(5, 10) == 1.0
     assert bench.sign_test(29, 30) == 2 * 31 / 2**30
+
+
+# a time or memory figure: a number and its unit
+FIGURE = re.compile(r"\d\s?(?:s|ms|µs|min|[KMG]i?B)\b")
+RECORD = re.compile(r"BENCH_\w+\.json")
+
+
+def test_readme_figures_are_the_named_record_rendered():
+    # the figures block is table() of the one record its opening marker names,
+    # and no line outside it states a figure without naming its record
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(
+        r"^<!-- figures: (BENCH_\w+\.json) -->\n(.*)\n<!-- /figures -->$", readme, re.M | re.S
+    )
+    record = json.loads((ROOT / block[1]).read_text())
+    assert block[2] == _bench().table(record)
+    assert FIGURE.search(block[2])
+    outside = (readme[: block.start()] + readme[block.end() :]).splitlines()
+    assert [ln for ln in outside if FIGURE.search(ln) and not RECORD.search(ln)] == []
+
+
+def test_table_adds_the_before_columns():
+    record = json.loads((ROOT / "BENCH_lean_blocks.json").read_text())
+    lines = _bench().table(record).splitlines()
+    assert lines[2] == ("| stage | time (before) | time (after) "
+                        "| peak RSS (before) | peak RSS (after) |")
+    assert len(lines) == 4 + len(record["after"])
+    top = next(ln for ln in lines if ln.startswith("| `top_n8` |"))
+    want = [f"{record[side]['top_n8']['stage_s']['median']:.3g} s" for side in ("before", "after")]
+    assert top.split(" | ")[1:3] == want
