@@ -1,9 +1,7 @@
 """Stage timings of the delta2n pipeline, one fresh interpreter per run.
 
 Every invocation runs `python_pass` first, `python -c pass`: interpreter
-start and exit, the host-speed reference each record carries.  Every timed
-child is also preceded by one such child on the same CPUs, whose wall time
-the run records as `host_s`.  The other
+start and exit, the host-speed reference each record carries.  The other
 stages come in three groups, chosen by name on the command line (one or
 more; default all):
 
@@ -44,13 +42,12 @@ Every child is reaped with os.wait4, so its wall time, CPU time (user +
 system), system time and peak RSS are its own, and is killed at --timeout
 seconds; a stage that times out on a side is recorded so and not retried
 there.  bench.py pins itself, and with it every child, to one CPU, and the
-children run with one OpenMP/OpenBLAS/MKL thread and without
-DELTA2N_CACHE_DIR, so timings do not depend on how many cores are idle.
-The *_shell stages are the exception: their children run on every CPU
-bench.py was started on and with none of those thread variables set, as a
-command typed in a shell runs, so they show what the CLI's own thread
-default does, which a pinned child cannot (on one CPU OpenBLAS starts one
-thread whatever the variables say).
+children run with one OpenMP/OpenBLAS/MKL thread, so timings do not depend
+on how many cores are idle.  The *_shell stages are the exception: their
+children run on every CPU bench.py was started on and with none of those
+thread variables set, as a command typed in a shell runs, so they show what
+the CLI's own thread default does, which a pinned child cannot (on one CPU
+OpenBLAS starts one thread whatever the variables say).
 
 Each run of a stage is two children, one for time and one for memory.  The
 timed child runs under glibc's default malloc, as a user's run does; its
@@ -74,40 +71,38 @@ src/ without any __pycache__, with PYTHONDONTWRITEBYTECODE=1 and no
 PYTHONPYCACHEPREFIX, so every delta2n module they import is compiled from
 source on every run, while the standard library's own bytecode is read.
 `--src DIR` measures the checkout at DIR (default: the one holding this
-script).  `--before DIR` measures a
-second checkout, such as a clone of the parent commit, alternating with the
-first run by run, and flips which side goes first every repeat, so that a
-host speed change hits both alike.  The two runs of one repeat are adjacent
-and share the host's speed state, so besides the change of the medians the
-record gives, per stage and metric, the median over repeats of the paired
-ratio after/before - 1 and how many repeats the after side won (came out
-lower), and the same for wall_s / host_s, each child's wall time over that
-of the `python -c pass` started right before it: the host-speed correction
-perfbench applies, which takes out a speed change between the two children
-of a pair.  The children put DIR/src on PYTHONPATH and run the stage code of
-this script, so DIR needs no copy of it.  The driver exits as soon as any
-two runs of a stage give different results.
+script).  `--before DIR` measures a second checkout, such as a clone of the
+parent commit, alternating with the first run by run, and flips which side
+goes first every repeat, so that a host speed change hits both alike.  The
+record's "paired_change" gives, per stage and metric, the pair_summary of
+the repeats' adjacent (before, after) runs.  The children put DIR/src on
+PYTHONPATH and run the stage code of this script, so DIR needs no copy of
+it.  The driver exits as soon as any two runs of a stage give different
+results.
 
     python3 benchmarks/bench.py --before ../parent --out BENCH_topic.json
     python3 benchmarks/bench.py homology cli --repeat 3
 
-Fresh children cannot resolve a change of a few percent on a host whose
-speed wanders.  `--paired KEY ...` compares graph or homology stages in
-process instead, each KEY a stage and its n as the records name them
-(blocks_all_n6 is isotypic_ranks(6)): one long-lived worker per side
-(`bench.py --serve`, the side's src/ on PYTHONPATH), both on bench.py's one
-CPU, is sent --rounds pairs of requests in ABBA order; a fresh pair of
-workers takes over every ROUNDS_PER_WORKER rounds, each worker answering one
-untimed request first, and which side's worker starts first alternates from
-pair to pair.  Each request empties the package's caches
-(delta2n.clear_caches()) and runs the stage as its child would.  The
-record's "paired" entry holds, per KEY, every pair of stage times, the
-median ratio after/before, how many pairs the after side won and the
-two-sided sign-test p-value of that count, the pairs of stage CPU times
-with their median ratio, and how many worker pairs answered.
-With --paired, no group runs unless named.
+`--paired KEY ...` compares graph or homology stages in process, each KEY a
+stage and its n as the records name them (blocks_all_n6 is
+isotypic_ranks(6)): one long-lived worker per side (`bench.py --serve`, the
+side's src/ on PYTHONPATH), both on bench.py's one CPU, is sent --rounds
+pairs of requests in ABBA order; a fresh pair of workers takes over every
+ROUNDS_PER_WORKER rounds, each worker answering one untimed request first,
+and which side's worker starts first alternates from pair to pair.  Each
+request empties the package's caches (delta2n.clear_caches()) and runs the
+stage as its child would.  The record's "paired" entry holds, per KEY,
+every pair of stage times with their pair_summary, the pairs of stage CPU
+times with their median ratio, and how many worker pairs answered.  With
+--paired, no group runs unless named.
 
     python3 benchmarks/bench.py --paired blocks_all_n6 --before ../parent --rounds 40
+
+Each comparison answers its own question.  --paired answers the time of a
+library stage, and a claim of a change under 10 % quotes it: fresh children
+cannot resolve a few percent on a host whose speed wanders.  --before
+answers peak RSS, which only grows in a long-lived worker, and the wall
+time of a whole CLI process.
 """
 
 import argparse
@@ -128,13 +123,12 @@ from pathlib import Path
 SCRIPT = str(Path(__file__).resolve())
 BLOCK_LAMBDA = (4, 2, 2, 1)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-CACHE_ENV = "DELTA2N_CACHE_DIR"
 EMPTY_CACHE, WARM_CACHE = "{empty}", "{warm}"  # replaced by a new directory per child
 # run once per side before timing, so the timed children read bytecode
 # rather than compile it: a stage child and the CLI with its lazy imports
 WARM_UP = ((SCRIPT, "--child", "specht", "2"), ("-c", "import delta2n.cli, delta2n.symfunc_check"))
 # what the timed child and the memory child of a run each contribute
-TIME_METRICS = ("stage_s", "wall_s", "cpu_s", "sys_s", "host_s")
+TIME_METRICS = ("stage_s", "wall_s", "cpu_s", "sys_s")
 MEMORY_METRICS = ("peak_rss_mb", "coords_mb")
 METRICS = TIME_METRICS + MEMORY_METRICS
 # glibc's default mmap threshold, fixed in the memory children only: see the
@@ -187,13 +181,11 @@ GROUPS = {
 }
 
 
-# run in every invocation, whatever groups are named
-HOST_REFERENCE = {"python_pass": ("-c", "pass")}
-
-
 def stages_of(groups):
-    """The stages an invocation naming these groups runs, in order."""
-    return {**HOST_REFERENCE, **{key: cmd for g in groups for key, cmd in GROUPS[g].items()}}
+    """The stages an invocation naming these groups runs, in order: python_pass
+    first, whatever groups are named."""
+    return {"python_pass": ("-c", "pass"),
+            **{key: cmd for g in groups for key, cmd in GROUPS[g].items()}}
 
 
 # stages whose children compile the package from source (source_env)
@@ -274,7 +266,7 @@ def child_env(src, pycache):
     env = {
         k: v
         for k, v in os.environ.items()
-        if k not in (CACHE_ENV, "PYTHONDONTWRITEBYTECODE", "MALLOC_MMAP_THRESHOLD_")
+        if k not in ("PYTHONDONTWRITEBYTECODE", "MALLOC_MMAP_THRESHOLD_")
     }
     env.update(
         dict.fromkeys(THREAD_VARS, "1"),
@@ -316,19 +308,16 @@ def result_digest(stdout):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def measure(args, env, timeout, cpus=None, probe=False):
+def measure(args, env, timeout, cpus=None):
     """One fresh interpreter, on the CPUs cpus when given (else on the
-    caller's); None when it runs past the timeout.  With probe, a `python -c
-    pass` child runs right before it, in the same environment and on the same
-    CPUs, and its wall time is recorded as host_s."""
+    caller's); None when it runs past the timeout."""
     if EMPTY_CACHE in args or WARM_CACHE in args:
         with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
             filled = [cache if a in (EMPTY_CACHE, WARM_CACHE) else a for a in args]
             if WARM_CACHE in args:
                 subprocess.run([sys.executable, *filled], env=env, check=True,
                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            return measure(filled, env, timeout, cpus, probe)
-    host = measure(HOST_REFERENCE["python_pass"], env, timeout, cpus) if probe else None
+            return measure(filled, env, timeout, cpus)
     pinned = os.sched_getaffinity(0)
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
@@ -360,8 +349,6 @@ def measure(args, env, timeout, cpus=None, probe=False):
         "sys_s": usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux reports KiB
     }
-    if host is not None:
-        rec["host_s"] = host["wall_s"]
     if args[0] == SCRIPT:
         rec.update(json.loads(stdout.decode().splitlines()[-1]))
     else:
@@ -385,35 +372,34 @@ def summarize(runs, timed_out):
     return out
 
 
-def change(after, before):
-    """after/before - 1, rounded; None where before is 0, as a short child's
-    system time can be."""
-    return round(after / before - 1, 4) if before else None
+def sign_test(wins, pairs):
+    """Two-sided exact sign-test p-value of `wins` wins in `pairs` untied pairs."""
+    k = min(wins, pairs - wins)
+    return min(1.0, 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs)
 
 
-def _paired(pairs):
-    ratios = [a / b - 1 for b, a in pairs if b]
+def pair_summary(pairs):
+    """The summary every record gives of (before, after) pairs: the median
+    ratio after/before over nonzero befores (None if none; a short child's
+    system time can read 0), the after side's wins (lower) and the ties, and
+    the sign-test p-value of the wins among the untied pairs."""
+    ratios = [a / b for b, a in pairs if b]
+    wins, ties = sum(a < b for b, a in pairs), sum(a == b for b, a in pairs)
     return {
-        "median": round(statistics.median(ratios), 4) if ratios else None,
-        "after_won": sum(a < b for b, a in pairs),
         "pairs": len(pairs),
+        "median_ratio": round(statistics.median(ratios), 4) if ratios else None,
+        "after_won": wins,
+        "ties": ties,
+        "sign_test_p": sign_test(wins, len(pairs) - ties),
     }
 
 
 def paired_change(before, after):
-    """Per metric, and for wall_s / host_s where the runs carry host_s, the
-    median over repeats of after/before - 1 within each repeat (None if no
-    repeat has a nonzero before), and in how many repeats the after side came
-    out lower."""
-    out = {
-        metric: _paired([(b[metric], a[metric]) for b, a in zip(before, after)])
+    """Per metric the runs carry, the pair_summary of each repeat's runs."""
+    return {
+        metric: pair_summary([(b[metric], a[metric]) for b, a in zip(before, after)])
         for metric in METRICS if metric in after[0]
     }
-    if "host_s" in after[0]:
-        out["wall_s/host_s"] = _paired(
-            [(b["wall_s"] / b["host_s"], a["wall_s"] / a["host_s"]) for b, a in zip(before, after)]
-        )
-    return out
 
 
 def serve():
@@ -427,26 +413,16 @@ def serve():
         print(json.dumps(run_stage(stage, int(n))), flush=True)
 
 
-def sign_test(wins, pairs):
-    """Two-sided exact sign-test p-value of `wins` wins in `pairs` untied pairs."""
-    k = min(wins, pairs - wins)
-    return min(1.0, 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs)
-
-
 def paired_record(times, cpu):
-    """The comparison of (before, after) stage times, one pair per round,
-    with the median ratio of the (before, after) CPU times cpu."""
-    ratios = [a / b for b, a in times]
-    wins, ties = sum(a < b for b, a in times), sum(a == b for b, a in times)
+    """The pair_summary of (before, after) stage times, one pair per round,
+    every pair kept, and the median ratio of the (before, after) CPU times cpu."""
     return {
+        **pair_summary(times),
         "pairs": [{"before": b, "after": a} for b, a in times],
         "cpu_pairs": [{"before": b, "after": a} for b, a in cpu],
-        "cpu_median_ratio": round(statistics.median(a / b for b, a in cpu if b), 4),
+        "cpu_median_ratio": pair_summary(cpu)["median_ratio"],
         "median_before": round(statistics.median(b for b, _ in times), 6),
         "median_after": round(statistics.median(a for _, a in times), 6),
-        "median_ratio": round(statistics.median(ratios), 4),
-        "after_won": wins,
-        "sign_test_p": sign_test(wins, len(times) - ties),
     }
 
 
@@ -582,9 +558,7 @@ def main():
     cpus = os.sched_getaffinity(0)  # the *_shell stages' children run on these
     cpu = max(cpus)
     os.sched_setaffinity(0, {cpu})  # inherited by every other child
-    sides = {"after": args.src}
-    if args.before:
-        sides = {"before": args.before, "after": args.src}
+    sides = {"before": args.before, "after": args.src} if args.before else {"after": args.src}
     pycache = tempfile.TemporaryDirectory(prefix="bench-pycache-")
     envs = {side: child_env(src, Path(pycache.name) / side) for side, src in sides.items()}
     for env in envs.values():
@@ -599,7 +573,7 @@ def main():
         env = source_envs[side] if key in FROM_SOURCE else envs[side]
         return shell_env(env) if key in SHELL else env
 
-    paired = run_paired(args.paired, envs, args.rounds) if args.paired else None
+    paired = run_paired(args.paired, envs, args.rounds)
     runs = {side: {key: [] for key in stages} for side in sides}
     timed_out = {side: set() for side in sides}
     results = {}
@@ -609,7 +583,7 @@ def main():
             order = [side for side in list(sides)[:: -1 if rep % 2 else 1]
                      if key not in timed_out[side]]
             # the timed children of both sides first, adjacent, then the memory children
-            timed = {side: measure(cmd, stage_env(side, key), args.timeout, where, probe=True)
+            timed = {side: measure(cmd, stage_env(side, key), args.timeout, where)
                      for side in order}
             for side in order:
                 memory = None
@@ -639,8 +613,6 @@ def main():
             "memory": f"{', '.join(MEMORY_METRICS)} from separate children with "
                       f"MALLOC_MMAP_THRESHOLD_={MMAP_THRESHOLD}",
             "repeat": "each stage ran --repeat timed and --repeat memory children per side",
-            "host": "host_s: wall time of a `python -c pass` child run right before each "
-                    "timed child, on its CPUs",
             "threads": f"children on CPU {cpu} with {', '.join(THREAD_VARS)} = 1, except "
                        f"{', '.join(SHELL)}: on CPUs {sorted(cpus)} with none of them set",
         },
@@ -652,24 +624,11 @@ def main():
         },
     }
     for side in sides:
-        record[side] = {
-            key: summarize(rs, key in timed_out[side]) for key, rs in runs[side].items()
-        }
+        record[side] = {k: summarize(rs, k in timed_out[side]) for k, rs in runs[side].items()}
     if args.before:
-        medians = {}
-        for key, after in record["after"].items():
-            before = record["before"][key]
-            if before.get("timed_out") or after.get("timed_out"):
-                medians[key] = None
-                continue
-            medians[key] = {
-                metric: change(after[metric]["median"], before[metric]["median"])
-                for metric in METRICS if metric in after
-            }
-        record["median_change"] = medians
         record["paired_change"] = {
             key: paired_change(runs["before"][key], runs["after"][key])
-            for key in stages if medians[key] is not None
+            for key in stages if key not in timed_out["before"] | timed_out["after"]
         }
     if paired:
         record["paired"] = paired
@@ -680,7 +639,7 @@ def main():
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 
-    for key, entry in (paired or {}).items():
+    for key, entry in paired.items():
         print(f"{key}: in process {entry['median_before']:.4f}s -> {entry['median_after']:.4f}s,"
               f" median ratio {entry['median_ratio']}, after won {entry['after_won']} of"
               f" {len(entry['pairs'])} (sign test p = {entry['sign_test_p']:.2g}),"

@@ -137,9 +137,20 @@ def test_source_stages_compile_the_package_from_source(tmp_path):
     assert not list((tmp_path / "src").rglob("__pycache__"))
 
 
-def test_every_timed_run_carries_its_host_probe(tmp_path):
-    # a whole --before run of one short stage: each side's timed run of every
-    # stage records host_s, and the pairs are also compared as wall_s / host_s
+# the fields pair_summary gives every before/after comparison
+SUMMARY = {"pairs", "median_ratio", "after_won", "ties", "sign_test_p"}
+
+
+def _keys(value):
+    """Every dict key anywhere in a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    return set().union(*map(_keys, value)) if isinstance(value, list) else set()
+
+
+def test_a_before_run_summarises_every_pair(tmp_path):
+    # a whole fresh-child --before run of one short stage: each side records
+    # time and memory per stage, and each metric's pair gets the shared summary
     out = tmp_path / "record.json"
     bench_py = ROOT / "benchmarks" / "bench.py"
     argv = ["bench.py", "tiny", "--repeat", "1", "--before", str(ROOT), "--out", str(out)]
@@ -157,9 +168,14 @@ def test_every_timed_run_carries_its_host_probe(tmp_path):
     for side in ("before", "after"):
         assert set(record[side]) == {"python_pass", "specht_n2"}
         for stage in record[side].values():
-            assert len(stage["host_s"]["runs"]) == 1 and stage["host_s"]["median"] > 0
-    for pair in record["paired_change"].values():
-        assert pair["wall_s/host_s"]["pairs"] == 1
+            for metric in ("wall_s", "cpu_s", "peak_rss_mb"):
+                assert len(stage[metric]["runs"]) == 1 and stage[metric]["median"] > 0
+    assert set(record["paired_change"]) == {"python_pass", "specht_n2"}
+    for metrics in record["paired_change"].values():
+        assert {"wall_s", "cpu_s", "peak_rss_mb"} <= set(metrics)
+        for summary in metrics.values():
+            assert set(summary) == SUMMARY and summary["pairs"] == 1
+    assert not {"host_s", "wall_s/host_s", "median_change"} & _keys(record)
 
 
 def test_paired_change_skips_a_zero_base():
@@ -168,16 +184,17 @@ def test_paired_change_skips_a_zero_base():
     before = [{"wall_s": 1.0, "sys_s": 0.0}, {"wall_s": 2.0, "sys_s": 0.0}]
     after = [{"wall_s": 0.5, "sys_s": 0.01}, {"wall_s": 1.0, "sys_s": 0.0}]
     assert bench.paired_change(before, after) == {
-        "wall_s": {"median": -0.5, "after_won": 2, "pairs": 2},
-        "sys_s": {"median": None, "after_won": 0, "pairs": 2},
+        "wall_s": {"pairs": 2, "median_ratio": 0.5, "after_won": 2, "ties": 0, "sign_test_p": 0.5},
+        "sys_s": {"pairs": 2, "median_ratio": None, "after_won": 0, "ties": 1, "sign_test_p": 1.0},
     }
-    # with host probes, the pair is also compared at the host's speed
-    before = [dict(r, host_s=0.1) for r in before]
-    after = [dict(r, host_s=h) for r, h in zip(after, (0.05, 0.05))]
-    assert bench.paired_change(before, after)["wall_s/host_s"] == {
-        "median": 0.0, "after_won": 0, "pairs": 2,
-    }
-    assert bench.change(0.02, 0.0) is None and bench.change(0.02, 0.01) == 1.0
+    # fresh-child repeats and in-process rounds are summarised alike
+    pairs = [(1.0, 0.9), (1.0, 1.0), (2.0, 2.2), (3.0, 2.7), (4.0, 3.6), (2.0, 1.8)]
+    fresh = bench.paired_change([{"stage_s": b} for b, _ in pairs],
+                                [{"stage_s": a} for _, a in pairs])["stage_s"]
+    in_process = bench.paired_record(pairs, pairs)
+    assert fresh["ties"] == 1 and fresh["pairs"] == len(in_process["pairs"])
+    stats = SUMMARY - {"pairs"}
+    assert {k: fresh[k] for k in stats} == {k: in_process[k] for k in stats}
 
 
 def test_paired_mode_records_every_pair_and_its_sign_test(tmp_path):
@@ -197,6 +214,7 @@ def test_paired_mode_records_every_pair_and_its_sign_test(tmp_path):
     ratios = [p["after"] / p["before"] for p in entry["pairs"]]
     assert entry["median_ratio"] == round(statistics.median(ratios), 4)
     assert entry["after_won"] == sum(p["after"] < p["before"] for p in entry["pairs"])
+    assert entry["ties"] == sum(p["after"] == p["before"] for p in entry["pairs"])
     assert 0 < entry["sign_test_p"] <= 1
     assert len(entry["cpu_pairs"]) == rounds and entry["cpu_median_ratio"] > 0
     assert "paired" in record["conditions"]
