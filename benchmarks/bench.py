@@ -20,6 +20,8 @@ more; default all):
               blocks_all   isotypic_ranks(9), all 30 lambda with their
                            Specht modules                           (n = 9)
     cli       import_cli   `python -c "import delta2n.cli"`
+              help_cli     `delta2n.cli --help`: argv parsed, the usage
+                           printed, no numpy loaded
               import_cli_src, characters_src   the same import, and
                            characters at n = 6, compiling the package
                            from source (see below)
@@ -36,7 +38,8 @@ what the stage needs (bases, boundaries, orbit representatives, Specht
 modules), then times the stage alone and prints {"stage_s", "result"}, and
 the boundaries and d2 stages also the MiB the two boundaries keep in their
 coordinate arrays ("coords_mb").  A cli stage's result is a digest of its
-JSON payload without the metadata.
+JSON payload without the metadata (None for help_cli, whose usage text is
+no result and differs between versions).
 
 Every child is reaped with os.wait4, so its wall time, CPU time (user +
 system), system time and peak RSS are its own, and is killed at --timeout
@@ -169,6 +172,7 @@ GROUPS = {
     "cli": {
         "import_cli": ("-c", "import delta2n.cli"),
         "import_cli_src": ("-c", "import delta2n.cli"),
+        "help_cli": ("-m", "delta2n.cli", "--help"),
         **_cli("characters", "characters", (5, 6, 7, 8)),
         **_cli("characters_src", "characters", (6,)),
         **_cli("verify", "verify", (5, 6, 7, 8)),
@@ -300,8 +304,9 @@ def source_env(src, copy, env):
 
 
 def result_digest(stdout):
-    """Digest of a CLI run's JSON payload without its metadata (timings)."""
-    if not stdout:
+    """Digest of a CLI run's JSON payload without its metadata (timings);
+    None when the run printed no JSON object, as help_cli does."""
+    if not stdout.startswith("{"):
         return None
     payload = json.loads(stdout)
     payload.pop("metadata")

@@ -17,7 +17,6 @@ import os
 import tempfile
 import zlib
 from functools import cache
-from itertools import chain, permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,16 +57,20 @@ def symmetry_table(shape, base: int):
     if base ** digits > 2**63:
         raise OverflowError(f"keys of {digits} base-{base} digits overflow int64")
     off = (2, 2 + lens[0], 2 + lens[0] + lens[1])
-    weights = np.zeros((len(SYMMETRIES), width), dtype=np.int64)
-    for s, (flip, perm) in enumerate(SYMMETRIES):
+    powers = [base ** (digits - 1 - pos) for pos in range(digits)]
+    rows = []
+    for flip, perm in SYMMETRIES:
         cols = [1, 0] if flip else [0, 1]
         for q in perm:
-            path = list(range(off[q], off[q] + lens[q]))
-            cols.extend(path[::-1] if flip else path)
+            path = range(off[q], off[q] + lens[q])
+            cols.extend(reversed(path) if flip else path)
             cols.append(None)  # the terminator digit is 0
-        for pos, col in enumerate(cols):
+        row = [0] * width
+        for col, power in zip(cols, powers):
             if col is not None:
-                weights[s, col] = base ** (digits - 1 - pos)
+                row[col] = power
+        rows.append(row)
+    weights = np.array(rows, dtype=np.int64)
     parity = np.array(_parities(lens), dtype=np.int64)
     weights.setflags(write=False)  # cached and shared
     parity.setflags(write=False)
@@ -169,9 +172,17 @@ class BasisArrays(NamedTuple):
 
 @cache
 def _labelings(n: int) -> np.ndarray:
-    """Every ordering of the labels 0..n-1, one row each."""
-    flat = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8)
-    return flat.reshape(-1, n)
+    """Every ordering of the labels 0..n-1, one row each, in lexicographic
+    order: label f first, then the orderings of the n-1 others, which are
+    those of 0..n-2 with every label from f up moved up by one."""
+    if n <= 1:
+        return np.zeros((1, n), dtype=np.int8)
+    rest = _labelings(n - 1)
+    out = np.empty((n, len(rest), n), dtype=np.int8)
+    for f in range(n):
+        out[f, :, 0] = f
+        np.add(rest, rest >= f, out=out[f, :, 1:])
+    return out.reshape(-1, n)
 
 
 def _shape_rows(n: int, shape):

@@ -6,10 +6,8 @@ consistency failure (boundary/block/rank/character checks, integer
 overflow).
 """
 
-import argparse
 import gc
 import io
-import json
 import os
 import sys
 import time
@@ -357,6 +355,8 @@ class ConfigError(ValueError):
 
 def _render(config, stages, result):
     if config.fmt == "json":
+        import json  # only --format json needs it
+
         timings = {name: round(dt, 6) for name, dt in stages.entries}
         metadata = {"version": __version__, "seed": config.seed, "timings": timings}
         return json.dumps({"metadata": metadata, **result.payload}, indent=2, sort_keys=True) + "\n"
@@ -390,37 +390,82 @@ def run(config: RunConfig) -> str:
     return out
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="delta2n",
-        description="Equivariant rational homology of the genus-2 tropical "
-        "moduli spaces via full-theta chain complexes.",
-    )
-    options = {
-        "--degree": {"type": int},
-        "--cache": {},
-        "--values": {},
-    }
-    sub = parser.add_subparsers(dest="command", required=True)
+# the RunConfig field each option sets, and how its value is read
+_OPTIONS = {
+    "--n": ("n", int),
+    "--seed": ("seed", int),
+    "--format": ("fmt", str),
+    "--degree": ("degree", int),
+    "--cache": ("cache", str),
+    "--values": ("values", str),
+}
+
+
+def _usage():
+    lines = [
+        "usage: delta2n COMMAND [--n N] [--seed SEED] [--format FORMAT] [OPTION VALUE ...]",
+        "",
+        "Equivariant rational homology of the genus-2 tropical moduli spaces",
+        "via full-theta chain complexes.",
+        "",
+        "commands and the options each takes, as --opt value or --opt=value:",
+    ]
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
-        if command.n_range:
-            p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--format", dest="fmt", choices=command.formats, default="text")
-        for option in command.options:
-            p.add_argument(option, **options[option])
-    return parser
+        words = ["--n {}..{}".format(*command.n_range)] if command.n_range else []
+        words += [f"{option} {option[2:].upper()}" for option in command.options]
+        words.append("--format " + "|".join(command.formats))
+        lines.append(f"  {name:<12} " + "  ".join(words))
+    lines += [
+        "",
+        f"Every command also takes --seed SEED (default {DEFAULT_SEED}), echoed in",
+        "the output's metadata.  -h or --help, alone or after any command, prints",
+        "this usage.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv) -> RunConfig:
+    """The RunConfig argv names: the command, then its options, each as
+    ``--opt value`` or ``--opt=value`` (the last of a repeated option wins).
+    ConfigError for an unknown command, an option the command does not take,
+    a missing or malformed value, or a format the command cannot write."""
+    if not argv:
+        raise ConfigError("no command given; choose from " + ", ".join(_COMMANDS))
+    name, *words = argv
+    command = _COMMANDS.get(name)
+    if command is None:
+        raise ConfigError(f"unknown command {name!r}; choose from " + ", ".join(_COMMANDS))
+    allowed = {"--seed", "--format", *command.options}
+    if command.n_range:
+        allowed.add("--n")
+    fields = {}
+    words = iter(words)
+    for word in words:
+        option, has_value, value = word.partition("=")
+        if option not in allowed:
+            raise ConfigError(f"{name} does not take {word!r}")
+        if not has_value:
+            value = next(words, None)
+            if value is None:
+                raise ConfigError(f"{option} needs a value")
+        field, read = _OPTIONS[option]
+        try:
+            fields[field] = read(value)
+        except ValueError:
+            raise ConfigError(f"{option} must be an integer, got {value!r}")
+    config = RunConfig(name, **fields)
+    if config.fmt not in command.formats:
+        raise ConfigError(f"--format must be one of {', '.join(command.formats)} for {name}")
+    return config
 
 
 def main(argv=None):
-    parser = _build_parser()
+    """Run the command argv names (sys.argv[1:] by default), write its output
+    to stdout and return the exit status.  -h or --help anywhere writes the
+    usage instead."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, a usage error 2
-        return 0 if exc.code == 0 else 1
-    try:
-        output = run(RunConfig(**vars(args)))
+        output = _usage() if "-h" in argv or "--help" in argv else run(_parse(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -432,7 +477,10 @@ def main(argv=None):
     ) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+    except BrokenPipeError:  # the reader has closed the pipe: nobody is left to tell
+        return 1
     return 0
 
 
@@ -445,15 +493,25 @@ def entry():
     float64 product is exact (``int_matmul``), so no result depends on the
     thread count.  From before numpy loads, the cyclic collector runs its
     youngest generation after GC_THRESHOLD net allocations instead of 700.
-    ``main`` itself sets no environment variable, freezes nothing and keeps
-    the collector's thresholds, so tests and tracers call it in-process."""
+    ``main`` itself sets no environment variable and keeps the collector's
+    thresholds, so tests and tracers call it in-process.
+
+    The process ends with ``os._exit`` once stdout and stderr are flushed,
+    so the interpreter frees no module or array on the way out: every byte
+    of output has been written by then, a cache file is complete once
+    ``os.replace`` has put it in place, and no atexit handler is relied on.
+    A reader that closed the pipe before the flush makes the status 1, with
+    no traceback."""
     if not any(var in os.environ for var in THREAD_VARS):
         os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # read when numpy loads
     gc.set_threshold(GC_THRESHOLD, *gc.get_threshold()[1:])
     status = main()
-    # nothing is collected after this point, so the final collection would only walk the heap
-    gc.freeze()
-    sys.exit(status)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            status = 1
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -70,8 +70,9 @@ class SparseIntMatrix:
     def from_terms(cls, rows: int, cols: int, r, c, v) -> "SparseIntMatrix":
         """The sum of the terms v[k] at the cells (r[k], c[k]), in any order
         and repeats allowed; ValueError for a cell outside the shape or an
-        array that does not hold integers.  The sums are taken in int64: the
-        caller bounds them below 2**63."""
+        array that does not hold integers, OverflowError unless
+        rows * cols * (2M + 1) < 2**62 for the largest |v[k]| M.  The sums
+        are taken in int64: the caller bounds them below 2**63."""
         mat = cls.__new__(cls)
         mat._set(rows, cols, _cell_sums(rows, cols, r, c, v))
         return mat
@@ -188,10 +189,12 @@ def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     """The nonzero sums of the terms v at the cells (r, c), in the layout of
     ``SparseIntMatrix.coords``; ValueError for a cell outside the shape or an
     array whose dtype does not cast to int64 exactly (floats, objects and
-    uint64 do not), an empty array excepted.  Narrow terms are not widened:
-    each cell is keyed r * cols + c in int64, the keys are sorted and the
-    terms reordered in their own dtype, the terms of a cell are summed in
-    int32 or int64 (never int16), as max|v| times the number of terms
+    uint64 do not), an empty array excepted, and OverflowError unless
+    rows * cols * (2M + 1) < 2^62, M = max|v|.  Each term is packed into one
+    int64, its cell key r * cols + c times 2M + 1 plus v + M, so one in-place
+    sort orders the cells with their terms and no permutation is made; the
+    terms come back by divmod in their own dtype, those of a cell are summed
+    in int32 or int64 (never int16), as max|v| times the number of terms
     requires, and the sums are written out in the dtype ``_coord_dtype``
     gives.  Each full-length temporary is dropped once the next is made."""
     r, c, v = (np.asarray(x) for x in (r, c, v))
@@ -201,12 +204,23 @@ def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
     _check_range(rows, cols, r, c)
     if not v.size:
         return np.empty((3, 0), dtype=_coord_dtype(rows, cols))
+    bound = _max_abs(v)
+    span = 2 * bound + 1
+    if rows * cols * span >= _INT64_SAFE:
+        raise OverflowError(
+            f"{rows} x {cols} cells with terms up to {bound} overflow an int64 sort key"
+        )
     cell = np.multiply(r, cols, dtype=np.int64)
     cell += c
-    order = np.argsort(cell)
-    cell = cell[order]
-    v = v[order]
-    del order
+    cell *= span
+    cell += v
+    cell += bound
+    cell.sort()
+    dtype = v.dtype
+    v = np.remainder(cell, span)
+    cell //= span
+    v -= bound
+    v = v.astype(dtype, copy=False)
     step = cell[1:] != cell[:-1]
     if not step.all():  # some cell has several terms: sum them
         heads = np.flatnonzero(np.r_[True, step])

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,13 @@ def test_basis_invariants():
 def test_basis_n3_empty():
     # single degree-5 orbit carries an odd automorphism
     assert cc.build_basis(3, 5).dim == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_labelings_are_every_ordering_in_lexicographic_order(n):
+    want = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    got = cc._labelings(n)
+    assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def test_basis_rejects_bad_n():

@@ -303,6 +303,46 @@ def test_help_exits_0_with_the_usage_on_stdout():
         assert proc.stdout.startswith("usage: delta2n") and proc.stderr == ""
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_exits_1_without_a_traceback(unbuffered):
+    # the reader is gone before the first byte: unbuffered, the write itself
+    # fails; buffered, the flush before the exit does
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delta2n.cli", "chartable", "--n", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == ""
+
+
+def test_entry_flushes_buffered_output_before_it_exits(capsys, tmp_path):
+    # a regular file is fully buffered, and entry() ends with os._exit, which
+    # flushes nothing itself: every byte must be written before it
+    argv = ["enumerate", "--n", "6", "--degree", "8"]
+    path = tmp_path / "out.txt"
+    with path.open("w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delta2n.cli", *argv], stdout=out, env=_child_env()
+        )
+    assert proc.returncode == 0
+    status, want, _ = _run(capsys, *argv)
+    assert status == 0 and len(want) > 8192
+    got = path.read_text()
+    assert [ln for ln in got.splitlines() if not ln.startswith("# stage")] == [
+        ln for ln in want.splitlines() if not ln.startswith("# stage")
+    ]
+
+
 @pytest.mark.parametrize(
     "preset, added",
     [({}, dict.fromkeys(cli.THREAD_VARS, "1")), ({"OMP_NUM_THREADS": "2"}, {})],
@@ -416,11 +456,15 @@ print("delta2n.kernels" in sys.modules)
 
 def test_cli_loads_no_numpy_until_a_handler_computes():
     # importing the CLI, printing its help and rejecting a bad --n compute
-    # nothing, so they load neither numpy nor any computing layer
+    # nothing, so they load neither numpy nor any computing layer; argv is
+    # read from the command table, so no argument parser (argparse, or the
+    # gettext it and getopt import) is loaded either, and only JSON output
+    # loads json
     script = """
 import contextlib, io, sys
 from delta2n import cli
-loaded = lambda: sorted(m for m in sys.modules if m.startswith(("numpy", "delta2n")))
+prefixes = ("numpy", "delta2n", "argparse", "gettext", "json")
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(prefixes))
 print(*loaded())
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cli.main(["--help"]) == 0
@@ -700,6 +744,54 @@ _ACCEPTED = [
 def test_each_command_accepts_only_the_options_it_reads(capsys, tmp_path, argv, status):
     argv = [str(tmp_path) if a == "DIR" else a for a in argv]
     assert _run(capsys, *argv)[0] == status
+
+
+def test_an_option_value_may_follow_an_equals_sign(capsys):
+    status, spaced, _ = _run(capsys, "characters", "--n", "6", "--format", "json")
+    assert status == 0
+    status, joined, _ = _run(capsys, "characters", "--n=6", "--format=json")
+    assert status == 0
+    assert _payload(joined) == _payload(spaced)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_after_any_command_prints_the_usage(capsys, command):
+    for flag in ("-h", "--help"):
+        status, out, err = _run(capsys, command, flag)
+        assert status == 0 and err == ""
+        assert out.startswith("usage: delta2n")
+
+
+def test_usage_names_every_command_and_its_options(capsys):
+    _, usage, _ = _run(capsys, "--help")
+    # one line per command, indented two spaces: its name, then its options
+    rows = [ln.split() for ln in usage.splitlines() if ln[:2] == "  " and ln[2:3].isalpha()]
+    lines = {name: words for name, *words in rows}
+    assert list(lines) == list(cli._COMMANDS)
+    for name, command in cli._COMMANDS.items():
+        options = {word for word in lines[name] if word.startswith("--")}
+        want = {*command.options, "--format"} | ({"--n"} if command.n_range else set())
+        assert options == want
+        assert "|".join(command.formats) in lines[name]
+    assert "--seed" in usage
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["betti", "--n", "x"], "--n must be an integer"),
+        (["betti", "--n", "4", "--seed", "1.5"], "--seed must be an integer"),
+        (["betti", "--n"], "--n needs a value"),
+        (["betti", "--n", "4", "extra"], "does not take 'extra'"),
+        (["enumerate", "--n", "4", "--deg", "5"], "does not take '--deg'"),
+    ],
+    ids=["n-not-int", "seed-not-int", "trailing-n", "positional", "abbreviated"],
+)
+def test_a_malformed_argument_exits_1_with_one_error_line(capsys, argv, message):
+    # no abbreviation of an option is accepted: --deg is not --degree
+    status, out, err = _run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_negative_seed_rejected(capsys):

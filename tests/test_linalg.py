@@ -121,6 +121,31 @@ def test_sparse_dtype_is_the_narrowest_that_holds_dims_and_values(top, dtype):
         assert SparseIntMatrix(rows, cols).coords.dtype == zero
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
+def test_sparse_from_terms_matches_a_dense_sum(dtype):
+    # repeated cells with terms of both signs, in the terms' own dtype
+    rng = np.random.default_rng(11)
+    rows, cols, size = 7, 9, 400
+    r, c = rng.integers(0, rows, size), rng.integers(0, cols, size)
+    low = 0 if np.dtype(dtype).kind == "u" else -100
+    v = rng.integers(low, 101, size).astype(dtype)
+    dense = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(dense, (r, c), v.astype(np.int64))
+    m = SparseIntMatrix.from_terms(rows, cols, r, c, v)
+    assert np.array_equal(m.to_int64(), dense)
+    assert m == SparseIntMatrix.from_coords(rows, cols, m.coords)  # canonical layout
+
+
+def test_sparse_from_terms_refuses_a_sort_key_beyond_2_62():
+    # each term is sorted as one int64, its cell key times 2M + 1 plus v + M:
+    # 2**20 x 2**20 cells hold terms up to M = 2**20 (2**61 keys), not 2**21
+    n = 1 << 20
+    m = SparseIntMatrix.from_terms(n, n, [n - 1, 0], [n - 1, 0], [n, -n])
+    assert m.entries() == [((0, 0), -n), ((n - 1, n - 1), n)]
+    with pytest.raises(OverflowError):
+        SparseIntMatrix.from_terms(n, n, [0], [0], [2 * n])
+
+
 def test_sparse_sums_leaving_int16_are_not_wrapped():
     # int16 terms whose sums leave int16, and cancel to 0 in one cell
     big = np.array([20000, 20000, 30000, -30000], dtype=np.int16)
