@@ -270,30 +270,26 @@ def _build_matrix(n: int, p: int) -> SparseIntMatrix:
     """d_p from whole label arrays: each contraction of each column shape is
     one column gather, canonicalized by integer keys and looked up in the
     row basis.  A target missing from the row basis must have an odd
-    automorphism, and one found there must not.  The terms are kept in the
-    narrowest types that hold them (positions unsigned, signs int8) until
-    they are summed."""
+    automorphism, and one found there must not.  Each contraction's terms
+    (positions ``locate`` found, so inside the shape, and signs +-1) go to
+    ``linalg`` as they are found, one int64 cell key per term."""
     cols, rows = basis_arrays(n, p), basis_arrays(n, p - 1)
-    position = np.min_scalar_type(max(rows.dim, cols.dim))
-    found_rows, found_cols, coefs = [], [], []
-    for shape, index, labels in cols.blocks:
-        for target, gather, edge_sign in _contractions(shape):
-            keys, signs, odd = canonical_keys(labels[:, gather], target, n + 1)
-            pos, found = rows.locate(keys)
-            bad = np.flatnonzero(found == odd)
-            if bad.size:
-                what = "hit a graph with an odd automorphism" if found[bad[0]] else "left the basis"
-                raise InternalConsistencyError(
-                    f"contraction {what} at n={n}, p={p}, column {index[bad[0]]}"
-                )
-            found_rows.append(pos[found].astype(position))
-            found_cols.append(index[found].astype(position))
-            coefs.append((edge_sign * signs[found]).astype(np.int8))
-    if not coefs:
-        return SparseIntMatrix(rows.dim, cols.dim)
-    terms = [np.concatenate(parts) for parts in (found_rows, found_cols, coefs)]
-    del found_rows, found_cols, coefs
-    return SparseIntMatrix.from_terms(rows.dim, cols.dim, *terms)
+
+    def terms():
+        for shape, index, labels in cols.blocks:
+            for target, gather, edge_sign in _contractions(shape):
+                keys, signs, odd = canonical_keys(labels[:, gather], target, n + 1)
+                pos, found = rows.locate(keys)
+                bad = np.flatnonzero(found == odd)
+                if bad.size:
+                    what = ("hit a graph with an odd automorphism" if found[bad[0]]
+                            else "left the basis")
+                    raise InternalConsistencyError(
+                        f"contraction {what} at n={n}, p={p}, column {index[bad[0]]}"
+                    )
+                yield pos[found], index[found], edge_sign * signs[found]
+
+    return SparseIntMatrix._from_term_parts(rows.dim, cols.dim, terms(), bound=1)
 
 
 @cache

@@ -44,7 +44,7 @@ class WrongIsotypeError(InternalConsistencyError):
 @cache
 def _kernel():
     """The top kernel K, as ``kernel_exact`` gives it."""
-    return kernel_exact(boundary_matrix(N, TOP_DEGREE))
+    return kernel_exact(boundary_matrix(N, TOP_DEGREE).to_int64())
 
 
 @cache

@@ -374,7 +374,7 @@ def kernel_character_oracle(n) -> np.ndarray:
     """
     from .chain_complex import boundary_matrix
 
-    kernel = kernel_exact(boundary_matrix(n, n + 2))
+    kernel = kernel_exact(boundary_matrix(n, n + 2).to_int64())
     values = []
     for mu in partitions_of(n):
         gidx, gsgn = act(class_representative(mu), n + 2)

@@ -9,8 +9,9 @@ matrix L K exactly, which gives the matching upper bound; callers take L K
 and L as they come.  ``rank_exact`` is a thin layer over it (one prime
 certifies full rank).
 ``independent_columns`` needs no kernel: its caller supplies the exact rank.
-Their inputs are SparseIntMatrix or signed-integer arrays, taken as int64;
-anything else raises ValueError.
+Elimination takes 2-D signed-integer arrays or lists, cast to int64, and
+raises ValueError on anything else, a SparseIntMatrix included: that is
+storage, with its exact sparse product, densified by ``to_int64``.
 Whether an int64 result fits is decided here alone, before the arithmetic
 runs: ``signed_sum`` bounds a sum of multiples, ``int_matmul`` a product.
 numpy wraps integer overflow without a warning, so every integer width here,
@@ -61,10 +62,11 @@ class SparseIntMatrix:
         build the others."""
         self._set(rows, cols, np.zeros((3, 0), dtype=_coord_dtype(rows, cols)))
 
-    def _set(self, rows, cols, coords):
+    def _set(self, rows, cols, coords) -> "SparseIntMatrix":
         self.rows, self.cols = rows, cols
         self.coords = coords.view()  # read-only here, whoever else holds the data
         self.coords.setflags(write=False)
+        return self
 
     @classmethod
     def from_terms(cls, rows: int, cols: int, r, c, v) -> "SparseIntMatrix":
@@ -73,9 +75,13 @@ class SparseIntMatrix:
         array that does not hold integers, OverflowError unless
         rows * cols * (2M + 1) < 2**62 for the largest |v[k]| M.  The sums
         are taken in int64: the caller bounds them below 2**63."""
-        mat = cls.__new__(cls)
-        mat._set(rows, cols, _cell_sums(rows, cols, r, c, v))
-        return mat
+        return cls.__new__(cls)._set(rows, cols, _cell_sums(rows, cols, r, c, v))
+
+    @classmethod
+    def _from_term_parts(cls, rows: int, cols: int, parts, bound: int) -> "SparseIntMatrix":
+        """The sum of the terms ``parts`` yields, as ``_packed_sums`` takes
+        them: the caller guarantees each cell in the shape and |v| <= bound."""
+        return cls.__new__(cls)._set(rows, cols, _packed_sums(rows, cols, parts, bound))
 
     @classmethod
     def from_coords(cls, rows: int, cols: int, coords) -> "SparseIntMatrix":
@@ -97,9 +103,7 @@ class SparseIntMatrix:
             raise ValueError("entries are not in strictly increasing row-major order")
         if not v.all():
             raise ValueError("a stored value is zero")
-        mat = cls.__new__(cls)
-        mat._set(rows, cols, coords)
-        return mat
+        return cls.__new__(cls)._set(rows, cols, coords)
 
     @property
     def shape(self):
@@ -169,9 +173,8 @@ class SparseIntMatrix:
             v = np.multiply(av[left], bv[right], dtype=term_dtype)
             del left, right
             parts.append(_cell_sums(self.rows, other.cols, r, c, v))
-        mat = SparseIntMatrix.__new__(SparseIntMatrix)
-        mat._set(self.rows, other.cols, np.concatenate(parts, axis=1))
-        return mat
+        return SparseIntMatrix.__new__(SparseIntMatrix)._set(
+            self.rows, other.cols, np.concatenate(parts, axis=1))
 
     def to_int64(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.int64)
@@ -186,41 +189,51 @@ def _check_range(rows, cols, r, c):
 
 
 def _cell_sums(rows, cols, r, c, v) -> np.ndarray:
-    """The nonzero sums of the terms v at the cells (r, c), in the layout of
-    ``SparseIntMatrix.coords``; ValueError for a cell outside the shape or an
-    array whose dtype does not cast to int64 exactly (floats, objects and
-    uint64 do not), an empty array excepted, and OverflowError unless
-    rows * cols * (2M + 1) < 2^62, M = max|v|.  Each term is packed into one
-    int64, its cell key r * cols + c times 2M + 1 plus v + M, so one in-place
-    sort orders the cells with their terms and no permutation is made; the
-    terms come back by divmod in their own dtype, those of a cell are summed
-    in int32 or int64 (never int16), as max|v| times the number of terms
-    requires, and the sums are written out in the dtype ``_coord_dtype``
-    gives.  Each full-length temporary is dropped once the next is made."""
+    """``_packed_sums`` of the terms v at the cells (r, c), bounded by max|v|;
+    ValueError first for a cell outside the shape or a nonempty array whose
+    dtype does not cast to int64 exactly (floats, objects and uint64)."""
     r, c, v = (np.asarray(x) for x in (r, c, v))
     for x in (r, c, v):
         if x.size and not np.can_cast(x.dtype, np.int64):
             raise ValueError(f"not an integer array: {x.dtype}")
     _check_range(rows, cols, r, c)
-    if not v.size:
-        return np.empty((3, 0), dtype=_coord_dtype(rows, cols))
-    bound = _max_abs(v)
+    return _packed_sums(rows, cols, [(r, c, v)] if v.size else [], _max_abs(v))
+
+
+def _packed_sums(rows, cols, terms, bound) -> np.ndarray:
+    """The nonzero sums, in the layout of ``SparseIntMatrix.coords``, of the
+    terms that come as (r, c, v) array triples, each cell inside the shape
+    and each |v| <= bound; OverflowError unless rows * cols * (2 bound + 1)
+    < 2^62, decided before the first triple is read.  Each triple is packed
+    as it comes, one int64 per term, its cell key r * cols + c times
+    2 bound + 1 plus v + bound, so one in-place sort of the joined keys
+    orders the cells with their terms and no permutation is made.  The terms
+    come back by divmod in the narrowest dtype that holds bound, those of a
+    cell are summed in int32 or int64 as their bound requires, and the sums
+    are written out in the dtype ``_coord_dtype`` gives.  Each full-length
+    temporary is dropped once the next is made."""
     span = 2 * bound + 1
     if rows * cols * span >= _INT64_SAFE:
         raise OverflowError(
             f"{rows} x {cols} cells with terms up to {bound} overflow an int64 sort key"
         )
-    cell = np.multiply(r, cols, dtype=np.int64)
-    cell += c
-    cell *= span
-    cell += v
-    cell += bound
+
+    def pack(r, c, v):
+        cell = np.multiply(r, cols, dtype=np.int64)
+        cell += c
+        cell *= span
+        cell += v
+        cell += bound
+        return cell
+
+    keys = [pack(*part) for part in terms]  # no triple outlives its keys
+    cell = keys[0] if len(keys) == 1 else np.concatenate(keys or [np.empty(0, np.int64)])
+    del keys
     cell.sort()
-    dtype = v.dtype
     v = np.remainder(cell, span)
     cell //= span
     v -= bound
-    v = v.astype(dtype, copy=False)
+    v = v.astype(np.min_scalar_type(-bound - 1), copy=False)
     step = cell[1:] != cell[:-1]
     if not step.all():  # some cell has several terms: sum them
         heads = np.flatnonzero(np.r_[True, step])
@@ -255,13 +268,12 @@ def _max_abs(a) -> int:
 
 
 def _integer_array(mat) -> np.ndarray:
-    """mat as a dense 2-D int64 array, from a SparseIntMatrix or a 2-D array
-    or list of a signed integer dtype.  ValueError for anything else (object
+    """mat as a dense 2-D int64 array, from a 2-D array or list of a signed
+    integer dtype: what elimination takes.  ValueError for anything else
+    (a SparseIntMatrix, which its caller densifies with ``to_int64``; object
     arrays, rationals, floats, Python ints beyond int64), before any
     elimination runs, so no certificate is ever checked against a truncated
     copy of the input."""
-    if isinstance(mat, SparseIntMatrix):
-        return mat.to_int64()
     arr = np.asarray(mat)
     if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.signedinteger):
         raise ValueError(f"not a 2-D signed integer matrix: {arr.dtype} {arr.shape}")

@@ -88,25 +88,6 @@ def is_full_theta(g: ThetaGraph) -> bool:
     return all(len(p) > 0 for p in g.paths)
 
 
-def _edge_source_map(lens, flip: int, perm) -> list[int]:
-    """Reference label, in a graph with these path lengths, of the edge landing
-    at each reference slot of its image.
-
-    Slot j of the image graph receives the edge src[j]; the symmetry's sign is
-    the parity of this permutation.
-    """
-    off = [0, lens[0] + 1, lens[0] + lens[1] + 2]
-    src = []
-    for i in range(3):
-        q = perm[i]
-        m = lens[q]
-        if flip:
-            src.extend(off[q] + m - j for j in range(m + 1))
-        else:
-            src.extend(off[q] + j for j in range(m + 1))
-    return src
-
-
 def perm_parity(arr) -> int:
     """Sign of a permutation given in one-line form."""
     seen = [False] * len(arr)
@@ -128,8 +109,18 @@ def perm_parity(arr) -> int:
 @cache
 def _parities(lens) -> tuple:
     """Edge parity of each symmetry, in SYMMETRIES order, for a graph with
-    these path lengths."""
-    return tuple(perm_parity(_edge_source_map(lens, flip, perm)) for flip, perm in SYMMETRIES)
+    these path lengths.  Path q carries s_q = lens[q] + 1 edges, and slot i
+    of the image receives path perm[i]'s edges as one block, reversed when
+    flipped: the edge permutation has s_q s_r inversions for each pair of
+    paths q < r that perm puts out of order, plus s_q (s_q - 1) / 2 within
+    each reversed block."""
+    s = [m + 1 for m in lens]
+    within = sum(k * (k - 1) // 2 for k in s)
+
+    def between(perm):
+        return sum(s[q] * s[r] for q, r in itertools.combinations(perm, 2) if q > r)
+
+    return tuple((-1) ** (flip * within + between(perm)) for flip, perm in SYMMETRIES)
 
 
 def _images(g: ThetaGraph) -> list:

@@ -330,7 +330,7 @@ def test_09_structural_properties():
         cx = build_complex(n)
         if not cx.d(n + 1).matmul(cx.d(n + 2)).is_zero():
             bad.append(f"n={n}: d.d != 0")
-        if not is_surjective(cx.d(n + 1)):
+        if not is_surjective(cx.d(n + 1).to_int64()):
             bad.append(f"n={n}: d_{n+1} not surjective")
         for p in (n + 1, n + 2):
             dmat = np.zeros((build_basis(n, p - 1).dim, build_basis(n, p).dim),

@@ -65,7 +65,7 @@ def test_d_squared_is_zero(n):
 def test_d_next_surjective(n):
     from delta2n.linalg import is_surjective
 
-    assert is_surjective(cc.boundary_matrix(n, n + 1))
+    assert is_surjective(cc.boundary_matrix(n, n + 1).to_int64())
 
 
 def test_boundary_entries_are_small_integers():
@@ -77,26 +77,26 @@ def test_boundary_entries_are_small_integers():
 
 
 def test_rank_examples():
-    assert rank_exact(SparseIntMatrix(3, 3)) == 0
+    assert rank_exact(SparseIntMatrix(3, 3).to_int64()) == 0
     eye = SparseIntMatrix.from_terms(4, 4, range(4), range(4), [1] * 4)
-    assert rank_exact(eye) == 4
-    assert rank_exact(cc.boundary_matrix(4, 6)) == 3
+    assert rank_exact(eye.to_int64()) == 4
+    assert rank_exact(cc.boundary_matrix(4, 6).to_int64()) == 3
 
 
 def test_kernel_basis_examples():
     eye = SparseIntMatrix.from_terms(3, 3, range(3), range(3), [1] * 3)
-    assert kernel_exact(eye)[1].shape == (3, 0)
+    assert kernel_exact(eye.to_int64())[1].shape == (3, 0)
     row = SparseIntMatrix.from_terms(1, 2, [0, 0], [0, 1], [1, 1])
-    k = kernel_exact(row)[1]
+    k = kernel_exact(row.to_int64())[1]
     assert k.shape == (2, 1)
     assert k[0, 0] * 1 + k[1, 0] * 1 == 0 and k.any()
 
 
 def test_kernel_of_d7_n5():
-    d7 = cc.boundary_matrix(5, 7)
+    d7 = cc.boundary_matrix(5, 7).to_int64()
     k = kernel_exact(d7)[1]
     assert k.shape == (60, 15)
-    assert not d7.to_int64().astype(object).dot(k).any()
+    assert not d7.astype(object).dot(k).any()
 
 
 def test_build_complex_structure():
@@ -183,11 +183,28 @@ def test_betti_matches_global_rank_oracle(n):
     # d_{n+2}, and d_{n+1} onto
     cx = cc.build_complex(n)
     d_top, d_next = cx.d(n + 2), cx.d(n + 1)
-    rank_top = rank_exact(d_top)
-    nullity = kernel_exact(d_top)[1].shape[1]
+    rank_top = rank_exact(d_top.to_int64())
+    nullity = kernel_exact(d_top.to_int64())[1].shape[1]
     assert nullity == d_top.cols - rank_top
-    assert rank_exact(d_next) == d_next.rows
+    assert rank_exact(d_next.to_int64()) == d_next.rows
     assert cc.betti(n) == (nullity, d_next.cols - d_next.rows - rank_top)
+
+
+def test_boundary_assembly_bounds_its_cell_keys_before_any_key(monkeypatch):
+    # linalg refuses d_7 at n = 5 once rows * cols * 3 reaches its int64
+    # bound, before any contraction is canonicalized or any key formed
+    rows, cols = cc.basis_arrays(5, 6).dim, cc.basis_arrays(5, 7).dim
+    want = cc._build_matrix(5, 7)
+    calls, real = [], cc.canonical_keys
+    monkeypatch.setattr(cc, "canonical_keys", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(linalg, "_INT64_SAFE", rows * cols * 3)
+    with pytest.raises(OverflowError, match="int64 sort key") as raised:
+        cc._build_matrix(5, 7)
+    assert raised.traceback[-1].path == Path(linalg.__file__)
+    assert calls == []
+    monkeypatch.setattr(linalg, "_INT64_SAFE", rows * cols * 3 + 1)
+    assert cc._build_matrix(5, 7) == want
+    assert calls
 
 
 def _per_graph_boundary(n, p):

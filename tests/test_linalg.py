@@ -146,6 +146,23 @@ def test_sparse_from_terms_refuses_a_sort_key_beyond_2_62():
         SparseIntMatrix.from_terms(n, n, [0], [0], [2 * n])
 
 
+def test_packed_terms_are_bounded_before_the_first_part_is_read():
+    # terms up to 1: a row of (2**62 - 1) / 3 cells fits the sort key, one
+    # more cell does not, and is refused before any part is read
+    fits = ((1 << 62) - 1) // 3
+
+    def unread():
+        raise AssertionError("a part was read before the bound was decided")
+        yield
+
+    with pytest.raises(OverflowError):
+        SparseIntMatrix._from_term_parts(1, fits + 1, unread(), 1)
+    parts = [([0, 0], [fits - 1, 0], np.array([-1, 1])), ([0], [fits - 1], np.array([-1]))]
+    m = SparseIntMatrix._from_term_parts(1, fits, iter(parts), 1)
+    assert m.entries() == [((0, 0), 1), ((0, fits - 1), -2)]
+    assert m == SparseIntMatrix.from_coords(1, fits, m.coords)  # canonical layout
+
+
 def test_sparse_sums_leaving_int16_are_not_wrapped():
     # int16 terms whose sums leave int16, and cancel to 0 in one cell
     big = np.array([20000, 20000, 30000, -30000], dtype=np.int16)
@@ -359,17 +376,21 @@ def test_a_bad_lift_is_never_returned(shifted_lifts):
     assert kernel_exact(np.eye(2, dtype=np.int64))[0] == 2
 
 
-def test_exact_layer_takes_integer_arrays_only():
+def test_exact_layer_takes_integer_arrays_only(monkeypatch):
     # an object array, a Fraction list or a float array is refused before
     # any elimination, integer-valued or not: a truncated copy would certify
-    # k = (1, 0) as a kernel of [[1/2, 1/2]]
+    # k = (1, 0) as a kernel of [[1/2, 1/2]]; so is a SparseIntMatrix, which
+    # its caller densifies with to_int64
     calls = {
         "kernel_exact": kernel_exact,
         "rank_exact": rank_exact,
         "rank_modp": lambda m: rank_modp(m, PRIMES[0]),
         "independent_columns": lambda m: independent_columns(m, 1),
+        "is_surjective": is_surjective,
     }
+    a = np.array([[1, 2], [2, 4]], dtype=np.int64)
     refused = [
+        _sparse(a),
         np.array([[1, 2], [2, 4]], dtype=object),
         [[Fraction(1, 2), Fraction(1, 2)]],
         [[Fraction(2, 1), 4], [1, 2]],
@@ -378,15 +399,21 @@ def test_exact_layer_takes_integer_arrays_only():
         [[1 << 63, 1]],
         np.array([1, 2]),
     ]
+
+    def no_elimination(*args):
+        raise AssertionError("a refused input reached the elimination")
+
+    monkeypatch.setattr(linalg, "rref_modp", no_elimination)
     for name, call in calls.items():
         for mat in refused:
             with pytest.raises(ValueError):
                 call(mat)
+    monkeypatch.undo()
     # rank 1 in every accepted form: int8, int32 and int64 arrays, a list of
-    # small Python ints and a SparseIntMatrix
-    a = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    accepted = [a.astype(np.int8), a.astype(np.int32), a, a.tolist(), _sparse(a)]
+    # small Python ints and a densified SparseIntMatrix
+    accepted = [a.astype(np.int8), a.astype(np.int32), a, a.tolist(), _sparse(a).to_int64()]
     for mat in accepted:
+        assert not is_surjective(mat)
         rank, lk, scale, pivots, free = kernel_exact(mat)
         assert (rank, lk.tolist(), scale) == (1, [[-2], [1]], 1)
         assert (pivots.tolist(), free.tolist()) == ([0], [1])
@@ -544,7 +571,7 @@ def test_kernel_exact_zero_matrix():
 
 def test_kernel_exact_sparse_input():
     m = _matrix(3, 4, {(0, 0): 1, (0, 3): -2, (1, 1): 1, (1, 3): 5})
-    rank, lk, _, _, free = kernel_exact(m)
+    rank, lk, _, _, free = kernel_exact(m.to_int64())
     assert rank == 2 and lk.shape == (4, 2)
     assert m.to_int64().astype(object).dot(lk).tolist() == [[0, 0], [0, 0], [0, 0]]
 
